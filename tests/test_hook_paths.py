@@ -1,0 +1,98 @@
+"""Golden certificates for the support-view hook paths.
+
+The counterexample vectors of a plan carry coupled envelopes
+(gevrey_lower_form, tv_lower_form, evolution_upper_form) that no
+componentwise envelope can express.  These tests pin every series
+certificate that build_counterexample issues on three plans, in call
+order, so any change to how the hooks reach the series engine shows up as
+a byte difference.  The bounded views are exercised by no benchmark
+workload; this file is their only guard.
+"""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import gevlab as gl
+from gevlab.series import certify_log_series
+
+SPECTRA = {
+    "i*sqrt(k)": gl.PowerLawSpectrum(0, 0, 1, 0.5, label="i*sqrt(k)"),
+    "5+i*k^2": gl.PowerLawSpectrum(5.0, 0.0, 1.0, 2.0, label="5+i*k^2"),
+    "mixed-quart": gl.builtin_spectra()["mixed-quart"],
+}
+
+_DIVERGES = "('symbolic-divergence', 'diverges', 0, inf, nan)"
+_PROBES_DIVERGE = {"0.0009765625": _DIVERGES, "1.0": _DIVERGES, "1024.0": _DIVERGES}
+_CONVERGES_ALL_T = "((0.0, 'converges'), (1.0, 'converges'), (50.0, 'converges'), (100.0, 'converges'))"
+
+GOLDEN = {
+    ("i*sqrt(k)", 1.0): {
+        "probe_status": _CONVERGES_ALL_T,
+        "tail_rule": "ReBoundedAbove(omega=0.0)",
+        "class_probes": "((9.5367431640625e-07, 'diverges'),)",
+        "probe_certificates": _PROBES_DIVERGE,
+        "series_calls": [
+            "('symbolic-tail', 'converges', 2048, 0.07910987303150845, -23.972469247146307)",
+        ] * 4 + [_DIVERGES] * 4,
+    },
+    ("5+i*k^2", 1.0): {
+        "probe_status": _CONVERGES_ALL_T,
+        "tail_rule": "ReBoundedAbove(omega=5.0)",
+        "class_probes": "((9.5367431640625e-07, 'diverges'),)",
+        "probe_certificates": _PROBES_DIVERGE,
+        "series_calls": [
+            "('symbolic-tail', 'converges', 2048, 0.07910987303150845, -23.972469247146307)",
+            "('symbolic-tail', 'converges', 2048, 10.07910987303151, -13.972469247146305)",
+            "('symbolic-tail', 'converges', 2048, 500.0791098730315, 476.0275307528537)",
+            "('symbolic-tail', 'converges', 2048, 1000.0791098730315, 976.0275307528536)",
+        ] + [_DIVERGES] * 4,
+    },
+    ("mixed-quart", 2.0): {
+        "probe_status": _CONVERGES_ALL_T,
+        "tail_rule": "DecayDominates(r=2.0, p_re=2.0)",
+        "class_probes": "((9.5367431640625e-07, 'diverges'),)",
+        "probe_certificates": _PROBES_DIVERGE,
+        "series_calls": [
+            "('symbolic-tail', 'converges', 1024, -1.9999999847700205, -2101243.0685281944)",
+            "('symbolic-tail', 'converges', 1024, 4.5398899216870535e-05, -2099193.0685281944)",
+            "('symbolic-tail', 'converges', 1024, 37060.0, -1998743.0685281944)",
+            "('symbolic-tail', 'converges', 1024, 296340.0, -1896243.0685281944)",
+        ] + [_DIVERGES] * 4,
+    },
+}
+
+
+def _pinned(cert) -> str:
+    return repr((cert.route, cert.status.value, cert.terms_used, cert.log_value, cert.log_tail_bound))
+
+
+@pytest.fixture
+def series_calls(monkeypatch):
+    """Record every certificate issued by the series engine, in call order."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        cert = certify_log_series(*args, **kwargs)
+        calls.append(_pinned(cert))
+        return cert
+
+    for info in pkgutil.iter_modules(gl.__path__):
+        module = importlib.import_module(f"gevlab.{info.name}")
+        if hasattr(module, "certify_log_series"):
+            monkeypatch.setattr(module, "certify_log_series", recording)
+    return calls
+
+
+@pytest.mark.parametrize("name,beta", list(GOLDEN))
+def test_counterexample_certificates_match_golden(series_calls, name, beta):
+    art = gl.build_counterexample(gl.plan_for_spectrum(SPECTRA[name], beta))
+    want = GOLDEN[(name, beta)]
+    assert not art.plan.selection.identity_certified()  # the support view is in use
+    assert repr(art.admissibility.probe_status) == want["probe_status"]
+    assert repr(art.admissibility.tail_rule) == want["tail_rule"]
+    assert repr(art.non_membership.probes) == want["class_probes"]
+    got = {repr(s): _pinned(c) for s, c in art.probe_certificates.items()}
+    assert got == want["probe_certificates"]
+    assert series_calls == want["series_calls"]
