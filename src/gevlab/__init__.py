@@ -96,6 +96,7 @@ from .spectral_core import (
     ExplicitSpectrum,
     PairingMeasure,
     PowerLawSpectrum,
+    SeriesSpace,
     SpectrumFamily,
     abs_gt,
     abs_le,

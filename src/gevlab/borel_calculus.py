@@ -10,13 +10,13 @@ style of a total-variation criterion; the direct route is authoritative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .asymptotics import AsymForm, TailBounds
+from .asymptotics import AsymForm, TailBounds, log_tail_bound
 from .errors import DomainError
 from .logdomain import NEG_INF, LogPolar, logsumexp
 from .series import (
@@ -31,16 +31,8 @@ from .spectral_core import (
     conjugate_exponent,
     predicate_all,
     total_variation,
+    with_lower_form,
 )
-
-
-def _tail_info(obj, name: str, *args):
-    """Fetch tail bounds from either a SpectrumFamily (methods) or a series
-    space (properties)."""
-    attr = getattr(obj, name)
-    if callable(attr):
-        return attr(*args)
-    return attr
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +52,7 @@ class SymbolFunction:
         raise NotImplementedError
 
     def growth_bounds_on(self, space) -> Optional[TailBounds]:
-        """Envelope of log|F(lam_k)| over the given index space."""
+        """Envelope of log|F(lam_k)| over a SeriesSpace or a SpectrumFamily."""
         raise NotImplementedError
 
     def factors(self) -> tuple["SymbolFunction", ...]:
@@ -99,7 +91,7 @@ class PowerSymbol(SymbolFunction):
     def growth_bounds_on(self, space):
         if self.n == 0:
             return TailBounds.exact(AsymForm.constant(0.0))
-        b = _tail_info(space, "log_abs_bounds")
+        b = space.log_abs_bounds()
         return b.scale(float(self.n)) if b is not None else None
 
     def sort_key(self):
@@ -131,12 +123,12 @@ class ExpSymbol(SymbolFunction):
     def growth_bounds_on(self, space):
         out = None
         if self.z.real != 0.0:
-            rb = _tail_info(space, "re_bounds")
+            rb = space.re_bounds()
             if rb is None:
                 return None
             out = rb.scale(self.z.real)
         if self.z.imag != 0.0:
-            ib = _tail_info(space, "im_bounds")
+            ib = space.im_bounds()
             if ib is None:
                 return None
             piece = ib.scale(-self.z.imag)
@@ -176,7 +168,7 @@ class GevreyExpSymbol(SymbolFunction):
         return np.zeros(len(lams))
 
     def growth_bounds_on(self, space):
-        b = _tail_info(space, "abs_pow_bounds", 1.0 / self.beta)
+        b = space.abs_pow_bounds(1.0 / self.beta)
         return b.scale(self.s) if b is not None else None
 
     def sort_key(self):
@@ -290,7 +282,13 @@ def domain_member_direct(
     budget: SeriesBudget = DEFAULT_BUDGET,
     resolve_value: bool = True,
 ) -> DomainVerdict:
-    """Direct criterion: {F(lam_k) f_k} must lie in l^p."""
+    """Direct criterion: {F(lam_k) f_k} must lie in l^p.
+
+    The tail envelope is the coefficient envelope plus F's growth envelope.
+    A plan hook of the series space overrides it where it couples the two:
+    gevrey_lower_form gives the lower side for a GevreyExpSymbol, and
+    evolution_upper_form the whole envelope for e^{tA} (ExpSymbol, real t).
+    """
     space = f.series_space()
     p = f.p_norm
 
@@ -300,23 +298,19 @@ def domain_member_direct(
         return p * np.where(mags == NEG_INF, NEG_INF, mags + add)
 
     bounds = None
-    cb = _tail_info(space, "coeff_bounds")
+    cb = space.coeff_bounds
     if cb is not None:
         gb = F.growth_bounds_on(space)
         if gb is not None:
             bounds = (cb + gb).scale(p)
-    hook = getattr(space, "gevrey_lower_form", None)
-    if hook is not None and isinstance(F, GevreyExpSymbol):
-        # plan-derived coupled lower envelope; componentwise bounds lose
-        # the coupling between |lam| and the coefficient decay
-        got = hook(F.s, F.beta)
-        if got is not None:
-            form, k_min = got
-            bounds = TailBounds(
-                form.scale(p),
-                bounds.upper if bounds is not None else None,
-                max(k_min, bounds.k_min if bounds is not None else 1),
-            )
+    if isinstance(F, GevreyExpSymbol):
+        hook = space.gevrey_lower_form(F.s, F.beta)
+        if hook is not None:
+            bounds = with_lower_form(bounds, hook[0].scale(p), hook[1])
+    elif isinstance(F, ExpSymbol) and F.z.imag == 0.0:
+        hook = space.evolution_upper_form(F.z.real)
+        if hook is not None:
+            bounds = TailBounds(None, hook[0].scale(p), hook[1])
     cert = certify_log_series(
         term, count=space.count, bounds=bounds, budget=budget, resolve_value=resolve_value
     )
@@ -492,42 +486,44 @@ class PowerNorms:
 def power_norms(
     f: CoefficientVector, n_max: int, budget: SeriesBudget = DEFAULT_BUDGET
 ) -> PowerNorms:
-    """Compute ||A^n f||_p for n = 0..n_max in one vectorized sweep."""
+    """Compute ||A^n f||_p for n = 0..n_max in one vectorized sweep.
+
+    On an infinite index space each power is first decided by the series
+    engine.  Without coefficient and log|lam| envelopes those decisions
+    are the result; with them the norms are resolved in one sweep over all
+    powers, to the point where every symbolic tail bound is negligible.
+    Certificate values are in norm units, log ||A^n f||_p.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     space = f.series_space()
     p = f.p_norm
     count = space.count
+    cb, lb = space.coeff_bounds, space.log_abs_bounds()
+    enveloped = cb is not None and lb is not None
 
     cutoff = None
     cutoff_cert = None
     n_top = n_max
     if count is None:
-        cb = _tail_info(space, "coeff_bounds")
-        lb = _tail_info(space, "log_abs_bounds")
+        decided = []
         for n in range(n_max + 1):
-            if cb is None or lb is None:
-                verdict_cert = certify_log_series(
-                    lambda ks, n=n: _power_term(space, p, n, ks),
-                    bounds=None,
-                    budget=budget,
-                    resolve_value=False,
-                )
-                decided = verdict_cert.status
-            else:
-                bounds = (cb + lb.scale(float(n))).scale(p)
-                verdict_cert = certify_log_series(
-                    lambda ks, n=n: _power_term(space, p, n, ks),
-                    bounds=bounds,
-                    budget=budget,
-                    resolve_value=False,
-                )
-                decided = verdict_cert.status
-            if decided is not SeriesStatus.CONVERGES:
+            cert = certify_log_series(
+                lambda ks, n=n: _power_term(space, p, n, ks),
+                bounds=(cb + lb.scale(float(n))).scale(p) if enveloped else None,
+                budget=budget,
+                resolve_value=False,
+            )
+            if cert.status is not SeriesStatus.CONVERGES:
                 cutoff = n
-                cutoff_cert = verdict_cert
+                cutoff_cert = cert
                 n_top = n - 1
                 break
+            decided.append(replace(cert, log_value=cert.log_value / p))
+        if not enveloped:
+            # the engine resolved each value; a second sweep has no tail rule
+            values = tuple(c.log_value for c in decided)
+            return PowerNorms(values, tuple(decided), cutoff, cutoff_cert)
 
     if n_top < 0:
         return PowerNorms((), (), cutoff, cutoff_cert)
@@ -537,8 +533,6 @@ def power_norms(
     tail_bounds = [math.inf] * (n_top + 1)
     prev_end = 0
     k_stop = count if count is not None else budget.k_max
-    cb = _tail_info(space, "coeff_bounds")
-    lb = _tail_info(space, "log_abs_bounds")
     while prev_end < k_stop:
         K = min(k_stop, max(budget.block_start, prev_end * 2))
         ks = np.arange(prev_end + 1, K + 1, dtype=np.int64)
@@ -554,9 +548,7 @@ def power_norms(
             if blk > NEG_INF:
                 totals[n] = float(np.logaddexp(totals[n], blk))
         prev_end = K
-        if count is None and cb is not None and lb is not None:
-            from .asymptotics import log_tail_bound
-
+        if count is None:
             done = True
             for n in ns:
                 b = (cb + lb.scale(float(n))).scale(p)

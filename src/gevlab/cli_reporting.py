@@ -44,7 +44,7 @@ from .gevrey_classifier import (
     vector_class,
     vector_class_beta0,
 )
-from .series import DEFAULT_BUDGET, SeriesBudget
+from .series import DEFAULT_BUDGET, SeriesBudget, json_float
 from .spectral_core import CoefficientVector, ExplicitSpectrum, PowerLawSpectrum
 
 TOOL_VERSION = "0.1.0"
@@ -415,20 +415,6 @@ class RunReport:
         return json.dumps(self.to_json_dict(seed_free), sort_keys=True, separators=(",", ":"))
 
 
-def _jf(x) -> object:
-    """JSON-safe float."""
-    if x is None:
-        return None
-    if isinstance(x, float):
-        if math.isnan(x):
-            return None
-        if x == math.inf:
-            return "inf"
-        if x == -math.inf:
-            return "-inf"
-    return x
-
-
 def _verdict_dict(v: GevreyVerdict, vector: str, beta: float, t: Optional[float] = None) -> dict:
     return {
         "kind": "class",
@@ -437,9 +423,9 @@ def _verdict_dict(v: GevreyVerdict, vector: str, beta: float, t: Optional[float]
         "t": t,
         "flavor": v.flavor.value,
         "member": v.member,
-        "s_star_low": _jf(v.s_star_low),
-        "s_star_high": _jf(v.s_star_high),
-        "support_bound": _jf(v.support_bound),
+        "s_star_low": json_float(v.s_star_low),
+        "s_star_high": json_float(v.s_star_high),
+        "support_bound": json_float(v.support_bound),
         "probes": [[s, st] for s, st in v.probes],
         "detail": v.detail,
         "unknown": v.member is None,
@@ -456,10 +442,10 @@ def _region_dict(report, spectrum_label: str) -> dict:
         "ratio_tail": {
             "count": report.ratio_tail.count,
             "finite": report.ratio_tail.finite,
-            "min": _jf(report.ratio_tail.min),
-            "max": _jf(report.ratio_tail.max),
-            "tail_min": _jf(report.ratio_tail.tail_min),
-            "tail_max": _jf(report.ratio_tail.tail_max),
+            "min": json_float(report.ratio_tail.min),
+            "max": json_float(report.ratio_tail.max),
+            "tail_min": json_float(report.ratio_tail.tail_min),
+            "tail_max": json_float(report.ratio_tail.tail_max),
         },
         "unknown": isinstance(status, RegionUnknown),
     }
@@ -547,7 +533,7 @@ def _dispatch(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
                     "kind": "evolve",
                     "vector": vec.label,
                     "t": t,
-                    "log_norm": _jf(log_norm),
+                    "log_norm": json_float(log_norm),
                     "certificate": ncert.to_dict(),
                     "unknown": ncert.status.value == "inconclusive",
                 }
@@ -564,7 +550,7 @@ def _dispatch(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
             est = estimate_order(vec, n_max=job.n_max, budget=budget)
             for n, value in enumerate(est.log_norms):
                 report.verdicts.append(
-                    {"kind": "norm", "vector": vec.label, "n": n, "value": _jf(value)}
+                    {"kind": "norm", "vector": vec.label, "n": n, "value": json_float(value)}
                 )
             report.verdicts.append(
                 {
@@ -596,7 +582,7 @@ def _dispatch(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
                 "probe_certificates": {
                     f"{s:g}": c.to_dict() for s, c in art.probe_certificates.items()
                 },
-                "l_bound": _jf(art.l_bound),
+                "l_bound": json_float(art.l_bound),
                 "unknown": False,
             }
         )

@@ -18,13 +18,13 @@ exactly n^-2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .asymptotics import AsymForm, TailBounds
+from .asymptotics import AsymForm, AsymTerm, TailBounds
 from .borel_calculus import GevreyExpSymbol
 from .errors import CounterexampleError, PlanError
 from .evolution import AdmissibilityCertificate, SolutionHandle, check_admissible
@@ -40,6 +40,7 @@ from .spectral_core import (
     CoefficientVector,
     ExplicitSpectrum,
     PowerLawSpectrum,
+    SeriesSpace,
     SpectrumFamily,
     conjugate_exponent,
     predicate_all,
@@ -175,41 +176,6 @@ class Selection:
         return True
 
 
-@dataclass(frozen=True)
-class SupportView:
-    """Series index space of a vector supported on a selected subsequence.
-
-    The tail envelopes are derived from the plan invariants (|lam_{j(n)}|
-    >= n, Re >= n when required, j(n) <= env * n^gamma), and the *_form
-    hooks carry the proof's coupled estimates that componentwise envelopes
-    cannot express.
-    """
-
-    selection: Selection
-    coeff_fn: Callable = field(compare=False)
-    coeff_bounds: Optional[TailBounds] = None
-    re_bounds: Optional[TailBounds] = None
-    im_bounds: Optional[TailBounds] = None
-    log_abs_bounds: Optional[TailBounds] = None
-    abs_pow_fn: Optional[Callable] = field(default=None, compare=False)
-    evolution_upper_form: Optional[Callable] = field(default=None, compare=False)
-    gevrey_lower_form: Optional[Callable] = field(default=None, compare=False)
-    tv_lower_form: Optional[Callable] = field(default=None, compare=False)
-
-    @property
-    def count(self) -> Optional[int]:
-        return None
-
-    def lam(self, ns):
-        return self.selection.lam(ns)
-
-    def coeff_log(self, ns):
-        return self.coeff_fn(np.asarray(ns, dtype=np.int64))
-
-    def abs_pow_bounds(self, q: float) -> Optional[TailBounds]:
-        return self.abs_pow_fn(q) if self.abs_pow_fn is not None else None
-
-
 # ---------------------------------------------------------------------------
 # Plans
 # ---------------------------------------------------------------------------
@@ -320,8 +286,110 @@ def plan_for_spectrum(
 # ---------------------------------------------------------------------------
 
 
-def _dense_inverse_fn(selection: Selection, value_log: Callable[[np.ndarray], np.ndarray]):
+@dataclass(frozen=True)
+class SupportView(SeriesSpace):
+    """SeriesSpace of a vector supported on a plan's selected subsequence.
+
+    Index n stands for lam_{j(n)}; the coefficient there is n^-2 when decay
+    is None and e^{-decay n Re lam_{j(n)}} otherwise.  re_bounds,
+    log_abs_bounds and abs_pow_bounds follow from the plan invariants
+    (|lam_{j(n)}| >= n, Re >= n when required, j(n) <= env * n^gamma);
+    im_bounds is None.  Of the optional hooks of SeriesSpace, only
+    evolution_upper_form is set here, when decay is set (such vectors live
+    on plans with Re >= n); the refuting vector f also overrides
+    gevrey_lower_form and tv_lower_form (_ProofView).
+    """
+
+    plan: ViolatingSpectrumPlan
+    decay: Optional[float] = None
+
+    @property
+    def selection(self) -> Selection:
+        return self.plan.selection
+
+    def lam(self, ns):
+        return self.plan.selection.lam(ns)
+
+    def coeff_log(self, ns):
+        ns = np.asarray(ns, dtype=np.int64)
+        nf = ns.astype(float)
+        if self.decay is None:
+            return -2.0 * np.log(nf), np.zeros(ns.shape)
+        return -self.decay * nf * self.lam(ns).real, np.zeros(ns.shape)
+
+    @property
+    def coeff_bounds(self) -> TailBounds:
+        if self.decay is None:
+            return TailBounds.exact(AsymForm.log_k(-2.0))
+        return TailBounds(
+            _neg_n_times(self.re_bounds().upper, self.decay),
+            AsymForm.power(2.0, -self.decay),  # -decay * n * Re <= -decay n^2
+            1,
+        )
+
+    def _abs_upper(self) -> tuple[float, float, float]:
+        """(gamma, p_hi, c): |lam_{j(n)}| <= c n^{gamma p_hi}."""
+        spec = self.plan.spectrum
+        p_hi, _, _ = spec._abs_leading()
+        coeff = (abs(spec.a_re) + abs(spec.a_im)) * self.selection.env_coeff**p_hi
+        return self.selection.gamma, p_hi, coeff
+
+    def re_bounds(self) -> TailBounds:
+        if self.plan.case is PlanCase.BOUNDED_REAL_PARTS:
+            return TailBounds(None, AsymForm.constant(self.plan.omega), 1)
+        spec, sel = self.plan.spectrum, self.selection
+        return TailBounds(
+            AsymForm.power(1.0, 1.0),  # Re >= n by selection
+            AsymForm.power(sel.gamma * spec.p_re, spec.a_re * sel.env_coeff**spec.p_re),
+            1,
+        )
+
+    def abs_pow_bounds(self, q: float) -> TailBounds:
+        gamma, p_hi, c = self._abs_upper()
+        # |lam_{j(n)}| >= n
+        return TailBounds(AsymForm.power(q, 1.0), AsymForm.power(q * gamma * p_hi, c**q), 1)
+
+    def log_abs_bounds(self) -> TailBounds:
+        gamma, p_hi, c = self._abs_upper()
+        return TailBounds(AsymForm.log_k(1.0), AsymForm.log_k(gamma * p_hi, const=math.log(c)), 1)
+
+    def evolution_upper_form(self, t: float):
+        if self.decay is None:
+            return None
+        # (t - decay n) Re_{j(n)} <= -(decay n - t) n  for n > t / decay
+        return (
+            AsymForm.power(2.0, -self.decay) + AsymForm.power(1.0, t),
+            int(math.ceil(t / self.decay)) + 1,
+        )
+
+
+@dataclass(frozen=True)
+class _ProofView(SupportView):
+    """The refuting vector f, with the proof's coupled lower envelopes."""
+
+    def gevrey_lower_form(self, s: float, beta: float):
+        if self.plan.case is PlanCase.BOUNDED_REAL_PARTS:
+            # |lam_{j(n)}| >= n, so the weight alone beats any polynomial factor
+            return AsymForm.power(1.0 / beta, s) + AsymForm.log_k(-2.0), 1
+        if beta != self.plan.beta:
+            return None
+        # |lam|^{1/beta} >= n^2 Re and Re >= n give s n^3 - n^2 beyond n >= 1/s
+        k_min = max(2, int(math.ceil(1.0 / s)) + 1)
+        return AsymForm.power(3.0, s) + AsymForm.power(2.0, -1.0), k_min
+
+    def tv_lower_form(self, weight):
+        # pairing with h* = n^-2 adds -2 log n to the Gevrey lower form
+        if not isinstance(weight, GevreyExpSymbol):
+            return None
+        hook = self.gevrey_lower_form(weight.s, weight.beta)
+        if hook is None:
+            return None
+        return hook[0] + AsymForm.log_k(-2.0), hook[1]
+
+
+def _dense_inverse_fn(view: SupportView):
     """Dense j-indexed coefficients of a subsequence vector (prefix only)."""
+    selection = view.selection
 
     def fn(js: np.ndarray):
         selection.extend(max(4096, int(np.max(js)) if js.size else 1))
@@ -329,207 +397,46 @@ def _dense_inverse_fn(selection: Selection, value_log: Callable[[np.ndarray], np
         orders = np.asarray([selection.order_of(int(j)) or 0 for j in js])
         hit = orders > 0
         if np.any(hit):
-            mags[hit] = value_log(orders[hit].astype(np.int64))
+            mags[hit] = view.coeff_log(orders[hit].astype(np.int64))[0]
         return mags, np.zeros(js.shape)
 
     return fn
 
 
+def _view_vector(view: SupportView, p: float, label: str) -> CoefficientVector:
+    return CoefficientVector.custom(
+        view.plan.spectrum, _dense_inverse_fn(view), p=p, label=label, series_view=view
+    )
+
+
 def _bounded_vectors(plan: ViolatingSpectrumPlan, p: float):
-    sel = plan.selection
     q = conjugate_exponent(p)
-    if sel.identity_certified():
+    if plan.selection.identity_certified():
         f = CoefficientVector.polynomial_decay(plan.spectrum, 2.0, p=p, label="ce-f(k^-2)")
         h_star = CoefficientVector.polynomial_decay(plan.spectrum, 2.0, p=q, label="h*(k^-2)")
         return f, None, h_star
-
-    def coeff_fn(ns):
-        nf = ns.astype(float)
-        return -2.0 * np.log(nf), np.zeros(ns.shape)
-
-    coeff_bounds = TailBounds.exact(AsymForm.log_k(-2.0))
-    common = _view_kwargs(plan)
-
-    def gevrey_lower(s: float, beta_probe: float):
-        # |lam_{j(n)}| >= n, so the weight alone beats any polynomial factor
-        return AsymForm.power(1.0 / beta_probe, s) + AsymForm.log_k(-2.0), 1
-
-    def tv_lower(weight):
-        if not isinstance(weight, GevreyExpSymbol):
-            return None
-        return (
-            AsymForm.power(1.0 / weight.beta, weight.s) + AsymForm.log_k(-4.0),
-            1,
-        )
-
-    f_view = SupportView(
-        selection=sel,
-        coeff_fn=coeff_fn,
-        coeff_bounds=coeff_bounds,
-        gevrey_lower_form=gevrey_lower,
-        tv_lower_form=tv_lower,
-        **common,
-    )
-    hs_view = SupportView(selection=sel, coeff_fn=coeff_fn, coeff_bounds=coeff_bounds, **common)
-    f = CoefficientVector.custom(
-        plan.spectrum,
-        _dense_inverse_fn(sel, lambda ns: -2.0 * np.log(ns.astype(float))),
-        bounds=None,
-        p=p,
-        label="ce-f(n^-2 on selection)",
-        series_view=f_view,
-    )
-    h_star = CoefficientVector.custom(
-        plan.spectrum,
-        _dense_inverse_fn(sel, lambda ns: -2.0 * np.log(ns.astype(float))),
-        bounds=None,
-        p=q,
-        label="h*(n^-2 on selection)",
-        series_view=hs_view,
-    )
+    f = _view_vector(_ProofView(plan), p, "ce-f(n^-2 on selection)")
+    h_star = _view_vector(SupportView(plan), q, "h*(n^-2 on selection)")
     return f, None, h_star
 
 
-def _view_kwargs(plan: ViolatingSpectrumPlan) -> dict:
-    """Envelopes shared by every subsequence vector of this plan."""
-    sel = plan.selection
-    spec = plan.spectrum
-    p_hi, a_hi, _ = spec._abs_leading()
-    env = sel.env_coeff
-    gamma = sel.gamma
-    abs_up_coeff = (abs(spec.a_re) + abs(spec.a_im)) * env**p_hi
-    if plan.case is PlanCase.BOUNDED_REAL_PARTS:
-        re_b = TailBounds(None, AsymForm.constant(plan.omega), 1)
-    else:
-        re_b = TailBounds(
-            AsymForm.power(1.0, 1.0),  # Re >= n by selection
-            AsymForm.power(gamma * spec.p_re, spec.a_re * env**spec.p_re),
-            1,
-        )
-
-    def abs_pow(qq: float) -> TailBounds:
-        return TailBounds(
-            AsymForm.power(qq, 1.0),  # |lam_{j(n)}| >= n
-            AsymForm.power(qq * gamma * p_hi, abs_up_coeff**qq),
-            1,
-        )
-
-    log_abs = TailBounds(
-        AsymForm.log_k(1.0),
-        AsymForm.log_k(gamma * p_hi, const=math.log(abs_up_coeff)),
-        1,
-    )
-    return {"re_bounds": re_b, "abs_pow_fn": abs_pow, "log_abs_bounds": log_abs}
-
-
 def _unbounded_vectors(plan: ViolatingSpectrumPlan, p: float):
-    sel = plan.selection
     spec = plan.spectrum
     q = conjugate_exponent(p)
-    if sel.identity_certified() and spec.p_re == 1.0 and spec.a_re == 1.0:
+    if plan.selection.identity_certified() and spec.p_re == 1.0 and spec.a_re == 1.0:
         # Re lam_k = k exactly: the proof's coefficients are e^{-k^2}
         f = CoefficientVector.power_decay(spec, 1.0, 2.0, p=p, label="ce-f(e^-k^2)")
         h = CoefficientVector.power_decay(spec, 0.5, 2.0, p=p, label="ce-h(e^-k^2/2)")
         h_star = CoefficientVector.polynomial_decay(spec, 2.0, p=q, label="h*(k^-2)")
         return f, h, h_star
-
-    def coeff_fn_scale(scale: float):
-        def fn(ns):
-            nf = ns.astype(float)
-            re = sel.lam(ns).real
-            return -scale * nf * re, np.zeros(ns.shape)
-
-        return fn
-
-    common = _view_kwargs(plan)
-    re_up = common["re_bounds"].upper
-
-    def coeff_bounds_scale(scale: float) -> TailBounds:
-        return TailBounds(
-            _neg_n_times(re_up, scale),
-            AsymForm.power(2.0, -scale),  # -scale * n * Re <= -scale n^2
-            1,
-        )
-
-    def evolution_upper(t: float):
-        # (t - n) Re_{j(n)} <= -(n - t) n  for n > t
-        return AsymForm.power(2.0, -1.0) + AsymForm.power(1.0, t), int(math.ceil(t)) + 1
-
-    def gevrey_lower(s: float, beta_probe: float):
-        if beta_probe != plan.beta:
-            return None
-        # |lam|^{1/beta} >= n^2 Re and Re >= n give s n^3 - n^2 beyond n >= 1/s
-        k_min = max(2, int(math.ceil(1.0 / s)) + 1)
-        return AsymForm.power(3.0, s) + AsymForm.power(2.0, -1.0), k_min
-
-    def tv_lower(weight):
-        if not isinstance(weight, GevreyExpSymbol) or weight.beta != plan.beta:
-            return None
-        s = weight.s
-        k_min = max(2, int(math.ceil(1.0 / s)) + 1)
-        return (
-            AsymForm.power(3.0, s) + AsymForm.power(2.0, -1.0) + AsymForm.log_k(-2.0),
-            k_min,
-        )
-
-    f_view = SupportView(
-        selection=sel,
-        coeff_fn=coeff_fn_scale(1.0),
-        coeff_bounds=coeff_bounds_scale(1.0),
-        evolution_upper_form=evolution_upper,
-        gevrey_lower_form=gevrey_lower,
-        tv_lower_form=tv_lower,
-        **common,
-    )
-    h_view = SupportView(
-        selection=sel,
-        coeff_fn=coeff_fn_scale(0.5),
-        coeff_bounds=coeff_bounds_scale(0.5),
-        evolution_upper_form=lambda t: (
-            AsymForm.power(2.0, -0.5) + AsymForm.power(1.0, t),
-            int(math.ceil(2.0 * t)) + 1,
-        ),
-        **common,
-    )
-
-    def hs_fn(ns):
-        nf = ns.astype(float)
-        return -2.0 * np.log(nf), np.zeros(ns.shape)
-
-    hs_view = SupportView(
-        selection=sel,
-        coeff_fn=hs_fn,
-        coeff_bounds=TailBounds.exact(AsymForm.log_k(-2.0)),
-        **common,
-    )
-    f = CoefficientVector.custom(
-        spec,
-        _dense_inverse_fn(sel, lambda ns: -ns.astype(float) * sel.lam(ns).real),
-        p=p,
-        label="ce-f(e^{-n Re} on selection)",
-        series_view=f_view,
-    )
-    h = CoefficientVector.custom(
-        spec,
-        _dense_inverse_fn(sel, lambda ns: -0.5 * ns.astype(float) * sel.lam(ns).real),
-        p=p,
-        label="ce-h(e^{-n Re/2} on selection)",
-        series_view=h_view,
-    )
-    h_star = CoefficientVector.custom(
-        spec,
-        _dense_inverse_fn(sel, lambda ns: -2.0 * np.log(ns.astype(float))),
-        p=q,
-        label="h*(n^-2 on selection)",
-        series_view=hs_view,
-    )
+    f = _view_vector(_ProofView(plan, 1.0), p, "ce-f(e^{-n Re} on selection)")
+    h = _view_vector(SupportView(plan, 0.5), p, "ce-h(e^{-n Re/2} on selection)")
+    h_star = _view_vector(SupportView(plan), q, "h*(n^-2 on selection)")
     return f, h, h_star
 
 
 def _neg_n_times(re_upper: AsymForm, scale: float) -> AsymForm:
     """Lower envelope of -scale * n * Re_{j(n)} from the Re upper envelope."""
-    from .asymptotics import AsymTerm
-
     bumped = tuple(
         AsymTerm(t.power + 1.0, t.log_power, -scale * t.coeff) for t in re_upper.terms
     )

@@ -15,15 +15,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .asymptotics import (
-    GrowthKind,
-    TailBounds,
-    classify_form,
-    form_converges,
-    log_tail_bound,
-)
+from .asymptotics import GrowthKind, classify_form, form_converges, log_tail_bound
 from .borel_calculus import (
-    DomainCriterion,
     DomainVerdict,
     ExpSymbol,
     PowerSymbol,
@@ -32,7 +25,7 @@ from .borel_calculus import (
 )
 from .errors import ConsistencyError, DomainError, VectorError
 from .logdomain import NEG_INF, complex_logsum
-from .series import DEFAULT_BUDGET, SeriesBudget, SeriesStatus, certify_log_series
+from .series import DEFAULT_BUDGET, SeriesBudget, SeriesStatus
 from .spectral_core import CoefficientVector, conjugate_exponent
 
 DEFAULT_T_MAX = 100.0
@@ -98,31 +91,6 @@ def _sup_bound(form, lo: int = 1) -> float:
     return max(vals)
 
 
-def _probe_exp(f: CoefficientVector, t: float, budget: SeriesBudget) -> DomainVerdict:
-    space = f.series_space()
-    hint = getattr(space, "evolution_upper_form", None)
-    if hint is not None:
-        form, k_min = hint(t)
-        p = f.p_norm
-
-        def term(ns):
-            mags, _ = space.coeff_log(ns)
-            add = t * space.lam(ns).real
-            return p * np.where(mags == NEG_INF, NEG_INF, mags + add)
-
-        cert = certify_log_series(
-            term,
-            bounds=TailBounds(None, form.scale(p), k_min),
-            budget=budget,
-            resolve_value=False,
-        )
-        member = True if cert.status is SeriesStatus.CONVERGES else (
-            False if cert.status is SeriesStatus.DIVERGES else None
-        )
-        return DomainVerdict(member, cert, DomainCriterion.DIRECT, detail="support-view hint")
-    return domain_member_direct(ExpSymbol(float(t)), f, budget, resolve_value=False)
-
-
 def check_admissible(
     f: CoefficientVector,
     t_max: float = DEFAULT_T_MAX,
@@ -140,7 +108,7 @@ def check_admissible(
     if space.count is not None:
         rule = ExplicitFinite()
     else:
-        re_b = space.re_bounds
+        re_b = space.re_bounds()
         if re_b is None or re_b.upper is None:
             rule = Undetermined("no real-part envelope for this family")
         else:
@@ -161,7 +129,7 @@ def check_admissible(
 
     probe_status = []
     for t in checked:
-        verdict = _probe_exp(f, t, budget)
+        verdict = domain_member_direct(ExpSymbol(float(t)), f, budget, resolve_value=False)
         probe_status.append((t, verdict.certificate.status.value))
         _check_probe_consistency(rule, t, verdict)
 
@@ -176,10 +144,10 @@ def check_admissible(
 
 
 def _growing_re_rule(f, space, re_b, extra_times: list[float]) -> TailRule:
-    hint = getattr(space, "evolution_upper_form", None)
-    if hint is not None:
-        lead0 = hint(0.0)[0].leading()
-        lead_top = hint(DEFAULT_T_MAX)[0].leading()
+    hint0 = space.evolution_upper_form(0.0)
+    if hint0 is not None:
+        lead0 = hint0[0].leading()
+        lead_top = space.evolution_upper_form(DEFAULT_T_MAX)[0].leading()
         if (
             lead_top is not None
             and lead_top.coeff < 0

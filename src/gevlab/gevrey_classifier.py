@@ -582,10 +582,12 @@ def estimate_order(
     phi(n) = n log n - n log log n - n + o(n) and
     n phi''(n) = 1 - 1/log n + 1/log^2 n + ...
 
-    Rule: when there are at least 24 curvatures, beta_eff rises strictly
-    across the window and its first value exceeds half its last (it has
-    settled near its limit), beta_hat is the intercept at 1/log n -> 0 of
-    the least-squares quadratic in 1/log n through beta_eff.  Otherwise
+    Rule: a vector with finite support has order 0 outright, since
+    ||A^n f|| <= ||f|| max|lam_k|^n, so beta_hat = 0.  Otherwise, when there
+    are at least 24 curvatures, beta_eff rises strictly across the window
+    and its first value exceeds half its last (it has settled near its
+    limit), beta_hat is the intercept at 1/log n -> 0 of the least-squares
+    quadratic in 1/log n through beta_eff.  Otherwise
     beta_hat is the n log n coefficient of the least-squares fit of y by
     log c + n log alpha + beta n log n over [n_min, n_max].  The fallback
     covers three cases the extrapolation misreads:
@@ -595,13 +597,14 @@ def estimate_order(
       extrapolation overshoot;
     - maximisers k*(n) that hop between a few small indices, where
       beta_eff oscillates or climbs steeply toward the next hop;
-    - bounded spectra (order 0), whose curvature rises from near zero
-      before it decays exponentially.
+    - bounded spectra of infinite support (order 0), whose curvature rises
+      from near zero before it decays exponentially.
 
     alpha_hat, log_c_hat and fit_residual then come from the least-squares
     fit of y - beta_hat n log n by log c + n log alpha over [n_min, n_max];
     on the fallback path they equal the coefficients and residual of the
-    three-term fit.  power_norms is called once, for n = 0..n_max.
+    three-term fit (with beta_hat = 0 on finite support, the two-term fit of
+    y itself).  power_norms is called once, for n = 0..n_max.
 
     Early orders are dominated by the constants, so n_min defaults to
     max(4, n_max/4).
@@ -626,7 +629,9 @@ def estimate_order(
     y = y_ext[1:]
     n_log_n = ns * np.log(ns)
     beta_eff = ns[:-1] * (y_ext[2:] - 2.0 * y_ext[1:-1] + y_ext[:-2])
-    if (
+    if f.effective_count() is not None:
+        beta_hat = 0.0
+    elif (
         len(beta_eff) >= _MIN_EXTRAPOLATED_CURVATURES
         and np.all(np.diff(beta_eff) > 0.0)
         and beta_eff[0] > 0.5 * beta_eff[-1]

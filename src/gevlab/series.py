@@ -81,8 +81,8 @@ class ConvergenceCertificate:
     def to_dict(self) -> dict:
         return {
             "status": self.status.value,
-            "log_value": _json_float(self.log_value),
-            "log_tail_bound": _json_float(self.log_tail_bound),
+            "log_value": json_float(self.log_value),
+            "log_tail_bound": json_float(self.log_tail_bound),
             "terms_used": self.terms_used,
             "route": self.route,
             "witness": self.witness,
@@ -90,8 +90,9 @@ class ConvergenceCertificate:
         }
 
 
-def _json_float(x: float):
-    if math.isnan(x):
+def json_float(x: Optional[float]):
+    """JSON-safe float: None and NaN become null, infinities "inf" / "-inf"."""
+    if x is None or math.isnan(x):
         return None
     if x == math.inf:
         return "inf"

@@ -239,58 +239,40 @@ class CustomSpectrum(SpectrumFamily):
                 return None
         return out
 
-    def _wide(self, coeff: float, p: float) -> Optional[tuple[float, float, float]]:
-        if coeff == 0.0:
+    def _component_bounds(self, part: str) -> Optional[TailBounds]:
+        """Envelope of Re (part "re") or Im ("im"): the estimate widened by 8 both ways."""
+        if self._est is None:
             return None
-        return p, coeff, 8.0
+        p = self.declared_tail_exponents[0 if part == "re" else 1]
+        c = self._est[part]
+        if c == 0.0:
+            return TailBounds.exact(AsymForm.constant(0.0), 1 << 15)
+        lo, hi = (c / 8.0, c * 8.0) if c > 0 else (c * 8.0, c / 8.0)
+        return TailBounds(AsymForm.power(p, lo), AsymForm.power(p, hi), 1 << 15)
 
     def re_bounds(self) -> Optional[TailBounds]:
-        if self._est is None:
-            return None
-        p_re, _ = self.declared_tail_exponents
-        c = self._est["re"]
-        if c == 0.0:
-            return TailBounds.exact(AsymForm.constant(0.0), 1 << 15)
-        lo, hi = (c / 8.0, c * 8.0) if c > 0 else (c * 8.0, c / 8.0)
-        return TailBounds(AsymForm.power(p_re, lo), AsymForm.power(p_re, hi), 1 << 15)
+        return self._component_bounds("re")
 
     def im_bounds(self) -> Optional[TailBounds]:
+        return self._component_bounds("im")
+
+    def _modulus_bounds(self, form: Callable[[float, float], AsymForm]) -> Optional[TailBounds]:
+        """form(p, a/8) below and form(p, 16 a) above, where a k^p is the
+        dominant component of |lam_k|."""
         if self._est is None:
             return None
-        _, p_im = self.declared_tail_exponents
-        c = self._est["im"]
-        if c == 0.0:
-            return TailBounds.exact(AsymForm.constant(0.0), 1 << 15)
-        lo, hi = (c / 8.0, c * 8.0) if c > 0 else (c * 8.0, c / 8.0)
-        return TailBounds(AsymForm.power(p_im, lo), AsymForm.power(p_im, hi), 1 << 15)
+        p_re, p_im = self.declared_tail_exponents
+        parts = [(p, abs(self._est[n])) for n, p in (("re", p_re), ("im", p_im)) if self._est[n] != 0]
+        if not parts:
+            return None
+        p, a = max(parts)
+        return TailBounds(form(p, a / 8.0), form(p, a * 16.0), 1 << 15)
 
     def abs_pow_bounds(self, q: float) -> Optional[TailBounds]:
-        if self._est is None:
-            return None
-        p_re, p_im = self.declared_tail_exponents
-        parts = [(p, abs(self._est[n])) for n, p in (("re", p_re), ("im", p_im)) if self._est[n] != 0]
-        if not parts:
-            return None
-        p, a = max(parts)
-        return TailBounds(
-            AsymForm.power(p * q, (a / 8.0) ** q),
-            AsymForm.power(p * q, (a * 16.0) ** q),
-            1 << 15,
-        )
+        return self._modulus_bounds(lambda p, a: AsymForm.power(p * q, a**q))
 
     def log_abs_bounds(self) -> Optional[TailBounds]:
-        if self._est is None:
-            return None
-        p_re, p_im = self.declared_tail_exponents
-        parts = [(p, abs(self._est[n])) for n, p in (("re", p_re), ("im", p_im)) if self._est[n] != 0]
-        if not parts:
-            return None
-        p, a = max(parts)
-        return TailBounds(
-            AsymForm.log_k(p, const=math.log(a / 8.0)),
-            AsymForm.log_k(p, const=math.log(a * 16.0)),
-            1 << 15,
-        )
+        return self._modulus_bounds(lambda p, a: AsymForm.log_k(p, const=math.log(a)))
 
     @property
     def unbounded(self) -> Optional[bool]:
@@ -531,7 +513,7 @@ class CoefficientVector:
     p_norm: float
     label: str
     impl: _CoeffImpl
-    series_view: object = None  # optional support-indexed view (duck typed)
+    series_view: Optional[SeriesSpace] = None  # index space other than the eigenvalue order
 
     def __post_init__(self):
         p = float(self.p_norm)
@@ -590,9 +572,7 @@ class CoefficientVector:
         """Reject vectors whose l^p membership cannot be certified."""
         if self.effective_count() is not None:
             return
-        b = self.decay_bounds()
-        if self.series_view is not None:
-            b = getattr(self.series_view, "coeff_bounds", None)
+        b = self.series_space().coeff_bounds
         if b is None or b.upper is None or not form_converges(b.upper.scale(self.p_norm)):
             raise VectorError(
                 f"vector {self.label!r}: l^{self.p_norm:g} summability is not certifiable "
@@ -665,14 +645,79 @@ class CoefficientVector:
             _MaskedCoeffs(self.impl, predicate),
         )
 
-    def series_space(self):
+    def series_space(self) -> SeriesSpace:
         if self.series_view is not None:
             return self.series_view
         return DenseSpace(self)
 
 
+# ---------------------------------------------------------------------------
+# Series spaces
+# ---------------------------------------------------------------------------
+
+
+class SeriesSpace:
+    """Index space n = 1, 2, ... over which the series of a vector run.
+
+    - count: number of indices, None for infinitely many.
+    - lam(ns), coeff_log(ns): the eigenvalue and the log-polar coefficient
+      (log-magnitudes, phases) at each index.
+    - coeff_bounds: envelope of the log-magnitudes, None when unknown.
+    - selection: the object the indices are drawn from (None: the
+      eigenvalue order itself); two vectors pair only over one selection.
+    - re_bounds(), im_bounds(), log_abs_bounds(), abs_pow_bounds(q):
+      envelopes of Re lam, Im lam, log|lam| and |lam|^q, called exactly
+      like SpectrumFamily's, so a symbol's growth_bounds_on takes either.
+    - gevrey_lower_form(s, beta), tv_lower_form(weight),
+      evolution_upper_form(t): optional plan hooks, each returning
+      (form, k_min) or None.  They carry estimates that couple the
+      coefficient decay to lam, which componentwise envelopes lose: a lower
+      envelope of log|c_n| + s|lam|^{1/beta}, of log|f_n g_n| + log|weight|
+      (pairing with the plan's dual), and an upper envelope of
+      log|c_n| + t Re lam.
+    """
+
+    count: Optional[int] = None
+    coeff_bounds: Optional[TailBounds] = None
+    selection: object = None
+
+    def lam(self, ns: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def coeff_log(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def re_bounds(self) -> Optional[TailBounds]:
+        return None
+
+    def im_bounds(self) -> Optional[TailBounds]:
+        return None
+
+    def log_abs_bounds(self) -> Optional[TailBounds]:
+        return None
+
+    def abs_pow_bounds(self, q: float) -> Optional[TailBounds]:
+        return None
+
+    def gevrey_lower_form(self, s: float, beta: float) -> Optional[tuple[AsymForm, int]]:
+        return None
+
+    def tv_lower_form(self, weight) -> Optional[tuple[AsymForm, int]]:
+        return None
+
+    def evolution_upper_form(self, t: float) -> Optional[tuple[AsymForm, int]]:
+        return None
+
+
+def with_lower_form(bounds: Optional[TailBounds], form: AsymForm, k_min: int) -> TailBounds:
+    """bounds with its lower envelope replaced by a plan hook's form."""
+    if bounds is None:
+        return TailBounds(form, None, k_min)
+    return TailBounds(form, bounds.upper, max(k_min, bounds.k_min))
+
+
 @dataclass(frozen=True)
-class DenseSpace:
+class DenseSpace(SeriesSpace):
     """Series index space of a vector indexed directly by eigenvalue order."""
 
     vector: CoefficientVector
@@ -691,15 +736,12 @@ class DenseSpace:
     def coeff_bounds(self) -> Optional[TailBounds]:
         return self.vector.decay_bounds()
 
-    @property
     def re_bounds(self) -> Optional[TailBounds]:
         return self.vector.spectrum.re_bounds()
 
-    @property
     def im_bounds(self) -> Optional[TailBounds]:
         return self.vector.spectrum.im_bounds()
 
-    @property
     def log_abs_bounds(self) -> Optional[TailBounds]:
         return self.vector.spectrum.log_abs_bounds()
 
@@ -755,15 +797,6 @@ def multiplicativity_check(
     return bool(np.array_equal(lm, rm) and np.array_equal(lp, rp))
 
 
-def _same_selection(f: CoefficientVector, g: CoefficientVector):
-    fv, gv = f.series_view, g.series_view
-    if fv is None and gv is None:
-        return None
-    if fv is None or gv is None or fv.selection is not gv.selection:
-        raise VectorError("paired vectors must share the same support selection")
-    return fv
-
-
 def total_variation(
     f: CoefficientVector,
     g: CoefficientVector,
@@ -774,10 +807,11 @@ def total_variation(
 ) -> ConvergenceCertificate:
     """Certify sum over {k: lam_k in delta} of weight(lam_k)*|f_k g_k|.
 
-    `weight` is a symbol-like object exposing log_abs(lams) and
-    growth_bounds_for(spectrum) / growth_bounds_on(space); None means the
-    constant weight 1.  With weight 1 and delta = C this is the total
-    variation of the pairing measure, bounded by ||f||_p ||g||_q.
+    The sum runs over the series spaces of f and g, which must share one
+    selection.  `weight` is a symbol-like object exposing log_abs(lams) and
+    growth_bounds_on(space); None means the constant weight 1.  With
+    weight 1 and delta = C this is the total variation of the pairing
+    measure, bounded by ||f||_p ||g||_q.
     """
     if f.spectrum is not g.spectrum and f.spectrum != g.spectrum:
         raise VectorError("total variation needs both vectors on the same spectrum")
@@ -786,66 +820,36 @@ def total_variation(
         raise VectorError(
             f"dual vector must carry the conjugate exponent q={q:g}, got {g.p_norm:g}"
         )
-    view = _same_selection(f, g)
+    space, gspace = f.series_space(), g.series_space()
+    if space.selection is not gspace.selection:
+        raise VectorError("paired vectors must share the same support selection")
 
-    if view is not None:
-        space = view
-        gview = g.series_view
+    def term(ns):
+        fm, _ = space.coeff_log(ns)
+        gm, _ = gspace.coeff_log(ns)
+        tot = fm + gm
+        if weight is not None:
+            tot = tot + weight.log_abs(space.lam(ns))
+        if not delta.is_all:
+            keep = delta.mask(space.lam(ns))
+            tot = np.where(keep, tot, NEG_INF)
+        return tot
 
-        def term(ns):
-            fm, _ = view.coeff_log(ns)
-            gm, _ = gview.coeff_log(ns)
-            tot = fm + gm
-            if weight is not None:
-                tot = tot + weight.log_abs(view.lam(ns))
-            if not delta.is_all:
-                keep = delta.mask(view.lam(ns))
-                tot = np.where(keep, tot, NEG_INF)
-            return tot
-
-        b = view.coeff_bounds + gview.coeff_bounds if (
-            view.coeff_bounds is not None and gview.coeff_bounds is not None
-        ) else None
-        count = None
-    else:
-        space = DenseSpace(f)
-
-        def term(ks):
-            fm, _ = f.log_coeffs(ks)
-            gm, _ = g.log_coeffs(ks)
-            tot = fm + gm
-            if weight is not None:
-                tot = tot + weight.log_abs(f.spectrum.eigenvalues(ks))
-            if not delta.is_all:
-                keep = delta.mask(f.spectrum.eigenvalues(ks))
-                tot = np.where(keep, tot, NEG_INF)
-            return tot
-
-        b = None
-        fb, gb = f.decay_bounds(), g.decay_bounds()
-        if fb is not None and gb is not None:
-            b = fb + gb
-        counts = [n for n in (f.effective_count(), g.effective_count()) if n is not None]
-        count = min(counts) if counts else None
+    b = None
+    fb, gb = space.coeff_bounds, gspace.coeff_bounds
+    if fb is not None and gb is not None:
+        b = fb + gb
+    counts = [n for n in (space.count, gspace.count) if n is not None]
+    count = min(counts) if counts else None
 
     if b is not None and weight is not None:
         wb = weight.growth_bounds_on(space)
         b = b + wb if wb is not None else None
     if b is not None and not delta.is_all:
         b = TailBounds(None, b.upper, b.k_min)
-    if view is not None and delta.is_all:
-        # support views can couple the coefficient decay to the plan's
-        # selection inequalities, where componentwise envelopes cannot
-        hook = getattr(view, "tv_lower_form", None)
-        if hook is not None:
-            got = hook(weight)
-            if got is not None:
-                form, k_min = got
-                b = TailBounds(
-                    form,
-                    b.upper if b is not None else None,
-                    max(k_min, b.k_min if b is not None else 1),
-                )
+    hook = space.tv_lower_form(weight) if delta.is_all else None
+    if hook is not None:
+        b = with_lower_form(b, *hook)
     return certify_log_series(
         term, count=count, bounds=b, budget=budget, resolve_value=resolve_value
     )

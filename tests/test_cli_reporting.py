@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -9,6 +10,11 @@ import gevlab.cli_reporting as cli
 from gevlab.errors import JobSpecError
 
 MINIMAL = '{"command":"classify-spectrum","spectrum":{"power_law":{"a_re":1,"p_re":1,"a_im":1,"p_im":1}},"beta":1}'
+
+# The child interpreter imports gevlab from where this process did, whether
+# the package is installed or only on pytest's pythonpath.
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
 
 
 # -- parsing -------------------------------------------------------------------
@@ -294,6 +300,7 @@ def test_cli_subprocess_end_to_end(tmp_path):
         [sys.executable, "-m", "gevlab.cli_reporting", "classify-spectrum", "--job", path, "--seed-free"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
@@ -307,6 +314,8 @@ def test_cli_byte_identical_reports(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "gevlab.cli_reporting", "classify-spectrum", "--job", path, "--seed-free"],
             capture_output=True,
+            env=CHILD_ENV,
         )
+        assert proc.returncode == 0
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
