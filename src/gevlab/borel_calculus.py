@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .asymptotics import AsymForm, TailBounds, log_tail_bound
+from .asymptotics import AsymForm, TailBounds
 from .errors import DomainError
 from .logdomain import NEG_INF, LogPolar, logsumexp
 from .series import (
@@ -486,13 +486,13 @@ class PowerNorms:
 def power_norms(
     f: CoefficientVector, n_max: int, budget: SeriesBudget = DEFAULT_BUDGET
 ) -> PowerNorms:
-    """Compute ||A^n f||_p for n = 0..n_max in one vectorized sweep.
+    """Compute ||A^n f||_p for n = 0..n_max, one series engine call per power.
 
-    On an infinite index space each power is first decided by the series
-    engine.  Without coefficient and log|lam| envelopes those decisions
-    are the result; with them the norms are resolved in one sweep over all
-    powers, to the point where every symbolic tail bound is negligible.
-    Certificate values are in norm units, log ||A^n f||_p.
+    The series of A^n f is certified by certify_log_series over the vector's
+    index space, with the tail envelope (coefficient envelope plus n times
+    the log|lam| envelope) when both envelopes are known.  The powers stop at
+    the first one the engine does not certify convergent.  Certificate
+    values are in norm units, log ||A^n f||_p.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -500,85 +500,16 @@ def power_norms(
     p = f.p_norm
     count = space.count
     cb, lb = space.coeff_bounds, space.log_abs_bounds()
-    enveloped = cb is not None and lb is not None
-
-    cutoff = None
-    cutoff_cert = None
-    n_top = n_max
-    if count is None:
-        decided = []
-        for n in range(n_max + 1):
-            cert = certify_log_series(
-                lambda ks, n=n: _power_term(space, p, n, ks),
-                bounds=(cb + lb.scale(float(n))).scale(p) if enveloped else None,
-                budget=budget,
-                resolve_value=False,
-            )
-            if cert.status is not SeriesStatus.CONVERGES:
-                cutoff = n
-                cutoff_cert = cert
-                n_top = n - 1
-                break
-            decided.append(replace(cert, log_value=cert.log_value / p))
-        if not enveloped:
-            # the engine resolved each value; a second sweep has no tail rule
-            values = tuple(c.log_value for c in decided)
-            return PowerNorms(values, tuple(decided), cutoff, cutoff_cert)
-
-    if n_top < 0:
-        return PowerNorms((), (), cutoff, cutoff_cert)
-
-    ns = np.arange(0, n_top + 1)
-    totals = np.full(n_top + 1, NEG_INF)
-    tail_bounds = [math.inf] * (n_top + 1)
-    prev_end = 0
-    k_stop = count if count is not None else budget.k_max
-    while prev_end < k_stop:
-        K = min(k_stop, max(budget.block_start, prev_end * 2))
-        ks = np.arange(prev_end + 1, K + 1, dtype=np.int64)
-        mags, _ = space.coeff_log(ks)
-        with np.errstate(divide="ignore"):
-            logabs = np.log(np.abs(space.lam(ks)))
-        rows = np.where(mags == NEG_INF, NEG_INF, p * mags)[None, :] + np.vstack(
-            [np.zeros(len(ks))] + [p * n * logabs for n in range(1, n_top + 1)]
-        )
-        rows = np.where(np.isnan(rows), NEG_INF, rows)
-        for n in ns:
-            blk = logsumexp(rows[n])
-            if blk > NEG_INF:
-                totals[n] = float(np.logaddexp(totals[n], blk))
-        prev_end = K
-        if count is None:
-            done = True
-            for n in ns:
-                b = (cb + lb.scale(float(n))).scale(p)
-                if K < b.k_min or b.upper is None:
-                    done = False
-                    break
-                tb = log_tail_bound(b.upper, K)
-                if tb is None or (
-                    tb > totals[n] + math.log(budget.rel_tol) and tb > -745.0
-                ):
-                    done = False
-                    break
-                tail_bounds[n] = tb
-            if done:
-                break
-
     certs = []
-    values = []
-    for n in ns:
-        route = "exact-finite" if count is not None else "symbolic-tail"
-        cert = ConvergenceCertificate(
-            SeriesStatus.CONVERGES,
-            log_value=totals[n] / p,
-            log_tail_bound=NEG_INF if count is not None else tail_bounds[n],
-            terms_used=prev_end,
-            route=route,
+    for n in range(n_max + 1):
+        bounds = None if cb is None or lb is None else (cb + lb.scale(float(n))).scale(p)
+        cert = certify_log_series(
+            lambda ks, n=n: _power_term(space, p, n, ks), count=count, bounds=bounds, budget=budget
         )
-        certs.append(cert)
-        values.append(totals[n] / p)
-    return PowerNorms(tuple(values), tuple(certs), cutoff, cutoff_cert)
+        if cert.status is not SeriesStatus.CONVERGES:
+            return PowerNorms(tuple(c.log_value for c in certs), tuple(certs), n, cert)
+        certs.append(replace(cert, log_value=cert.log_value / p))
+    return PowerNorms(tuple(c.log_value for c in certs), tuple(certs))
 
 
 def _power_term(space, p: float, n: int, ks: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import sys
 import time
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 from .counterexamples import (
@@ -154,37 +154,19 @@ class JobSpec:
     output_path: Optional[str] = None
 
     def to_json_dict(self) -> dict:
-        out: dict = {"command": self.command}
-        if self.spectrum is not None:
-            out["spectrum"] = self.spectrum.to_json()
-        if self.vectors:
-            out["vectors"] = [v.to_json() for v in self.vectors]
-        if self.beta is not None:
-            out["beta"] = self.beta
-        if self.flavor != "both":
-            out["flavor"] = self.flavor
-        if self.t_grid:
-            out["t_grid"] = list(self.t_grid)
-        if self.p_norm != 2.0:
-            out["p_norm"] = self.p_norm
-        if self.t_max != 100.0:
-            out["t_max"] = self.t_max
-        if self.n_max != 40:
-            out["n_max"] = self.n_max
-        if self.tol != 1e-10:
-            out["tol"] = self.tol
-        if self.k_max != 1 << 20:
-            out["k_max"] = self.k_max
-        if self.case is not None:
-            out["case"] = self.case
-        if self.b_plus is not None:
-            out["b_plus"] = self.b_plus
-        if self.im_max != 100.0:
-            out["im_max"] = self.im_max
-        if self.samples != 64:
-            out["samples"] = self.samples
-        if self.output_path is not None:
-            out["output_path"] = self.output_path
+        """The fields that differ from their defaults, in declaration order."""
+        out: dict = {}
+        for fld in fields(self):
+            value = getattr(self, fld.name)
+            if value == fld.default:  # command has no default and always stays
+                continue
+            if fld.name == "spectrum":
+                value = value.to_json()
+            elif fld.name == "vectors":
+                value = [v.to_json() for v in value]
+            elif fld.name == "t_grid":
+                value = list(value)
+            out[fld.name] = value
         return out
 
 

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .asymptotics import AsymForm, AsymTerm, TailBounds
-from .borel_calculus import GevreyExpSymbol
+from .borel_calculus import GevreyExpSymbol, power_norms
 from .errors import CounterexampleError, PlanError
 from .evolution import AdmissibilityCertificate, SolutionHandle, check_admissible
 from .gevrey_classifier import GevreyVerdict, GevreyFlavor, vector_class
@@ -297,7 +297,8 @@ class SupportView(SeriesSpace):
     im_bounds is None.  Of the optional hooks of SeriesSpace, only
     evolution_upper_form is set here, when decay is set (such vectors live
     on plans with Re >= n); the refuting vector f also overrides
-    gevrey_lower_form and tv_lower_form (_ProofView).
+    gevrey_lower_form and tv_lower_form (_ProofView), which give a form
+    only on plans with unbounded real parts.
     """
 
     plan: ViolatingSpectrumPlan
@@ -365,13 +366,15 @@ class SupportView(SeriesSpace):
 
 @dataclass(frozen=True)
 class _ProofView(SupportView):
-    """The refuting vector f, with the proof's coupled lower envelopes."""
+    """The refuting vector f, with the proof's coupled lower envelopes.
+
+    The hooks are set only for unbounded real parts at the plan's order.
+    With bounded real parts the componentwise envelopes already give the
+    proof's forms (|lam_{j(n)}| >= n and the n^-2 coefficients).
+    """
 
     def gevrey_lower_form(self, s: float, beta: float):
-        if self.plan.case is PlanCase.BOUNDED_REAL_PARTS:
-            # |lam_{j(n)}| >= n, so the weight alone beats any polynomial factor
-            return AsymForm.power(1.0 / beta, s) + AsymForm.log_k(-2.0), 1
-        if beta != self.plan.beta:
+        if self.plan.case is PlanCase.BOUNDED_REAL_PARTS or beta != self.plan.beta:
             return None
         # |lam|^{1/beta} >= n^2 Re and Re >= n give s n^3 - n^2 beyond n >= 1/s
         k_min = max(2, int(math.ceil(1.0 / s)) + 1)
@@ -568,8 +571,6 @@ def analytic_at_zero_probe(
     for some grid radius; a certified failure of every radius, or a power
     norm leaving l^p at finite order, refutes analyticity at 0.
     """
-    from .borel_calculus import power_norms
-
     f = h.f
     count = f.effective_count()
     if count is not None:

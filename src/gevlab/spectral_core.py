@@ -380,23 +380,24 @@ class _CoeffImpl:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _ExplicitCoeffs(_CoeffImpl):
-    entries: tuple[LogPolar, ...]
+    """Coordinates 1..len(mags) as log-magnitude and phase arrays; zero beyond."""
+
+    mags: np.ndarray
+    phases: np.ndarray
 
     def log_coeffs(self, ks, spectrum):
         ks = np.asarray(ks, dtype=np.int64)
         mags = np.full(ks.shape, NEG_INF)
         phases = np.zeros(ks.shape)
-        inside = (ks >= 1) & (ks <= len(self.entries))
-        if np.any(inside):
-            idx = ks[inside] - 1
-            mags[inside] = np.asarray([self.entries[i].log_mag for i in idx])
-            phases[inside] = np.asarray([self.entries[i].phase for i in idx])
+        inside = (ks >= 1) & (ks <= len(self.mags))
+        mags[inside] = self.mags[ks[inside] - 1]
+        phases[inside] = self.phases[ks[inside] - 1]
         return mags, phases
 
     def support_size(self):
-        return len(self.entries)
+        return len(self.mags)
 
 
 @dataclass(frozen=True)
@@ -533,7 +534,11 @@ class CoefficientVector:
             entries = tuple(log_polars)
         if spectrum.size is not None and len(entries) > spectrum.size:
             raise VectorError("more coefficients than eigenvalues in the explicit spectrum")
-        return cls(spectrum, p, label, _ExplicitCoeffs(entries))
+        impl = _ExplicitCoeffs(
+            np.array([e.log_mag for e in entries], dtype=float),
+            np.array([e.phase for e in entries], dtype=float),
+        )
+        return cls(spectrum, p, label, impl)
 
     @classmethod
     def power_decay(cls, spectrum, c: float, r: float, p: float = 2.0, label: str = ""):
@@ -566,7 +571,7 @@ class CoefficientVector:
 
     @classmethod
     def zero(cls, spectrum, p: float = 2.0):
-        return cls(spectrum, p, "zero", _ExplicitCoeffs(()))
+        return cls(spectrum, p, "zero", _ExplicitCoeffs(np.empty(0), np.empty(0)))
 
     def _certify_storable(self):
         """Reject vectors whose l^p membership cannot be certified."""
@@ -764,15 +769,13 @@ def project(f: CoefficientVector, delta: BorelPredicate) -> CoefficientVector:
         return f
     if delta.is_none:
         return CoefficientVector.zero(f.spectrum, f.p_norm)
-    if isinstance(f.impl, _ExplicitCoeffs) and f.impl.entries:
-        n = len(f.impl.entries)
+    if isinstance(f.impl, _ExplicitCoeffs) and len(f.impl.mags):
+        n = len(f.impl.mags)
         keep = delta.mask(f.spectrum.eigenvalues(np.arange(1, n + 1, dtype=np.int64)))
-        entries = tuple(
-            e if keep[i] else LogPolar.zero() for i, e in enumerate(f.impl.entries)
+        impl = _ExplicitCoeffs(
+            np.where(keep, f.impl.mags, NEG_INF), np.where(keep, f.impl.phases, 0.0)
         )
-        return CoefficientVector(
-            f.spectrum, f.p_norm, f"[{delta.description}]{f.label}", _ExplicitCoeffs(entries)
-        )
+        return CoefficientVector(f.spectrum, f.p_norm, f"[{delta.description}]{f.label}", impl)
     return f.masked(delta)
 
 

@@ -207,6 +207,32 @@ def test_power_norms_without_envelopes_keep_engine_certificates():
         assert math.isclose(math.exp(value), math.exp(oracle), rel_tol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "params,c,r",
+    [
+        ((1, 1, 0, 0), 1.0, 0.5),
+        ((1, 0.5, 1, 2), 2.0, 1.25),
+        ((-1, 1, 1, 1), 0.5, 0.75),
+    ],
+    ids=["k", "sqrt(k)+i*k^2", "-k+i*k"],
+)
+def test_power_norms_match_direct_power_certificates(params, c, r):
+    # each power norm is the series engine's certificate for A^n f, the same
+    # one the direct domain test gives
+    f = gl.CoefficientVector.power_decay(gl.PowerLawSpectrum(*params), c, r)
+    norms = gl.power_norms(f, 8)
+    assert norms.cutoff is None and len(norms.certificates) == 9
+    for n, cert in enumerate(norms.certificates):
+        direct = gl.domain_member_direct(gl.PowerSymbol(n), f).certificate
+        assert (cert.status, cert.route, cert.terms_used, cert.log_value, cert.log_tail_bound) == (
+            direct.status,
+            direct.route,
+            direct.terms_used,
+            direct.log_value / f.p_norm,
+            direct.log_tail_bound,
+        )
+
+
 def test_estimate_cond_i_instance():
     # weighted total variation <= 4 ||F(A)f|| ||g|| when both sides certify
     spec = gl.PowerLawSpectrum(-1, 1, 0, 0)
