@@ -492,7 +492,8 @@ def power_norms(
     index space, with the tail envelope (coefficient envelope plus n times
     the log|lam| envelope) when both envelopes are known.  The powers stop at
     the first one the engine does not certify convergent.  Certificate
-    values are in norm units, log ||A^n f||_p.
+    values are in norm units, log ||A^n f||_p.  On a finite index space the
+    coefficients and log|lam| are read once, for all powers.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -500,11 +501,22 @@ def power_norms(
     p = f.p_norm
     count = space.count
     cb, lb = space.coeff_bounds, space.log_abs_bounds()
+    if count is None:
+        mags_of = lambda ks: space.coeff_log(ks)[0]
+        logabs_of = lambda ks: _log_abs(space.lam(ks))
+    else:
+        every = np.arange(1, count + 1, dtype=np.int64)
+        mags_all, logabs_all = space.coeff_log(every)[0], _log_abs(space.lam(every))
+        mags_of = lambda ks: mags_all[ks - 1]
+        logabs_of = lambda ks: logabs_all[ks - 1]
     certs = []
     for n in range(n_max + 1):
         bounds = None if cb is None or lb is None else (cb + lb.scale(float(n))).scale(p)
         cert = certify_log_series(
-            lambda ks, n=n: _power_term(space, p, n, ks), count=count, bounds=bounds, budget=budget
+            lambda ks, n=n: _power_term(mags_of(ks), logabs_of, ks, p, n),
+            count=count,
+            bounds=bounds,
+            budget=budget,
         )
         if cert.status is not SeriesStatus.CONVERGES:
             return PowerNorms(tuple(c.log_value for c in certs), tuple(certs), n, cert)
@@ -512,11 +524,13 @@ def power_norms(
     return PowerNorms(tuple(c.log_value for c in certs), tuple(certs))
 
 
-def _power_term(space, p: float, n: int, ks: np.ndarray) -> np.ndarray:
-    mags, _ = space.coeff_log(ks)
+def _log_abs(lams: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(lams))
+
+
+def _power_term(mags: np.ndarray, logabs_of, ks: np.ndarray, p: float, n: int) -> np.ndarray:
     if n == 0:
         return p * mags
-    with np.errstate(divide="ignore"):
-        logabs = np.log(np.abs(space.lam(ks)))
-    out = p * np.where(mags == NEG_INF, NEG_INF, mags + n * logabs)
+    out = p * np.where(mags == NEG_INF, NEG_INF, mags + n * logabs_of(ks))
     return np.where(np.isnan(out), NEG_INF, out)

@@ -48,6 +48,12 @@ from .spectral_core import (
 )
 
 _VERIFY_PREFIX = 10_000
+_BLOCK = 4096  # orders selected per block
+_MAX_TRIES = 1_000_000  # rejections of one order before the selection is declared stalled
+_MAX_INDEX = 2.0**63  # indices are int64
+# Relative distance to a comparison's boundary within which numpy's and
+# Python's float rounding (a few ulps apart) could decide it differently.
+_NEAR = 2.0**-40
 _S_PROBES = (2.0**-10, 1.0, 2.0**10)
 
 
@@ -68,22 +74,44 @@ class _Threshold:
     strict: bool  # the underlying predicate is a strict inequality
 
 
+def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.abs(a - b) <= _NEAR * np.maximum(np.abs(a), np.abs(b))
+
+
 class Selection:
     """Greedy choice of indices j(1) < j(2) < ... from a power-law family.
 
-    Candidate indices come from closed-form thresholds (monotone in n) and
-    every selected index is verified numerically against the predicates:
-    |lam_j| >= n, strictly increasing modulus, the violation inequality
-    Re < n^-2 |Im|^{1/beta} (non-strict at n = 1, where the canonical rules
-    sit exactly on the boundary), and optionally Re >= n.
+    j(n) is the least j >= max(j(n-1) + 1, cand(n)) that passes _ok, where
+    cand(n) = max over the closed-form thresholds of ceil(c n^e) (monotone
+    in n).  The predicates of _ok are |lam_j| >= n, strictly increasing
+    modulus, the violation inequality Re < n^-2 |Im|^{1/beta} (non-strict
+    at n = 1, where the canonical rules sit exactly on the boundary), and
+    optionally Re >= n.
+
+    Orders are selected in blocks of _BLOCK.  A block starts from the least
+    strictly increasing sequence above the candidates, j(n) - n =
+    cummax(cand(n) - n) seeded by the last selected index, and evaluates the
+    predicates of every entry in one eigenvalues call.  Rejected entries
+    rise by one and the entries from the first reject on are checked again,
+    until all pass.  Strict increase needs no separate step: the modulus
+    grows with j, so an index at or below its predecessor's fails the
+    modulus test.  An entry only ever rises and never passes the greedy
+    choice, because an index rejected under a smaller predecessor modulus
+    stays rejected under a larger one.  So the repair stops exactly at the
+    greedy choice.
+
+    Rounding: numpy's array ** and abs can differ by an ulp from the Python
+    float operations of _ok.  Every comparison that lies within a relative
+    _NEAR of its boundary (c n^e near an integer, |lam| near n or near the
+    predecessor's modulus, Re near n^-2 |Im|^{1/beta}) is decided again by
+    the scalar rule, so the blocks select what the scalar rule selects.
     """
 
     def __init__(self, spectrum: PowerLawSpectrum, beta: float, require_re_ge_n: bool):
         self.spectrum = spectrum
         self.beta = beta
         self.require_re_ge_n = require_re_ge_n
-        self._js: list[int] = []
-        self._inv: dict[int, int] = {}
+        self._js = np.zeros(0, dtype=np.int64)
         a, pre, b, pim = spectrum.a_re, spectrum.p_re, spectrum.a_im, spectrum.p_im
         self.thresholds: list[_Threshold] = []
         if a > 0:
@@ -114,8 +142,7 @@ class Selection:
 
     # -- predicates ---------------------------------------------------------
 
-    def _ok(self, j: int, n: int, prev_abs: float) -> bool:
-        lam = self.spectrum.eigenvalue(j)
+    def _ok(self, lam: complex, n: int, prev_abs: float) -> bool:
         mod = abs(lam)
         if mod < n or mod <= prev_abs:
             return False
@@ -130,40 +157,88 @@ class Selection:
             return False
         return True
 
+    def _ok_block(self, lams: np.ndarray, ns: np.ndarray, prev_lams: np.ndarray) -> np.ndarray:
+        """_ok on every entry; prev_lams holds the eigenvalue picked before each."""
+        nf = ns.astype(float)
+        mod, prev_abs = np.abs(lams), np.abs(prev_lams)
+        rhs = np.abs(lams.imag) ** (1.0 / self.beta) / nf**2
+        violates = np.where(ns >= 2, lams.real < rhs, lams.real <= rhs)
+        ok = (mod >= nf) & (mod > prev_abs) & violates
+        if self.require_re_ge_n:
+            ok &= lams.real >= nf
+        redo = np.flatnonzero(_near(mod, nf) | _near(mod, prev_abs) | _near(lams.real, rhs))
+        ok[redo] = [
+            self._ok(lam, n, abs(prev))
+            for lam, n, prev in zip(lams[redo].tolist(), ns[redo].tolist(), prev_lams[redo].tolist())
+        ]
+        return ok
+
+    def _candidates(self, ns: np.ndarray) -> np.ndarray:
+        """max over the thresholds of ceil(c n^e), rounded as Python floats round."""
+        nf = ns.astype(float)
+        out = np.zeros(ns.shape, dtype=np.int64)
+        for t in self.thresholds:
+            x = t.coeff * nf**t.exponent
+            big = np.flatnonzero(~(x < _MAX_INDEX))
+            if big.size:
+                raise PlanError(f"selected index leaves int64 at order n={ns[big[0]]}")
+            cand = np.ceil(x)
+            redo = np.flatnonzero(_near(x, np.rint(x)))
+            cand[redo] = [math.ceil(t.coeff * n**t.exponent) for n in ns[redo].tolist()]
+            out = np.maximum(out, cand.astype(np.int64))
+        return out
+
+    def _select_block(self, ns: np.ndarray) -> np.ndarray:
+        prev = int(self._js[-1]) if self._js.size else 0
+        prev_lam = self.spectrum.eigenvalue(prev) if prev else 0j
+        js = ns + np.maximum.accumulate(np.maximum(self._candidates(ns) - ns, prev + 1 - ns[0]))
+        tries = np.zeros(ns.shape, dtype=np.int64)
+        lo = 0  # js[:lo] are final
+        while True:
+            lams = self.spectrum.eigenvalues(js[lo:])
+            prev_lams = np.concatenate(([prev_lam], lams[:-1]))
+            bad = np.flatnonzero(~self._ok_block(lams, ns[lo:], prev_lams))
+            if not bad.size:
+                return js
+            if bad[0]:
+                prev_lam = lams[bad[0] - 1]
+            bad += lo
+            lo = bad[0]
+            tries[bad] += 1
+            stalled = bad[tries[bad] > _MAX_TRIES]
+            if stalled.size:
+                raise PlanError(f"selection stalled at order n={ns[stalled[0]]}")
+            js[bad] += 1
+
     def extend(self, n_target: int) -> None:
-        while len(self._js) < n_target:
-            n = len(self._js) + 1
-            prev = self._js[-1] if self._js else 0
-            prev_abs = abs(self.spectrum.eigenvalue(prev)) if prev else 0.0
-            cand = prev + 1
-            for t in self.thresholds:
-                cand = max(cand, math.ceil(t.coeff * n**t.exponent))
-            tries = 0
-            while not self._ok(cand, n, prev_abs):
-                cand += 1
-                tries += 1
-                if tries > 1_000_000:
-                    raise PlanError(f"selection stalled at order n={n}")
-            self._js.append(cand)
-            self._inv[cand] = n
+        while self._js.size < n_target:
+            n0 = self._js.size + 1
+            ns = np.arange(n0, min(n_target, n0 + _BLOCK - 1) + 1, dtype=np.int64)
+            self._js = np.concatenate([self._js, self._select_block(ns)])
 
     def indices(self, ns: np.ndarray) -> np.ndarray:
         ns = np.asarray(ns, dtype=np.int64)
         if ns.size:
             self.extend(int(ns.max()))
-        arr = np.asarray(self._js, dtype=np.int64)
-        return arr[ns - 1]
+        return self._js[ns - 1]
 
     def lam(self, ns: np.ndarray) -> np.ndarray:
         return self.spectrum.eigenvalues(self.indices(ns))
 
-    def order_of(self, j: int) -> Optional[int]:
-        return self._inv.get(int(j))
+    def orders(self, js: np.ndarray) -> np.ndarray:
+        """n with j(n) = j for the selected js, 0 for the others.
+
+        Only the selected prefix is searched: js above its last index read 0.
+        """
+        pos = np.searchsorted(self._js, js)
+        hit = pos < self._js.size
+        hit[hit] = self._js[pos[hit]] == js[hit]
+        return np.where(hit, pos + 1, 0)
 
     def identity_certified(self, prefix: int = 512) -> bool:
         """True when j(n) = n provably for every n, not just the prefix."""
         self.extend(prefix)
-        if self._js[:prefix] != list(range(1, prefix + 1)):
+        if not np.array_equal(self._js[:prefix], np.arange(1, prefix + 1)):
             return False
         for t in self.thresholds:
             if t.exponent > 1.0:
@@ -198,13 +273,11 @@ class ViolatingSpectrumPlan:
 
     def epsilons(self, n_top: int) -> np.ndarray:
         """Disk radii eps_n = min(1/(2n), half the gap to the neighbors)."""
-        lams = self.selected_lams(np.arange(1, n_top + 2, dtype=np.int64))
-        gaps = np.abs(np.diff(lams))
-        eps = np.empty(n_top)
-        for i in range(n_top):
-            gap = gaps[i] if i == 0 else min(gaps[i - 1], gaps[i])
-            eps[i] = min(1.0 / (2.0 * (i + 1)), gap / 2.0)
-        return eps
+        ns = np.arange(1, n_top + 2, dtype=np.int64)
+        gaps = np.abs(np.diff(self.selected_lams(ns)))
+        # eps_1 has a neighbor above only
+        gap = np.minimum(gaps, np.concatenate(([np.inf], gaps[:-1])))
+        return np.minimum(1.0 / (2.0 * ns[:-1]), gap / 2.0)
 
 
 def _verify_plan(plan: ViolatingSpectrumPlan, prefix: int = _VERIFY_PREFIX) -> None:
@@ -296,9 +369,9 @@ class SupportView(SeriesSpace):
     (|lam_{j(n)}| >= n, Re >= n when required, j(n) <= env * n^gamma);
     im_bounds is None.  Of the optional hooks of SeriesSpace, only
     evolution_upper_form is set here, when decay is set (such vectors live
-    on plans with Re >= n); the refuting vector f also overrides
-    gevrey_lower_form and tv_lower_form (_ProofView), which give a form
-    only on plans with unbounded real parts.
+    on plans with Re >= n).  On plans with unbounded real parts the
+    refuting vector f is a _ProofView, which also sets gevrey_lower_form and
+    tv_lower_form.
     """
 
     plan: ViolatingSpectrumPlan
@@ -366,15 +439,17 @@ class SupportView(SeriesSpace):
 
 @dataclass(frozen=True)
 class _ProofView(SupportView):
-    """The refuting vector f, with the proof's coupled lower envelopes.
+    """The refuting vector f on a plan with unbounded real parts.
 
-    The hooks are set only for unbounded real parts at the plan's order.
-    With bounded real parts the componentwise envelopes already give the
-    proof's forms (|lam_{j(n)}| >= n and the n^-2 coefficients).
+    It adds the proof's coupled lower envelopes at the plan's order, which
+    no componentwise envelope expresses.  Plans with bounded real parts
+    need none: there the componentwise envelopes already give the proof's
+    forms (|lam_{j(n)}| >= n and the n^-2 coefficients), so their refuting
+    vector is a plain SupportView.
     """
 
     def gevrey_lower_form(self, s: float, beta: float):
-        if self.plan.case is PlanCase.BOUNDED_REAL_PARTS or beta != self.plan.beta:
+        if beta != self.plan.beta:
             return None
         # |lam|^{1/beta} >= n^2 Re and Re >= n give s n^3 - n^2 beyond n >= 1/s
         k_min = max(2, int(math.ceil(1.0 / s)) + 1)
@@ -395,12 +470,13 @@ def _dense_inverse_fn(view: SupportView):
     selection = view.selection
 
     def fn(js: np.ndarray):
+        # j(n) >= n: the first max(js) orders hold every selected j <= max(js)
         selection.extend(max(4096, int(np.max(js)) if js.size else 1))
         mags = np.full(js.shape, NEG_INF)
-        orders = np.asarray([selection.order_of(int(j)) or 0 for j in js])
+        orders = selection.orders(js)
         hit = orders > 0
         if np.any(hit):
-            mags[hit] = view.coeff_log(orders[hit].astype(np.int64))[0]
+            mags[hit] = view.coeff_log(orders[hit])[0]
         return mags, np.zeros(js.shape)
 
     return fn
@@ -418,8 +494,9 @@ def _bounded_vectors(plan: ViolatingSpectrumPlan, p: float):
         f = CoefficientVector.polynomial_decay(plan.spectrum, 2.0, p=p, label="ce-f(k^-2)")
         h_star = CoefficientVector.polynomial_decay(plan.spectrum, 2.0, p=q, label="h*(k^-2)")
         return f, None, h_star
-    f = _view_vector(_ProofView(plan), p, "ce-f(n^-2 on selection)")
-    h_star = _view_vector(SupportView(plan), q, "h*(n^-2 on selection)")
+    view = SupportView(plan)
+    f = _view_vector(view, p, "ce-f(n^-2 on selection)")
+    h_star = _view_vector(view, q, "h*(n^-2 on selection)")
     return f, None, h_star
 
 

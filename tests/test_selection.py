@@ -7,16 +7,19 @@ how the selection is computed (blocking, rounding, repair of rejects) must
 reproduce the greedy choice exactly.  2^15 covers the 16,384 orders the
 series engine reaches in build_counterexample and the order 12,763 on
 mixed-quart at beta = 2, where the violation inequality is decided by the
-last bit of |Im lam|^{1/beta}.
+last bit of |Im lam|^{1/beta}.  Reference loops check the block selection
+against the one-index-at-a-time greedy on more families, and the disk radii
+against the per-order loop.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 import gevlab as gl
-from gevlab.counterexamples import SupportView, _dense_inverse_fn
+from gevlab.counterexamples import Selection, SupportView, _dense_inverse_fn
 from gevlab.logdomain import NEG_INF
 
 N_GOLDEN = 1 << 15
@@ -53,6 +56,29 @@ def _sha(arr: np.ndarray) -> str:
     return hashlib.sha256(arr.tobytes()).hexdigest()
 
 
+def _greedy(sel: Selection, n_top: int) -> list[int]:
+    """Reference: the greedy choice made one index at a time."""
+    spec, js, prev = sel.spectrum, [], 0
+    for n in range(1, n_top + 1):
+        prev_abs = abs(spec.eigenvalue(prev)) if prev else 0.0
+        cand = max([prev + 1] + [math.ceil(t.coeff * n**t.exponent) for t in sel.thresholds])
+        while not sel._ok(spec.eigenvalue(cand), n, prev_abs):
+            cand += 1
+        js.append(cand)
+        prev = cand
+    return js
+
+
+def _epsilons_loop(plan, n_top: int) -> np.ndarray:
+    """Reference: eps_n = min(1/(2n), half the smaller neighboring gap)."""
+    gaps = np.abs(np.diff(plan.selected_lams(np.arange(1, n_top + 2, dtype=np.int64))))
+    eps = np.empty(n_top)
+    for i in range(n_top):
+        gap = gaps[i] if i == 0 else min(gaps[i - 1], gaps[i])
+        eps[i] = min(1.0 / (2.0 * (i + 1)), gap / 2.0)
+    return eps
+
+
 @pytest.mark.parametrize("name,beta", list(GOLDEN))
 def test_selection_matches_golden(name, beta):
     plan = _plan(name, beta)
@@ -60,7 +86,37 @@ def test_selection_matches_golden(name, beta):
     assert js.dtype == np.int64
     want_js, want_eps = GOLDEN[(name, beta)]
     assert _sha(js) == want_js
-    assert _sha(plan.epsilons(512)) == want_eps
+    eps = plan.epsilons(512)
+    assert _sha(eps) == want_eps
+    assert np.array_equal(eps, _epsilons_loop(plan, 512))
+    assert np.array_equal(plan.epsilons(1), _epsilons_loop(plan, 1))
+
+
+# (a_re, p_re, a_im, p_im, beta, orders): rounding-decided violation
+# boundaries, slow moduli, constant real parts, and candidates n^4 and n^5
+# above 2^53, where numpy's and Python's rounding of the power differ
+SCALAR_CASES = [
+    (1.0, 1.0, 1.0, 4.0, 2.0, 2000),
+    (1.0, 1.0, 1.0, 3.0, 2.0, 10_000),
+    (0.0, 0.0, 1.0, 0.2, 1.0, 2000),
+    (1.0, 1.0, 2.5, 3.0, 1.3, 2000),
+    (0.0, 0.0, 1.0, 0.5, 1.0, 2000),
+    (5.0, 0.0, 1.0, 2.0, 1.0, 2000),
+    (0.5, 0.0, 1.0, 0.5, 1.3, 2000),
+    (-2.0, 0.5, 2.5, 7.0, 3.0, 2000),
+    (5.0, 1.5, 2.5, 7.0, 1.5, 2000),
+]
+
+
+@pytest.mark.parametrize("a_re,p_re,a_im,p_im,beta,orders", SCALAR_CASES)
+def test_blocks_match_scalar_greedy(a_re, p_re, a_im, p_im, beta, orders):
+    spec = gl.PowerLawSpectrum(a_re, p_re, a_im, p_im)
+    require = a_re > 0 and p_re > 0
+    sel = Selection(spec, beta, require)
+    for n in (1, 7, 300, orders):  # blocks seeded at several places
+        sel.extend(n)
+    want = _greedy(Selection(spec, beta, require), orders)
+    assert sel.indices(np.arange(1, orders + 1)).tolist() == want
 
 
 def test_boundary_order_on_mixed_quart_at_beta_two():
