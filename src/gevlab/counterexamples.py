@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from enum import Enum
 from typing import Optional
 
@@ -48,12 +49,12 @@ from .spectral_core import (
 )
 
 _VERIFY_PREFIX = 10_000
-_BLOCK = 4096  # orders selected per block
-_MAX_TRIES = 1_000_000  # rejections of one order before the selection is declared stalled
 _MAX_INDEX = 2.0**63  # indices are int64
-# Relative distance to a comparison's boundary within which numpy's and
-# Python's float rounding (a few ulps apart) could decide it differently.
+# Float estimates this close (relative) to an integer, or to the index they are
+# compared with, are settled by the exact rule; their own error is a few ulps.
 _NEAR = 2.0**-40
+_MAX_DENOM = 64  # larger common exponent denominators use interval arithmetic
+_IV_PREC = 80  # bits
 _S_PROBES = (2.0**-10, 1.0, 2.0**10)
 
 
@@ -67,154 +68,165 @@ class PlanCase(Enum):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Threshold:
-    exponent: float
-    coeff: float
-    strict: bool  # the underlying predicate is a strict inequality
-
-
 def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a - b) <= _NEAR * np.maximum(np.abs(a), np.abs(b))
+
+
+@dataclass
+class _Threshold:
+    """One condition on the index j at order n: j^e >= K n^m, K = prod b^q.
+
+    It is strict (>) when strict is set and n >= 2, and a tie is not strictly
+    greater.  e > 0, m and the factors (b, q) are exact rationals, float
+    parameters read as dyadic rationals, so the condition holds exactly for
+    j >= T(n).  coeff * n^exponent is the float estimate of T(n).
+    """
+
+    name: str
+    exponent: float
+    coeff: float
+    strict: bool
+    e: Fraction
+    m: Fraction
+    factors: tuple[tuple[Fraction, Fraction], ...]
+
+    def __post_init__(self):
+        den = math.lcm(*(q.denominator for q in (self.e, self.m, *(q for _, q in self.factors))))
+        self._int = None  # (Q, E, P, M): Q j^E >= P n^M, with K^den = P / Q
+        if den <= _MAX_DENOM:
+            k = math.prod((b ** int(q * den) for b, q in self.factors), start=Fraction(1))
+            self._int = (k.denominator, int(self.e * den), k.numerator, int(self.m * den))
+
+    def holds(self, js: np.ndarray, ns: np.ndarray) -> np.ndarray:
+        """The condition at each (j, n), decided exactly."""
+        strict = self.strict & (ns >= 2)
+        if self._int is None:
+            cases = zip(js.tolist(), ns.tolist(), strict.tolist())
+            return np.asarray([self._holds_iv(*c) for c in cases], dtype=bool)
+        q, e, p, m = self._int
+        lhs, rhs = q * js.astype(object) ** e, p * ns.astype(object) ** m
+        return np.where(strict, lhs > rhs, lhs >= rhs).astype(bool)
+
+    def _holds_iv(self, j: int, n: int, strict: bool) -> bool:
+        """The sign of e log j - m log n - sum q log b in interval arithmetic;
+        an interval that straddles 0 is a tie."""
+        from mpmath import iv
+
+        def rat(x):  # an int or a Fraction, enclosed exactly
+            return iv.mpf(x.numerator) / x.denominator
+
+        terms = ((self.e, j), (-self.m, n), *((-q, b) for b, q in self.factors))
+        saved, iv.prec = iv.prec, _IV_PREC
+        try:
+            gap = sum(rat(q) * iv.log(rat(x)) for q, x in terms)
+        finally:
+            iv.prec = saved
+        if gap.a > 0 or gap.b < 0:
+            return bool(gap.a > 0)
+        return not strict
+
+    def least(self, ns: np.ndarray) -> np.ndarray:
+        """T(n), the least j meeting the condition, at each order n.
+
+        ceil(x) of the estimate x where x is clear of an integer; elsewhere
+        T(n) lies in x (1 +- _NEAR) +- 1 and is bisected there exactly.
+        """
+        x = self.coeff * ns.astype(float) ** self.exponent
+        big = np.flatnonzero(~(x * (1.0 + _NEAR) + 2.0 < _MAX_INDEX))
+        if big.size:
+            raise PlanError(f"selected index leaves int64 at order n={ns[big[0]]}")
+        out = np.ceil(x).astype(np.int64)
+        near = np.flatnonzero(_near(x, np.rint(x)))
+        lo = np.maximum(np.floor(x[near] * (1.0 - _NEAR)) - 1.0, 0.0).astype(np.int64)
+        hi = np.ceil(x[near] * (1.0 + _NEAR)).astype(np.int64) + 1
+        while (act := np.flatnonzero(hi - lo > 1)).size:
+            mid = (lo[act] + hi[act]) // 2
+            ok = self.holds(mid, ns[near[act]])
+            hi[act[ok]], lo[act[~ok]] = mid[ok], mid[~ok]
+        out[near] = hi
+        return out
+
+    def meets(self, js: np.ndarray, ns: np.ndarray) -> np.ndarray:
+        """holds(js, ns), read off the float estimate where j is clear of it."""
+        x, jf = self.coeff * ns.astype(float) ** self.exponent, js.astype(float)
+        out = jf >= x
+        near = np.flatnonzero(_near(jf, x))
+        out[near] = self.holds(js[near], ns[near])
+        return out
 
 
 class Selection:
     """Greedy choice of indices j(1) < j(2) < ... from a power-law family.
 
-    j(n) is the least j >= max(j(n-1) + 1, cand(n)) that passes _ok, where
-    cand(n) = max over the closed-form thresholds of ceil(c n^e) (monotone
-    in n).  The predicates of _ok are |lam_j| >= n, strictly increasing
-    modulus, the violation inequality Re < n^-2 |Im|^{1/beta} (non-strict
-    at n = 1, where the canonical rules sit exactly on the boundary), and
-    optionally Re >= n.
+    lam_j = a_re j^p_re + i a_im j^p_im.  j(n) is the least j > j(n-1) with
 
-    Orders are selected in blocks of _BLOCK.  A block starts from the least
-    strictly increasing sequence above the candidates, j(n) - n =
-    cummax(cand(n) - n) seeded by the last selected index, and evaluates the
-    predicates of every entry in one eigenvalues call.  Rejected entries
-    rise by one and the entries from the first reject on are checked again,
-    until all pass.  Strict increase needs no separate step: the modulus
-    grows with j, so an index at or below its predecessor's fails the
-    modulus test.  An entry only ever rises and never passes the greedy
-    choice, because an index rejected under a smaller predecessor modulus
-    stays rejected under a larger one.  So the repair stops exactly at the
-    greedy choice.
+    - |lam_j| >= n, through the leading-term bound a_hi j^p_hi >= n (a_hi is
+      the hypot of the coefficients when both parts share the top exponent);
+    - Re lam_j < n^-2 |Im lam_j|^{1/beta}, non-strict at n = 1, where the
+      canonical rules sit exactly on the boundary.  For a_re > 0 this is
+      j^delta > c n^2 with delta = p_im/beta - p_re, c = a_re/|a_im|^{1/beta};
+      for a_re <= 0 every j meets it;
+    - Re lam_j >= n when real parts grow (a_re > 0, p_re > 0).
 
-    Rounding: numpy's array ** and abs can differ by an ulp from the Python
-    float operations of _ok.  Every comparison that lies within a relative
-    _NEAR of its boundary (c n^e near an integer, |lam| near n or near the
-    predecessor's modulus, Re near n^-2 |Im|^{1/beta}) is decided again by
-    the scalar rule, so the blocks select what the scalar rule selects.
+    |lam_j| increases strictly in j, and so do the selected moduli.  Every
+    condition is a monotone threshold in j: j(n) = max(j(n-1) + 1, T_1(n),
+    ..., T_k(n)), which extend computes as j(n) - n = cummax(T(n) - n) for all
+    new orders at once, with no eigenvalue.  _Threshold makes each T_i exact.
     """
 
-    def __init__(self, spectrum: PowerLawSpectrum, beta: float, require_re_ge_n: bool):
+    def __init__(self, spectrum: PowerLawSpectrum, beta: float):
         self.spectrum = spectrum
         self.beta = beta
-        self.require_re_ge_n = require_re_ge_n
         self._js = np.zeros(0, dtype=np.int64)
         a, pre, b, pim = spectrum.a_re, spectrum.p_re, spectrum.a_im, spectrum.p_im
+        fa, fpre, fb, fpim = (Fraction(v) for v in (a, pre, b, pim))
         self.thresholds: list[_Threshold] = []
-        if a > 0:
-            # positive real parts need |Im| to outrun them: a j^pre < n^-2 |Im_j|^{1/beta}
-            if b == 0 or pim == 0:
-                raise PlanError(
-                    "positive real part with bounded imaginary part: "
-                    "the region condition holds, no violating selection exists"
+        try:  # a coefficient past the float range puts j(1) past int64
+            if a > 0:
+                # positive real parts need |Im| to outrun them: a j^pre < n^-2 |Im_j|^{1/beta}
+                if b == 0 or pim == 0:
+                    raise PlanError(
+                        "positive real part with bounded imaginary part: "
+                        "the region condition holds, no violating selection exists"
+                    )
+                delta, exact_delta = pim / beta - pre, fpim / Fraction(beta) - fpre
+                if delta <= 0 or exact_delta <= 0:
+                    raise PlanError(
+                        f"real-part exponent {pre:g} >= |Im| exponent {pim:g}/beta: "
+                        "the region condition holds beyond a bounded set"
+                    )
+                c0 = a / abs(b) ** (1.0 / beta)
+                self.thresholds.append(
+                    _Threshold("violation inequality", 2.0 / delta, c0 ** (1.0 / delta), True,
+                               exact_delta, Fraction(2), ((fa, 1), (abs(fb), -1 / Fraction(beta))))
                 )
-            delta = pim / beta - pre
-            if delta <= 0:
-                raise PlanError(
-                    f"real-part exponent {pre:g} >= |Im| exponent {pim:g}/beta: "
-                    "the region condition holds beyond a bounded set"
+            if a > 0 and pre > 0:
+                self.thresholds.append(
+                    _Threshold("Re lam_{j(n)} >= n", 1.0 / pre, (1.0 / a) ** (1.0 / pre), False,
+                               fpre, Fraction(1), ((fa, -1),))
                 )
-            c0 = a / abs(b) ** (1.0 / beta)
-            self.thresholds.append(_Threshold(2.0 / delta, c0 ** (1.0 / delta), True))
-        if require_re_ge_n:
-            if not (a > 0 and pre > 0):
-                raise PlanError("Re >= n selection needs an increasing real part")
-            self.thresholds.append(_Threshold(1.0 / pre, (1.0 / a) ** (1.0 / pre), False))
-        p_hi, a_hi, _ = spectrum._abs_leading()
-        if p_hi <= 0:
-            raise PlanError("modulus of the family does not grow")
-        self.thresholds.append(_Threshold(1.0 / p_hi, (1.0 / a_hi) ** (1.0 / p_hi), False))
+            p_hi, a_hi, _ = spectrum._abs_leading()
+            if p_hi <= 0:
+                raise PlanError("modulus of the family does not grow")
+            lead_sq = sum(c * c for p, c in ((fpre, fa), (fpim, fb)) if c != 0 and p == p_hi)
+            self.thresholds.append(
+                _Threshold("|lam_{j(n)}| >= n", 1.0 / p_hi, (1.0 / a_hi) ** (1.0 / p_hi), False,
+                           Fraction(p_hi), Fraction(1), ((lead_sq, Fraction(-1, 2)),))
+            )
+        except OverflowError:
+            raise PlanError("selected index leaves int64 at order n=1") from None
         self.gamma = max(1.0, max(t.exponent for t in self.thresholds))
         self.env_coeff = sum(t.coeff for t in self.thresholds) + 1.0
 
-    # -- predicates ---------------------------------------------------------
-
-    def _ok(self, lam: complex, n: int, prev_abs: float) -> bool:
-        mod = abs(lam)
-        if mod < n or mod <= prev_abs:
-            return False
-        rhs = abs(lam.imag) ** (1.0 / self.beta) / n**2
-        if n >= 2:
-            if not lam.real < rhs:
-                return False
-        else:
-            if not lam.real <= rhs:
-                return False
-        if self.require_re_ge_n and lam.real < n:
-            return False
-        return True
-
-    def _ok_block(self, lams: np.ndarray, ns: np.ndarray, prev_lams: np.ndarray) -> np.ndarray:
-        """_ok on every entry; prev_lams holds the eigenvalue picked before each."""
-        nf = ns.astype(float)
-        mod, prev_abs = np.abs(lams), np.abs(prev_lams)
-        rhs = np.abs(lams.imag) ** (1.0 / self.beta) / nf**2
-        violates = np.where(ns >= 2, lams.real < rhs, lams.real <= rhs)
-        ok = (mod >= nf) & (mod > prev_abs) & violates
-        if self.require_re_ge_n:
-            ok &= lams.real >= nf
-        redo = np.flatnonzero(_near(mod, nf) | _near(mod, prev_abs) | _near(lams.real, rhs))
-        ok[redo] = [
-            self._ok(lam, n, abs(prev))
-            for lam, n, prev in zip(lams[redo].tolist(), ns[redo].tolist(), prev_lams[redo].tolist())
-        ]
-        return ok
-
-    def _candidates(self, ns: np.ndarray) -> np.ndarray:
-        """max over the thresholds of ceil(c n^e), rounded as Python floats round."""
-        nf = ns.astype(float)
-        out = np.zeros(ns.shape, dtype=np.int64)
-        for t in self.thresholds:
-            x = t.coeff * nf**t.exponent
-            big = np.flatnonzero(~(x < _MAX_INDEX))
-            if big.size:
-                raise PlanError(f"selected index leaves int64 at order n={ns[big[0]]}")
-            cand = np.ceil(x)
-            redo = np.flatnonzero(_near(x, np.rint(x)))
-            cand[redo] = [math.ceil(t.coeff * n**t.exponent) for n in ns[redo].tolist()]
-            out = np.maximum(out, cand.astype(np.int64))
-        return out
-
-    def _select_block(self, ns: np.ndarray) -> np.ndarray:
-        prev = int(self._js[-1]) if self._js.size else 0
-        prev_lam = self.spectrum.eigenvalue(prev) if prev else 0j
-        js = ns + np.maximum.accumulate(np.maximum(self._candidates(ns) - ns, prev + 1 - ns[0]))
-        tries = np.zeros(ns.shape, dtype=np.int64)
-        lo = 0  # js[:lo] are final
-        while True:
-            lams = self.spectrum.eigenvalues(js[lo:])
-            prev_lams = np.concatenate(([prev_lam], lams[:-1]))
-            bad = np.flatnonzero(~self._ok_block(lams, ns[lo:], prev_lams))
-            if not bad.size:
-                return js
-            if bad[0]:
-                prev_lam = lams[bad[0] - 1]
-            bad += lo
-            lo = bad[0]
-            tries[bad] += 1
-            stalled = bad[tries[bad] > _MAX_TRIES]
-            if stalled.size:
-                raise PlanError(f"selection stalled at order n={ns[stalled[0]]}")
-            js[bad] += 1
-
     def extend(self, n_target: int) -> None:
-        while self._js.size < n_target:
-            n0 = self._js.size + 1
-            ns = np.arange(n0, min(n_target, n0 + _BLOCK - 1) + 1, dtype=np.int64)
-            self._js = np.concatenate([self._js, self._select_block(ns)])
+        n0 = self._js.size + 1
+        if n_target < n0:
+            return
+        ns = np.arange(n0, n_target + 1, dtype=np.int64)
+        prev = int(self._js[-1]) if self._js.size else 0
+        floor = np.max([t.least(ns) for t in self.thresholds], axis=0)
+        js = ns + np.maximum.accumulate(np.maximum(floor - ns, prev + 1 - n0))
+        self._js = np.concatenate([self._js, js])
 
     def indices(self, ns: np.ndarray) -> np.ndarray:
         ns = np.asarray(ns, dtype=np.int64)
@@ -226,29 +238,28 @@ class Selection:
         return self.spectrum.eigenvalues(self.indices(ns))
 
     def orders(self, js: np.ndarray) -> np.ndarray:
-        """n with j(n) = j for the selected js, 0 for the others.
+        """n with j(n) = j for the given js, 0 where j is not selected.
 
-        Only the selected prefix is searched: js above its last index read 0.
+        The selection is extended by doubling until its last index reaches
+        max(js), so it grows only as far as the js need.
         """
+        while js.size and (not self._js.size or self._js[-1] < js.max()):
+            self.extend(max(1, 2 * self._js.size))
         pos = np.searchsorted(self._js, js)
         hit = pos < self._js.size
         hit[hit] = self._js[pos[hit]] == js[hit]
         return np.where(hit, pos + 1, 0)
 
     def identity_certified(self, prefix: int = 512) -> bool:
-        """True when j(n) = n provably for every n, not just the prefix."""
+        """True when j(n) = n provably for every n, not just the prefix: each
+        threshold grows slower than n, or is at most n (below n if strict)."""
         self.extend(prefix)
         if not np.array_equal(self._js[:prefix], np.arange(1, prefix + 1)):
             return False
-        for t in self.thresholds:
-            if t.exponent > 1.0:
-                return False
-            if t.exponent == 1.0:
-                if t.strict and t.coeff >= 1.0:
-                    return False
-                if not t.strict and t.coeff > 1.0:
-                    return False
-        return True
+        return all(
+            t.exponent < 1.0 or t.exponent == 1.0 and (t.coeff < 1.0 or t.coeff == 1.0 and not t.strict)
+            for t in self.thresholds
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -281,21 +292,24 @@ class ViolatingSpectrumPlan:
 
 
 def _verify_plan(plan: ViolatingSpectrumPlan, prefix: int = _VERIFY_PREFIX) -> None:
+    """Check the plan on its first prefix orders.
+
+    Every rule of the Selection is decided at each pick (j(n), n) by the exact
+    helper that selected it, so a pick on the boundary of a strict rule fails.
+    Strictly increasing indices give strictly increasing moduli.  Real parts
+    stay below omega on bounded plans; the disks have radii in (0, 1/n) and
+    are pairwise disjoint.
+    """
     ns = np.arange(1, prefix + 1, dtype=np.int64)
-    lams = plan.selected_lams(ns)
-    mods = np.abs(lams)
-    if not np.all(mods >= ns):
-        raise PlanError("|lam_{j(n)}| >= n fails on the verified prefix")
-    if not np.all(np.diff(mods) > 0):
-        raise PlanError("selected moduli are not strictly increasing")
-    rhs = np.abs(lams.imag) ** (1.0 / plan.beta) / ns.astype(float) ** 2
-    strict = lams.real < rhs
-    if not (np.all(strict[1:]) and lams[0].real <= rhs[0]):
-        raise PlanError("violation inequality fails on the verified prefix")
-    if plan.case is PlanCase.UNBOUNDED_REAL_PARTS and not np.all(lams.real >= ns):
-        raise PlanError("Re lam_{j(n)} >= n fails on the verified prefix")
+    js = plan.selection.indices(ns)
+    if not np.all(np.diff(js) > 0):
+        raise PlanError("selected indices are not strictly increasing")
+    for t in plan.selection.thresholds:
+        if not np.all(t.meets(js, ns)):
+            raise PlanError(f"{t.name} fails on the verified prefix")
     if plan.case is PlanCase.BOUNDED_REAL_PARTS:
-        if plan.omega is None or not np.all(lams.real <= plan.omega + 1e-12):
+        re = plan.spectrum.eigenvalues(js).real
+        if plan.omega is None or not np.all(re <= plan.omega + 1e-12):
             raise PlanError("real parts exceed the declared bound omega")
     n_eps = min(prefix, 512)
     eps = plan.epsilons(n_eps)
@@ -336,18 +350,10 @@ def plan_for_spectrum(
         case = inferred
     elif case is not inferred:
         raise PlanError(f"this family supports only the {inferred.value} construction")
-    selection = Selection(spectrum, beta, require_re_ge_n=re_unbounded)
-    omega = None
-    if case is PlanCase.BOUNDED_REAL_PARTS:
-        # Re lam_k = a k^p with a <= 0 (sup 0), or the constant a itself
-        omega = max(spectrum.a_re, 0.0)
+    # bounded: Re lam_k = a k^p with a <= 0 (sup 0), or the constant a itself
+    omega = max(spectrum.a_re, 0.0) if case is PlanCase.BOUNDED_REAL_PARTS else None
     plan = ViolatingSpectrumPlan(
-        beta=beta,
-        case=case,
-        spectrum=spectrum,
-        selection=selection,
-        omega=omega,
-        verified_prefix=_VERIFY_PREFIX,
+        beta, case, spectrum, Selection(spectrum, beta), omega, _VERIFY_PREFIX,
         detail=f"{case.value} construction on {spectrum.label}",
     )
     _verify_plan(plan)
@@ -466,17 +472,13 @@ class _ProofView(SupportView):
 
 
 def _dense_inverse_fn(view: SupportView):
-    """Dense j-indexed coefficients of a subsequence vector (prefix only)."""
-    selection = view.selection
+    """Dense j-indexed coefficients of a subsequence vector: n^-th coefficient
+    at j = j(n), none elsewhere."""
 
     def fn(js: np.ndarray):
-        # j(n) >= n: the first max(js) orders hold every selected j <= max(js)
-        selection.extend(max(4096, int(np.max(js)) if js.size else 1))
+        orders = view.selection.orders(js)
         mags = np.full(js.shape, NEG_INF)
-        orders = selection.orders(js)
-        hit = orders > 0
-        if np.any(hit):
-            mags[hit] = view.coeff_log(orders[hit])[0]
+        mags[orders > 0] = view.coeff_log(orders[orders > 0])[0]
         return mags, np.zeros(js.shape)
 
     return fn

@@ -25,7 +25,7 @@ from .borel_calculus import (
     domain_member_direct,
     power_norms,
 )
-from .errors import ConsistencyError, DomainError, HarnessError, VectorError
+from .errors import ConsistencyError, DomainError, HarnessError, PlanError, VectorError
 from .evolution import SolutionHandle, check_admissible, solve
 from .logdomain import NEG_INF
 from .series import DEFAULT_BUDGET, SeriesBudget, SeriesStatus
@@ -330,6 +330,15 @@ class RegionHolds:
 
 @dataclass(frozen=True)
 class RegionViolated:
+    """The spectrum leaves {Re >= b_+ |Im|^{1/beta}} along an unbounded set.
+
+    On a power-law family the witness is lam_{j(1)}, ..., lam_{j(12)} of the
+    violating selection that plan_for_spectrum uses (counterexamples.
+    Selection): |lam_{j(n)}| >= n and Re lam_{j(n)} < n^-2 |Im lam_{j(n)}|^{1/beta},
+    decided exactly.  A custom family has no selection, so its witness is
+    empty and the report's detail says so.
+    """
+
     witness: tuple[complex, ...]
 
 
@@ -394,19 +403,17 @@ def _ratio_summary(spectrum: SpectrumFamily, beta: float, sample: int) -> RatioT
     )
 
 
-def _violation_witness(spectrum: SpectrumFamily, beta: float) -> tuple[complex, ...]:
-    """Sampled subsequence with |lam| growing that fails Re >= b_+ |Im|^{1/beta}
-    for every probed b_+ down to the bisection floor."""
-    out = []
-    for j in range(0, 21):
-        k = 1 << j
-        lam = spectrum.eigenvalue(k)
-        rho = _rho(np.asarray([lam]), beta)[0]
-        if rho < _S_LO:
-            out.append(lam)
-        if len(out) >= 12:
-            break
-    return tuple(out)
+def _violated(spectrum: SpectrumFamily, beta: float, tail, extrapolated, detail) -> RegionReport:
+    if not isinstance(spectrum, PowerLawSpectrum):
+        detail += "; no witness: a custom family has no violating selection"
+        return RegionReport(beta, RegionViolated(()), tail, extrapolated, detail)
+    from .counterexamples import Selection
+
+    try:
+        lams = Selection(spectrum, beta).lam(np.arange(1, 13))
+    except PlanError as exc:
+        raise ConsistencyError(f"violated region with an empty witness: {exc}") from exc
+    return RegionReport(beta, RegionViolated(tuple(lams.tolist())), tail, extrapolated, detail)
 
 
 def _holds_verified(spectrum, beta, b_plus, radius, sample=4096) -> None:
@@ -469,12 +476,8 @@ def region_condition(
             return RegionReport(
                 beta, status, tail, extrapolated, "real part grows, imaginary part bounded"
             )
-        return RegionReport(
-            beta,
-            RegionViolated(_violation_witness(spectrum, beta)),
-            tail,
-            extrapolated,
-            "unbounded spectrum with non-growing real part",
+        return _violated(
+            spectrum, beta, tail, extrapolated, "unbounded spectrum with non-growing real part"
         )
 
     delta = p_re - p_im / beta
@@ -510,13 +513,7 @@ def region_condition(
             beta, status, tail, extrapolated,
             "equal exponents: constant ratio rho_k",
         )
-    return RegionReport(
-        beta,
-        RegionViolated(_violation_witness(spectrum, beta)),
-        tail,
-        extrapolated,
-        "imaginary growth outruns the real part",
-    )
+    return _violated(spectrum, beta, tail, extrapolated, "imaginary growth outruns the real part")
 
 
 def _power_params(spectrum: SpectrumFamily):

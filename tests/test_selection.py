@@ -3,20 +3,23 @@
 The plans of counterexamples.py pick j(1) < j(2) < ... greedily.  These
 tests pin the first 2^15 selected indices and the disk radii of every plan
 the catalog and the canonical constructions produce, so that any change to
-how the selection is computed (blocking, rounding, repair of rejects) must
-reproduce the greedy choice exactly.  2^15 covers the 16,384 orders the
-series engine reaches in build_counterexample and the order 12,763 on
-mixed-quart at beta = 2, where the violation inequality is decided by the
-last bit of |Im lam|^{1/beta}.  Reference loops check the block selection
-against the one-index-at-a-time greedy on more families, and the disk radii
-against the per-order loop.
+how the selection is computed must reproduce the greedy choice exactly.
+2^15 covers the 16,384 orders the series engine reaches in
+build_counterexample and the orders on mixed-quart at beta = 2 where
+j = n^2 sits exactly on the strict violation boundary (the first is
+n = 9,745).  A one-index-at-a-time greedy with its own exact oracle checks
+the selection on more families, and a loop checks the disk radii.
 """
 
 import hashlib
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import gevlab as gl
 from gevlab.counterexamples import Selection, SupportView, _dense_inverse_fn
@@ -39,8 +42,9 @@ GOLDEN = {
         "9d46e2022e672ad84d817375e6c1abeb03a8f8f981be83eb133a6ecde288602b",
         _EPS_512,
     ),
+    # j(n) = n^2 + 1 for n >= 2: the boundary j = n^2 is never selected
     ("mixed-quart", 2.0): (
-        "eefc92dd4da462f7e111c8b117b15c9d83b3297345e24b61bb9ecc703b07762d",
+        "ad1ec33b815f251dc2973445571e01f4ffde8badce08a67cc0315606e43582d8",
         _EPS_512,
     ),
 }
@@ -56,16 +60,86 @@ def _sha(arr: np.ndarray) -> str:
     return hashlib.sha256(arr.tobytes()).hexdigest()
 
 
-def _greedy(sel: Selection, n_top: int) -> list[int]:
-    """Reference: the greedy choice made one index at a time."""
-    spec, js, prev = sel.spectrum, [], 0
+# -- test-local exact oracle -------------------------------------------------
+
+
+def _sign(lhs, rhs) -> int:
+    """Sign of prod b^q over lhs minus prod b^q over rhs (b > 0, q rational).
+
+    Exact with fractions after clearing the exponents' common denominator;
+    for large denominators, the difference of the logarithms at 256 bits,
+    where |gap| < 2^-200 counts as a tie.
+    """
+    terms = [(Fraction(b), Fraction(q)) for b, q in lhs]
+    terms += [(Fraction(b), -Fraction(q)) for b, q in rhs]
+    den = math.lcm(*(q.denominator for _, q in terms))
+    if den <= 100:
+        prod = math.prod((b ** int(q * den) for b, q in terms), start=Fraction(1))
+        return (prod > 1) - (prod < 1)
+    with mpmath.workprec(256):
+        gap = mpmath.fsum(
+            mpmath.mpf(q.numerator) / q.denominator * mpmath.log(mpmath.mpf(b.numerator) / b.denominator)
+            for b, q in terms
+        )
+        return 0 if abs(gap) < mpmath.mpf(2) ** -200 else (1 if gap > 0 else -1)
+
+
+def _ok(spec, beta: float, j: int, n: int) -> bool:
+    """The selection rule at (j, n), on the eigenvalue lam_j = a j^pre + i b j^pim."""
+    a, pre, b, pim = (Fraction(v) for v in (spec.a_re, spec.p_re, spec.a_im, spec.p_im))
+    inv_beta = 1 / Fraction(beta)
+    parts = [(p, c) for p, c in ((pre, a), (pim, b)) if c != 0]
+    p_hi = max(p for p, _ in parts)
+    lead_sq = sum(c * c for p, c in parts if p == p_hi)
+    # |lam_j| >= n through the leading term
+    if _sign([(lead_sq, Fraction(1, 2)), (j, p_hi)], [(n, 1)]) < 0:
+        return False
+    # Re < n^-2 |Im|^{1/beta}, non-strict at n = 1; for a <= 0, Re <= 0 <= rhs
+    # with equality only when a = b = 0
+    if a > 0:
+        s = _sign([(a, 1), (j, pre), (n, 2)], [(abs(b), inv_beta), (j, pim * inv_beta)])
+        if s > 0 or (s == 0 and n >= 2):
+            return False
+    # Re >= n when real parts grow
+    if a > 0 and pre > 0 and _sign([(a, 1), (j, pre)], [(n, 1)]) < 0:
+        return False
+    return True
+
+
+def _guess(spec, beta: float, n: int) -> int:
+    """Float estimate of the least index meeting the rule at order n."""
+    a, pre, b, pim = spec.a_re, spec.p_re, spec.a_im, spec.p_im
+    parts = [(p, abs(c)) for p, c in ((pre, a), (pim, b)) if c != 0]
+    p_hi = max(p for p, _ in parts)
+    g = (n / math.hypot(*(c for p, c in parts if p == p_hi))) ** (1.0 / p_hi)
+    if a > 0:
+        g = max(g, (a * n * n / abs(b) ** (1.0 / beta)) ** (1.0 / (pim / beta - pre)))
+        if pre > 0:
+            g = max(g, (n / a) ** (1.0 / pre))
+    return int(g)
+
+
+def _least(ok, lo: int, guess: int) -> int:
+    """Least j > lo with ok(j), for ok monotone in j, searched from guess."""
+    hi, step = max(guess, lo + 1), 1
+    while not ok(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    step = 1
+    while hi - step > lo and ok(hi - step):
+        hi, step = hi - step, 2 * step
+    lo = max(lo, hi - step)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(mid) else (mid, hi)
+    return hi
+
+
+def _greedy(spec, beta: float, n_top: int) -> list[int]:
+    """Reference: the greedy choice made one index at a time with the oracle."""
+    js, prev = [], 0
     for n in range(1, n_top + 1):
-        prev_abs = abs(spec.eigenvalue(prev)) if prev else 0.0
-        cand = max([prev + 1] + [math.ceil(t.coeff * n**t.exponent) for t in sel.thresholds])
-        while not sel._ok(spec.eigenvalue(cand), n, prev_abs):
-            cand += 1
-        js.append(cand)
-        prev = cand
+        prev = _least(lambda j: _ok(spec, beta, j, n), prev, _guess(spec, beta, n))
+        js.append(prev)
     return js
 
 
@@ -92,9 +166,10 @@ def test_selection_matches_golden(name, beta):
     assert np.array_equal(plan.epsilons(1), _epsilons_loop(plan, 1))
 
 
-# (a_re, p_re, a_im, p_im, beta, orders): rounding-decided violation
-# boundaries, slow moduli, constant real parts, and candidates n^4 and n^5
-# above 2^53, where numpy's and Python's rounding of the power differ
+# (a_re, p_re, a_im, p_im, beta, orders): exact boundary ties (j = n^2 on
+# k+i*k^4 and j = n^4 on k+i*k^3 at beta = 2), slow moduli, constant real
+# parts, candidates above 2^53, and exponents with large dyadic denominators
+# (0.2 and beta = 1.3), which the selection decides by interval arithmetic
 SCALAR_CASES = [
     (1.0, 1.0, 1.0, 4.0, 2.0, 2000),
     (1.0, 1.0, 1.0, 3.0, 2.0, 10_000),
@@ -111,21 +186,72 @@ SCALAR_CASES = [
 @pytest.mark.parametrize("a_re,p_re,a_im,p_im,beta,orders", SCALAR_CASES)
 def test_blocks_match_scalar_greedy(a_re, p_re, a_im, p_im, beta, orders):
     spec = gl.PowerLawSpectrum(a_re, p_re, a_im, p_im)
-    require = a_re > 0 and p_re > 0
-    sel = Selection(spec, beta, require)
-    for n in (1, 7, 300, orders):  # blocks seeded at several places
+    sel = Selection(spec, beta)
+    for n in (1, 7, 300, orders):  # extensions seeded at several places
         sel.extend(n)
-    want = _greedy(Selection(spec, beta, require), orders)
-    assert sel.indices(np.arange(1, orders + 1)).tolist() == want
+    assert sel.indices(np.arange(1, orders + 1)).tolist() == _greedy(spec, beta, orders)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a_re=st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
+    p_re=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]),
+    a_im=st.sampled_from([0.0, 0.25, 1.0, 2.5]),
+    p_im=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 4.0]),
+    beta=st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0]),
+)
+def test_selection_matches_exact_greedy_on_small_denominators(a_re, p_re, a_im, p_im, beta):
+    try:
+        spec = gl.PowerLawSpectrum(a_re, p_re, a_im, p_im)
+        sel = Selection(spec, beta)
+        for n in (1, 7, 300):
+            sel.extend(n)
+    except (gl.SpectrumError, gl.PlanError):
+        assume(False)
+    assert sel.indices(np.arange(1, 301)).tolist() == _greedy(spec, beta, 300)
 
 
 def test_boundary_order_on_mixed_quart_at_beta_two():
     # j = n^2 sits exactly on Re = n^-2 |Im|^{1/2}: the strict inequality
-    # rejects it, except where the rounding of |Im|^{1/2} lifts the right
-    # side above Re (n = 9745 is the first such order)
+    # rejects it at every n >= 2, including n = 9745, where float rounding
+    # of |Im|^{1/2} used to lift the right side above Re
     sel = _plan("mixed-quart", 2.0).selection
     js = sel.indices(np.asarray([1, 2, 3, 9_744, 9_745, 12_763], dtype=np.int64))
-    assert js.tolist() == [1, 5, 10, 9_744**2 + 1, 9_745**2, 12_763**2 + 1]
+    assert js.tolist() == [1, 5, 10, 9_744**2 + 1, 9_745**2 + 1, 12_763**2 + 1]
+
+
+def test_plan_on_cubic_imaginary_growth_keeps_off_the_boundary():
+    # k+i*k^3 at beta = 2: Re < n^-2 |Im|^{1/2} is j > n^4 (j >= 1 at n = 1)
+    plan = gl.plan_for_spectrum(gl.PowerLawSpectrum(1.0, 1.0, 1.0, 3.0), 2.0)
+    js = plan.selection.indices(np.arange(1, plan.verified_prefix + 1)).tolist()
+    assert js[0] == 1
+    assert all(j > n**4 for n, j in enumerate(js[1:], start=2))
+
+
+@pytest.mark.parametrize("name", ["neg-real", "imag-quad", "imag-quart", "mixed-quart"])
+@pytest.mark.parametrize("beta", [1.0, 1.5, 2.0])
+def test_region_witness_is_the_plan_selection(name, beta):
+    spec = gl.builtin_spectra()[name]
+    rep = gl.region_condition(spec, beta)
+    assert rep.violated
+    want = gl.plan_for_spectrum(spec, beta).selected_lams(np.arange(1, 13))
+    assert rep.status.witness == tuple(want.tolist())
+
+
+def test_selection_past_int64_is_a_plan_error_and_an_empty_witness():
+    # j(1) ~ (10 / 0.2)^1000: the coefficient leaves the float range
+    spec = gl.PowerLawSpectrum(10.0, 1.0, 0.2, 1.001)
+    with pytest.raises(gl.PlanError, match="int64"):
+        gl.plan_for_spectrum(spec, 1.0)
+    with pytest.raises(gl.ConsistencyError, match="empty witness"):
+        gl.region_condition(spec, 1.0)
+
+
+def test_custom_family_region_has_no_witness():
+    spec = gl.CustomSpectrum(lambda k: 1j * k * k, declared_tail_exponents=(0.0, 2.0))
+    rep = gl.region_condition(spec, 1.0)
+    assert rep.violated and rep.status.witness == ()
+    assert "no witness" in rep.detail
 
 
 @pytest.mark.parametrize("decay", [None, 1.0])
@@ -157,3 +283,22 @@ def test_dense_inverse_matches_brute_force(decay):
     assert np.any(js > prefix_top) and np.any(want[js > prefix_top] > NEG_INF)
     assert np.array_equal(mags, want)
     assert np.all(phases == 0.0)
+
+    # every j up to 2^20 on a fresh selection at beta = 2, where j(n) = n^2 + 1:
+    # the selection grows only to the order whose index reaches 2^20
+    spec = gl.builtin_spectra()["mixed-quart"]
+    fresh = gl.ViolatingSpectrumPlan(
+        2.0, gl.PlanCase.UNBOUNDED_REAL_PARTS, spec, Selection(spec, 2.0), None, 0
+    )
+    view = SupportView(fresh, decay)
+    js = np.arange(1, (1 << 20) + 1, dtype=np.int64)
+    mags, _ = _dense_inverse_fn(view)(js)
+    assert fresh.selection.indices(np.arange(1, 3)).tolist() == [1, 5]
+    assert fresh.selection._js.size <= 2048
+    ns = np.arange(1, 1025)
+    ref = np.asarray(_greedy(spec, 2.0, 1024), dtype=np.int64)
+    assert ref[-1] >= js[-1]
+    keep = ref <= js[-1]
+    want = np.full(js.shape, NEG_INF)
+    want[ref[keep] - 1] = view.coeff_log(ns[keep])[0]
+    assert np.array_equal(mags, want)
