@@ -72,30 +72,42 @@ def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a - b) <= _NEAR * np.maximum(np.abs(a), np.abs(b))
 
 
+def _log(x: Fraction) -> float:
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
 @dataclass
 class _Threshold:
     """One condition on the index j at order n: j^e >= K n^m, K = prod b^q.
 
     It is strict (>) when strict is set and n >= 2, and a tie is not strictly
-    greater.  e > 0, m and the factors (b, q) are exact rationals, float
-    parameters read as dyadic rationals, so the condition holds exactly for
-    j >= T(n).  coeff * n^exponent is the float estimate of T(n).
+    greater.  e > 0, m > 0 and the factors (b > 0, q) are exact rationals,
+    float parameters read as dyadic rationals, so the condition holds exactly
+    for j >= T(n).  The float estimate of T(n) is coeff * n^exponent, with
+    exponent = m/e and coeff = K^{1/e} derived here from the exact form.
     """
 
     name: str
-    exponent: float
-    coeff: float
     strict: bool
     e: Fraction
     m: Fraction
     factors: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
+        try:
+            self.exponent = float(self.m / self.e)
+            self.coeff = math.exp(sum(float(q / self.e) * _log(b) for b, q in self.factors))
+        except OverflowError:  # past the float range: T(n) leaves int64 at once
+            self.exponent = self.coeff = math.inf
         den = math.lcm(*(q.denominator for q in (self.e, self.m, *(q for _, q in self.factors))))
+        self._iv = None
         self._int = None  # (Q, E, P, M): Q j^E >= P n^M, with K^den = P / Q
         if den <= _MAX_DENOM:
             k = math.prod((b ** int(q * den) for b, q in self.factors), start=Fraction(1))
             self._int = (k.denominator, int(self.e * den), k.numerator, int(self.m * den))
+
+    def estimate(self, ns: np.ndarray) -> np.ndarray:
+        return self.coeff * ns.astype(float) ** self.exponent
 
     def holds(self, js: np.ndarray, ns: np.ndarray) -> np.ndarray:
         """The condition at each (j, n), decided exactly."""
@@ -115,43 +127,45 @@ class _Threshold:
         def rat(x):  # an int or a Fraction, enclosed exactly
             return iv.mpf(x.numerator) / x.denominator
 
-        terms = ((self.e, j), (-self.m, n), *((-q, b) for b, q in self.factors))
         saved, iv.prec = iv.prec, _IV_PREC
         try:
-            gap = sum(rat(q) * iv.log(rat(x)) for q, x in terms)
+            if self._iv is None:  # e, m and sum q log b, enclosed once
+                log_k = sum(rat(q) * iv.log(rat(b)) for b, q in self.factors)
+                self._iv = (rat(self.e), rat(self.m), log_k)
+            e, m, log_k = self._iv
+            gap = e * iv.log(j) - m * iv.log(n) - log_k
         finally:
             iv.prec = saved
-        if gap.a > 0 or gap.b < 0:
-            return bool(gap.a > 0)
-        return not strict
+        if gap.a > 0:
+            return True
+        return False if gap.b < 0 else not strict
 
     def least(self, ns: np.ndarray) -> np.ndarray:
         """T(n), the least j meeting the condition, at each order n.
 
-        ceil(x) of the estimate x where x is clear of an integer; elsewhere
-        T(n) lies in x (1 +- _NEAR) +- 1 and is bisected there exactly.
+        ceil(x) of the estimate x where x is clear of an integer.  Elsewhere
+        T(n) lies in x (1 +- _NEAR) +- 1: ceil(x) and ceil(x) - 1 are tested
+        exactly first, and the window is bisected only where they leave T(n)
+        open.  An index j <= 0 never meets the condition (K > 0).
         """
-        x = self.coeff * ns.astype(float) ** self.exponent
-        big = np.flatnonzero(~(x * (1.0 + _NEAR) + 2.0 < _MAX_INDEX))
-        if big.size:
-            raise PlanError(f"selected index leaves int64 at order n={ns[big[0]]}")
+        x = self.estimate(ns)
         out = np.ceil(x).astype(np.int64)
         near = np.flatnonzero(_near(x, np.rint(x)))
-        lo = np.maximum(np.floor(x[near] * (1.0 - _NEAR)) - 1.0, 0.0).astype(np.int64)
-        hi = np.ceil(x[near] * (1.0 + _NEAR)).astype(np.int64) + 1
+        x, ns, c = x[near], ns[near], out[near]
+        # lo fails and hi meets the condition
+        lo = np.maximum(np.floor(x * (1.0 - _NEAR)) - 1.0, 0.0).astype(np.int64)
+        hi = np.ceil(x * (1.0 + _NEAR)).astype(np.int64) + 1
+        top = self.holds(c, ns)
+        below = np.zeros_like(top)
+        probe = np.flatnonzero(top & (c > 1))
+        below[probe] = self.holds(c[probe] - 1, ns[probe])
+        hi = np.where(below, c - 1, np.where(top, c, hi))
+        lo = np.where(top & ~below, c - 1, np.where(top, lo, c))
         while (act := np.flatnonzero(hi - lo > 1)).size:
             mid = (lo[act] + hi[act]) // 2
-            ok = self.holds(mid, ns[near[act]])
+            ok = self.holds(mid, ns[act])
             hi[act[ok]], lo[act[~ok]] = mid[ok], mid[~ok]
         out[near] = hi
-        return out
-
-    def meets(self, js: np.ndarray, ns: np.ndarray) -> np.ndarray:
-        """holds(js, ns), read off the float estimate where j is clear of it."""
-        x, jf = self.coeff * ns.astype(float) ** self.exponent, js.astype(float)
-        out = jf >= x
-        near = np.flatnonzero(_near(jf, x))
-        out[near] = self.holds(js[near], ns[near])
         return out
 
 
@@ -161,12 +175,14 @@ class Selection:
     lam_j = a_re j^p_re + i a_im j^p_im.  j(n) is the least j > j(n-1) with
 
     - |lam_j| >= n, through the leading-term bound a_hi j^p_hi >= n (a_hi is
-      the hypot of the coefficients when both parts share the top exponent);
+      the hypot of the coefficients when both parts share the top exponent):
+      the threshold modulus;
     - Re lam_j < n^-2 |Im lam_j|^{1/beta}, non-strict at n = 1, where the
-      canonical rules sit exactly on the boundary.  For a_re > 0 this is
-      j^delta > c n^2 with delta = p_im/beta - p_re, c = a_re/|a_im|^{1/beta};
-      for a_re <= 0 every j meets it;
-    - Re lam_j >= n when real parts grow (a_re > 0, p_re > 0).
+      canonical rules sit exactly on the boundary.  For a_re > 0 this is the
+      threshold violation, j^delta > c n^2 with delta = p_im/beta - p_re and
+      c = a_re/|a_im|^{1/beta}; for a_re <= 0 every j meets it;
+    - Re lam_j >= n when real parts grow (a_re > 0, p_re > 0): the threshold
+      re_ge_n.
 
     |lam_j| increases strictly in j, and so do the selected moduli.  Every
     condition is a monotone threshold in j: j(n) = max(j(n-1) + 1, T_1(n),
@@ -178,55 +194,63 @@ class Selection:
         self.spectrum = spectrum
         self.beta = beta
         self._js = np.zeros(0, dtype=np.int64)
-        a, pre, b, pim = spectrum.a_re, spectrum.p_re, spectrum.a_im, spectrum.p_im
-        fa, fpre, fb, fpim = (Fraction(v) for v in (a, pre, b, pim))
-        self.thresholds: list[_Threshold] = []
-        try:  # a coefficient past the float range puts j(1) past int64
-            if a > 0:
-                # positive real parts need |Im| to outrun them: a j^pre < n^-2 |Im_j|^{1/beta}
-                if b == 0 or pim == 0:
-                    raise PlanError(
-                        "positive real part with bounded imaginary part: "
-                        "the region condition holds, no violating selection exists"
-                    )
-                delta, exact_delta = pim / beta - pre, fpim / Fraction(beta) - fpre
-                if delta <= 0 or exact_delta <= 0:
-                    raise PlanError(
-                        f"real-part exponent {pre:g} >= |Im| exponent {pim:g}/beta: "
-                        "the region condition holds beyond a bounded set"
-                    )
-                c0 = a / abs(b) ** (1.0 / beta)
-                self.thresholds.append(
-                    _Threshold("violation inequality", 2.0 / delta, c0 ** (1.0 / delta), True,
-                               exact_delta, Fraction(2), ((fa, 1), (abs(fb), -1 / Fraction(beta))))
+        spec = spectrum
+        a, pre, b, pim = (Fraction(v) for v in (spec.a_re, spec.p_re, spec.a_im, spec.p_im))
+        self.violation = self.re_ge_n = None
+        if a > 0:
+            # positive real parts need |Im| to outrun them: a j^pre < n^-2 |Im_j|^{1/beta}
+            if b == 0 or pim == 0:
+                raise PlanError(
+                    "positive real part with bounded imaginary part: "
+                    "the region condition holds, no violating selection exists"
                 )
-            if a > 0 and pre > 0:
-                self.thresholds.append(
-                    _Threshold("Re lam_{j(n)} >= n", 1.0 / pre, (1.0 / a) ** (1.0 / pre), False,
-                               fpre, Fraction(1), ((fa, -1),))
+            delta = pim / Fraction(beta) - pre
+            if delta <= 0:
+                raise PlanError(
+                    f"real-part exponent {spec.p_re:g} >= |Im| exponent {spec.p_im:g}/beta: "
+                    "the region condition holds beyond a bounded set"
                 )
-            p_hi, a_hi, _ = spectrum._abs_leading()
-            if p_hi <= 0:
-                raise PlanError("modulus of the family does not grow")
-            lead_sq = sum(c * c for p, c in ((fpre, fa), (fpim, fb)) if c != 0 and p == p_hi)
-            self.thresholds.append(
-                _Threshold("|lam_{j(n)}| >= n", 1.0 / p_hi, (1.0 / a_hi) ** (1.0 / p_hi), False,
-                           Fraction(p_hi), Fraction(1), ((lead_sq, Fraction(-1, 2)),))
-            )
-        except OverflowError:
-            raise PlanError("selected index leaves int64 at order n=1") from None
+            factors = ((a, Fraction(1)), (abs(b), -1 / Fraction(beta)))
+            self.violation = _Threshold("violation inequality", True, delta, Fraction(2), factors)
+            if pre > 0:
+                factors = ((a, Fraction(-1)),)
+                self.re_ge_n = _Threshold("Re lam_{j(n)} >= n", False, pre, Fraction(1), factors)
+        p_hi, _, _ = spectrum._abs_leading()
+        if p_hi <= 0:
+            raise PlanError("modulus of the family does not grow")
+        lead_sq = sum(c * c for p, c in ((pre, a), (pim, b)) if c != 0 and p == p_hi)
+        self.modulus = _Threshold(
+            "|lam_{j(n)}| >= n", False, Fraction(p_hi), Fraction(1), ((lead_sq, Fraction(-1, 2)),)
+        )
+        self.thresholds = [t for t in (self.violation, self.re_ge_n, self.modulus) if t is not None]
         self.gamma = max(1.0, max(t.exponent for t in self.thresholds))
         self.env_coeff = sum(t.coeff for t in self.thresholds) + 1.0
 
+    def __len__(self) -> int:
+        return self._js.size
+
     def extend(self, n_target: int) -> None:
+        """Select the orders up to n_target.
+
+        An order whose index would leave int64 is not selected: the selection
+        stops before the first such order and raises PlanError.
+        """
         n0 = self._js.size + 1
         if n_target < n0:
             return
         ns = np.arange(n0, n_target + 1, dtype=np.int64)
-        prev = int(self._js[-1]) if self._js.size else 0
-        floor = np.max([t.least(ns) for t in self.thresholds], axis=0)
-        js = ns + np.maximum.accumulate(np.maximum(floor - ns, prev + 1 - n0))
-        self._js = np.concatenate([self._js, js])
+        fits = np.all(
+            [t.estimate(ns) * (1.0 + _NEAR) + 2.0 < _MAX_INDEX for t in self.thresholds], axis=0
+        )
+        out = np.flatnonzero(~fits)
+        n_fit = out[0] if out.size else ns.size
+        if n_fit:
+            prev = int(self._js[-1]) if self._js.size else 0
+            floor = np.max([t.least(ns[:n_fit]) for t in self.thresholds], axis=0)
+            js = ns[:n_fit] + np.maximum.accumulate(np.maximum(floor - ns[:n_fit], prev + 1 - n0))
+            self._js = np.concatenate([self._js, js])
+        if out.size:
+            raise PlanError(f"selected index leaves int64 at order n={ns[n_fit]}")
 
     def indices(self, ns: np.ndarray) -> np.ndarray:
         ns = np.asarray(ns, dtype=np.int64)
@@ -251,15 +275,19 @@ class Selection:
         return np.where(hit, pos + 1, 0)
 
     def identity_certified(self, prefix: int = 512) -> bool:
-        """True when j(n) = n provably for every n, not just the prefix: each
-        threshold grows slower than n, or is at most n (below n if strict)."""
+        """True when j(n) = n provably for every n, not just the prefix."""
         self.extend(prefix)
         if not np.array_equal(self._js[:prefix], np.arange(1, prefix + 1)):
             return False
-        return all(
-            t.exponent < 1.0 or t.exponent == 1.0 and (t.coeff < 1.0 or t.coeff == 1.0 and not t.strict)
-            for t in self.thresholds
-        )
+        for t in self.thresholds:
+            if t.exponent > 1.0:
+                return False
+            if t.exponent == 1.0:
+                if t.strict and t.coeff >= 1.0:
+                    return False
+                if not t.strict and t.coeff > 1.0:
+                    return False
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -291,25 +319,45 @@ class ViolatingSpectrumPlan:
         return np.minimum(1.0 / (2.0 * ns[:-1]), gap / 2.0)
 
 
-def _verify_plan(plan: ViolatingSpectrumPlan, prefix: int = _VERIFY_PREFIX) -> None:
-    """Check the plan on its first prefix orders.
+def _meets(lhs, rhs, strict, rule: Optional[_Threshold], js, ns) -> np.ndarray:
+    """lhs >= rhs (lhs > rhs where strict) in floats.  Entries within _NEAR of
+    the boundary are decided by rule, the exact threshold form of the same
+    inequality; without a rule they fail."""
+    ok = np.where(strict, lhs > rhs, lhs >= rhs)
+    near = np.flatnonzero(_near(lhs, rhs))
+    ok[near] = rule.holds(js[near], ns[near]) if rule is not None else False
+    return ok
 
-    Every rule of the Selection is decided at each pick (j(n), n) by the exact
-    helper that selected it, so a pick on the boundary of a strict rule fails.
-    Strictly increasing indices give strictly increasing moduli.  Real parts
-    stay below omega on bounded plans; the disks have radii in (0, 1/n) and
-    are pairwise disjoint.
+
+def _verify_plan(plan: ViolatingSpectrumPlan, prefix: int = _VERIFY_PREFIX) -> None:
+    """Check the plan on the eigenvalues of its first prefix picks.
+
+    |lam_{j(n)}| >= n, Re lam_{j(n)} < n^-2 |Im lam_{j(n)}|^{1/beta} (non-strict
+    at n = 1) and, on plans with unbounded real parts, Re lam_{j(n)} >= n are
+    evaluated in floats on the eigenvalues themselves, not on the thresholds
+    that selected them, so a wrongly derived threshold fails here.  Only an
+    entry within _NEAR of its boundary is decided by the selection's exact
+    rule for that inequality (for the modulus, the leading-term bound, which
+    implies it), so a tie fails a strict inequality.  Strictly increasing
+    indices give strictly increasing moduli.  Real parts stay below omega on
+    bounded plans; the disks have radii in (0, 1/n) and are pairwise disjoint.
     """
+    sel = plan.selection
     ns = np.arange(1, prefix + 1, dtype=np.int64)
-    js = plan.selection.indices(ns)
+    js = sel.indices(ns)
     if not np.all(np.diff(js) > 0):
         raise PlanError("selected indices are not strictly increasing")
-    for t in plan.selection.thresholds:
-        if not np.all(t.meets(js, ns)):
-            raise PlanError(f"{t.name} fails on the verified prefix")
+    lams, nf = plan.spectrum.eigenvalues(js), ns.astype(float)
+    rhs = np.abs(lams.imag) ** (1.0 / plan.beta) / nf**2
+    if not np.all(_meets(np.abs(lams), nf, False, sel.modulus, js, ns)):
+        raise PlanError("|lam_{j(n)}| >= n fails on the verified prefix")
+    if not np.all(_meets(rhs, lams.real, ns >= 2, sel.violation, js, ns)):
+        raise PlanError("violation inequality fails on the verified prefix")
+    if plan.case is PlanCase.UNBOUNDED_REAL_PARTS:
+        if not np.all(_meets(lams.real, nf, False, sel.re_ge_n, js, ns)):
+            raise PlanError("Re lam_{j(n)} >= n fails on the verified prefix")
     if plan.case is PlanCase.BOUNDED_REAL_PARTS:
-        re = plan.spectrum.eigenvalues(js).real
-        if plan.omega is None or not np.all(re <= plan.omega + 1e-12):
+        if plan.omega is None or not np.all(lams.real <= plan.omega + 1e-12):
             raise PlanError("real parts exceed the declared bound omega")
     n_eps = min(prefix, 512)
     eps = plan.epsilons(n_eps)
@@ -350,10 +398,18 @@ def plan_for_spectrum(
         case = inferred
     elif case is not inferred:
         raise PlanError(f"this family supports only the {inferred.value} construction")
-    # bounded: Re lam_k = a k^p with a <= 0 (sup 0), or the constant a itself
-    omega = max(spectrum.a_re, 0.0) if case is PlanCase.BOUNDED_REAL_PARTS else None
+    selection = Selection(spectrum, beta)
+    omega = None
+    if case is PlanCase.BOUNDED_REAL_PARTS:
+        # Re lam_k = a k^p with a <= 0 (sup 0), or the constant a itself
+        omega = max(spectrum.a_re, 0.0)
     plan = ViolatingSpectrumPlan(
-        beta, case, spectrum, Selection(spectrum, beta), omega, _VERIFY_PREFIX,
+        beta=beta,
+        case=case,
+        spectrum=spectrum,
+        selection=selection,
+        omega=omega,
+        verified_prefix=_VERIFY_PREFIX,
         detail=f"{case.value} construction on {spectrum.label}",
     )
     _verify_plan(plan)
@@ -475,10 +531,14 @@ def _dense_inverse_fn(view: SupportView):
     """Dense j-indexed coefficients of a subsequence vector: n^-th coefficient
     at j = j(n), none elsewhere."""
 
+    selection = view.selection
+
     def fn(js: np.ndarray):
-        orders = view.selection.orders(js)
         mags = np.full(js.shape, NEG_INF)
-        mags[orders > 0] = view.coeff_log(orders[orders > 0])[0]
+        orders = selection.orders(js)
+        hit = orders > 0
+        if np.any(hit):
+            mags[hit] = view.coeff_log(orders[hit])[0]
         return mags, np.zeros(js.shape)
 
     return fn

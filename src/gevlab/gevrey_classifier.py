@@ -335,8 +335,10 @@ class RegionViolated:
     On a power-law family the witness is lam_{j(1)}, ..., lam_{j(12)} of the
     violating selection that plan_for_spectrum uses (counterexamples.
     Selection): |lam_{j(n)}| >= n and Re lam_{j(n)} < n^-2 |Im lam_{j(n)}|^{1/beta},
-    decided exactly.  A custom family has no selection, so its witness is
-    empty and the report's detail says so.
+    decided exactly.  The witness stops early, possibly empty, where the
+    selected indices would leave int64 (a Violated verdict all the same), and
+    a custom family has no selection, so its witness is empty; in both cases
+    the report's detail says so.
     """
 
     witness: tuple[complex, ...]
@@ -410,9 +412,14 @@ def _violated(spectrum: SpectrumFamily, beta: float, tail, extrapolated, detail)
     from .counterexamples import Selection
 
     try:
-        lams = Selection(spectrum, beta).lam(np.arange(1, 13))
+        selection = Selection(spectrum, beta)
     except PlanError as exc:
-        raise ConsistencyError(f"violated region with an empty witness: {exc}") from exc
+        raise ConsistencyError(f"violated region without a violating selection: {exc}") from exc
+    try:
+        selection.extend(12)
+    except PlanError as exc:  # the selection stops before its indices leave int64
+        detail += f"; witness cut to {len(selection)} points: {exc}"
+    lams = selection.lam(np.arange(1, len(selection) + 1))
     return RegionReport(beta, RegionViolated(tuple(lams.tolist())), tail, extrapolated, detail)
 
 

@@ -22,7 +22,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gevlab as gl
-from gevlab.counterexamples import Selection, SupportView, _dense_inverse_fn
+import gevlab.cli_reporting as cli
+from gevlab.counterexamples import Selection, SupportView, _dense_inverse_fn, _verify_plan
 from gevlab.logdomain import NEG_INF
 
 N_GOLDEN = 1 << 15
@@ -238,13 +239,44 @@ def test_region_witness_is_the_plan_selection(name, beta):
     assert rep.status.witness == tuple(want.tolist())
 
 
-def test_selection_past_int64_is_a_plan_error_and_an_empty_witness():
+def test_selection_past_int64_keeps_the_violated_verdict():
     # j(1) ~ (10 / 0.2)^1000: the coefficient leaves the float range
     spec = gl.PowerLawSpectrum(10.0, 1.0, 0.2, 1.001)
-    with pytest.raises(gl.PlanError, match="int64"):
+    with pytest.raises(gl.PlanError, match="int64 at order n=1"):
         gl.plan_for_spectrum(spec, 1.0)
-    with pytest.raises(gl.ConsistencyError, match="empty witness"):
-        gl.region_condition(spec, 1.0)
+    rep = gl.region_condition(spec, 1.0)
+    assert rep.violated and rep.status.witness == ()
+    assert "witness cut to 0 points" in rep.detail
+    # k+i*k^1.1 at beta = 1: j(n) ~ n^20 fits int64 up to n = 8 only
+    spec = gl.PowerLawSpectrum(1.0, 1.0, 1.0, 1.1)
+    rep = gl.region_condition(spec, 1.0)
+    assert rep.violated
+    want = spec.eigenvalues(np.asarray(_greedy(spec, 1.0, 8)))
+    assert rep.status.witness == tuple(want.tolist())
+    assert "witness cut to 8 points: selected index leaves int64 at order n=9" in rep.detail
+    job = cli.parse_jobspec(
+        '{"command":"classify-spectrum","beta":1,'
+        '"spectrum":{"power_law":{"a_re":1,"p_re":1,"a_im":1,"p_im":1.1}}}'
+    )
+    report = cli.run(job)
+    assert report.status == "ok" and report.error is None
+    assert report.verdicts[0]["status"] == "violated"
+    assert len(report.verdicts[0]["witness"]) == 8
+
+
+def test_verification_reads_the_eigenvalues_not_the_thresholds():
+    # a selection that lost its violation threshold picks j(n) = n on
+    # k+i*k^4 at beta = 2, where Re = n > n^-2 |Im|^{1/2} = 1 for n >= 2
+    spec = gl.builtin_spectra()["mixed-quart"]
+    sel = Selection(spec, 2.0)
+    sel.thresholds = [sel.modulus, sel.re_ge_n]
+    plan = gl.ViolatingSpectrumPlan(
+        beta=2.0, case=gl.PlanCase.UNBOUNDED_REAL_PARTS, spectrum=spec,
+        selection=sel, omega=None, verified_prefix=0,
+    )
+    assert sel.indices(np.arange(1, 4)).tolist() == [1, 2, 3]
+    with pytest.raises(gl.PlanError, match="violation inequality"):
+        _verify_plan(plan)
 
 
 def test_custom_family_region_has_no_witness():
@@ -288,7 +320,8 @@ def test_dense_inverse_matches_brute_force(decay):
     # the selection grows only to the order whose index reaches 2^20
     spec = gl.builtin_spectra()["mixed-quart"]
     fresh = gl.ViolatingSpectrumPlan(
-        2.0, gl.PlanCase.UNBOUNDED_REAL_PARTS, spec, Selection(spec, 2.0), None, 0
+        beta=2.0, case=gl.PlanCase.UNBOUNDED_REAL_PARTS, spectrum=spec,
+        selection=Selection(spec, 2.0), omega=None, verified_prefix=0,
     )
     view = SupportView(fresh, decay)
     js = np.arange(1, (1 << 20) + 1, dtype=np.int64)
