@@ -53,6 +53,7 @@ _MAX_INDEX = 2.0**63  # indices are int64
 # Float estimates this close (relative) to an integer, or to the index they are
 # compared with, are settled by the exact rule; their own error is a few ulps.
 _NEAR = 2.0**-40
+_FLOAT_EXACT = 2.0**50  # float64 estimates below it are within one of T(n)
 _MAX_DENOM = 64  # larger common exponent denominators use interval arithmetic
 _IV_PREC = 80  # bits
 _S_PROBES = (2.0**-10, 1.0, 2.0**10)
@@ -70,6 +71,12 @@ class PlanCase(Enum):
 
 def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a - b) <= _NEAR * np.maximum(np.abs(a), np.abs(b))
+
+
+def _extended(x: Fraction) -> np.longdouble:
+    """x in numpy's extended precision: its float plus the float of the rest."""
+    hi = float(x)
+    return np.longdouble(hi) + np.longdouble(float(x - Fraction(hi)))
 
 
 def _log(x: Fraction) -> float:
@@ -99,6 +106,17 @@ class _Threshold:
             self.coeff = math.exp(sum(float(q / self.e) * _log(b) for b, q in self.factors))
         except OverflowError:  # past the float range: T(n) leaves int64 at once
             self.exponent = self.coeff = math.inf
+        # n^exponent is corrected by n^(m/e - exponent): on i*k^0.2 at
+        # beta = 1 the float exponent is 5.0, and from about n = 1,000 n^5.0
+        # is off T(n) by more than one.  From 2^50 on, float64 itself is too
+        # coarse, so there the estimate runs in numpy's extended precision
+        # (float64 on platforms without one).
+        self._exponent_err = 0.0
+        self._coeff_ext = np.longdouble(math.inf)
+        if math.isfinite(self.coeff):
+            self._exponent_err = float(self.m / self.e - Fraction(self.exponent))
+            log_k = sum(_extended(q / self.e) * np.log(_extended(b)) for b, q in self.factors)
+            self._coeff_ext = np.exp(log_k)
         den = math.lcm(*(q.denominator for q in (self.e, self.m, *(q for _, q in self.factors))))
         self._iv = None
         self._int = None  # (Q, E, P, M): Q j^E >= P n^M, with K^den = P / Q
@@ -107,7 +125,16 @@ class _Threshold:
             self._int = (k.denominator, int(self.e * den), k.numerator, int(self.m * den))
 
     def estimate(self, ns: np.ndarray) -> np.ndarray:
-        return self.coeff * ns.astype(float) ** self.exponent
+        x = self._power(self.coeff, ns.astype(float))
+        big = np.flatnonzero(x >= _FLOAT_EXACT)
+        if big.size:
+            x = x.astype(np.longdouble)
+            x[big] = self._power(self._coeff_ext, ns[big].astype(np.longdouble))
+        return x
+
+    def _power(self, coeff, nf: np.ndarray) -> np.ndarray:
+        x = coeff * nf**self.exponent
+        return x * np.exp(self._exponent_err * np.log(nf)) if self._exponent_err else x
 
     def holds(self, js: np.ndarray, ns: np.ndarray) -> np.ndarray:
         """The condition at each (j, n), decided exactly."""
@@ -144,9 +171,10 @@ class _Threshold:
         """T(n), the least j meeting the condition, at each order n.
 
         ceil(x) of the estimate x where x is clear of an integer.  Elsewhere
-        T(n) lies in x (1 +- _NEAR) +- 1: ceil(x) and ceil(x) - 1 are tested
-        exactly first, and the window is bisected only where they leave T(n)
-        open.  An index j <= 0 never meets the condition (K > 0).
+        T(n) lies in x (1 +- _NEAR) +- 1: c = ceil(x) is tested exactly, then
+        c - 1 where c meets the condition and c + 1 where it fails, and the
+        window is bisected only where those two leave T(n) open.  An index
+        j <= 0 never meets the condition (K > 0).
         """
         x = self.estimate(ns)
         out = np.ceil(x).astype(np.int64)
@@ -156,11 +184,11 @@ class _Threshold:
         lo = np.maximum(np.floor(x * (1.0 - _NEAR)) - 1.0, 0.0).astype(np.int64)
         hi = np.ceil(x * (1.0 + _NEAR)).astype(np.int64) + 1
         top = self.holds(c, ns)
-        below = np.zeros_like(top)
-        probe = np.flatnonzero(top & (c > 1))
-        below[probe] = self.holds(c[probe] - 1, ns[probe])
-        hi = np.where(below, c - 1, np.where(top, c, hi))
-        lo = np.where(top & ~below, c - 1, np.where(top, lo, c))
+        hi, lo = np.where(top, c, hi), np.where(top, lo, c)
+        side = np.where(top, c - 1, c + 1)
+        ask = np.flatnonzero((lo < side) & (side < hi))
+        ok = self.holds(side[ask], ns[ask])
+        hi[ask[ok]], lo[ask[~ok]] = side[ask[ok]], side[ask[~ok]]
         while (act := np.flatnonzero(hi - lo > 1)).size:
             mid = (lo[act] + hi[act]) // 2
             ok = self.holds(mid, ns[act])

@@ -2,17 +2,24 @@
 
 Membership of order beta is probed through the exponential domains
 D(e^{s|A|^{1/beta}}): a positive critical scale s* marks the Roumieu class,
-s* = +infinity the Beurling class.  The universal ("for all s") Beurling
-statement is decided by closed-form exponent comparison on supported
-families, with the numeric certificate at the largest probed s kept as a
-consistency check.  The geometric spectral-region test and the growth-order
-estimator live here as well.
+s* = +infinity the Beurling class.  Where the envelopes of the growth
+|lam|^{1/beta} and of the coefficient decay share their leading scale, s* is
+the ratio of their leading coefficients: that closed form gives a bracket,
+and two or three rigorous probes certify it at both ends.  Elsewhere
+bisection over s brackets s*, and only a symbolic divergence moves the upper
+end of its bracket.  The universal ("for all s") Beurling statement is
+decided by closed-form exponent comparison on supported families, with the
+numeric certificate at the largest probed s kept as a consistency check.
+The geometric spectral-region test and the growth-order estimator live here
+as well.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -28,7 +35,7 @@ from .borel_calculus import (
 from .errors import ConsistencyError, DomainError, HarnessError, PlanError, VectorError
 from .evolution import SolutionHandle, check_admissible, solve
 from .logdomain import NEG_INF
-from .series import DEFAULT_BUDGET, SeriesBudget, SeriesStatus
+from .series import DEFAULT_BUDGET, RIGOROUS_ROUTES, SeriesBudget, SeriesStatus
 from .spectral_core import (
     CoefficientVector,
     CustomSpectrum,
@@ -55,8 +62,11 @@ class GevreyVerdict:
 
     member is True only when backed by a convergence certificate at some
     probed scale (Roumieu) or by the closed-form rule plus the top-scale
-    certificate (Beurling); False only with a divergence certificate;
-    None is an explicit Unknown.
+    certificate (Beurling); False only with a divergence certificate (for
+    Beurling, the divergence at the top of a closed-form tie bracket or at
+    the top probe s = 2^20); None is an explicit Unknown.  s* lies in
+    [s_star_low, s_star_high], whose low end is a probed scale that
+    converged and whose finite high end one that diverged.
     """
 
     flavor: GevreyFlavor
@@ -91,10 +101,18 @@ def _leading_scale(form) -> tuple:
 
 
 def _closed_forms(f: CoefficientVector, beta: float):
-    """(roumieu, beurling, s_upper) closed-form verdicts from exponent comparison.
+    """(roumieu, beurling, bracket) from the leading scales of the envelopes.
 
-    s_upper, when finite, is a scale at which membership is symbolically
-    certain (used to rescue critical scales below the probe floor).
+    At scale s the log-terms of the probe lie between the decay envelope of
+    f plus s times the growth envelope of |lam|^{1/beta}, lower with lower
+    and upper with upper.  A decay scale k^q (log k)^m above the growth's
+    converges at every s; a growth scale above the decay's, confirmed on the
+    lower envelopes, converges at none.  When the two leading scales tie at a
+    power k^q, q > 0, the leading terms cancel at s* = |c_d| / c_g, and
+    bracket is ((|c_d|, c_g) on the upper envelopes, the same pair on the
+    lower envelopes): every s below the upper ratio converges, every s above
+    the lower ratio diverges.  The lower pair is None when a lower envelope
+    is missing or has another leading scale.  Otherwise bracket is None.
     """
     space = f.series_space()
     growth = space.abs_pow_bounds(1.0 / beta)
@@ -120,8 +138,15 @@ def _closed_forms(f: CoefficientVector, beta: float):
     if (qd, md) > (qg, mg):
         return True, True, None
     if (qd, md) == (qg, mg):
-        # membership certain for s below |cd|/cg on the upper envelopes
-        return True, False, abs(cd) / (2.0 * cg)
+        if qg <= 0:
+            return True, False, None
+        lower = None
+        if growth.lower is not None and decay.lower is not None:
+            ql, ml, cl = _leading_scale(growth.lower)
+            qdl, mdl, cdl = _leading_scale(decay.lower)
+            if cl > 0 and cdl < 0 and (ql, ml) == (qdl, mdl) == (qg, mg):
+                lower = (-cdl, cl)
+        return True, False, ((-cd, cg), lower)
     # growth scale strictly dominates: no s can work when the lower
     # envelopes confirm
     if growth.lower is not None and decay.lower is not None:
@@ -133,6 +158,53 @@ def _closed_forms(f: CoefficientVector, beta: float):
 
 def _probe(f: CoefficientVector, s: float, beta: float, budget: SeriesBudget) -> DomainVerdict:
     return domain_member_direct(GevreyExpSymbol(s, beta), f, budget, resolve_value=False)
+
+
+def _certified_bracket(probe, bracket) -> Optional[tuple[float, float]]:
+    """The closed-form tie bracket of _closed_forms, certified at both ends.
+
+    probe(s) returns (member, rigorous).  The probes decide by the sign of
+    the envelopes' leading coefficient in floats, c_d + s * c_g, which reads
+    0 wherever the product rounds onto |c_d|; so they sit where that sign is
+    the true one.  below is the largest scale under the upper ratio r_lo at
+    which s * c_g < |c_d| in floats on both envelopes.  s_hi is the lower
+    ratio r_hi when it is a float (the cancellation is then exact), else the
+    least float with s * c_g > |c_d| on the lower envelopes.  A rigorous
+    convergence at below and a rigorous divergence at s_hi give
+    [below, s_hi].  A rigorous convergence at s_hi counts only when s_hi is
+    r_lo itself: it puts s* at s_hi, and a rigorous divergence at the next
+    scale up whose lower coefficient is positive gives [s_hi, that scale].
+    Any other outcome gives None.
+    """
+    upper, lower = bracket
+    if lower is None:
+        return None
+    (d_u, g_u), (d_l, g_l) = upper, lower
+    r_lo, r_hi = Fraction(d_u) / Fraction(g_u), Fraction(d_l) / Fraction(g_l)
+    if not r_lo <= r_hi < sys.float_info.max:
+        return None
+
+    def diverging(s: float) -> float:  # the least scale from s on with s * g_l > d_l
+        while s * g_l <= d_l:
+            s = math.nextafter(s, math.inf)
+        return s
+
+    below = float(r_lo)
+    while below > 0.0 and (below * g_u >= d_u or below * g_l >= d_l):
+        below = math.nextafter(below, 0.0)
+    s_hi = float(r_hi)
+    if s_hi != r_hi:
+        s_hi = diverging(s_hi)
+    if below == 0.0 or probe(below) != (True, True):
+        return None
+    got = probe(s_hi)
+    if got == (False, True):
+        return below, s_hi
+    if got == (True, True) and s_hi == r_lo:
+        top = diverging(math.nextafter(s_hi, math.inf))
+        if top < math.inf and probe(top) == (False, True):
+            return s_hi, top
+    return None
 
 
 def _classify_both(
@@ -149,37 +221,51 @@ def _classify_both(
         b = GevreyVerdict(GevreyFlavor.BEURLING, True, math.inf, math.inf, tuple(probes), detail=detail)
         return r, b
 
-    closed_r, closed_b, s_rescue = _closed_forms(f, beta)
-
-    def probe(s: float) -> Optional[bool]:
+    def probe(s: float) -> tuple[Optional[bool], bool]:
+        """(member, rigorous): rigorous when a closed-form route decided."""
         v = _probe(f, s, beta, budget)
         probes.append((s, v.certificate.status.value))
-        return v.member
+        return v.member, v.certificate.route in RIGOROUS_ROUTES
 
-    lo = probe(_S_LO)
+    closed_r, closed_b, bracket = _closed_forms(f, beta)
+    tie = _certified_bracket(probe, bracket) if bracket is not None else None
+    if tie is not None:
+        s_low, s_high = tie
+        r = GevreyVerdict(
+            GevreyFlavor.ROUMIEU, True, s_low, s_high, tuple(probes),
+            detail="closed-form tie bracket, certified at both ends",
+        )
+        b = GevreyVerdict(
+            GevreyFlavor.BEURLING, False, s_low, s_high, tuple(probes),
+            detail="closed-form tie bracket: divergence at its top",
+        )
+        return r, b
+
+    lo, _ = probe(_S_LO)
     s_low, s_high = 0.0, math.inf
     roumieu: Optional[bool]
     if lo is True:
         roumieu = True
         s_low = _S_LO
-        hi = probe(_S_HI)
+        hi, hi_rigorous = probe(_S_HI)
         if hi is True:
             s_low = _S_HI
         else:
-            # working window [e_lo, e_hi]; only certified refutations may
+            # working window [e_lo, e_hi]; only rigorous refutations may
             # tighten the reported upper end of the bracket
-            hi_cert = 20.0 if hi is False else math.inf
+            hi_cert = 20.0 if hi is False and hi_rigorous else math.inf
             e_lo, e_hi = -20.0, 20.0
             misses = 0
             for _ in range(_BISECT_STEPS):
                 mid = 0.5 * (e_lo + e_hi)
-                got = probe(2.0**mid)
+                got, rigorous = probe(2.0**mid)
                 if got is True:
                     e_lo = mid
                     misses = 0
                 elif got is False:
                     e_hi = mid
-                    hi_cert = min(hi_cert, mid)
+                    if rigorous:
+                        hi_cert = min(hi_cert, mid)
                     misses = 0
                 else:
                     misses += 1
@@ -190,18 +276,8 @@ def _classify_both(
             s_high = 2.0**hi_cert if hi_cert < math.inf else math.inf
     elif lo is False:
         s_high = _S_LO
-        if closed_r is True and s_rescue is not None and s_rescue < _S_LO:
-            got = probe(s_rescue)
-            if got is True:
-                roumieu = True
-                s_low = s_rescue
-            else:
-                roumieu = False
-        else:
-            roumieu = False if closed_r in (False, None) else closed_r
-            if roumieu is True:
-                # closed form promises a scale but none was certified
-                roumieu = None
+        # a closed-form promise of some scale that no probe certified
+        roumieu = None if closed_r is True else False
     else:
         roumieu = None
 

@@ -49,6 +49,10 @@ class SeriesBudget:
 
 DEFAULT_BUDGET = SeriesBudget()
 
+#: Routes whose verdict a closed form proves; block-ratio, term-growth and
+#: sum-cap extrapolate from the summed prefix.
+RIGOROUS_ROUTES = frozenset({"exact-finite", "symbolic-tail", "symbolic-divergence"})
+
 _RATIO_CAP = 0.999
 _FLAT_SLACK = 1e-12
 

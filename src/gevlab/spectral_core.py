@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .asymptotics import AsymForm, TailBounds, form_converges
+from .asymptotics import AsymForm, AsymTerm, TailBounds, form_converges
 from .errors import SpectrumError, VectorError
 from .logdomain import NEG_INF, LogPolar, wrap_phase
 from .series import (
@@ -174,12 +174,30 @@ class PowerLawSpectrum(SpectrumFamily):
         return p1, a1, slack
 
     def abs_pow_bounds(self, q: float) -> TailBounds:
+        """Envelopes of |lam_k|^q.
+
+        The lower envelope is the leading part a_hi^q k^{p_hi q}.  With both
+        parts present at different exponents and 0 < q <= 1, the upper
+        envelope |a_re|^q k^{p_re q} + |a_im|^q k^{p_im q} holds from k = 1
+        (the triangle inequality, then subadditivity of x^q), so both
+        envelopes share their leading term.  For q > 1 the upper envelope is
+        the leading part times the multiplicative slack of _abs_leading,
+        valid from k = 1,024.
+        """
         if q <= 0:
             raise ValueError("abs_pow_bounds expects q > 0")
         p, a, slack = self._abs_leading()
         lower = AsymForm.power(p * q, a**q)
         if slack == 1.0:
             return TailBounds.exact(lower)
+        if q <= 1.0:
+            upper = AsymForm.build(
+                (
+                    AsymTerm(self.p_re * q, 0, abs(self.a_re) ** q),
+                    AsymTerm(self.p_im * q, 0, abs(self.a_im) ** q),
+                )
+            )
+            return TailBounds(lower, upper, 1)
         upper = AsymForm.power(p * q, (a * slack) ** q)
         return TailBounds(lower, upper, _MIXED_K0)
 

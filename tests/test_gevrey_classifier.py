@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,9 +37,10 @@ def test_critical_scale_bracket_matches_closed_form():
 
 
 def test_mixed_growth_boundary_keeps_a_sound_bracket():
-    # lam = k + i sqrt(k): |lam| = k + 1/2 + O(1/k), so s* = 1 exactly, but
-    # the componentwise envelopes straddle near 1 and some probes come back
-    # inconclusive; the certified bracket must still contain 1
+    # lam = k + i sqrt(k): |lam| = k + 1/2 + O(1/k), so s* = 1 exactly.  The
+    # envelopes of |lam| are k and k + sqrt(k), which share their leading
+    # term, so the closed-form tie bracket is certified at both ends: a
+    # convergence just below 1 and a divergence at 1
     spec = gl.PowerLawSpectrum(1, 1, 1, 0.5)
     f = gl.CoefficientVector.power_decay(spec, 1.0, 1.0)
     r = gl.vector_class(f, 1.0, gl.GevreyFlavor.ROUMIEU)
@@ -47,6 +49,99 @@ def test_mixed_growth_boundary_keeps_a_sound_bracket():
     assert r.s_star_high - r.s_star_low < 1e-3
     statuses = {status for _, status in r.probes}
     assert "converges" in statuses and "diverges" in statuses
+
+
+def _traced_classification(monkeypatch, f, beta):
+    """Both verdicts of f, with the certificate route of every probe."""
+    from gevlab import gevrey_classifier as gc
+
+    routes = []
+    probe = gc._probe
+
+    def traced(*args):
+        v = probe(*args)
+        routes.append(v.certificate.route)
+        return v
+
+    monkeypatch.setattr(gc, "_probe", traced)
+    r, b = gc._classify_both(f, beta, gl.DEFAULT_BUDGET)
+    return r, b, routes
+
+
+def _solution(spectrum, label, t):
+    """y(t) from the catalog vector `label` on a builtin spectrum name or a family."""
+    spec = gl.builtin_spectra()[spectrum] if isinstance(spectrum, str) else spectrum
+    (v,) = [v for v in gl.builtin_vectors(spec) if v.label == label]
+    return gl.solve(gl.SolutionHandle(v, gl.check_admissible(v)), t)
+
+
+_BELOW_ONE = math.nextafter(1.0, 0.0)
+_THIRD = (0.33333333333333326, 0.3333333333333334)
+
+
+@pytest.mark.parametrize(
+    "make, beta, s_star, bracket",
+    [
+        # e^{-k^2 + t k} against |lam|^{1/2} in [k^2, k^2 + k^{1/2}]: s* = 1
+        (lambda: _solution("mixed-quart", "gauss", 0.0), 2.0, 1, (_BELOW_ONE, 1.0)),
+        (lambda: _solution("mixed-quart", "gauss", 1.0), 2.0, 1, (_BELOW_ONE, 1.0)),
+        (lambda: _solution("imag-quad", "gauss", 0.0), 1.0, 1, (_BELOW_ONE, 1.0)),
+        (lambda: _solution("imag-quart", "gauss", 0.0), 2.0, 1, (_BELOW_ONE, 1.0)),
+        # k^-2 e^{-t k} against |lam| = k: the series still converges at s* = t
+        (lambda: _solution("neg-real", "poly2", 0.5), 1.0, 0.5, (0.5, math.nextafter(0.5, 2))),
+        (lambda: _solution("neg-real", "poly2", 1.0), 1.0, 1, (1.0, math.nextafter(1.0, 2))),
+        (lambda: _solution("neg-real", "poly2", 2.0), 1.0, 2, (2.0, math.nextafter(2.0, 3))),
+        # s* = 1/3 is no float, and 3 s rounds onto 1 at both neighbours of it
+        (
+            lambda: gl.CoefficientVector.power_decay(gl.PowerLawSpectrum(3, 1, 0, 0), 1.0, 1.0),
+            1.0,
+            Fraction(1, 3),
+            _THIRD,
+        ),
+        # k^-2 e^{-fl(3 fl(1/3)) k} against |lam| = 3k
+        (
+            lambda: _solution(gl.PowerLawSpectrum(-3, 1, 0, 0), "poly2", 1 / 3),
+            1.0,
+            Fraction(1, 3),
+            _THIRD,
+        ),
+    ],
+    ids=[
+        "mixed-quart-t0", "mixed-quart-t1", "imag-quad", "imag-quart",
+        "neg-real-t0.5", "neg-real-t1", "neg-real-t2", "e^-k-on-3k", "k^-2-on--3k-t1/3",
+    ],
+)
+def test_tie_brackets_are_closed_form_and_rigorous(monkeypatch, make, beta, s_star, bracket):
+    r, b, routes = _traced_classification(monkeypatch, make(), beta)
+    assert (r.member, b.member) == (True, False)
+    assert (r.s_star_low, r.s_star_high) == bracket
+    assert (b.s_star_low, b.s_star_high) == bracket
+    assert Fraction(r.s_star_low) <= s_star <= Fraction(r.s_star_high)
+    assert len(r.probes) <= 3 and len(routes) == len(r.probes)
+    assert set(routes) <= {"exact-finite", "symbolic-tail", "symbolic-divergence"}
+    assert routes[-1] == "symbolic-divergence"
+
+
+@pytest.mark.parametrize("lead", [-1.0, -0.5])
+def test_bisection_tightens_the_bracket_only_on_proof(lead):
+    # coefficients e^{k - k^2} on k + i k^4 at beta = 2: s* = 1.  With only an
+    # upper envelope, lead k^2 + k, the tie cannot be certified from above, so
+    # bisection runs.  Its refutations all come from empirical routes, some
+    # (sum-cap) below s* when lead = -0.5: they shrink the search window, but
+    # without a symbolic divergence the bracket keeps no upper end
+    spec = gl.builtin_spectra()["mixed-quart"]
+
+    def coeffs(ks):
+        k = ks.astype(float)
+        return k - k**2, np.zeros(k.shape)
+
+    upper = gl.AsymForm.power(2.0, lead) + gl.AsymForm.power(1.0, 1.0)
+    f = gl.CoefficientVector.custom(spec, coeffs, gl.TailBounds(None, upper, 1))
+    r = gl.vector_class(f, 2.0, R)
+    assert r.member is True
+    assert r.s_star_low <= 1.0 <= r.s_star_high == math.inf
+    assert len(r.probes) == 62
+    assert "diverges" in {status for _, status in r.probes}
 
 
 def test_fast_spectrum_refutes_roumieu():

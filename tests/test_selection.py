@@ -13,6 +13,7 @@ the selection on more families, and a loop checks the disk radii.
 
 import hashlib
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -23,7 +24,13 @@ from hypothesis import strategies as st
 
 import gevlab as gl
 import gevlab.cli_reporting as cli
-from gevlab.counterexamples import Selection, SupportView, _dense_inverse_fn, _verify_plan
+from gevlab.counterexamples import (
+    Selection,
+    SupportView,
+    _dense_inverse_fn,
+    _Threshold,
+    _verify_plan,
+)
 from gevlab.logdomain import NEG_INF
 
 N_GOLDEN = 1 << 15
@@ -191,6 +198,28 @@ def test_blocks_match_scalar_greedy(a_re, p_re, a_im, p_im, beta, orders):
     for n in (1, 7, 300, orders):  # extensions seeded at several places
         sel.extend(n)
     assert sel.indices(np.arange(1, orders + 1)).tolist() == _greedy(spec, beta, orders)
+
+
+@pytest.mark.parametrize(
+    "a_re,p_re,a_im,p_im,beta", [(0.0, 0.0, 1.0, 0.2, 1.0), (0.5, 0.0, 1.0, 0.5, 1.3)]
+)
+def test_thresholds_take_at_most_two_exact_evaluations_per_order(
+    monkeypatch, a_re, p_re, a_im, p_im, beta
+):
+    # float(m/e) rounds the exponent 1/0.2 of i*k^0.2 at beta = 1 to 5.0, and
+    # float64 spacing passes 1 near 2^53: both move the estimate of T(n) off
+    # by more than one, which costs a bisection of the exact window
+    evaluations = Counter()
+    holds = _Threshold.holds
+
+    def counted(self, js, ns):
+        evaluations[self.name] += np.asarray(js).size
+        return holds(self, js, ns)
+
+    monkeypatch.setattr(_Threshold, "holds", counted)
+    sel = Selection(gl.PowerLawSpectrum(a_re, p_re, a_im, p_im), beta)
+    sel.extend(2000)
+    assert evaluations and all(count <= 2 * 2000 for count in evaluations.values())
 
 
 @settings(max_examples=60, deadline=None)

@@ -279,3 +279,48 @@ def test_custom_spectrum_with_exponents_estimates_envelopes():
     rb = spec.re_bounds()
     assert rb is not None and rb.lower.terms[0].coeff > 0
     assert spec.unbounded is True
+
+
+def _mp_form(form, k):
+    """An envelope's value at k in mpmath, from its float coefficients."""
+    import mpmath
+
+    k = mpmath.mpf(k)
+    return mpmath.mpf(form.const) + sum(
+        mpmath.mpf(t.coeff) * k ** mpmath.mpf(t.power) * mpmath.log(k) ** t.log_power
+        for t in form.terms
+    )
+
+
+@pytest.mark.parametrize(
+    "a_re, p_re, a_im, p_im",
+    [
+        (1, 1, 1, 4),
+        (1, 1, 1, 0.5),
+        (2, 1.5, 0.5, 0.5),
+        (-3, 2, 0.25, 1),
+        (0.5, 0, 1, 2),
+        (1, 3, -2, 1),
+    ],
+)
+@pytest.mark.parametrize("q", [1.0, 1 / 1.5, 0.5])
+def test_abs_pow_envelopes_hold_against_an_oracle(a_re, p_re, a_im, p_im, q):
+    # lower(k) <= |lam_k|^q <= upper(k) from k = 1 on, |lam_k|^q at 50 digits.
+    # The envelopes' float coefficients and exponents sit a few ulps off their
+    # real values, an error that k^power magnifies by log k: hence the
+    # relative slack of 2^-48 (1 + log k)
+    import mpmath
+
+    spec = gl.PowerLawSpectrum(a_re, p_re, a_im, p_im)
+    env = spec.abs_pow_bounds(q)
+    assert env.k_min == 1
+    rng = np.random.default_rng(7)
+    ks = sorted({1, 2, 3, 10, *(2**j for j in range(41)), *rng.integers(1, 2**40, 20).tolist()})
+    with mpmath.workdps(50):
+        for k in ks:
+            slack = mpmath.mpf(2) ** -48 * (1 + mpmath.log(k))
+            re = mpmath.mpf(a_re) * mpmath.mpf(k) ** mpmath.mpf(p_re)
+            im = mpmath.mpf(a_im) * mpmath.mpf(k) ** mpmath.mpf(p_im)
+            value = mpmath.hypot(re, im) ** mpmath.mpf(q)
+            assert _mp_form(env.lower, k) <= value * (1 + slack), k
+            assert value <= _mp_form(env.upper, k) * (1 + slack), k
