@@ -10,7 +10,7 @@ sequence between two forms beyond an explicit index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -21,12 +21,65 @@ from .logdomain import NEG_INF, logaddexp
 
 @dataclass(frozen=True, order=True)
 class AsymTerm:
+    """c k^power (log k)^log_power, with c = coeff + residual.
+
+    A merged or scaled coefficient keeps the rounding error of its float in
+    residual, so where c_d + s c_g cancels to within a rounding, coeff still
+    has the sign of the real sum; that sign decides between the symbolic
+    convergence and divergence routes.
+    """
+
     power: float
     log_power: int
     coeff: float
+    residual: float = field(default=0.0, compare=False)
 
     def scale(self) -> tuple:
         return (self.power, self.log_power)
+
+
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a float into two halves
+
+
+def _two_sum(a: float, b: float) -> tuple[float, float]:
+    """a + b as its float and the exact rounding error (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _two_prod(a: float, b: float) -> tuple[float, float]:
+    """a * b as its float and the exact rounding error (Dekker), barring
+    overflow and underflow."""
+    p = a * b
+    t = _SPLIT * a
+    ah = t - (t - a)
+    t = _SPLIT * b
+    bh = t - (t - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _term(power: float, log_power: int, parts, factor: float = 1.0) -> AsymTerm:
+    """The term with coefficient factor * sum(parts), rounded once.
+
+    The sum runs in double-double arithmetic.  Non-finite inputs, and
+    values near the ends of the float range, fall back to float arithmetic.
+    """
+    hi = lo = 0.0
+    for x in parts:
+        if x == 0.0:
+            continue
+        if factor != 1.0:
+            x, e = _two_prod(factor, x)
+            lo += e
+        hi, e = _two_sum(hi, x)
+        lo += e
+    coeff = hi + lo
+    residual = lo - (coeff - hi)
+    if not (math.isfinite(coeff) and math.isfinite(residual)):
+        return AsymTerm(power, log_power, factor * sum(parts))
+    return AsymTerm(power, log_power, coeff, residual)
 
 
 @dataclass(frozen=True)
@@ -38,7 +91,9 @@ class AsymForm:
 
     @classmethod
     def build(cls, terms, const: float = 0.0) -> "AsymForm":
-        merged: dict[tuple, float] = {}
+        """Terms of one scale merge into one; _term sums their coefficients
+        with their residuals and rounds once."""
+        merged: dict[tuple, list[AsymTerm]] = {}
         c = float(const)
         for t in terms:
             if t.coeff == 0.0:
@@ -46,14 +101,13 @@ class AsymForm:
             if t.power == 0.0 and t.log_power == 0:
                 c += t.coeff
                 continue
-            key = (t.power, t.log_power)
-            merged[key] = merged.get(key, 0.0) + t.coeff
-        kept = tuple(
-            AsymTerm(q, m, v)
-            for (q, m), v in sorted(merged.items(), reverse=True)
-            if v != 0.0
-        )
-        return cls(kept, c)
+            merged.setdefault((t.power, t.log_power), []).append(t)
+        kept = []
+        for (q, m), ts in sorted(merged.items(), reverse=True):
+            t = ts[0] if len(ts) == 1 else _term(q, m, [x for u in ts for x in (u.coeff, u.residual)])
+            if t.coeff != 0.0:
+                kept.append(t)
+        return cls(tuple(kept), c)
 
     @classmethod
     def constant(cls, c: float) -> "AsymForm":
@@ -78,7 +132,7 @@ class AsymForm:
         if c == 0.0:
             return AsymForm.constant(0.0)
         return AsymForm.build(
-            tuple(AsymTerm(t.power, t.log_power, c * t.coeff) for t in self.terms),
+            tuple(_term(t.power, t.log_power, (t.coeff, t.residual), c) for t in self.terms),
             c * self.const,
         )
 

@@ -79,6 +79,13 @@ def _extended(x: Fraction) -> np.longdouble:
     return np.longdouble(hi) + np.longdouble(float(x - Fraction(hi)))
 
 
+def _log_extended(x: Fraction) -> np.longdouble:
+    """log x in numpy's extended precision, for any positive rational x:
+    x = 2^k r with r in (1/2, 2) keeps the float conversion in range."""
+    k = x.numerator.bit_length() - x.denominator.bit_length()
+    return k * np.log(np.longdouble(2)) + np.log(_extended(x / Fraction(2) ** k))
+
+
 def _log(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
@@ -106,16 +113,14 @@ class _Threshold:
             self.coeff = math.exp(sum(float(q / self.e) * _log(b) for b, q in self.factors))
         except OverflowError:  # past the float range: T(n) leaves int64 at once
             self.exponent = self.coeff = math.inf
-        # n^exponent is corrected by n^(m/e - exponent): on i*k^0.2 at
-        # beta = 1 the float exponent is 5.0, and from about n = 1,000 n^5.0
-        # is off T(n) by more than one.  From 2^50 on, float64 itself is too
-        # coarse, so there the estimate runs in numpy's extended precision
-        # (float64 on platforms without one).
+        # float(m/e) is corrected by n^(m/e - exponent): alone, it is 5.0 for
+        # i*k^0.2 at beta = 1, and from about n = 1,000 n^5.0 is off T(n) by
+        # more than one.  _coeff_ext is K^{1/e} in numpy's extended precision.
         self._exponent_err = 0.0
         self._coeff_ext = np.longdouble(math.inf)
         if math.isfinite(self.coeff):
             self._exponent_err = float(self.m / self.e - Fraction(self.exponent))
-            log_k = sum(_extended(q / self.e) * np.log(_extended(b)) for b, q in self.factors)
+            log_k = sum(_extended(q / self.e) * _log_extended(b) for b, q in self.factors)
             self._coeff_ext = np.exp(log_k)
         den = math.lcm(*(q.denominator for q in (self.e, self.m, *(q for _, q in self.factors))))
         self._iv = None
@@ -125,16 +130,12 @@ class _Threshold:
             self._int = (k.denominator, int(self.e * den), k.numerator, int(self.m * den))
 
     def estimate(self, ns: np.ndarray) -> np.ndarray:
-        x = self._power(self.coeff, ns.astype(float))
-        big = np.flatnonzero(x >= _FLOAT_EXACT)
-        if big.size:
-            x = x.astype(np.longdouble)
-            x[big] = self._power(self._coeff_ext, ns[big].astype(np.longdouble))
-        return x
-
-    def _power(self, coeff, nf: np.ndarray) -> np.ndarray:
-        x = coeff * nf**self.exponent
-        return x * np.exp(self._exponent_err * np.log(nf)) if self._exponent_err else x
+        """K^{1/e} n^(m/e): in float64 while that lands within one of T(n),
+        past 2^50 in numpy's extended precision (float64 on platforms without
+        one), whose array arithmetic is several times slower."""
+        wide = ns.size and self.coeff * float(ns.max()) ** self.exponent >= _FLOAT_EXACT
+        nf = ns.astype(np.longdouble if wide else float)
+        return nf.dtype.type(self._coeff_ext) * nf**self.exponent * np.exp(self._exponent_err * np.log(nf))
 
     def holds(self, js: np.ndarray, ns: np.ndarray) -> np.ndarray:
         """The condition at each (j, n), decided exactly."""
@@ -171,15 +172,16 @@ class _Threshold:
         """T(n), the least j meeting the condition, at each order n.
 
         ceil(x) of the estimate x where x is clear of an integer.  Elsewhere
-        T(n) lies in x (1 +- _NEAR) +- 1: c = ceil(x) is tested exactly, then
+        T(n) lies in x (1 +- _NEAR) +- 1: c = rint(x) is tested exactly, then
         c - 1 where c meets the condition and c + 1 where it fails, and the
         window is bisected only where those two leave T(n) open.  An index
         j <= 0 never meets the condition (K > 0).
         """
         x = self.estimate(ns)
         out = np.ceil(x).astype(np.int64)
-        near = np.flatnonzero(_near(x, np.rint(x)))
-        x, ns, c = x[near], ns[near], out[near]
+        r = np.rint(x)
+        near = np.flatnonzero(_near(x, r))
+        x, ns, c = x[near], ns[near], r[near].astype(np.int64)
         # lo fails and hi meets the condition
         lo = np.maximum(np.floor(x * (1.0 - _NEAR)) - 1.0, 0.0).astype(np.int64)
         hi = np.ceil(x * (1.0 + _NEAR)).astype(np.int64) + 1

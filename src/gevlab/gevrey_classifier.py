@@ -17,7 +17,6 @@ as well.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from enum import Enum
@@ -25,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .asymptotics import GrowthKind, classify_form
+from .asymptotics import AsymTerm, GrowthKind, classify_form
 from .borel_calculus import (
     DomainVerdict,
     GevreyExpSymbol,
@@ -101,18 +100,19 @@ def _leading_scale(form) -> tuple:
 
 
 def _closed_forms(f: CoefficientVector, beta: float):
-    """(roumieu, beurling, bracket) from the leading scales of the envelopes.
+    """(roumieu, beurling, tie) from the leading scales of the envelopes.
 
     At scale s the log-terms of the probe lie between the decay envelope of
     f plus s times the growth envelope of |lam|^{1/beta}, lower with lower
     and upper with upper.  A decay scale k^q (log k)^m above the growth's
     converges at every s; a growth scale above the decay's, confirmed on the
     lower envelopes, converges at none.  When the two leading scales tie at a
-    power k^q, q > 0, the leading terms cancel at s* = |c_d| / c_g, and
-    bracket is ((|c_d|, c_g) on the upper envelopes, the same pair on the
-    lower envelopes): every s below the upper ratio converges, every s above
-    the lower ratio diverges.  The lower pair is None when a lower envelope
-    is missing or has another leading scale.  Otherwise bracket is None.
+    power k^q, q > 0, the leading terms cancel at s* = |c_d| / c_g, and tie
+    is (s_lo, s_hi): s_lo that ratio on the upper envelopes, below which
+    every s converges, and s_hi the ratio on the lower envelopes, above which
+    every s diverges, or None when a lower envelope is missing or has another
+    leading scale.  The ratios are rounded once from the exact coefficients.
+    Otherwise tie is None.
     """
     space = f.series_space()
     growth = space.abs_pow_bounds(1.0 / beta)
@@ -138,15 +138,16 @@ def _closed_forms(f: CoefficientVector, beta: float):
     if (qd, md) > (qg, mg):
         return True, True, None
     if (qd, md) == (qg, mg):
-        if qg <= 0:
+        s_lo = _ratio(decay.upper.leading(), gu.leading())
+        if qg <= 0 or s_lo is None:
             return True, False, None
-        lower = None
+        s_hi = None
         if growth.lower is not None and decay.lower is not None:
-            ql, ml, cl = _leading_scale(growth.lower)
-            qdl, mdl, cdl = _leading_scale(decay.lower)
-            if cl > 0 and cdl < 0 and (ql, ml) == (qdl, mdl) == (qg, mg):
-                lower = (-cdl, cl)
-        return True, False, ((-cd, cg), lower)
+            g_lo, d_lo = growth.lower.leading(), decay.lower.leading()
+            if g_lo is not None and d_lo is not None and g_lo.coeff > 0 > d_lo.coeff:
+                if g_lo.scale() == d_lo.scale() == (qg, mg):
+                    s_hi = _ratio(d_lo, g_lo)
+        return True, False, (s_lo, s_hi)
     # growth scale strictly dominates: no s can work when the lower
     # envelopes confirm
     if growth.lower is not None and decay.lower is not None:
@@ -156,55 +157,43 @@ def _closed_forms(f: CoefficientVector, beta: float):
     return None, False, None
 
 
+def _ratio(decay: AsymTerm, growth: AsymTerm) -> Optional[float]:
+    """|c_d| / c_g of two envelope terms, rounded once from their exact
+    coefficients; None when it is no finite float."""
+    try:
+        exact = [Fraction(t.coeff) + Fraction(t.residual) for t in (decay, growth)]
+        return float(-exact[0] / exact[1])
+    except (OverflowError, ValueError):
+        return None
+
+
 def _probe(f: CoefficientVector, s: float, beta: float, budget: SeriesBudget) -> DomainVerdict:
     return domain_member_direct(GevreyExpSymbol(s, beta), f, budget, resolve_value=False)
 
 
-def _certified_bracket(probe, bracket) -> Optional[tuple[float, float]]:
-    """The closed-form tie bracket of _closed_forms, certified at both ends.
+def _tie_bracket(probe, s_lo: float, s_hi: Optional[float]) -> Optional[tuple[float, float]]:
+    """A bracket around s* at a tie of _closed_forms, from rigorous probes.
 
-    probe(s) returns (member, rigorous).  The probes decide by the sign of
-    the envelopes' leading coefficient in floats, c_d + s * c_g, which reads
-    0 wherever the product rounds onto |c_d|; so they sit where that sign is
-    the true one.  below is the largest scale under the upper ratio r_lo at
-    which s * c_g < |c_d| in floats on both envelopes.  s_hi is the lower
-    ratio r_hi when it is a float (the cancellation is then exact), else the
-    least float with s * c_g > |c_d| on the lower envelopes.  A rigorous
-    convergence at below and a rigorous divergence at s_hi give
-    [below, s_hi].  A rigorous convergence at s_hi counts only when s_hi is
-    r_lo itself: it puts s* at s_hi, and a rigorous divergence at the next
-    scale up whose lower coefficient is positive gives [s_hi, that scale].
-    Any other outcome gives None.
+    probe(s) returns (member, rigorous).  The series engine decides the
+    symbolic routes by the exact sign of the merged leading coefficient
+    c_d + s c_g, so low = nextafter(s_lo, 0), under the upper ratio,
+    converges.  A divergence at s_hi then gives [low, s_hi].  A convergence
+    at s_hi puts s* at or above it, and a divergence at the next float up
+    gives [s_hi, that float].  Where the top end is not certified, the high
+    end is inf; without the convergence at low the result is None.
     """
-    upper, lower = bracket
-    if lower is None:
+    low = math.nextafter(s_lo, 0.0)
+    if low == 0.0 or probe(low) != (True, True):
         return None
-    (d_u, g_u), (d_l, g_l) = upper, lower
-    r_lo, r_hi = Fraction(d_u) / Fraction(g_u), Fraction(d_l) / Fraction(g_l)
-    if not r_lo <= r_hi < sys.float_info.max:
-        return None
-
-    def diverging(s: float) -> float:  # the least scale from s on with s * g_l > d_l
-        while s * g_l <= d_l:
-            s = math.nextafter(s, math.inf)
-        return s
-
-    below = float(r_lo)
-    while below > 0.0 and (below * g_u >= d_u or below * g_l >= d_l):
-        below = math.nextafter(below, 0.0)
-    s_hi = float(r_hi)
-    if s_hi != r_hi:
-        s_hi = diverging(s_hi)
-    if below == 0.0 or probe(below) != (True, True):
-        return None
-    got = probe(s_hi)
-    if got == (False, True):
-        return below, s_hi
-    if got == (True, True) and s_hi == r_lo:
-        top = diverging(math.nextafter(s_hi, math.inf))
-        if top < math.inf and probe(top) == (False, True):
-            return s_hi, top
-    return None
+    if s_hi is not None:
+        got = probe(s_hi)
+        if got == (False, True):
+            return low, s_hi
+        if got == (True, True):
+            low, top = s_hi, math.nextafter(s_hi, math.inf)
+            if top < math.inf and probe(top) == (False, True):
+                return low, top
+    return low, math.inf
 
 
 def _classify_both(
@@ -227,10 +216,10 @@ def _classify_both(
         probes.append((s, v.certificate.status.value))
         return v.member, v.certificate.route in RIGOROUS_ROUTES
 
-    closed_r, closed_b, bracket = _closed_forms(f, beta)
-    tie = _certified_bracket(probe, bracket) if bracket is not None else None
-    if tie is not None:
-        s_low, s_high = tie
+    closed_r, closed_b, tie = _closed_forms(f, beta)
+    bracket = _tie_bracket(probe, *tie) if tie is not None else None
+    if bracket is not None and bracket[1] < math.inf:
+        s_low, s_high = bracket
         r = GevreyVerdict(
             GevreyFlavor.ROUMIEU, True, s_low, s_high, tuple(probes),
             detail="closed-form tie bracket, certified at both ends",
@@ -240,6 +229,8 @@ def _classify_both(
             detail="closed-form tie bracket: divergence at its top",
         )
         return r, b
+    # a tie bracket without a certified top still has a convergent low end
+    floor = bracket[0] if bracket is not None else None
 
     lo, _ = probe(_S_LO)
     s_low, s_high = 0.0, math.inf
@@ -280,6 +271,10 @@ def _classify_both(
         roumieu = None if closed_r is True else False
     else:
         roumieu = None
+    if roumieu is not True and floor is not None:
+        # the tie's convergence under s* < 2^-20, where 2^-20 diverged or
+        # was left open
+        roumieu, s_low = True, floor
 
     # Beurling: certified top-scale probe AND the closed-form rule
     beurling: Optional[bool]

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gevlab.asymptotics import (
     AsymForm,
@@ -22,6 +25,47 @@ def test_build_merges_and_cancels_exactly():
     assert f.terms == (AsymTerm(0.0, 1, -3.0),)
     g = AsymForm.power(0.0, 2.5)  # k^0 folds into the constant
     assert g.terms == () and g.const == 2.5
+
+
+@pytest.mark.parametrize(
+    "c_d, c_g, s, sign",
+    [
+        (-1.0, 3.0, 1 / 3, -1),
+        (-1.0, 3.0, math.nextafter(1 / 3, 1.0), 1),
+        (-1.0, 10.0, 0.1, 1),
+        (-1.5, 3.0, 0.5, 0),
+    ],
+)
+def test_scaled_merge_keeps_the_exact_sign(c_d, c_g, s, sign):
+    # c_d k + s c_g k: 3 fl(1/3) and 10 fl(0.1) both round onto 1, though
+    # fl(1/3) lies below 1/3 and fl(0.1) above 0.1.  The merged coefficient
+    # has the sign of the real c_d + s c_g, so the symbolic routes are right
+    f = AsymForm.power(1.0, c_d) + AsymForm.power(1.0, c_g).scale(s)
+    lead = f.leading()
+    assert (0 if lead is None else math.copysign(1, lead.coeff)) == sign
+    assert form_converges(f) is (sign < 0)
+    assert form_diverges(f) is (sign >= 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    c_d=st.floats(-1e6, -1e-6),
+    c_g=st.floats(1e-6, 1e6),
+    c_low=st.floats(-1e3, 1e3),
+    ulps=st.integers(-3, 3),
+)
+def test_merged_sign_near_a_tie_matches_exact_arithmetic(c_d, c_g, c_low, ulps):
+    # s within a few floats of |c_d| / c_g; the scaled form carries a lower
+    # order term, as the envelopes of mixed-exponent spectra do
+    s = -c_d / c_g
+    for _ in range(abs(ulps)):
+        s = math.nextafter(s, math.inf if ulps > 0 else 0.0)
+    growth = AsymForm.power(1.0, c_g) + AsymForm.power(0.5, c_low)
+    f = AsymForm.power(1.0, c_d) + growth.scale(s)
+    exact = Fraction(c_d) + Fraction(s) * Fraction(c_g)
+    lead = f.terms[0] if f.terms and f.terms[0].power == 1.0 else None
+    got = 0 if lead is None else math.copysign(1, lead.coeff)
+    assert got == (exact > 0) - (exact < 0)
 
 
 def test_evaluate_matches_direct():

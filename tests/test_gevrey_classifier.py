@@ -76,7 +76,7 @@ def _solution(spectrum, label, t):
 
 
 _BELOW_ONE = math.nextafter(1.0, 0.0)
-_THIRD = (0.33333333333333326, 0.3333333333333334)
+_THIRD = (1 / 3, math.nextafter(1 / 3, 1.0))
 
 
 @pytest.mark.parametrize(
@@ -91,18 +91,19 @@ _THIRD = (0.33333333333333326, 0.3333333333333334)
         (lambda: _solution("neg-real", "poly2", 0.5), 1.0, 0.5, (0.5, math.nextafter(0.5, 2))),
         (lambda: _solution("neg-real", "poly2", 1.0), 1.0, 1, (1.0, math.nextafter(1.0, 2))),
         (lambda: _solution("neg-real", "poly2", 2.0), 1.0, 2, (2.0, math.nextafter(2.0, 3))),
-        # s* = 1/3 is no float, and 3 s rounds onto 1 at both neighbours of it
+        # s* = 1/3 is no float.  fl(1/3) lies below it and converges, though
+        # 3 fl(1/3) rounds onto 1: the merged coefficient keeps its sign
         (
             lambda: gl.CoefficientVector.power_decay(gl.PowerLawSpectrum(3, 1, 0, 0), 1.0, 1.0),
             1.0,
             Fraction(1, 3),
             _THIRD,
         ),
-        # k^-2 e^{-fl(3 fl(1/3)) k} against |lam| = 3k
+        # k^-2 e^{-3 fl(1/3) k} against |lam| = 3k: s* = fl(1/3) exactly
         (
             lambda: _solution(gl.PowerLawSpectrum(-3, 1, 0, 0), "poly2", 1 / 3),
             1.0,
-            Fraction(1, 3),
+            Fraction(1 / 3),
             _THIRD,
         ),
     ],
@@ -125,10 +126,11 @@ def test_tie_brackets_are_closed_form_and_rigorous(monkeypatch, make, beta, s_st
 @pytest.mark.parametrize("lead", [-1.0, -0.5])
 def test_bisection_tightens_the_bracket_only_on_proof(lead):
     # coefficients e^{k - k^2} on k + i k^4 at beta = 2: s* = 1.  With only an
-    # upper envelope, lead k^2 + k, the tie cannot be certified from above, so
-    # bisection runs.  Its refutations all come from empirical routes, some
-    # (sum-cap) below s* when lead = -0.5: they shrink the search window, but
-    # without a symbolic divergence the bracket keeps no upper end
+    # upper envelope, lead k^2 + k, the tie is certified only from below (one
+    # probe under the ratio -lead), so bisection runs.  Its refutations all
+    # come from empirical routes, some (sum-cap) below s* when lead = -0.5:
+    # they shrink the search window, but without a symbolic divergence the
+    # bracket keeps no upper end
     spec = gl.builtin_spectra()["mixed-quart"]
 
     def coeffs(ks):
@@ -140,8 +142,26 @@ def test_bisection_tightens_the_bracket_only_on_proof(lead):
     r = gl.vector_class(f, 2.0, R)
     assert r.member is True
     assert r.s_star_low <= 1.0 <= r.s_star_high == math.inf
-    assert len(r.probes) == 62
+    assert len(r.probes) == 1 + 62
+    assert r.probes[0] == (math.nextafter(-lead, 0.0), "converges")
     assert "diverges" in {status for _, status in r.probes}
+
+
+def test_upper_only_tie_below_the_probe_floor_is_roumieu():
+    # log-coefficients -1e-7 k^2 against |lam|^{1/2} in [k^2, k^2 + k^{1/2}]:
+    # s* = 1e-7 lies under the first bisection probe 2^-20, which diverges;
+    # the tie's probe just under 1e-7 still certifies Roumieu
+    spec = gl.builtin_spectra()["mixed-quart"]
+
+    def coeffs(ks):
+        k = ks.astype(float)
+        return -1e-7 * k**2, np.zeros(k.shape)
+
+    upper = gl.AsymForm.power(2.0, -1e-7)
+    f = gl.CoefficientVector.custom(spec, coeffs, gl.TailBounds(None, upper, 1))
+    r, b = gl.vector_class(f, 2.0, R), gl.vector_class(f, 2.0, B)
+    assert (r.member, b.member) == (True, False)
+    assert 0.0 < r.s_star_low <= 1e-7 <= r.s_star_high
 
 
 def test_fast_spectrum_refutes_roumieu():

@@ -222,6 +222,13 @@ def test_thresholds_take_at_most_two_exact_evaluations_per_order(
     assert evaluations and all(count <= 2 * 2000 for count in evaluations.values())
 
 
+def test_threshold_constants_past_the_float_range():
+    # the modulus threshold's constant is a_re^2 = 1e400, past the float
+    # range, while its estimate 1e-200 n is finite: |lam_j| >= n at every j
+    sel = Selection(gl.PowerLawSpectrum(-1e200, 1, 0, 0), 1.0)
+    assert sel.indices(np.arange(1, 101)).tolist() == list(range(1, 101))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     a_re=st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
