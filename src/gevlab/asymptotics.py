@@ -189,17 +189,18 @@ class GrowthKind(Enum):
 def classify_form(form: AsymForm) -> tuple[GrowthKind, float]:
     """Eventual behavior of e^{form(k)} as a term sequence.
 
-    GROWS/SUPER_DECAY: leading k^q (q>0) piece with positive/negative
-    coefficient.  POLY: terms behave like k^d (payload d).  CONST: terms
-    approach the constant e^{payload}.
+    GROWS/SUPER_DECAY: leading k^q (log k)^m piece, q > 0 or q = 0 and
+    m >= 2, with positive/negative coefficient: the terms outgrow or decay
+    faster than every power of k.  POLY: leading c log k, terms behave like
+    k^c (payload c).  CONST: terms approach the constant e^{payload}.
     """
     lead = form.leading()
-    if lead is not None and lead.power > 0.0:
+    if lead is not None and (lead.power > 0.0 or lead.log_power >= 2):
         return (GrowthKind.GROWS, lead.coeff) if lead.coeff > 0 else (
             GrowthKind.SUPER_DECAY,
             lead.coeff,
         )
-    if lead is not None and lead.power == 0.0 and lead.log_power >= 1:
+    if lead is not None and lead.power == 0.0 and lead.log_power == 1:
         return GrowthKind.POLY, lead.coeff
     return GrowthKind.CONST, form.const
 

@@ -403,8 +403,7 @@ def domain_member_prop31(
     probes.append(("h*(k^-2)", CoefficientVector.polynomial_decay(f.spectrum, 2.0, p=q, label="h*")))
 
     certs: dict[str, ConvergenceCertificate] = {}
-    worst: Optional[ConvergenceCertificate] = None
-    unknown = False
+    undecided: Optional[str] = None
     for name, g in probes:
         cert = total_variation(f, g, predicate_all(), weight=F, budget=budget)
         certs[name] = cert
@@ -416,11 +415,14 @@ def domain_member_prop31(
                 detail=f"condition (i) diverges for probe {name}",
             )
         if cert.status is SeriesStatus.INCONCLUSIVE:
-            unknown = True
-            worst = cert
-    if unknown:
+            undecided = name
+    if undecided is not None:
+        cert = certs[undecided]
         return DomainVerdict(
-            None, worst, DomainCriterion.DUAL_PROP31, detail="probe budget exhausted"
+            None,
+            cert,
+            DomainCriterion.DUAL_PROP31,
+            detail=f"condition (i) has no closed form for probe {undecided}: {cert.detail}",
         )
 
     # Condition (ii): prefix cutoff sums over {|F| > n} with doubling cutoffs.
@@ -452,7 +454,7 @@ def domain_member_prop31(
     if not tail_ok:
         return DomainVerdict(
             None,
-            worst if worst is not None else certs["h*(k^-2)"],
+            certs["h*(k^-2)"],
             DomainCriterion.DUAL_PROP31,
             detail=f"condition (ii) cutoff tails did not vanish: {last_profile!r}",
         )

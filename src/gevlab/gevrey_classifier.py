@@ -5,13 +5,14 @@ D(e^{s|A|^{1/beta}}): a positive critical scale s* marks the Roumieu class,
 s* = +infinity the Beurling class.  Where the envelopes of the growth
 |lam|^{1/beta} and of the coefficient decay share their leading scale, s* is
 the ratio of their leading coefficients: that closed form gives a bracket,
-and two or three rigorous probes certify it at both ends.  Elsewhere
-bisection over s brackets s*, and only a symbolic divergence moves the upper
-end of its bracket.  The universal ("for all s") Beurling statement is
-decided by closed-form exponent comparison on supported families, with the
-numeric certificate at the largest probed s kept as a consistency check.
-The geometric spectral-region test and the growth-order estimator live here
-as well.
+and two or three probes certify it at both ends.  Elsewhere bisection over s
+brackets s*.  Every probe certificate is a proof from the envelopes: a
+convergence moves the low end of the bracket, a divergence the high end, and
+a probe left undecided (no closed form) only narrows the search window.
+The universal ("for all s") Beurling statement is decided by closed-form
+exponent comparison on supported families, with the numeric certificate at
+the largest probed s kept as a consistency check.  The geometric
+spectral-region test and the growth-order estimator live here as well.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .borel_calculus import (
 from .errors import ConsistencyError, DomainError, HarnessError, PlanError, VectorError
 from .evolution import SolutionHandle, check_admissible, solve
 from .logdomain import NEG_INF
-from .series import DEFAULT_BUDGET, RIGOROUS_ROUTES, SeriesBudget, SeriesStatus
+from .series import DEFAULT_BUDGET, SeriesBudget, SeriesStatus
 from .spectral_core import (
     CoefficientVector,
     CustomSpectrum,
@@ -63,8 +64,9 @@ class GevreyVerdict:
     probed scale (Roumieu) or by the closed-form rule plus the top-scale
     certificate (Beurling); False only with a divergence certificate (for
     Beurling, the divergence at the top of a closed-form tie bracket or at
-    the top probe s = 2^20); None is an explicit Unknown.  s* lies in
-    [s_star_low, s_star_high], whose low end is a probed scale that
+    the top probe s = 2^20); None is an explicit Unknown.  Each certificate
+    is a proof from the declared envelopes, never an extrapolation.  s* lies
+    in [s_star_low, s_star_high], whose low end is a probed scale that
     converged and whose finite high end one that diverged.
     """
 
@@ -172,26 +174,26 @@ def _probe(f: CoefficientVector, s: float, beta: float, budget: SeriesBudget) ->
 
 
 def _tie_bracket(probe, s_lo: float, s_hi: Optional[float]) -> Optional[tuple[float, float]]:
-    """A bracket around s* at a tie of _closed_forms, from rigorous probes.
+    """A bracket around s* at a tie of _closed_forms, from certified probes.
 
-    probe(s) returns (member, rigorous).  The series engine decides the
-    symbolic routes by the exact sign of the merged leading coefficient
-    c_d + s c_g, so low = nextafter(s_lo, 0), under the upper ratio,
-    converges.  A divergence at s_hi then gives [low, s_hi].  A convergence
-    at s_hi puts s* at or above it, and a divergence at the next float up
-    gives [s_hi, that float].  Where the top end is not certified, the high
-    end is inf; without the convergence at low the result is None.
+    probe(s) returns the member flag of the probe at s.  The series engine
+    decides the symbolic routes by the exact sign of the merged leading
+    coefficient c_d + s c_g, so low = nextafter(s_lo, 0), under the upper
+    ratio, converges.  A divergence at s_hi then gives [low, s_hi].  A
+    convergence at s_hi puts s* at or above it, and a divergence at the next
+    float up gives [s_hi, that float].  Where the top end is not certified,
+    the high end is inf; without the convergence at low the result is None.
     """
     low = math.nextafter(s_lo, 0.0)
-    if low == 0.0 or probe(low) != (True, True):
+    if low == 0.0 or probe(low) is not True:
         return None
     if s_hi is not None:
         got = probe(s_hi)
-        if got == (False, True):
+        if got is False:
             return low, s_hi
-        if got == (True, True):
+        if got is True:
             low, top = s_hi, math.nextafter(s_hi, math.inf)
-            if top < math.inf and probe(top) == (False, True):
+            if top < math.inf and probe(top) is False:
                 return low, top
     return low, math.inf
 
@@ -210,11 +212,10 @@ def _classify_both(
         b = GevreyVerdict(GevreyFlavor.BEURLING, True, math.inf, math.inf, tuple(probes), detail=detail)
         return r, b
 
-    def probe(s: float) -> tuple[Optional[bool], bool]:
-        """(member, rigorous): rigorous when a closed-form route decided."""
+    def probe(s: float) -> Optional[bool]:
         v = _probe(f, s, beta, budget)
         probes.append((s, v.certificate.status.value))
-        return v.member, v.certificate.route in RIGOROUS_ROUTES
+        return v.member
 
     closed_r, closed_b, tie = _closed_forms(f, beta)
     bracket = _tie_bracket(probe, *tie) if tie is not None else None
@@ -232,31 +233,29 @@ def _classify_both(
     # a tie bracket without a certified top still has a convergent low end
     floor = bracket[0] if bracket is not None else None
 
-    lo, _ = probe(_S_LO)
+    lo = probe(_S_LO)
     s_low, s_high = 0.0, math.inf
     roumieu: Optional[bool]
     if lo is True:
         roumieu = True
         s_low = _S_LO
-        hi, hi_rigorous = probe(_S_HI)
+        hi = probe(_S_HI)
         if hi is True:
             s_low = _S_HI
         else:
-            # working window [e_lo, e_hi]; only rigorous refutations may
-            # tighten the reported upper end of the bracket
-            hi_cert = 20.0 if hi is False and hi_rigorous else math.inf
+            # working window [e_lo, e_hi]; the bracket's certified top
+            # hi_cert moves with e_hi only on a refutation
+            hi_cert = 20.0 if hi is False else math.inf
             e_lo, e_hi = -20.0, 20.0
             misses = 0
             for _ in range(_BISECT_STEPS):
                 mid = 0.5 * (e_lo + e_hi)
-                got, rigorous = probe(2.0**mid)
+                got = probe(2.0**mid)
                 if got is True:
                     e_lo = mid
                     misses = 0
                 elif got is False:
-                    e_hi = mid
-                    if rigorous:
-                        hi_cert = min(hi_cert, mid)
+                    e_hi = hi_cert = mid
                     misses = 0
                 else:
                     misses += 1

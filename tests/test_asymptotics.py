@@ -89,10 +89,22 @@ def test_scale_by_negative_swaps_tailbound_sides():
         (AsymForm.power(0.5, -2.0) + AsymForm.log_k(40.0), GrowthKind.SUPER_DECAY),
         (AsymForm.log_k(-2.0), GrowthKind.POLY),
         (AsymForm.constant(-3.0), GrowthKind.CONST),
+        (AsymForm.build((AsymTerm(0.0, 2, -0.5),)) + AsymForm.log_k(40.0), GrowthKind.SUPER_DECAY),
+        (AsymForm.build((AsymTerm(0.0, 2, 0.01),)) + AsymForm.log_k(-3.0), GrowthKind.GROWS),
     ],
 )
 def test_classification(form, kind):
     assert classify_form(form)[0] is kind
+
+
+def test_log_square_leads_past_every_power_of_k():
+    # c (log k)^2 outruns every d log k: k^{-0.5 log k} is summable (its
+    # mpmath sum is in tests/test_series.py), while k^{0.01 log k - 3}
+    # decays only until log k = 150 and exceeds 1 from log k = 300 on
+    decay = AsymForm.build((AsymTerm(0.0, 2, -0.5),))
+    assert form_converges(decay) and not form_diverges(decay)
+    growth = AsymForm.build((AsymTerm(0.0, 2, 0.01),)) + AsymForm.log_k(-3.0)
+    assert form_diverges(growth) and not form_converges(growth)
 
 
 def test_convergence_divergence_rules():

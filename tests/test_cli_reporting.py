@@ -3,10 +3,12 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import gevlab.cli_reporting as cli
+from gevlab import borel_calculus, spectral_core
 from gevlab.errors import JobSpecError
 
 MINIMAL = '{"command":"classify-spectrum","spectrum":{"power_law":{"a_re":1,"p_re":1,"a_im":1,"p_im":1}},"beta":1}'
@@ -319,3 +321,49 @@ def test_cli_byte_identical_reports(tmp_path):
         assert proc.returncode == 0
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+# Degenerate power-law families a_re k^p_re + i a_im k^p_im: zero or negative
+# coefficients, constant parts, one part alone.
+_DEGENERATE_FAMILIES = [
+    (a_re, p_re, a_im, p_im)
+    for a_re in (0, 1, -1)
+    for p_re in (0, 0.5, 1)
+    for a_im in (0, 1, -1)
+    for p_im in (0, 1, 2)
+]
+
+
+def _traffic_job(command, family):
+    spectrum = {"power_law": dict(zip(("a_re", "p_re", "a_im", "p_im"), family))}
+    job = {"command": command, "spectrum": spectrum}
+    if command in ("classify-spectrum", "classify-vector"):
+        job["beta"] = 1
+    if command != "classify-spectrum":
+        job["vectors"] = [{"power_decay": {"c": 1, "r": 1}}]
+    if command == "classify-vector":
+        job["flavor"] = "both"
+    if command == "evolve":
+        job["t_grid"] = [0, 0.5]
+    if command == "estimate-order":
+        job["n_max"] = 8
+    return job
+
+
+def test_power_law_traffic_has_no_inconclusive_certificate(monkeypatch):
+    # every series the job commands raise on power-law spectra has a closed
+    # form: the engine's only undecided route, no-closed-form, never fires
+    routes = Counter()
+    for module in (borel_calculus, spectral_core):
+        def counted(*args, _certify=module.certify_log_series, **kwargs):
+            cert = _certify(*args, **kwargs)
+            routes[cert.route] += 1
+            return cert
+
+        monkeypatch.setattr(module, "certify_log_series", counted)
+    for family in _DEGENERATE_FAMILIES:
+        for command in ("classify-vector", "classify-spectrum", "evolve", "estimate-order"):
+            report = cli.run(cli.parse_jobspec(json.dumps(_traffic_job(command, family))))
+            assert "inconclusive" not in report.to_json(), (command, family)
+    assert routes["symbolic-tail"] > 0 and routes["symbolic-divergence"] > 0
+    assert "no-closed-form" not in routes

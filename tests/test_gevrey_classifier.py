@@ -127,10 +127,9 @@ def test_tie_brackets_are_closed_form_and_rigorous(monkeypatch, make, beta, s_st
 def test_bisection_tightens_the_bracket_only_on_proof(lead):
     # coefficients e^{k - k^2} on k + i k^4 at beta = 2: s* = 1.  With only an
     # upper envelope, lead k^2 + k, the tie is certified only from below (one
-    # probe under the ratio -lead), so bisection runs.  Its refutations all
-    # come from empirical routes, some (sum-cap) below s* when lead = -0.5:
-    # they shrink the search window, but without a symbolic divergence the
-    # bracket keeps no upper end
+    # probe under the ratio -lead), so bisection runs.  Past that ratio no
+    # envelope decides a probe: the undecided probes shrink the search
+    # window, but nothing refutes, and the bracket keeps no upper end
     spec = gl.builtin_spectra()["mixed-quart"]
 
     def coeffs(ks):
@@ -142,15 +141,32 @@ def test_bisection_tightens_the_bracket_only_on_proof(lead):
     r = gl.vector_class(f, 2.0, R)
     assert r.member is True
     assert r.s_star_low <= 1.0 <= r.s_star_high == math.inf
-    assert len(r.probes) == 1 + 62
     assert r.probes[0] == (math.nextafter(-lead, 0.0), "converges")
-    assert "diverges" in {status for _, status in r.probes}
+    assert "diverges" not in {status for _, status in r.probes}
+
+
+def test_bisection_keeps_the_critical_scale_above_its_low_end():
+    # log-coefficients -k - 2 log k on lam = 3k at beta = 1: s* = 1/3, where
+    # the series still converges.  Only the upper envelope is declared, so
+    # bisection runs; no probe above s* may count as a convergence
+    spec = gl.PowerLawSpectrum(3, 1, 0, 0)
+
+    def coeffs(ks):
+        k = ks.astype(float)
+        return -k - 2.0 * np.log(k), np.zeros(k.shape)
+
+    upper = gl.AsymForm.power(1.0, -1.0) + gl.AsymForm.log_k(-2.0)
+    f = gl.CoefficientVector.custom(spec, coeffs, gl.TailBounds(None, upper, 1))
+    r = gl.vector_class(f, 1.0, R)
+    assert r.member is True
+    assert Fraction(r.s_star_low) <= Fraction(1, 3) and r.s_star_high == math.inf
 
 
 def test_upper_only_tie_below_the_probe_floor_is_roumieu():
     # log-coefficients -1e-7 k^2 against |lam|^{1/2} in [k^2, k^2 + k^{1/2}]:
-    # s* = 1e-7 lies under the first bisection probe 2^-20, which diverges;
-    # the tie's probe just under 1e-7 still certifies Roumieu
+    # s* = 1e-7 lies under the first bisection probe 2^-20, which no envelope
+    # decides; the tie's probe just under 1e-7 still certifies Roumieu, and
+    # without a lower envelope nothing refutes Beurling
     spec = gl.builtin_spectra()["mixed-quart"]
 
     def coeffs(ks):
@@ -160,7 +176,7 @@ def test_upper_only_tie_below_the_probe_floor_is_roumieu():
     upper = gl.AsymForm.power(2.0, -1e-7)
     f = gl.CoefficientVector.custom(spec, coeffs, gl.TailBounds(None, upper, 1))
     r, b = gl.vector_class(f, 2.0, R), gl.vector_class(f, 2.0, B)
-    assert (r.member, b.member) == (True, False)
+    assert (r.member, b.member) == (True, None)
     assert 0.0 < r.s_star_low <= 1e-7 <= r.s_star_high
 
 

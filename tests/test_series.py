@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gevlab.asymptotics import AsymForm, TailBounds
+from gevlab.asymptotics import AsymForm, AsymTerm, TailBounds
 from gevlab.logdomain import NEG_INF
 from gevlab.series import (
     DEFAULT_BUDGET,
@@ -71,61 +73,49 @@ def test_symbolic_divergence_beats_misleading_prefix():
     assert cert.witness["kind"] == "sample-prefix"
 
 
-def test_block_ratio_route_certifies_geometric_decay():
-    def term(ks):
-        return -0.1 * ks.astype(float)
-
-    cert = certify_log_series(term)  # no declared bounds
-    assert cert.status is SeriesStatus.CONVERGES
-    assert cert.route == "block-ratio"
-    brute = math.log(math.exp(-0.1) / (1.0 - math.exp(-0.1)))
-    assert abs(cert.log_value - brute) < 1e-10
+def _ten_atoms(ks):
+    out = np.full(ks.shape, NEG_INF)
+    out[ks <= 10] = -1.0
+    return out
 
 
-def test_block_ratio_on_polynomial_decay_needs_a_matching_tolerance():
-    # block sums of k^-2 halve per doubling: the geometric tail estimate
-    # reaches 1e-4 within budget but not 1e-10
-    def term(ks):
-        return -2.0 * np.log(ks.astype(float))
-
-    loose = certify_log_series(term, budget=SeriesBudget(rel_tol=1e-4))
-    assert loose.status is SeriesStatus.CONVERGES and loose.route == "block-ratio"
-    zeta2 = math.pi**2 / 6.0
-    assert math.exp(loose.log_value) <= zeta2 <= math.exp(loose.log_value) + math.exp(
-        loose.log_tail_bound
-    )
-    strict = certify_log_series(term, budget=SeriesBudget(k_max=1 << 16))
-    assert strict.status is SeriesStatus.INCONCLUSIVE
+_NO_ENVELOPE = "no tail envelope declared"
 
 
-def test_sum_cap_fires_without_a_declared_envelope():
-    # decaying-but-huge terms: the cap is the protocol's verdict when no
-    # envelope is declared (the symbolic route overrides it when one is)
-    def term(ks):
-        return 1000.0 - 0.5 * ks.astype(float)
+@pytest.mark.parametrize(
+    "term,bounds,detail",
+    [
+        (lambda ks: -0.1 * ks.astype(float), None, _NO_ENVELOPE),
+        (lambda ks: -2.0 * np.log(ks.astype(float)), None, _NO_ENVELOPE),
+        (lambda ks: 1000.0 - 0.5 * ks.astype(float), None, _NO_ENVELOPE),
+        (lambda ks: np.full(ks.shape, -100.0), None, _NO_ENVELOPE),
+        (lambda ks: -np.log(ks.astype(float)), None, _NO_ENVELOPE),
+        (_ten_atoms, None, _NO_ENVELOPE),
+        (
+            lambda ks: -np.log(ks.astype(float)),
+            TailBounds(None, AsymForm.log_k(-1.0)),
+            "upper envelope -1*k^0*log(k) proves no convergence; no lower envelope",
+        ),
+    ],
+    ids=[
+        "geometric", "inverse-square", "huge-prefix", "flat", "harmonic", "ten-atoms",
+        "harmonic-upper-only",
+    ],
+)
+def test_no_closed_form_is_inconclusive_at_once(term, bounds, detail):
+    # an infinite sum is decided by its envelopes or not at all: no prefix is
+    # summed to extrapolate from, whatever the terms do
+    calls = []
 
-    cert = certify_log_series(term)
-    assert cert.status is SeriesStatus.DIVERGES
-    assert cert.route == "sum-cap"
-    assert cert.witness["log_partial"] > 700.0
+    def counted(ks):
+        calls.append(ks.size)
+        return term(ks)
 
-
-def test_term_growth_certifies_flat_terms():
-    def term(ks):
-        return np.full(ks.shape, -100.0)
-
-    cert = certify_log_series(term)
-    assert cert.status is SeriesStatus.DIVERGES
-    assert cert.route == "term-growth"
-
-
-def test_harmonic_series_is_inconclusive_without_exponents():
-    def term(ks):
-        return -np.log(ks.astype(float))
-
-    cert = certify_log_series(term, budget=SeriesBudget(k_max=1 << 15))
+    cert = certify_log_series(counted, bounds=bounds)
     assert cert.status is SeriesStatus.INCONCLUSIVE
-    assert cert.route == "budget-exhausted"
+    assert cert.route == "no-closed-form"
+    assert cert.terms_used == 0 and calls == []
+    assert cert.detail == detail
 
 
 def test_harmonic_series_diverges_with_exponents():
@@ -149,20 +139,9 @@ def test_decision_mode_keeps_verdict_but_trims_work():
     assert fast.terms_used <= DEFAULT_BUDGET.decision_k_cap
 
 
-def test_zero_tail_certifies_via_block_ratio():
-    def term(ks):
-        out = np.full(ks.shape, NEG_INF)
-        out[ks <= 10] = -1.0
-        return out
-
-    cert = certify_log_series(term)
-    assert cert.status is SeriesStatus.CONVERGES
-    assert abs(math.exp(cert.log_value) - 10 * math.exp(-1.0)) < 1e-12
-
-
 def test_huge_but_finite_sums_stay_convergent_on_symbolic_route():
-    # partial sums pass any cap long before the terms turn around; the
-    # declared envelope keeps the verdict convergent
+    # partial sums leave the float range long before the terms turn around;
+    # the log domain and the declared envelope keep the verdict convergent
     def term(ks):
         kf = ks.astype(float)
         return 2000.0 * kf - kf**2
@@ -170,6 +149,57 @@ def test_huge_but_finite_sums_stay_convergent_on_symbolic_route():
     bounds = TailBounds.exact(AsymForm.power(2.0, -1.0) + AsymForm.power(1.0, 2000.0))
     cert = certify_log_series(term, bounds=bounds)
     assert cert.status is SeriesStatus.CONVERGES
-    assert cert.log_value > 700.0  # far beyond the divergence cap
+    assert cert.log_value > 710.0  # e^710 is no float
     oracle_peak = 2000.0 * 1000.0 - 1000.0**2
     assert cert.log_value >= oracle_peak
+
+
+@pytest.mark.parametrize(
+    "term,upper,mp_term,stop",
+    [
+        (
+            lambda ks: -2.0 * np.log(ks.astype(float)),
+            AsymForm.log_k(-2.0),
+            lambda k: k**-2,
+            mpmath.inf,
+        ),
+        (
+            lambda ks: -0.1 * ks.astype(float),
+            AsymForm.power(1.0, -0.1),
+            lambda k: mpmath.exp(-k / 10),
+            mpmath.inf,
+        ),
+        (
+            lambda ks: -3.0 * np.log(ks.astype(float)) - np.sqrt(ks.astype(float)),
+            AsymForm.power(0.5, -1.0) + AsymForm.log_k(-3.0),
+            lambda k: k**-3 * mpmath.exp(-mpmath.sqrt(k)),
+            mpmath.inf,
+        ),
+        (
+            lambda ks: -0.5 * np.log(ks.astype(float)) ** 2,
+            AsymForm.build((AsymTerm(0.0, 2, -0.5),)),
+            lambda k: mpmath.exp(-mpmath.log(k) ** 2 / 2),
+            mpmath.inf,
+        ),
+        (
+            lambda ks: 2000.0 * ks.astype(float) - ks.astype(float) ** 2,
+            AsymForm.power(2.0, -1.0) + AsymForm.power(1.0, 2000.0),
+            lambda k: mpmath.exp(2000 * k - k**2),
+            # nsum's extrapolation misses the peak at k = 1000; past k = 4000
+            # the terms are below e^{-8e6}, far under 50 digits of the sum
+            4000,
+        ),
+    ],
+    ids=["inverse-square", "geometric", "stretched-exponential", "log-square", "peaked"],
+)
+def test_symbolic_tail_brackets_the_mpmath_sum(term, upper, mp_term, stop):
+    # the certified partial sum lies below the true sum, and with the tail
+    # bound above it; log_value carries the rounding of a float of its size
+    cert = certify_log_series(term, bounds=TailBounds.exact(upper))
+    assert cert.status is SeriesStatus.CONVERGES and cert.route == "symbolic-tail"
+    with mpmath.workdps(50):
+        total = mpmath.nsum(mp_term, [1, stop])
+        slack = 64 * 2.0**-53 * max(1.0, abs(cert.log_value))
+        low = mpmath.exp(mpmath.mpf(cert.log_value) - slack)
+        high = mpmath.exp(mpmath.mpf(cert.log_value) + slack) + mpmath.exp(cert.log_tail_bound)
+        assert low <= total <= high

@@ -58,6 +58,18 @@ def test_custom_vector_needs_an_envelope_or_support():
         gl.CoefficientVector.custom(spec, lambda ks: (np.zeros(len(ks)), np.zeros(len(ks))))
 
 
+def test_custom_vector_accepts_a_log_square_envelope():
+    # e^{-0.5 (log k)^2} decays faster than every power of k: summable
+    spec = gl.PowerLawSpectrum(1, 1, 0, 0)
+    form = gl.AsymForm.build((gl.AsymTerm(0.0, 2, -0.5),))
+    f = gl.CoefficientVector.custom(
+        spec,
+        lambda ks: (-0.5 * np.log(ks.astype(float)) ** 2, np.zeros(len(ks))),
+        gl.TailBounds.exact(form),
+    )
+    assert f.effective_count() is None
+
+
 def test_explicit_vector_cannot_outrun_explicit_spectrum():
     spec = gl.ExplicitSpectrum((1 + 0j, 2 + 0j))
     with pytest.raises(gl.VectorError):
