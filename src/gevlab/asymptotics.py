@@ -192,10 +192,11 @@ def classify_form(form: AsymForm) -> tuple[GrowthKind, float]:
     GROWS/SUPER_DECAY: leading k^q (log k)^m piece, q > 0 or q = 0 and
     m >= 2, with positive/negative coefficient: the terms outgrow or decay
     faster than every power of k.  POLY: leading c log k, terms behave like
-    k^c (payload c).  CONST: terms approach the constant e^{payload}.
+    k^c (payload c).  CONST: every piece has q < 0 or is the constant, so
+    the terms approach e^{payload}.
     """
     lead = form.leading()
-    if lead is not None and (lead.power > 0.0 or lead.log_power >= 2):
+    if lead is not None and (lead.power > 0.0 or (lead.power == 0.0 and lead.log_power >= 2)):
         return (GrowthKind.GROWS, lead.coeff) if lead.coeff > 0 else (
             GrowthKind.SUPER_DECAY,
             lead.coeff,

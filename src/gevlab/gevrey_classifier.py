@@ -180,9 +180,11 @@ def _tie_bracket(probe, s_lo: float, s_hi: Optional[float]) -> Optional[tuple[fl
     decides the symbolic routes by the exact sign of the merged leading
     coefficient c_d + s c_g, so low = nextafter(s_lo, 0), under the upper
     ratio, converges.  A divergence at s_hi then gives [low, s_hi].  A
-    convergence at s_hi puts s* at or above it, and a divergence at the next
-    float up gives [s_hi, that float].  Where the top end is not certified,
-    the high end is inf; without the convergence at low the result is None.
+    convergence at s_hi moves low up to it; whether or not s_hi is decided
+    (the envelopes may be too loose exactly at the ratio), a divergence at
+    the next float up then gives [low, that float].  Where the top end is
+    not certified, the high end is inf; without the convergence at low the
+    result is None.
     """
     low = math.nextafter(s_lo, 0.0)
     if low == 0.0 or probe(low) is not True:
@@ -192,9 +194,10 @@ def _tie_bracket(probe, s_lo: float, s_hi: Optional[float]) -> Optional[tuple[fl
         if got is False:
             return low, s_hi
         if got is True:
-            low, top = s_hi, math.nextafter(s_hi, math.inf)
-            if top < math.inf and probe(top) is False:
-                return low, top
+            low = s_hi
+        top = math.nextafter(s_hi, math.inf)
+        if top < math.inf and probe(top) is False:
+            return low, top
     return low, math.inf
 
 
@@ -262,7 +265,8 @@ def _classify_both(
                     if misses >= 2:
                         break
                     e_hi = mid  # shrink the search window, not the bracket
-            s_low = 2.0**e_lo
+            # an undecided stop may leave e_lo under the tie's certified floor
+            s_low = max(2.0**e_lo, floor or 0.0)
             s_high = 2.0**hi_cert if hi_cert < math.inf else math.inf
     elif lo is False:
         s_high = _S_LO

@@ -91,6 +91,8 @@ def test_scale_by_negative_swaps_tailbound_sides():
         (AsymForm.constant(-3.0), GrowthKind.CONST),
         (AsymForm.build((AsymTerm(0.0, 2, -0.5),)) + AsymForm.log_k(40.0), GrowthKind.SUPER_DECAY),
         (AsymForm.build((AsymTerm(0.0, 2, 0.01),)) + AsymForm.log_k(-3.0), GrowthKind.GROWS),
+        # -(log k)^2 / k tends to 0: the terms approach e^0
+        (AsymForm.build((AsymTerm(-1.0, 2, -1.0),)), GrowthKind.CONST),
     ],
 )
 def test_classification(form, kind):

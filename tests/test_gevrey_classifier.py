@@ -123,6 +123,18 @@ def test_tie_brackets_are_closed_form_and_rigorous(monkeypatch, make, beta, s_st
     assert routes[-1] == "symbolic-divergence"
 
 
+def test_tie_left_open_at_the_ratio_is_closed_one_float_up(monkeypatch):
+    # y(1) = e^{A} gauss on -k + i k^2 has coefficients e^{-k^2 - k}; at
+    # beta = 1, s* = 1.  At s = 1 the envelopes of |lam| (k^2 below, k^2 + k
+    # above) decide nothing, but the next float up diverges from the lower
+    # envelope: the bracket is two ulps wide without any bisection
+    y = _solution(gl.PowerLawSpectrum(-1, 1, 1, 2), "gauss", 1.0)
+    r, b, routes = _traced_classification(monkeypatch, y, 1.0)
+    assert (r.member, b.member) == (True, False)
+    assert (r.s_star_low, r.s_star_high) == (_BELOW_ONE, math.nextafter(1.0, 2.0))
+    assert routes == ["symbolic-tail", "no-closed-form", "symbolic-divergence"]
+
+
 @pytest.mark.parametrize("lead", [-1.0, -0.5])
 def test_bisection_tightens_the_bracket_only_on_proof(lead):
     # coefficients e^{k - k^2} on k + i k^4 at beta = 2: s* = 1.  With only an
@@ -142,6 +154,7 @@ def test_bisection_tightens_the_bracket_only_on_proof(lead):
     assert r.member is True
     assert r.s_star_low <= 1.0 <= r.s_star_high == math.inf
     assert r.probes[0] == (math.nextafter(-lead, 0.0), "converges")
+    assert r.s_star_low >= r.probes[0][0]  # the tie floor bounds the low end
     assert "diverges" not in {status for _, status in r.probes}
 
 
@@ -160,6 +173,8 @@ def test_bisection_keeps_the_critical_scale_above_its_low_end():
     r = gl.vector_class(f, 1.0, R)
     assert r.member is True
     assert Fraction(r.s_star_low) <= Fraction(1, 3) and r.s_star_high == math.inf
+    # the tie's certified floor, just under fl(1/3), bounds the low end
+    assert r.s_star_low >= math.nextafter(1.0 / 3.0, 0.0)
 
 
 def test_upper_only_tie_below_the_probe_floor_is_roumieu():

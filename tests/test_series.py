@@ -127,6 +127,19 @@ def test_harmonic_series_diverges_with_exponents():
     assert cert.route == "symbolic-divergence"
 
 
+def test_vanishing_log_square_exponent_diverges():
+    # e^{-(log k)^2 / k} tends to 1: a (log k)^2 piece under a negative power
+    # of k does not lead the growth, the constant does
+    def term(ks):
+        k = ks.astype(float)
+        return -np.log(k) ** 2 / k
+
+    form = AsymForm.build((AsymTerm(-1.0, 2, -1.0),))
+    cert = certify_log_series(term, bounds=TailBounds.exact(form))
+    assert cert.status is SeriesStatus.DIVERGES
+    assert cert.route == "symbolic-divergence"
+
+
 def test_decision_mode_keeps_verdict_but_trims_work():
     def term(ks):
         return -0.001 * ks.astype(float)

@@ -70,6 +70,18 @@ def test_custom_vector_accepts_a_log_square_envelope():
     assert f.effective_count() is None
 
 
+def test_custom_vector_refuses_a_vanishing_log_square_envelope():
+    # e^{-(log k)^2 / k} tends to 1: not square-summable
+    spec = gl.PowerLawSpectrum(1, 1, 0, 0)
+    form = gl.AsymForm.build((gl.AsymTerm(-1.0, 2, -1.0),))
+    with pytest.raises(gl.VectorError):
+        gl.CoefficientVector.custom(
+            spec,
+            lambda ks: (-np.log(ks.astype(float)) ** 2 / ks, np.zeros(len(ks))),
+            gl.TailBounds.exact(form),
+        )
+
+
 def test_explicit_vector_cannot_outrun_explicit_spectrum():
     spec = gl.ExplicitSpectrum((1 + 0j, 2 + 0j))
     with pytest.raises(gl.VectorError):
