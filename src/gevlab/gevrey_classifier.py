@@ -2,16 +2,16 @@
 
 Membership of order beta is probed through the exponential domains
 D(e^{s|A|^{1/beta}}): a positive critical scale s* marks the Roumieu class,
-s* = +infinity the Beurling class.  Where the envelopes of the growth
-|lam|^{1/beta} and of the coefficient decay share their leading scale, s* is
-the ratio of their leading coefficients: that closed form gives a bracket,
-and two or three probes certify it at both ends.  Elsewhere bisection over s
-brackets s*.  Every probe certificate is a proof from the envelopes: a
-convergence moves the low end of the bracket, a divergence the high end, and
-a probe left undecided (no closed form) only narrows the search window.
-The universal ("for all s") Beurling statement is decided by closed-form
-exponent comparison on supported families, with the numeric certificate at
-the largest probed s kept as a consistency check.  The geometric
+s* = +infinity the Beurling class.  Every probe certificate is a proof from
+the envelopes, and its verdict can change with s only where the envelopes of
+the growth |lam|^{1/beta} and of the coefficient decay share their leading
+scale, through the sign of c_d + s c_g.  There s* is the ratio of the leading
+coefficients: that closed form gives a bracket, and two or three probes
+certify it at both ends.  Elsewhere the upper envelopes converge at every
+scale or at none, so the probes at 2^-20 and 2^20 decide and nothing is
+searched.  The universal ("for all s") Beurling statement is decided by
+closed-form exponent comparison on supported families, with the certificate
+at the top probe kept as a consistency check.  The geometric
 spectral-region test and the growth-order estimator live here as well.
 """
 
@@ -48,7 +48,6 @@ from .spectral_core import (
 
 _S_LO = 2.0**-20
 _S_HI = 2.0**20
-_BISECT_STEPS = 60
 
 
 class GevreyFlavor(Enum):
@@ -63,11 +62,13 @@ class GevreyVerdict:
     member is True only when backed by a convergence certificate at some
     probed scale (Roumieu) or by the closed-form rule plus the top-scale
     certificate (Beurling); False only with a divergence certificate (for
-    Beurling, the divergence at the top of a closed-form tie bracket or at
-    the top probe s = 2^20); None is an explicit Unknown.  Each certificate
-    is a proof from the declared envelopes, never an extrapolation.  s* lies
-    in [s_star_low, s_star_high], whose low end is a probed scale that
-    converged and whose finite high end one that diverged.
+    Beurling, the divergence at the top of a closed-form tie bracket, at the
+    top probe s = 2^20, or at s = 2^-20, which refutes Roumieu as well); None
+    is an explicit Unknown.  Each certificate is a proof from the declared
+    envelopes, never an extrapolation.  s* lies in [s_star_low, s_star_high],
+    whose low end is a probed scale that converged and whose finite high end
+    one that diverged.  detail names what decided the verdict, or for an
+    Unknown what is missing.
     """
 
     flavor: GevreyFlavor
@@ -101,16 +102,18 @@ def _leading_scale(form) -> tuple:
     return (lead.power, lead.log_power, lead.coeff)
 
 
-def _closed_forms(f: CoefficientVector, beta: float):
-    """(roumieu, beurling, tie) from the leading scales of the envelopes.
+def _closed_forms(
+    f: CoefficientVector, beta: float
+) -> tuple[bool, Optional[tuple[float, Optional[float]]]]:
+    """(every, tie) from the leading scales of the envelopes.
 
     At scale s the log-terms of the probe lie between the decay envelope of
     f plus s times the growth envelope of |lam|^{1/beta}, lower with lower
-    and upper with upper.  A decay scale k^q (log k)^m above the growth's
-    converges at every s; a growth scale above the decay's, confirmed on the
-    lower envelopes, converges at none.  When the two leading scales tie at a
-    power k^q, q > 0, the leading terms cancel at s* = |c_d| / c_g, and tie
-    is (s_lo, s_hi): s_lo that ratio on the upper envelopes, below which
+    and upper with upper.  every is True when the upper envelopes converge
+    at every s: the growth is bounded on the tail, or the decay scale
+    k^q (log k)^m lies above the growth's.  When the two leading scales tie
+    at a power k^q, q > 0, the leading terms cancel at s* = |c_d| / c_g, and
+    tie is (s_lo, s_hi): s_lo that ratio on the upper envelopes, below which
     every s converges, and s_hi the ratio on the lower envelopes, above which
     every s diverges, or None when a lower envelope is missing or has another
     leading scale.  The ratios are rounded once from the exact coefficients.
@@ -119,44 +122,31 @@ def _closed_forms(f: CoefficientVector, beta: float):
     space = f.series_space()
     growth = space.abs_pow_bounds(1.0 / beta)
     decay = space.coeff_bounds
-    if growth is None or decay is None or decay.upper is None:
-        return None, None, None
+    if growth is None or growth.upper is None or decay is None or decay.upper is None:
+        return False, None
     gu = growth.upper
-    if gu is None:
-        # only refutation is possible from the lower envelopes
-        if growth.lower is not None and decay.lower is not None:
-            ql, ml, cl = _leading_scale(growth.lower)
-            if cl > 0 and (ql, ml) > _leading_scale(decay.lower)[:2]:
-                return False, False, None
-        return None, None, None
     g_kind, _ = classify_form(gu)
     if g_kind is GrowthKind.CONST or g_kind is GrowthKind.SUPER_DECAY:
         # bounded weight on the tail: every s works
-        return True, True, None
-    qg, mg, cg = _leading_scale(gu)
+        return True, None
+    qg, mg, _ = _leading_scale(gu)
     qd, md, cd = _leading_scale(decay.upper)
     if cd >= 0:
-        return None, None, None
+        return False, None
     if (qd, md) > (qg, mg):
-        return True, True, None
-    if (qd, md) == (qg, mg):
-        s_lo = _ratio(decay.upper.leading(), gu.leading())
-        if qg <= 0 or s_lo is None:
-            return True, False, None
-        s_hi = None
-        if growth.lower is not None and decay.lower is not None:
-            g_lo, d_lo = growth.lower.leading(), decay.lower.leading()
-            if g_lo is not None and d_lo is not None and g_lo.coeff > 0 > d_lo.coeff:
-                if g_lo.scale() == d_lo.scale() == (qg, mg):
-                    s_hi = _ratio(d_lo, g_lo)
-        return True, False, (s_lo, s_hi)
-    # growth scale strictly dominates: no s can work when the lower
-    # envelopes confirm
+        return True, None
+    if (qd, md) != (qg, mg) or qg <= 0:
+        return False, None
+    s_lo = _ratio(decay.upper.leading(), gu.leading())
+    if s_lo is None:
+        return False, None
+    s_hi = None
     if growth.lower is not None and decay.lower is not None:
-        ql, ml, cl = _leading_scale(growth.lower)
-        if cl > 0 and (ql, ml) > _leading_scale(decay.lower)[:2]:
-            return False, False, None
-    return None, False, None
+        g_lo, d_lo = growth.lower.leading(), decay.lower.leading()
+        if g_lo is not None and d_lo is not None and g_lo.coeff > 0 > d_lo.coeff:
+            if g_lo.scale() == d_lo.scale() == (qg, mg):
+                s_hi = _ratio(d_lo, g_lo)
+    return False, (s_lo, s_hi)
 
 
 def _ratio(decay: AsymTerm, growth: AsymTerm) -> Optional[float]:
@@ -205,116 +195,83 @@ def _classify_both(
     f: CoefficientVector, beta: float, budget: SeriesBudget
 ) -> tuple[GevreyVerdict, GevreyVerdict]:
     beta = _check_beta(beta)
-    probes: list[tuple[float, str]] = []
-
-    if f.effective_count() is not None:
-        v = _probe(f, 1.0, beta, budget)
-        probes.append((1.0, v.certificate.status.value))
-        detail = "finitely many atoms: every scale converges"
-        r = GevreyVerdict(GevreyFlavor.ROUMIEU, True, math.inf, math.inf, tuple(probes), detail=detail)
-        b = GevreyVerdict(GevreyFlavor.BEURLING, True, math.inf, math.inf, tuple(probes), detail=detail)
-        return r, b
+    certs: list = []  # (s, certificate) of every probe, in order
 
     def probe(s: float) -> Optional[bool]:
         v = _probe(f, s, beta, budget)
-        probes.append((s, v.certificate.status.value))
+        certs.append((s, v.certificate))
         return v.member
 
-    closed_r, closed_b, tie = _closed_forms(f, beta)
-    bracket = _tie_bracket(probe, *tie) if tie is not None else None
-    if bracket is not None and bracket[1] < math.inf:
-        s_low, s_high = bracket
-        r = GevreyVerdict(
-            GevreyFlavor.ROUMIEU, True, s_low, s_high, tuple(probes),
-            detail="closed-form tie bracket, certified at both ends",
-        )
-        b = GevreyVerdict(
-            GevreyFlavor.BEURLING, False, s_low, s_high, tuple(probes),
-            detail="closed-form tie bracket: divergence at its top",
-        )
+    def verdicts(roumieu, beurling, s_low, s_high, detail_r, detail_b):
+        probes = tuple((s, c.status.value) for s, c in certs)
+        r = GevreyVerdict(GevreyFlavor.ROUMIEU, roumieu, s_low, s_high, probes, detail=detail_r)
+        b = GevreyVerdict(GevreyFlavor.BEURLING, beurling, s_low, s_high, probes, detail=detail_b)
         return r, b
-    # a tie bracket without a certified top still has a convergent low end
-    floor = bracket[0] if bracket is not None else None
 
-    lo = probe(_S_LO)
+    if f.effective_count() is not None:
+        probe(1.0)
+        detail = "finitely many atoms: every scale converges"
+        return verdicts(True, True, math.inf, math.inf, detail, detail)
+
+    # A probe's verdict changes with s only where the leading scales of
+    # decay and growth tie, through the sign of c_d + s c_g: at a tie the
+    # closed-form bracket is all that probes can certify.  Elsewhere the
+    # upper envelopes converge at every scale or at none, so 2^-20 and 2^20
+    # decide.
+    every, tie = _closed_forms(f, beta)
     s_low, s_high = 0.0, math.inf
-    roumieu: Optional[bool]
-    if lo is True:
-        roumieu = True
-        s_low = _S_LO
-        hi = probe(_S_HI)
-        if hi is True:
-            s_low = _S_HI
-        else:
-            # working window [e_lo, e_hi]; the bracket's certified top
-            # hi_cert moves with e_hi only on a refutation
-            hi_cert = 20.0 if hi is False else math.inf
-            e_lo, e_hi = -20.0, 20.0
-            misses = 0
-            for _ in range(_BISECT_STEPS):
-                mid = 0.5 * (e_lo + e_hi)
-                got = probe(2.0**mid)
-                if got is True:
-                    e_lo = mid
-                    misses = 0
-                elif got is False:
-                    e_hi = hi_cert = mid
-                    misses = 0
-                else:
-                    misses += 1
-                    if misses >= 2:
-                        break
-                    e_hi = mid  # shrink the search window, not the bracket
-            # an undecided stop may leave e_lo under the tie's certified floor
-            s_low = max(2.0**e_lo, floor or 0.0)
-            s_high = 2.0**hi_cert if hi_cert < math.inf else math.inf
-    elif lo is False:
-        s_high = _S_LO
-        # a closed-form promise of some scale that no probe certified
-        roumieu = None if closed_r is True else False
-    else:
-        roumieu = None
-    if roumieu is not True and floor is not None:
-        # the tie's convergence under s* < 2^-20, where 2^-20 diverged or
-        # was left open
-        roumieu, s_low = True, floor
-
-    # Beurling: certified top-scale probe AND the closed-form rule
-    beurling: Optional[bool]
-    if roumieu is False:
-        beurling = False
-    else:
-        top_status = next((st for s, st in probes if s == _S_HI), None)
-        if top_status is None and roumieu is True:
-            probe(_S_HI)
-            top_status = probes[-1][1]
-        if top_status == SeriesStatus.DIVERGES.value:
-            beurling = False
-            if closed_b is True:
-                raise ConsistencyError(
-                    f"closed-form Beurling rule contradicts the certified divergence at s={_S_HI:g}"
-                )
-        elif closed_b is True and top_status == SeriesStatus.CONVERGES.value:
-            beurling = True
-            s_low = math.inf
-            s_high = math.inf
-        else:
-            beurling = None
-
     detail_r = "bracketed by exponential-domain probes"
-    detail_b = "closed-form tail rule with top-scale certificate"
-    r = GevreyVerdict(
-        GevreyFlavor.ROUMIEU, roumieu, s_low, s_high, tuple(probes), detail=detail_r
-    )
-    b = GevreyVerdict(
-        GevreyFlavor.BEURLING,
-        beurling,
-        s_low if beurling is not True else math.inf,
-        s_high if beurling is not True else math.inf,
-        tuple(probes),
-        detail=detail_b,
-    )
-    return r, b
+    detail_b = None
+    if tie is not None:
+        bracket = _tie_bracket(probe, *tie)
+        roumieu = None
+        if bracket is not None:
+            roumieu, (s_low, s_high) = True, bracket
+        if s_high < math.inf:
+            detail_r = "closed-form tie bracket, certified at both ends"
+            detail_b = "closed-form tie bracket: divergence at its top"
+        elif probe(_S_HI) is False:
+            s_high = _S_HI
+    else:
+        roumieu = probe(_S_LO)
+        if roumieu is False:
+            s_high = _S_LO
+        elif roumieu is True:
+            s_low = _S_LO
+            top = probe(_S_HI)
+            if top is True:
+                s_low = _S_HI
+            elif top is False:
+                s_high = _S_HI
+
+    # Beurling: a certified divergence refutes it; the closed-form rule
+    # with a convergence at the top probe proves it
+    s_last, last = certs[-1]
+    if s_high < math.inf:
+        if every:
+            raise ConsistencyError(
+                f"closed-form Beurling rule contradicts the certified divergence at s={s_high:g}"
+            )
+        beurling = False
+        if detail_b is None:
+            detail_b = (
+                "divergence at the top probe s = 2^20"
+                if s_high == _S_HI
+                else "divergence at s = 2^-20 refutes the Roumieu class"
+            )
+    elif every and s_low == _S_HI:
+        beurling, s_low, s_high = True, math.inf, math.inf
+        detail_b = "closed-form tail rule with top-scale certificate"
+    else:
+        beurling = None
+        if last.status is SeriesStatus.CONVERGES:
+            detail_b = "the top probe converges, but no closed-form rule covers every scale"
+        else:
+            # the lower-envelope half of the engine's undecided detail
+            missing = last.detail.rpartition("; ")[2]
+            where = "2^20" if s_last == _S_HI else "2^-20"
+            detail_b = f"{missing}: no scale refutes (undecided at s = {where})"
+    return verdicts(roumieu, beurling, s_low, s_high, detail_r, detail_b)
 
 
 def vector_class(

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +144,30 @@ def test_super_decay_tail_bound_dominates_true_tail():
     assert bound is not None
     assert math.exp(bound) >= true_tail
     assert bound <= math.log(true_tail) + 3.0  # not wildly loose
+
+
+@pytest.mark.parametrize(
+    "form, mp_term",
+    [
+        (AsymForm.log_k(-2.0), lambda k: k**-2),
+        (AsymForm.power(1.0, -0.1), lambda k: mpmath.exp(-k / 10)),
+        (
+            AsymForm.power(0.5, -1.0) + AsymForm.log_k(-3.0),
+            lambda k: k**-3 * mpmath.exp(-mpmath.sqrt(k)),
+        ),
+        (AsymForm.build((AsymTerm(0.0, 2, -0.5),)), lambda k: mpmath.exp(-mpmath.log(k) ** 2 / 2)),
+    ],
+    ids=["inverse-square", "geometric", "stretched-exponential", "log-square"],
+)
+@pytest.mark.parametrize("K", [1024, 4096])
+def test_tail_bound_dominates_the_mpmath_tail(form, mp_term, K):
+    # log_tail_bound(form, K) >= log sum_{k > K} e^{form(k)}, the tail summed
+    # by mpmath at 50 digits
+    bound = log_tail_bound(form, K)
+    assert bound is not None
+    with mpmath.workdps(50):
+        tail = mpmath.nsum(mp_term, [K + 1, mpmath.inf], method="r+s+e")
+        assert mpmath.log(tail) <= bound
 
 
 def test_tail_bound_refuses_when_not_monotone_yet():

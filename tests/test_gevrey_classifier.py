@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import gevlab as gl
 
@@ -127,7 +129,7 @@ def test_tie_left_open_at_the_ratio_is_closed_one_float_up(monkeypatch):
     # y(1) = e^{A} gauss on -k + i k^2 has coefficients e^{-k^2 - k}; at
     # beta = 1, s* = 1.  At s = 1 the envelopes of |lam| (k^2 below, k^2 + k
     # above) decide nothing, but the next float up diverges from the lower
-    # envelope: the bracket is two ulps wide without any bisection
+    # envelope: the bracket is two ulps wide after three probes
     y = _solution(gl.PowerLawSpectrum(-1, 1, 1, 2), "gauss", 1.0)
     r, b, routes = _traced_classification(monkeypatch, y, 1.0)
     assert (r.member, b.member) == (True, False)
@@ -135,43 +137,52 @@ def test_tie_left_open_at_the_ratio_is_closed_one_float_up(monkeypatch):
     assert routes == ["symbolic-tail", "no-closed-form", "symbolic-divergence"]
 
 
-@pytest.mark.parametrize("lead", [-1.0, -0.5])
-def test_bisection_tightens_the_bracket_only_on_proof(lead):
-    # coefficients e^{k - k^2} on k + i k^4 at beta = 2: s* = 1.  With only an
-    # upper envelope, lead k^2 + k, the tie is certified only from below (one
-    # probe under the ratio -lead), so bisection runs.  Past that ratio no
-    # envelope decides a probe: the undecided probes shrink the search
-    # window, but nothing refutes, and the bracket keeps no upper end
-    spec = gl.builtin_spectra()["mixed-quart"]
+def _upper_only(spectrum, log_coeffs, upper):
+    """A custom vector with log-coefficients log_coeffs(k) and only an upper envelope."""
 
     def coeffs(ks):
-        k = ks.astype(float)
-        return k - k**2, np.zeros(k.shape)
+        return log_coeffs(ks.astype(float)), np.zeros(ks.shape)
 
+    return gl.CoefficientVector.custom(spectrum, coeffs, gl.TailBounds(None, upper, 1))
+
+
+def _assert_upper_only_tie(f, beta, bracket):
+    # the tie's probe under the ratio certifies Roumieu; without a lower
+    # envelope the top probe s = 2^20 refutes nothing, so Beurling stays
+    # Unknown and says what is missing.  Nothing is searched
+    r, b = gl.vector_class(f, beta, R), gl.vector_class(f, beta, B)
+    assert (r.member, b.member) == (True, None)
+    assert (r.s_star_low, r.s_star_high) == (b.s_star_low, b.s_star_high) == bracket
+    assert r.probes == ((bracket[0], "converges"), (2.0**20, "inconclusive"))
+    assert len(r.probes) <= 3
+    assert b.detail == "no lower envelope: no scale refutes (undecided at s = 2^20)"
+    return r
+
+
+@pytest.mark.parametrize(
+    "lead, floor", [(-1.0, _BELOW_ONE), (-0.5, math.nextafter(0.5, 0.0))], ids=["-1.0", "-0.5"]
+)
+def test_upper_only_tie_certifies_only_its_floor(lead, floor):
+    # coefficients e^{k - k^2} on k + i k^4 at beta = 2: s* = 1.  With only an
+    # upper envelope, lead k^2 + k, the tie is certified only from below (one
+    # probe under the ratio -lead).  Past that ratio no envelope decides a
+    # probe: nothing refutes, and the bracket keeps no upper end
     upper = gl.AsymForm.power(2.0, lead) + gl.AsymForm.power(1.0, 1.0)
-    f = gl.CoefficientVector.custom(spec, coeffs, gl.TailBounds(None, upper, 1))
-    r = gl.vector_class(f, 2.0, R)
-    assert r.member is True
+    f = _upper_only(gl.builtin_spectra()["mixed-quart"], lambda k: k - k**2, upper)
+    r = _assert_upper_only_tie(f, 2.0, (floor, math.inf))
     assert r.s_star_low <= 1.0 <= r.s_star_high == math.inf
     assert r.probes[0] == (math.nextafter(-lead, 0.0), "converges")
     assert r.s_star_low >= r.probes[0][0]  # the tie floor bounds the low end
     assert "diverges" not in {status for _, status in r.probes}
 
 
-def test_bisection_keeps_the_critical_scale_above_its_low_end():
+def test_upper_only_tie_keeps_the_critical_scale_above_its_low_end():
     # log-coefficients -k - 2 log k on lam = 3k at beta = 1: s* = 1/3, where
-    # the series still converges.  Only the upper envelope is declared, so
-    # bisection runs; no probe above s* may count as a convergence
-    spec = gl.PowerLawSpectrum(3, 1, 0, 0)
-
-    def coeffs(ks):
-        k = ks.astype(float)
-        return -k - 2.0 * np.log(k), np.zeros(k.shape)
-
+    # the series still converges.  Only the upper envelope is declared, so no
+    # probe above s* may count as a convergence
     upper = gl.AsymForm.power(1.0, -1.0) + gl.AsymForm.log_k(-2.0)
-    f = gl.CoefficientVector.custom(spec, coeffs, gl.TailBounds(None, upper, 1))
-    r = gl.vector_class(f, 1.0, R)
-    assert r.member is True
+    f = _upper_only(gl.PowerLawSpectrum(3, 1, 0, 0), lambda k: -k - 2.0 * np.log(k), upper)
+    r = _assert_upper_only_tie(f, 1.0, (0.33333333333333326, math.inf))
     assert Fraction(r.s_star_low) <= Fraction(1, 3) and r.s_star_high == math.inf
     # the tie's certified floor, just under fl(1/3), bounds the low end
     assert r.s_star_low >= math.nextafter(1.0 / 3.0, 0.0)
@@ -179,20 +190,48 @@ def test_bisection_keeps_the_critical_scale_above_its_low_end():
 
 def test_upper_only_tie_below_the_probe_floor_is_roumieu():
     # log-coefficients -1e-7 k^2 against |lam|^{1/2} in [k^2, k^2 + k^{1/2}]:
-    # s* = 1e-7 lies under the first bisection probe 2^-20, which no envelope
-    # decides; the tie's probe just under 1e-7 still certifies Roumieu, and
-    # without a lower envelope nothing refutes Beurling
-    spec = gl.builtin_spectra()["mixed-quart"]
-
-    def coeffs(ks):
-        k = ks.astype(float)
-        return -1e-7 * k**2, np.zeros(k.shape)
-
-    upper = gl.AsymForm.power(2.0, -1e-7)
-    f = gl.CoefficientVector.custom(spec, coeffs, gl.TailBounds(None, upper, 1))
-    r, b = gl.vector_class(f, 2.0, R), gl.vector_class(f, 2.0, B)
-    assert (r.member, b.member) == (True, None)
+    # s* = 1e-7 lies under the low probe 2^-20, which no envelope decides;
+    # the tie's probe just under 1e-7 still certifies Roumieu, and without a
+    # lower envelope nothing refutes Beurling
+    f = _upper_only(gl.builtin_spectra()["mixed-quart"], lambda k: -1e-7 * k**2,
+                    gl.AsymForm.power(2.0, -1e-7))
+    r = _assert_upper_only_tie(f, 2.0, (9.999999999999998e-08, math.inf))
     assert 0.0 < r.s_star_low <= 1e-7 <= r.s_star_high
+
+
+def test_beurling_detail_names_the_refuting_divergence():
+    # k^-2 on -k at t = 0 diverges at every scale: 2^-20 refutes Roumieu, so
+    # Beurling fails there too and no top probe is made
+    spec = gl.PowerLawSpectrum(-1, 1, 0, 0)
+    (f,) = [v for v in gl.builtin_vectors(spec) if v.label == "poly2"]
+    r, b = gl.vector_class(f, 1.0, R), gl.vector_class(f, 1.0, B)
+    assert (r.member, b.member) == (False, False)
+    assert b.probes == ((2.0**-20, "diverges"),)
+    assert b.detail == "divergence at s = 2^-20 refutes the Roumieu class"
+    # a tie bracket refutes at its top, the closed-form rule proves Beurling
+    tie = gl.vector_class(_solution("neg-real", "poly2", 1.0), 1.0, B)
+    assert tie.detail == "closed-form tie bracket: divergence at its top"
+    entire = gl.vector_class(gl.CoefficientVector.power_decay(spec, 1.0, 2.0), 1.0, B)
+    assert entire.member is True
+    assert entire.detail == "closed-form tail rule with top-scale certificate"
+
+
+@pytest.mark.parametrize("beta", [1.0, 1.5, 2.0])
+def test_catalog_probes_only_fixed_scales_and_tie_points(beta):
+    from gevlab import gevrey_classifier as gc
+
+    for name, spec in gl.builtin_spectra().items():
+        for v in gl.builtin_vectors(spec):
+            scales = {1.0, 2.0**-20, 2.0**20}
+            _, tie = gc._closed_forms(v, beta)
+            if tie is not None:
+                scales |= {math.nextafter(tie[0], 0.0)}
+                if tie[1] is not None:
+                    scales |= {tie[1], math.nextafter(tie[1], math.inf)}
+            for flavor in (R, B):
+                probed = [s for s, _ in gl.vector_class(v, beta, flavor).probes]
+                assert len(probed) <= 3, (name, v.label, beta)
+                assert set(probed) <= scales, (name, v.label, beta, probed)
 
 
 def test_fast_spectrum_refutes_roumieu():
@@ -279,6 +318,67 @@ def test_inclusion_chain_across_orders():
             for b1, b2 in ((1.0, 1.5), (1.5, 2.0), (1.0, 2.0)):
                 if verdicts[(b1, "r")] is True and verdicts[(b2, "b")] is not None:
                     assert verdicts[(b2, "b")] is True, (name, v.label, b1, b2)
+
+
+# the valid power-law families: a term with a zero coefficient or exponent
+# only adds a constant, and families without an increasing part are refused
+_FAMILIES = [
+    (a_re, p_re, a_im, p_im)
+    for a_re in (0, 1, -1)
+    for p_re in (0, 0.5, 1)
+    for a_im in (0, 1, -1)
+    for p_im in (0, 1, 2)
+    if (a_re and p_re) or (a_im and p_im)
+]
+_S_GRID = [2.0**e for e in np.linspace(-20.0, 20.0, 33)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(_FAMILIES),
+    decay=st.one_of(
+        st.tuples(st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([0.5, 1.0, 2.0])),
+        st.sampled_from([1.0, 2.0, 3.0]),
+    ),
+    t=st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_membership_is_monotone_in_s_and_the_classes_nest(family, decay, t):
+    # the classifier probes only at closed-form tie points and at 2^-20 and
+    # 2^20; that rests on every probe certificate being monotone in s.  On a
+    # log grid over [2^-20, 2^20] and at both bracket ends, no probe above
+    # s_star_high converges, none below s_star_low diverges, and under a
+    # Roumieu low end every probe converges
+    from gevlab import gevrey_classifier as gc
+
+    assert len(_FAMILIES) == 56
+    spec = gl.PowerLawSpectrum(*family)
+    if isinstance(decay, tuple):
+        f = gl.CoefficientVector.power_decay(spec, *decay)
+    else:
+        f = gl.CoefficientVector.polynomial_decay(spec, decay)
+    if t > 0:
+        admissible = gl.check_admissible(f)
+        assume(admissible.admissible)
+        f = gl.solve(gl.SolutionHandle(f, admissible), t)
+    members = {}
+    for beta in (1.0, 1.5, 2.0):
+        r, b = gc._classify_both(f, beta, gl.DEFAULT_BUDGET)
+        members[beta] = (r.member, b.member)
+        ends = [s for s in (r.s_star_low, r.s_star_high) if 0.0 < s < math.inf]
+        for s in _S_GRID + ends:
+            got = gc._probe(f, s, beta, gl.DEFAULT_BUDGET).member
+            if s >= r.s_star_high:
+                assert got is not True, (beta, s)
+            if s <= r.s_star_low:
+                assert got is not False, (beta, s)
+                assert got is True or r.member is not True, (beta, s)
+    # inclusion chain: Beurling(beta) implies Roumieu(beta), and Roumieu(b1)
+    # implies Beurling(b2) for b1 < b2 wherever that is decided
+    for beta, (roumieu, beurling) in members.items():
+        assert beurling is not True or roumieu is True, beta
+    for b1, b2 in ((1.0, 1.5), (1.5, 2.0), (1.0, 2.0)):
+        if members[b1][0] is True:
+            assert members[b2][1] is not False, (b1, b2)
 
 
 # -- region test -----------------------------------------------------------------

@@ -1,9 +1,10 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gevlab.logdomain import (
@@ -92,3 +93,85 @@ def test_complex_logsum_matches_direct():
 def test_complex_logsum_of_nothing_is_zero():
     assert complex_logsum([], []).is_zero
     assert complex_logsum([NEG_INF], [0.0]).is_zero
+
+
+# -- mpmath oracle at 50 digits ---------------------------------------------------
+
+_EPS = 2.0**-53
+# log-magnitudes with -inf entries and spreads far beyond the float range
+log_mags = st.lists(
+    st.one_of(st.just(NEG_INF), st.floats(min_value=-3000.0, max_value=3000.0)),
+    min_size=1,
+    max_size=24,
+)
+
+
+def _mp_sum(mags, phases):
+    """sum_i e^{mags_i + i phases_i} e^{-m}, m = max(mags), at 50 digits."""
+    m = max(mags)
+    return mpmath.fsum(
+        mpmath.exp(mpmath.mpf(a) - m) * mpmath.expj(mpmath.mpf(phi))
+        for a, phi in zip(mags, phases)
+        if a != NEG_INF
+    )
+
+
+@settings(max_examples=200)
+@given(log_mags)
+def test_logsumexp_matches_mpmath(mags):
+    got = logsumexp(mags)
+    m = max(mags)
+    if m == NEG_INF:
+        assert got == NEG_INF
+        return
+    with mpmath.workdps(50):
+        exact = m + mpmath.log(_mp_sum(mags, [0.0] * len(mags)).real)
+        # each scaled term is off by a few ulps of the largest one, the
+        # result by the rounding of a float of its size
+        assert abs(got - exact) <= 4 * _EPS * (len(mags) + abs(exact))
+
+
+@settings(max_examples=200)
+@given(log_mags, st.data())
+def test_complex_logsum_matches_mpmath(mags, data):
+    # half the draws pair every entry with its negation, so that the large
+    # terms cancel and the sum is much smaller than its largest term
+    phases = data.draw(st.lists(st.floats(-math.pi, math.pi), min_size=len(mags), max_size=len(mags)))
+    if data.draw(st.booleans()):
+        mags = mags + mags + [min(mags) - 30.0]
+        phases = phases + [phi + math.pi for phi in phases] + [0.5]
+    got = complex_logsum(mags, phases)
+    m = max(mags)
+    if m == NEG_INF:
+        assert got.is_zero
+        return
+    with mpmath.workdps(50):
+        exact = _mp_sum(mags, phases)
+        if got.is_zero:
+            value = mpmath.mpc(0)
+        else:
+            value = mpmath.exp(mpmath.mpf(got.log_mag) - m) * mpmath.expj(mpmath.mpf(got.phase))
+        # absolute error of a few ulps per term, in units of the largest
+        # term, plus a relative error from log_mag and the phase
+        tol = 8 * _EPS * (len(mags) + abs(exact) * (1 + abs(got.log_mag)))
+        assert abs(value - exact) <= tol
+
+
+@pytest.mark.parametrize(
+    "mags, phases",
+    [
+        ([0.0, 0.0, -30.0], [0.0, math.pi, 0.3]),  # two unit terms cancel
+        ([700.0, NEG_INF, -750.0, 699.0], [0.1, 2.0, -1.0, 0.1 - math.pi]),  # spread 1,450
+        ([-1400.0, -1400.0, NEG_INF], [1.0, -2.0, 0.0]),  # every term underflows e^x
+    ],
+    ids=["cancelling", "wide-spread", "underflowing"],
+)
+def test_kernels_match_mpmath_on_hard_arrays(mags, phases):
+    m = max(mags)
+    with mpmath.workdps(50):
+        exact = _mp_sum(mags, phases)
+        got = complex_logsum(mags, phases)
+        value = mpmath.exp(mpmath.mpf(got.log_mag) - m) * mpmath.expj(mpmath.mpf(got.phase))
+        assert abs(value - exact) <= 8 * _EPS * (len(mags) + abs(exact) * (1 + abs(got.log_mag)))
+        real = m + mpmath.log(_mp_sum(mags, [0.0] * len(mags)).real)
+        assert abs(logsumexp(mags) - real) <= 4 * _EPS * (len(mags) + abs(real))
