@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -355,6 +356,10 @@ def _traffic_jobs():
         yield {"command": "region-boundary", "beta": beta, "b_plus": 1}
 
 
+# sha256 of the 398 seed-free reports of _traffic_jobs(), concatenated in order
+_TRAFFIC_DIGEST = "aab8caf41ff28547f4985134df6a75842f7cd78ad5c0988770838ce268174fa8"
+
+
 def test_power_law_traffic_has_no_inconclusive_certificate(monkeypatch):
     # every series the job commands raise on power-law spectra has a closed
     # form, so no report carries an undecided certificate.  The engine's only
@@ -366,6 +371,7 @@ def test_power_law_traffic_has_no_inconclusive_certificate(monkeypatch):
     routes = Counter()
     undecided = set()
     current = {}
+    digest = hashlib.sha256()
     for module in (borel_calculus, spectral_core):
         def counted(*args, _certify=module.certify_log_series, **kwargs):
             cert = _certify(*args, **kwargs)
@@ -381,5 +387,8 @@ def test_power_law_traffic_has_no_inconclusive_certificate(monkeypatch):
         report = cli.run(cli.parse_jobspec(json.dumps(job)))
         assert report.status == "ok", (job, report.error)
         assert "inconclusive" not in report.to_json(), job
+        digest.update(report.to_json(seed_free=True).encode())
+    # the seed-free reports pin every verdict, bracket and value byte for byte
+    assert digest.hexdigest() == _TRAFFIC_DIGEST
     assert routes["symbolic-tail"] > 0 and routes["symbolic-divergence"] > 0
     assert undecided == {("harness", (-1, p_re, a_im, 2)) for p_re in (0.5, 1) for a_im in (1, -1)}
