@@ -258,7 +258,8 @@ class DomainVerdict:
 
     member is True only on a convergence certificate, False only on a
     divergence certificate, and None (Unknown) otherwise.  log_norm is
-    log ||F(A)f||_p when membership is certified, NaN otherwise.
+    log ||F(A)f||_p when membership is certified with a budget, NaN
+    otherwise: a decision-only test (budget=None) resolves no value.
     """
 
     member: Optional[bool]
@@ -279,10 +280,12 @@ def _member_from_status(status: SeriesStatus) -> Optional[bool]:
 def domain_member_direct(
     F: SymbolFunction,
     f: CoefficientVector,
-    budget: SeriesBudget = DEFAULT_BUDGET,
-    resolve_value: bool = True,
+    budget: Optional[SeriesBudget] = DEFAULT_BUDGET,
 ) -> DomainVerdict:
     """Direct criterion: {F(lam_k) f_k} must lie in l^p.
+
+    With `budget=None` membership is only decided (see certify_log_series)
+    and log_norm stays NaN.
 
     The tail envelope is the coefficient envelope plus F's growth envelope.
     A plan hook of the series space overrides it where it couples the two:
@@ -311,9 +314,7 @@ def domain_member_direct(
         hook = space.evolution_upper_form(F.z.real)
         if hook is not None:
             bounds = TailBounds(None, hook[0].scale(p), hook[1])
-    cert = certify_log_series(
-        term, count=space.count, bounds=bounds, budget=budget, resolve_value=resolve_value
-    )
+    cert = certify_log_series(term, count=space.count, bounds=bounds, budget=budget)
     member = _member_from_status(cert.status)
     log_norm = cert.log_value / p if member is True else math.nan
     return DomainVerdict(
@@ -321,21 +322,15 @@ def domain_member_direct(
     )
 
 
-def apply_symbol(
-    F: SymbolFunction,
-    f: CoefficientVector,
-    budget: SeriesBudget = DEFAULT_BUDGET,
-    _trusted: bool = False,
-) -> CoefficientVector:
+def apply_symbol(F: SymbolFunction, f: CoefficientVector) -> CoefficientVector:
     """Coordinatewise g_k = F(lam_k) f_k; refuses when membership is not certified."""
-    if not _trusted:
-        verdict = domain_member_direct(F, f, budget, resolve_value=False)
-        if verdict.member is not True:
-            raise DomainError(
-                f"{F.name} applied outside its certified domain "
-                f"(status {verdict.certificate.status.value})",
-                verdict,
-            )
+    verdict = domain_member_direct(F, f, budget=None)
+    if verdict.member is not True:
+        raise DomainError(
+            f"{F.name} applied outside its certified domain "
+            f"(status {verdict.certificate.status.value})",
+            verdict,
+        )
     return f._with_symbols((F,))
 
 

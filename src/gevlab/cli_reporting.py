@@ -44,7 +44,7 @@ from .gevrey_classifier import (
     vector_class,
     vector_class_beta0,
 )
-from .series import DEFAULT_BUDGET, SeriesBudget, json_float
+from .series import SeriesBudget, json_float
 from .spectral_core import CoefficientVector, ExplicitSpectrum, PowerLawSpectrum
 
 TOOL_VERSION = "0.1.0"
@@ -452,7 +452,7 @@ def _flavors(job: JobSpec):
 def run(job: JobSpec, budget: Optional[SeriesBudget] = None, flags: Optional[dict] = None) -> RunReport:
     """Execute a parsed job; math failures become structured errors."""
     if budget is None:
-        budget = DEFAULT_BUDGET.with_overrides(k_max=job.k_max, rel_tol=job.tol)
+        budget = SeriesBudget(job.k_max, job.tol)
     report = RunReport(job=job, flags=flags or {})
     t0 = time.perf_counter()
     try:
@@ -470,10 +470,12 @@ def run(job: JobSpec, budget: Optional[SeriesBudget] = None, flags: Optional[dic
 
 
 def _dispatch(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
+    """Run one command; only evolve norms and estimate-order power norms
+    resolve series values, so only they read the budget."""
     cmd = job.command
     if cmd == "classify-spectrum":
         spectrum = job.spectrum.build()
-        region = region_condition(spectrum, job.beta, budget=budget)
+        region = region_condition(spectrum, job.beta)
         report.verdicts.append(_region_dict(region, spectrum.label))
         return
 
@@ -486,7 +488,7 @@ def _dispatch(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
                 report.verdicts.append(_verdict_dict(v, vec.label, 0.0))
             else:
                 for flavor in _flavors(job):
-                    v = vector_class(vec, job.beta, flavor, budget)
+                    v = vector_class(vec, job.beta, flavor)
                     report.verdicts.append(_verdict_dict(v, vec.label, job.beta))
         return
 
@@ -494,7 +496,7 @@ def _dispatch(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
         spectrum = job.spectrum.build()
         for vs in job.vectors:
             vec = vs.build(spectrum, job.p_norm)
-            cert = check_admissible(vec, job.t_max, budget)
+            cert = check_admissible(vec, job.t_max)
             report.verdicts.append(
                 {
                     "kind": "admissibility",
@@ -552,7 +554,7 @@ def _dispatch(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
             plan = plan_for_spectrum(job.spectrum.build(), job.beta, case)
         else:
             plan = build_violating_spectrum(job.beta, case)
-        art = build_counterexample(plan, budget)
+        art = build_counterexample(plan)
         report.verdicts.append(
             {
                 "kind": "counterexample",
@@ -575,7 +577,7 @@ def _dispatch(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
         vecs = None
         if job.vectors:
             vecs = [vs.build(spectrum, job.p_norm) for vs in job.vectors]
-        hr = theorem_equivalence_harness(spectrum, job.beta, vecs, budget)
+        hr = theorem_equivalence_harness(spectrum, job.beta, vecs)
         report.verdicts.append(_region_dict(hr.region, hr.spectrum))
         for row in hr.rows:
             report.verdicts.append(
@@ -749,8 +751,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="CSV output path")
     parser.add_argument("--report", help="JSON report path (default: stdout)")
     parser.add_argument("--seed-free", action="store_true", help="zero timings for byte-stable reports")
-    parser.add_argument("--tol", type=float, help="relative series tolerance override")
-    parser.add_argument("--kmax", type=int, help="series budget override (also: GSL_KMAX)")
+    parser.add_argument("--tol", type=float, help="relative tolerance of evolve and estimate-order norms")
+    parser.add_argument("--kmax", type=int, help="most terms summed for a norm (also: GSL_KMAX)")
     return parser
 
 
@@ -765,23 +767,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise JobSpecError(
                 f"command mismatch: CLI says {args.command!r}, job file says {job.command!r}"
             )
+        # the overrides obey the job file's rules for k_max and tol
+        k_max, tol = job.k_max, job.tol
+        env_k = os.environ.get("GSL_KMAX")
+        if env_k is not None:
+            try:
+                env_k = int(env_k)
+            except ValueError:
+                _fail("GSL_KMAX", "expected an integer")
+            k_max = _FIELD_PARSERS["k_max"](env_k, "GSL_KMAX")
+        if args.kmax is not None:
+            k_max = _FIELD_PARSERS["k_max"](args.kmax, "--kmax")
+        if args.tol is not None:
+            tol = _FIELD_PARSERS["tol"](args.tol, "--tol")
     except (OSError, JobSpecError) as exc:
         print(json.dumps({"status": "error", "error": str(exc)}), file=sys.stderr)
         return 1
     parse_s = time.perf_counter() - t_parse
-
-    k_max = job.k_max
-    env_k = os.environ.get("GSL_KMAX")
-    if env_k is not None:
-        try:
-            k_max = int(env_k)
-        except ValueError:
-            print(json.dumps({"status": "error", "error": "GSL_KMAX must be an integer"}), file=sys.stderr)
-            return 1
-    if args.kmax is not None:
-        k_max = args.kmax
-    tol = args.tol if args.tol is not None else job.tol
-    budget = DEFAULT_BUDGET.with_overrides(k_max=k_max, rel_tol=tol)
+    budget = SeriesBudget(k_max, tol)
     flags = {
         "tol": tol,
         "kmax": k_max,

@@ -639,7 +639,6 @@ class CounterexampleArtifacts:
 
 def build_counterexample(
     plan: ViolatingSpectrumPlan,
-    budget: SeriesBudget = DEFAULT_BUDGET,
     p: float = 2.0,
     s_probes: tuple[float, ...] = _S_PROBES,
 ) -> CounterexampleArtifacts:
@@ -655,13 +654,13 @@ def build_counterexample(
     else:
         f, h, h_star = _unbounded_vectors(plan, p)
 
-    admissibility = check_admissible(f, budget=budget)
+    admissibility = check_admissible(f)
     if not admissibility.admissible:
         raise CounterexampleError(
             f"constructed vector failed admissibility: {admissibility.detail}"
         )
 
-    non_membership = vector_class(f, plan.beta, GevreyFlavor.ROUMIEU, budget)
+    non_membership = vector_class(f, plan.beta, GevreyFlavor.ROUMIEU)
     if non_membership.member is not False:
         raise CounterexampleError(
             "constructed vector was not certified outside the Roumieu class "
@@ -671,7 +670,7 @@ def build_counterexample(
     probe_certs: dict[float, ConvergenceCertificate] = {}
     for s in s_probes:
         cert = total_variation(
-            f, h_star, predicate_all(), weight=GevreyExpSymbol(s, plan.beta), budget=budget
+            f, h_star, predicate_all(), weight=GevreyExpSymbol(s, plan.beta), budget=None
         )
         probe_certs[s] = cert
         if cert.status is not SeriesStatus.DIVERGES:

@@ -25,7 +25,7 @@ from .borel_calculus import (
 )
 from .errors import ConsistencyError, DomainError, VectorError
 from .logdomain import NEG_INF, complex_logsum
-from .series import DEFAULT_BUDGET, SeriesBudget, SeriesStatus
+from .series import SeriesStatus
 from .spectral_core import CoefficientVector, conjugate_exponent
 
 DEFAULT_T_MAX = 100.0
@@ -91,11 +91,7 @@ def _sup_bound(form, lo: int = 1) -> float:
     return max(vals)
 
 
-def check_admissible(
-    f: CoefficientVector,
-    t_max: float = DEFAULT_T_MAX,
-    budget: SeriesBudget = DEFAULT_BUDGET,
-) -> AdmissibilityCertificate:
+def check_admissible(f: CoefficientVector, t_max: float = DEFAULT_T_MAX) -> AdmissibilityCertificate:
     """Decide whether f admits the exponential solution for every t >= 0."""
     if not t_max > 0:
         raise ValueError("t_max must be positive")
@@ -129,7 +125,7 @@ def check_admissible(
 
     probe_status = []
     for t in checked:
-        verdict = domain_member_direct(ExpSymbol(float(t)), f, budget, resolve_value=False)
+        verdict = domain_member_direct(ExpSymbol(float(t)), f, budget=None)
         probe_status.append((t, verdict.certificate.status.value))
         _check_probe_consistency(rule, t, verdict)
 
@@ -226,13 +222,8 @@ class SolutionHandle:
             )
 
     @classmethod
-    def admit(
-        cls,
-        f: CoefficientVector,
-        t_max: float = DEFAULT_T_MAX,
-        budget: SeriesBudget = DEFAULT_BUDGET,
-    ) -> "SolutionHandle":
-        return cls(f, check_admissible(f, t_max, budget))
+    def admit(cls, f: CoefficientVector, t_max: float = DEFAULT_T_MAX) -> "SolutionHandle":
+        return cls(f, check_admissible(f, t_max))
 
 
 def solve(h: SolutionHandle, t: float) -> CoefficientVector:
@@ -249,12 +240,12 @@ def derivative(h: SolutionHandle, t: float, n: int) -> CoefficientVector:
     if n < 0:
         raise ValueError("derivative order must be >= 0")
     symbol = compose(PowerSymbol(n), ExpSymbol(float(t)))
-    verdict = domain_member_direct(symbol, h.f, resolve_value=False)
+    verdict = domain_member_direct(symbol, h.f, budget=None)
     if verdict.member is not True:
         first = n
         for m in range(1, n + 1):
             v = domain_member_direct(
-                compose(PowerSymbol(m), ExpSymbol(float(t))), h.f, resolve_value=False
+                compose(PowerSymbol(m), ExpSymbol(float(t))), h.f, budget=None
             )
             if v.member is not True:
                 first = m
@@ -306,7 +297,7 @@ def weak_solution_residual(
     q = conjugate_exponent(h.f.p_norm)
     if abs(g.p_norm - q) > 1e-9:
         raise VectorError(f"dual vector must carry q={q:g}")
-    adj_check = domain_member_direct(PowerSymbol(1), g, resolve_value=False)
+    adj_check = domain_member_direct(PowerSymbol(1), g, budget=None)
     if adj_check.member is not True:
         raise VectorError("g is outside the coordinatewise adjoint domain")
     infinite = h.f.effective_count() is None

@@ -159,8 +159,8 @@ def _ratio(decay: AsymTerm, growth: AsymTerm) -> Optional[float]:
         return None
 
 
-def _probe(f: CoefficientVector, s: float, beta: float, budget: SeriesBudget) -> DomainVerdict:
-    return domain_member_direct(GevreyExpSymbol(s, beta), f, budget, resolve_value=False)
+def _probe(f: CoefficientVector, s: float, beta: float) -> DomainVerdict:
+    return domain_member_direct(GevreyExpSymbol(s, beta), f, budget=None)
 
 
 def _tie_bracket(probe, s_lo: float, s_hi: Optional[float]) -> Optional[tuple[float, float]]:
@@ -191,14 +191,12 @@ def _tie_bracket(probe, s_lo: float, s_hi: Optional[float]) -> Optional[tuple[fl
     return low, math.inf
 
 
-def _classify_both(
-    f: CoefficientVector, beta: float, budget: SeriesBudget
-) -> tuple[GevreyVerdict, GevreyVerdict]:
+def _classify_both(f: CoefficientVector, beta: float) -> tuple[GevreyVerdict, GevreyVerdict]:
     beta = _check_beta(beta)
     certs: list = []  # (s, certificate) of every probe, in order
 
     def probe(s: float) -> Optional[bool]:
-        v = _probe(f, s, beta, budget)
+        v = _probe(f, s, beta)
         certs.append((s, v.certificate))
         return v.member
 
@@ -278,10 +276,9 @@ def vector_class(
     f: CoefficientVector,
     beta: float,
     flavor: GevreyFlavor = GevreyFlavor.ROUMIEU,
-    budget: SeriesBudget = DEFAULT_BUDGET,
 ) -> GevreyVerdict:
     """Membership of f in the order-beta class of the requested flavor."""
-    r, b = _classify_both(f, beta, budget)
+    r, b = _classify_both(f, beta)
     return r if flavor is GevreyFlavor.ROUMIEU else b
 
 
@@ -340,12 +337,11 @@ def solution_class_at(
     t: float,
     beta: float,
     flavor: GevreyFlavor = GevreyFlavor.ROUMIEU,
-    budget: SeriesBudget = DEFAULT_BUDGET,
 ) -> GevreyVerdict:
     """Class of y(t): the solution is order-beta at t iff y(t) is."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    return vector_class(solve(h, t), beta, flavor, budget)
+    return vector_class(solve(h, t), beta, flavor)
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +464,6 @@ def region_condition(
     spectrum: SpectrumFamily,
     beta: float,
     allow_extrapolation: bool = False,
-    budget: SeriesBudget = DEFAULT_BUDGET,
 ) -> RegionReport:
     """Is the spectrum inside {Re >= b_+ |Im|^{1/beta}} up to a bounded set?
 
@@ -716,7 +711,6 @@ def theorem_equivalence_harness(
     spectrum: SpectrumFamily,
     beta: float,
     vector_catalog: Optional[Sequence[CoefficientVector]] = None,
-    budget: SeriesBudget = DEFAULT_BUDGET,
     t_checks: tuple[float, ...] = (0.0, 1.0),
 ) -> HarnessReport:
     """Cross-check the region verdict against per-vector classifications.
@@ -728,7 +722,7 @@ def theorem_equivalence_harness(
     HarnessError with the full report attached.
     """
     beta = _check_beta(beta)
-    region = region_condition(spectrum, beta, budget=budget)
+    region = region_condition(spectrum, beta)
     if vector_catalog is None:
         from .catalog import builtin_vectors
 
@@ -741,14 +735,14 @@ def theorem_equivalence_harness(
     saw_roumieu = False
 
     for v in vector_catalog:
-        cert = check_admissible(v, budget=budget)
+        cert = check_admissible(v)
         if not cert.admissible:
             rows.append(HarnessRow(v.label, False, cert.unknown))
             continue
         h = SolutionHandle(v, cert)
         verd: list[tuple[float, str, Optional[bool]]] = []
         for t in t_checks:
-            r, b = _classify_both(solve(h, t), beta, budget)
+            r, b = _classify_both(solve(h, t), beta)
             verd.append((t, GevreyFlavor.ROUMIEU.value, r.member))
             verd.append((t, GevreyFlavor.BEURLING.value, b.member))
             saw_roumieu = True
@@ -771,7 +765,7 @@ def theorem_equivalence_harness(
         from .counterexamples import build_counterexample, plan_for_spectrum
 
         plan = plan_for_spectrum(spectrum, beta)
-        counterexample = build_counterexample(plan, budget)
+        counterexample = build_counterexample(plan)
         if not counterexample.admissibility.admissible:
             problems.append("constructed counterexample is not admissible")
         if counterexample.non_membership.member is not False:

@@ -8,6 +8,8 @@ K doubling up to a budget, resolve the value until the envelope's closed-form
 tail bound falls below tolerance (`symbolic-tail`).  Without such an envelope
 the result is Inconclusive on route `no-closed-form`, at once: the engine
 never extrapolates from a summed prefix and never silently truncates.
+Without a budget the engine only decides: it returns the same status and
+route and sums no term.
 """
 
 from __future__ import annotations
@@ -31,21 +33,15 @@ class SeriesStatus(Enum):
 
 @dataclass(frozen=True)
 class SeriesBudget:
+    """How far a convergent sum's value is resolved: at most k_max terms,
+    until the tail bound falls below rel_tol times the partial sum."""
+
     k_max: int = 1 << 20
     rel_tol: float = 1e-10
-    block_start: int = 1 << 10
-    decision_k_cap: int = 1 << 12  # prefix summed when only the verdict is needed
-
-    def with_overrides(self, k_max: Optional[int] = None, rel_tol: Optional[float] = None) -> "SeriesBudget":
-        return SeriesBudget(
-            k_max=self.k_max if k_max is None else int(k_max),
-            rel_tol=self.rel_tol if rel_tol is None else float(rel_tol),
-            block_start=self.block_start,
-            decision_k_cap=self.decision_k_cap,
-        )
 
 
 DEFAULT_BUDGET = SeriesBudget()
+_BLOCK_START = 1 << 10  # the first partial sum covers k = 1.._BLOCK_START
 
 
 @dataclass(frozen=True)
@@ -57,8 +53,10 @@ class ConvergenceCertificate:
     lower envelope whose terms do not decay) or `no-closed-form`
     (INCONCLUSIVE: `detail` names the missing or undecided envelope).
     `log_value` is the log of the certified partial sum (CONVERGES) and
-    `log_tail_bound` bounds the log of the truncation error.  DIVERGES
-    carries a witness payload sampling the prefix of the terms.
+    `log_tail_bound` bounds the log of the truncation error.  A decision
+    certificate, issued without a budget, resolves no value: when it
+    CONVERGES, both are NaN and `terms_used` is 0.  DIVERGES carries a
+    witness payload sampling the terms at k = 2^0..2^14.
     """
 
     status: SeriesStatus
@@ -118,10 +116,8 @@ def _exact_finite(term_fn, count: int) -> ConvergenceCertificate:
     )
 
 
-def _divergence_witness(term_fn, k_hi: int) -> dict:
-    ks = [1 << j for j in range(0, 15) if (1 << j) <= k_hi]
-    if not ks:
-        ks = [1]
+def _divergence_witness(term_fn) -> dict:
+    ks = [1 << j for j in range(0, 15)]
     vals = term_fn(np.asarray(ks, dtype=np.int64))
     return {
         "kind": "sample-prefix",
@@ -135,25 +131,22 @@ def certify_log_series(
     *,
     count: Optional[int] = None,
     bounds: Optional[TailBounds] = None,
-    budget: SeriesBudget = DEFAULT_BUDGET,
-    resolve_value: bool = True,
+    budget: Optional[SeriesBudget] = DEFAULT_BUDGET,
 ) -> ConvergenceCertificate:
     """Certify sum_k e^{term_fn(k)} over k = 1.. (count or infinity).
 
     `term_fn` maps an int64 index array to log-magnitudes (-inf allowed).
     `bounds` sandwiches the log-terms beyond bounds.k_min; an infinite sum
     is decided from it alone, and is INCONCLUSIVE (route `no-closed-form`,
-    no term evaluated) when neither envelope decides.  With
-    `resolve_value=False` a convergent sum is only resolved over a short
-    prefix (the verdict is unaffected).
+    no term evaluated) when neither envelope decides.  With `budget=None`
+    only the status is certified: no term is evaluated apart from the
+    divergence witness, and a convergent certificate carries no value.
     """
     if count is not None:
         if count < 0:
             raise ValueError("count must be nonnegative")
-        if count == 0:
-            return ConvergenceCertificate(
-                SeriesStatus.CONVERGES, NEG_INF, NEG_INF, 0, route="exact-finite"
-            )
+        if budget is None:
+            return ConvergenceCertificate(SeriesStatus.CONVERGES, route="exact-finite")
         return _exact_finite(term_fn, count)
 
     if bounds is not None and bounds.lower is not None and form_diverges(bounds.lower):
@@ -162,7 +155,7 @@ def certify_log_series(
             log_value=math.inf,
             terms_used=0,
             route="symbolic-divergence",
-            witness=_divergence_witness(term_fn, budget.k_max),
+            witness=_divergence_witness(term_fn),
             detail=f"lower envelope {bounds.lower.describe()} does not decay"
             f" (valid k >= {bounds.k_min})",
         )
@@ -173,11 +166,13 @@ def certify_log_series(
             detail=_undecided(bounds),
         )
 
-    k_stop = budget.k_max if resolve_value else min(budget.k_max, budget.decision_k_cap)
+    detail = f"upper envelope {bounds.upper.describe()}"
+    if budget is None:
+        return ConvergenceCertificate(SeriesStatus.CONVERGES, route="symbolic-tail", detail=detail)
     running = NEG_INF
     prev_end = 0
-    while prev_end < k_stop:
-        K = min(k_stop, max(budget.block_start, prev_end * 2))
+    while prev_end < budget.k_max:
+        K = min(budget.k_max, max(_BLOCK_START, prev_end * 2))
         ks = np.arange(prev_end + 1, K + 1, dtype=np.int64)
         running = logaddexp(running, logsumexp(term_fn(ks)))
         prev_end = K
@@ -192,7 +187,7 @@ def certify_log_series(
                     log_tail_bound=tb,
                     terms_used=K,
                     route="symbolic-tail",
-                    detail=f"upper envelope {bounds.upper.describe()}",
+                    detail=detail,
                 )
 
     tb = log_tail_bound(bounds.upper, prev_end) if prev_end >= bounds.k_min else None

@@ -623,9 +623,7 @@ class CoefficientVector:
         out = np.where(mags == NEG_INF, 0.0, np.exp(mags)) * np.exp(1j * phases)
         return out
 
-    def log_norm(
-        self, budget: SeriesBudget = DEFAULT_BUDGET, resolve_value: bool = True
-    ) -> tuple[float, ConvergenceCertificate]:
+    def log_norm(self, budget: SeriesBudget = DEFAULT_BUDGET) -> tuple[float, ConvergenceCertificate]:
         """log ||f||_p with its certificate."""
         p = self.p_norm
         space = self.series_space()
@@ -640,7 +638,6 @@ class CoefficientVector:
             count=space.count,
             bounds=bounds.scale(p) if bounds is not None else None,
             budget=budget,
-            resolve_value=resolve_value,
         )
         if cert.status is SeriesStatus.CONVERGES:
             return cert.log_value / p, cert
@@ -823,8 +820,7 @@ def total_variation(
     g: CoefficientVector,
     delta: BorelPredicate,
     weight=None,
-    budget: SeriesBudget = DEFAULT_BUDGET,
-    resolve_value: bool = True,
+    budget: Optional[SeriesBudget] = DEFAULT_BUDGET,
 ) -> ConvergenceCertificate:
     """Certify sum over {k: lam_k in delta} of weight(lam_k)*|f_k g_k|.
 
@@ -832,7 +828,8 @@ def total_variation(
     selection.  `weight` is a symbol-like object exposing log_abs(lams) and
     growth_bounds_on(space); None means the constant weight 1.  With
     weight 1 and delta = C this is the total variation of the pairing
-    measure, bounded by ||f||_p ||g||_q.
+    measure, bounded by ||f||_p ||g||_q.  `budget=None` only decides the
+    status (see certify_log_series).
     """
     if f.spectrum is not g.spectrum and f.spectrum != g.spectrum:
         raise VectorError("total variation needs both vectors on the same spectrum")
@@ -871,9 +868,7 @@ def total_variation(
     hook = space.tv_lower_form(weight) if delta.is_all else None
     if hook is not None:
         b = with_lower_form(b, *hook)
-    return certify_log_series(
-        term, count=count, bounds=b, budget=budget, resolve_value=resolve_value
-    )
+    return certify_log_series(term, count=count, bounds=b, budget=budget)
 
 
 @dataclass(frozen=True)

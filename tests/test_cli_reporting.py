@@ -297,6 +297,52 @@ def test_main_flag_beats_env(tmp_path, monkeypatch, capsys):
     assert payload["flags"]["kmax"] == 131072
 
 
+_EVOLVE_K2 = json.dumps({
+    "command": "evolve",
+    "spectrum": {"power_law": {"a_re": -1, "p_re": 1, "a_im": 0, "p_im": 0}},
+    "vectors": [{"polynomial_decay": {"d": 2}}],
+    "t_grid": [0],
+})
+
+
+@pytest.mark.parametrize(
+    "flags,env,named",
+    [
+        (["--kmax", "0"], None, "--kmax"),  # would sum no term: a false zero norm
+        (["--kmax", "-5"], None, "--kmax"),
+        ([], "0", "GSL_KMAX"),
+        ([], "many", "GSL_KMAX"),
+        (["--tol", "0"], None, "--tol"),
+        (["--tol", "nan"], None, "--tol"),
+    ],
+    ids=["kmax-zero", "kmax-negative", "env-zero", "env-not-an-integer", "tol-zero", "tol-nan"],
+)
+def test_main_rejects_bad_overrides_by_name(tmp_path, monkeypatch, capsys, flags, env, named):
+    path = write_job(tmp_path, _EVOLVE_K2)
+    if env is None:
+        monkeypatch.delenv("GSL_KMAX", raising=False)
+    else:
+        monkeypatch.setenv("GSL_KMAX", env)
+    rc = cli.main(["evolve", "--job", path, *flags])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    err = json.loads(out.err)
+    assert err["status"] == "error" and err["error"].startswith(f"{named}: "), err
+
+
+@pytest.mark.parametrize("case", ["bounded", "unbounded"])
+def test_counterexample_witness_ignores_k_max(case):
+    # the dual probes only decide, so no budget reaches their witnesses
+    job = {"command": "counterexample", "beta": 1, "case": case}
+    certs = [
+        cli.run(cli.parse_jobspec(json.dumps(j))).verdicts[0]["probe_certificates"]
+        for j in (job, {**job, "k_max": 1024})
+    ]
+    assert certs[0] == certs[1]
+    assert all(c["witness"]["k"] == [1 << j for j in range(15)] for c in certs[1].values())
+
+
 def test_cli_subprocess_end_to_end(tmp_path):
     path = write_job(tmp_path, MINIMAL)
     proc = subprocess.run(

@@ -66,7 +66,7 @@ def _traced_classification(monkeypatch, f, beta):
         return v
 
     monkeypatch.setattr(gc, "_probe", traced)
-    r, b = gc._classify_both(f, beta, gl.DEFAULT_BUDGET)
+    r, b = gc._classify_both(f, beta)
     return r, b, routes
 
 
@@ -362,11 +362,11 @@ def test_membership_is_monotone_in_s_and_the_classes_nest(family, decay, t):
         f = gl.solve(gl.SolutionHandle(f, admissible), t)
     members = {}
     for beta in (1.0, 1.5, 2.0):
-        r, b = gc._classify_both(f, beta, gl.DEFAULT_BUDGET)
+        r, b = gc._classify_both(f, beta)
         members[beta] = (r.member, b.member)
         ends = [s for s in (r.s_star_low, r.s_star_high) if 0.0 < s < math.inf]
         for s in _S_GRID + ends:
-            got = gc._probe(f, s, beta, gl.DEFAULT_BUDGET).member
+            got = gc._probe(f, s, beta).member
             if s >= r.s_star_high:
                 assert got is not True, (beta, s)
             if s <= r.s_star_low:
@@ -605,8 +605,8 @@ def test_harness_raises_on_a_certified_contradiction(monkeypatch):
 
     real = gc._classify_both
 
-    def forged(f, beta, budget):
-        r, b = real(f, beta, budget)
+    def forged(f, beta):
+        r, b = real(f, beta)
         broken_r = gl.GevreyVerdict(gl.GevreyFlavor.ROUMIEU, False, 0.0, 0.0)
         broken_b = gl.GevreyVerdict(gl.GevreyFlavor.BEURLING, True, float("inf"), float("inf"))
         return broken_r, broken_b
@@ -622,3 +622,23 @@ def test_harness_explicit_spectrum_trivially_consistent():
     rep = gl.theorem_equivalence_harness(gl.builtin_spectra()["explicit16"], 2.0)
     assert rep.region.holds
     assert all(m is True for r in rep.rows for _, _, m in r.verdicts)
+
+
+def test_decisions_evaluate_no_coefficient_beyond_the_witness():
+    # lam_k = -k, f_k = e^{-k}: admissible at every t, and at beta = 1 the
+    # tie at s* = 1 gives a convergent probe under the ratio and a divergent
+    # one at it.  Verdicts read only envelopes: the one coefficient read is
+    # the divergence witness at k = 2^0..2^14
+    asked = []
+
+    def coeffs(ks):
+        asked.append(ks.tolist())
+        return -ks.astype(float), np.zeros(ks.shape)
+
+    spec = gl.PowerLawSpectrum(-1, 1, 0, 0)
+    f = gl.CoefficientVector.custom(spec, coeffs, gl.TailBounds.exact(gl.AsymForm.power(1.0, -1.0)))
+    assert gl.check_admissible(f).admissible
+    assert asked == []
+    r = gl.vector_class(f, 1.0, R)
+    assert [st for _, st in r.probes] == ["converges", "diverges"]
+    assert asked == [[1 << j for j in range(15)]]

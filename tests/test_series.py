@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gevlab.asymptotics import AsymForm, AsymTerm, TailBounds
 from gevlab.logdomain import NEG_INF
 from gevlab.series import (
-    DEFAULT_BUDGET,
     SeriesBudget,
     SeriesStatus,
     certify_log_series,
@@ -141,15 +140,23 @@ def test_vanishing_log_square_exponent_diverges():
 
 
 def test_decision_mode_keeps_verdict_but_trims_work():
+    # without a budget a convergent sum is decided with no term evaluated
     def term(ks):
         return -0.001 * ks.astype(float)
 
-    full = certify_log_series(term, bounds=TailBounds.exact(AsymForm.power(1.0, -0.001)))
-    fast = certify_log_series(
-        term, bounds=TailBounds.exact(AsymForm.power(1.0, -0.001)), resolve_value=False
-    )
+    def untouchable(ks):
+        raise AssertionError(f"decision evaluated terms {ks[:4]}...")
+
+    bounds = TailBounds.exact(AsymForm.power(1.0, -0.001))
+    full = certify_log_series(term, bounds=bounds)
+    fast = certify_log_series(untouchable, bounds=bounds, budget=None)
     assert full.status is fast.status is SeriesStatus.CONVERGES
-    assert fast.terms_used <= DEFAULT_BUDGET.decision_k_cap
+    assert full.route == fast.route == "symbolic-tail"
+    assert full.terms_used > 0 and fast.terms_used == 0
+    assert math.isnan(fast.log_value) and math.isnan(fast.log_tail_bound)
+    finite = certify_log_series(untouchable, count=100, budget=None)
+    assert finite.converged and finite.route == "exact-finite" and finite.terms_used == 0
+    assert math.isnan(finite.log_value)
 
 
 def test_huge_but_finite_sums_stay_convergent_on_symbolic_route():
