@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -266,29 +266,37 @@ def log_tail_bound(form: AsymForm, K: int) -> Optional[float]:
     integral bound for polynomial tails and left-endpoint block majorization
     for super-polynomially decaying tails.
     """
+    return tail_bounder(form)(K)
+
+
+def tail_bounder(form: AsymForm) -> Callable[[int], Optional[float]]:
+    """K -> log_tail_bound(form, K), with `form` classified and its monotone
+    start found once for every K."""
     kind, payload = classify_form(form)
     if kind is GrowthKind.CONST and payload == NEG_INF:
-        return NEG_INF
+        return lambda K: NEG_INF
     if kind is GrowthKind.POLY and payload < -1.0:
         # the integral bound is exact only for a pure d*log(k) + const form
         if any(t.power != 0.0 or t.log_power != 1 for t in form.terms):
-            return None
+            return lambda K: None
         # sum_{k>K} k^d e^c <= e^c * K^{d+1} / (-d-1) for decreasing k^d
-        return form.const + (payload + 1.0) * math.log(K) - math.log(-payload - 1.0)
-    if kind is not GrowthKind.SUPER_DECAY:
+        return lambda K: form.const + (payload + 1.0) * math.log(K) - math.log(-payload - 1.0)
+    start = mono_decreasing_start(form) if kind is GrowthKind.SUPER_DECAY else None
+
+    def bound(K: int) -> Optional[float]:
+        if start is None or K < start:
+            return None
+        acc = NEG_INF
+        left = int(K)
+        for j in range(240):
+            contrib = math.log(left) + form.at(left + 1)
+            acc = logaddexp(acc, contrib)
+            if j >= 2 and contrib < acc - 60.0:
+                return acc
+            left *= 2
         return None
-    start = mono_decreasing_start(form)
-    if start is None or K < start:
-        return None
-    acc = NEG_INF
-    left = int(K)
-    for j in range(240):
-        contrib = math.log(left) + form.at(left + 1)
-        acc = logaddexp(acc, contrib)
-        if j >= 2 and contrib < acc - 60.0:
-            return acc
-        left *= 2
-    return None
+
+    return bound
 
 
 @dataclass(frozen=True)

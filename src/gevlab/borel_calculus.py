@@ -489,29 +489,29 @@ def power_norms(
     index space, with the tail envelope (coefficient envelope plus n times
     the log|lam| envelope) when both envelopes are known.  The powers stop at
     the first one the engine does not certify convergent.  Certificate
-    values are in norm units, log ||A^n f||_p.  On a finite index space the
-    coefficients and log|lam| are read once, for all powers.
+    values are in norm units, log ||A^n f||_p.  Each index block the engine
+    asks for (a range, or the divergence witness) is read once for all powers:
+    its coefficients and log|lam| are kept by first index, last index and length.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     space = f.series_space()
     p = f.p_norm
-    count = space.count
     cb, lb = space.coeff_bounds, space.log_abs_bounds()
-    if count is None:
-        mags_of = lambda ks: space.coeff_log(ks)[0]
-        logabs_of = lambda ks: _log_abs(space.lam(ks))
-    else:
-        every = np.arange(1, count + 1, dtype=np.int64)
-        mags_all, logabs_all = space.coeff_log(every)[0], _log_abs(space.lam(every))
-        mags_of = lambda ks: mags_all[ks - 1]
-        logabs_of = lambda ks: logabs_all[ks - 1]
+    store: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    def block(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        key = (int(ks[0]), int(ks[-1]), ks.size)
+        if key not in store:
+            store[key] = (space.coeff_log(ks)[0], _log_abs(space.lam(ks)))
+        return store[key]
+
     certs = []
     for n in range(n_max + 1):
         bounds = None if cb is None or lb is None else (cb + lb.scale(float(n))).scale(p)
         cert = certify_log_series(
-            lambda ks, n=n: _power_term(mags_of(ks), logabs_of, ks, p, n),
-            count=count,
+            lambda ks, n=n: _power_term(*block(ks), p, n),
+            count=space.count,
             bounds=bounds,
             budget=budget,
         )
@@ -526,8 +526,8 @@ def _log_abs(lams: np.ndarray) -> np.ndarray:
         return np.log(np.abs(lams))
 
 
-def _power_term(mags: np.ndarray, logabs_of, ks: np.ndarray, p: float, n: int) -> np.ndarray:
+def _power_term(mags: np.ndarray, logabs: np.ndarray, p: float, n: int) -> np.ndarray:
     if n == 0:
         return p * mags
-    out = p * np.where(mags == NEG_INF, NEG_INF, mags + n * logabs_of(ks))
+    out = p * np.where(mags == NEG_INF, NEG_INF, mags + n * logabs)
     return np.where(np.isnan(out), NEG_INF, out)

@@ -407,7 +407,7 @@ class RegionReport:
 
 def _rho(lams: np.ndarray, beta: float) -> np.ndarray:
     re, im = lams.real, np.abs(lams.imag)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         rho = re / im ** (1.0 / beta)
     zero_im = im == 0.0
     rho = np.where(zero_im & (re >= 0), math.inf, rho)

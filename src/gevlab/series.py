@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .asymptotics import TailBounds, form_converges, form_diverges, log_tail_bound
+from .asymptotics import TailBounds, form_converges, form_diverges, tail_bounder
 from .logdomain import LOG_ABS_FLOOR, NEG_INF, logaddexp, logsumexp
 
 
@@ -169,6 +169,7 @@ def certify_log_series(
     detail = f"upper envelope {bounds.upper.describe()}"
     if budget is None:
         return ConvergenceCertificate(SeriesStatus.CONVERGES, route="symbolic-tail", detail=detail)
+    tail = tail_bounder(bounds.upper)
     running = NEG_INF
     prev_end = 0
     while prev_end < budget.k_max:
@@ -177,7 +178,7 @@ def certify_log_series(
         running = logaddexp(running, logsumexp(term_fn(ks)))
         prev_end = K
         if K >= bounds.k_min:
-            tb = log_tail_bound(bounds.upper, K)
+            tb = tail(K)
             if tb is not None and (
                 tb <= running + math.log(budget.rel_tol) or tb <= LOG_ABS_FLOOR
             ):
@@ -190,7 +191,7 @@ def certify_log_series(
                     detail=detail,
                 )
 
-    tb = log_tail_bound(bounds.upper, prev_end) if prev_end >= bounds.k_min else None
+    tb = tail(prev_end) if prev_end >= bounds.k_min else None
     return ConvergenceCertificate(
         SeriesStatus.CONVERGES,
         log_value=running,

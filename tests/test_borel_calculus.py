@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -200,21 +201,34 @@ def test_power_norms_without_envelopes_keep_engine_certificates():
     assert cert.route == "no-closed-form" and cert.terms_used == 0
 
 
+def _power_decay(params, c, r):
+    return lambda: gl.CoefficientVector.power_decay(gl.PowerLawSpectrum(*params), c, r)
+
+
+def _explicit_70000():
+    # 70,000 indices: two exact-finite blocks of the series engine
+    rng = np.random.default_rng(5)
+    points = rng.normal(size=70_000) + 1j * rng.normal(size=70_000)
+    values = rng.normal(size=70_000) + 1j * rng.normal(size=70_000)
+    return gl.CoefficientVector.explicit(gl.ExplicitSpectrum(tuple(points)), values=values)
+
+
 @pytest.mark.parametrize(
-    "params,c,r",
+    "make,n_max",
     [
-        ((1, 1, 0, 0), 1.0, 0.5),
-        ((1, 0.5, 1, 2), 2.0, 1.25),
-        ((-1, 1, 1, 1), 0.5, 0.75),
+        (_power_decay((1, 1, 0, 0), 1.0, 0.5), 8),
+        (_power_decay((1, 0.5, 1, 2), 2.0, 1.25), 8),
+        (_power_decay((-1, 1, 1, 1), 0.5, 0.75), 8),
+        (_explicit_70000, 6),
     ],
-    ids=["k", "sqrt(k)+i*k^2", "-k+i*k"],
+    ids=["k", "sqrt(k)+i*k^2", "-k+i*k", "explicit-70000"],
 )
-def test_power_norms_match_direct_power_certificates(params, c, r):
+def test_power_norms_match_direct_power_certificates(make, n_max):
     # each power norm is the series engine's certificate for A^n f, the same
     # one the direct domain test gives
-    f = gl.CoefficientVector.power_decay(gl.PowerLawSpectrum(*params), c, r)
-    norms = gl.power_norms(f, 8)
-    assert norms.cutoff is None and len(norms.certificates) == 9
+    f = make()
+    norms = gl.power_norms(f, n_max)
+    assert norms.cutoff is None and len(norms.certificates) == n_max + 1
     for n, cert in enumerate(norms.certificates):
         direct = gl.domain_member_direct(gl.PowerSymbol(n), f).certificate
         assert (cert.status, cert.route, cert.terms_used, cert.log_value, cert.log_tail_bound) == (
@@ -224,6 +238,21 @@ def test_power_norms_match_direct_power_certificates(params, c, r):
             direct.log_value / f.p_norm,
             direct.log_tail_bound,
         )
+
+
+def test_power_norms_read_each_index_once():
+    # the coefficients of every index block are read once for all 13 powers
+    asked = Counter()
+
+    def coeffs(ks):
+        asked.update(ks.tolist())
+        return -np.sqrt(ks.astype(float)), np.zeros(len(ks))
+
+    spec = gl.PowerLawSpectrum(1, 1, 0, 0)  # lam_k = k
+    f = gl.CoefficientVector.custom(spec, coeffs, gl.TailBounds.exact(gl.AsymForm.power(0.5, -1.0)))
+    norms = gl.power_norms(f, 12)
+    assert norms.cutoff is None and max(c.terms_used for c in norms.certificates) == 4096
+    assert asked == Counter(range(1, 4097))
 
 
 def test_estimate_cond_i_instance():

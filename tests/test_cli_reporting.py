@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 
 import pytest
@@ -95,6 +96,19 @@ def test_run_classify_spectrum_diagonal():
     (verdict,) = report.verdicts
     assert verdict["status"] == "holds"
     assert abs(verdict["b_plus"] - 1.0) < 1e-12
+
+
+def test_classify_spectrum_with_zero_eigenvalue_warns_nothing():
+    # lam = 0 makes the ratio Re/|Im|^(1/beta) 0/0; the verdict ignores it
+    job = cli.parse_jobspec(
+        '{"command":"classify-spectrum","spectrum":{"explicit":{"points":[[0,0],[1,2]]}},"beta":1}'
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = cli.run(job)
+    assert report.status == "ok"
+    (verdict,) = report.verdicts
+    assert verdict["status"] == "holds"
 
 
 def test_run_counterexample_bounded():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gevlab import asymptotics
 from gevlab.asymptotics import AsymForm, AsymTerm, TailBounds
 from gevlab.logdomain import NEG_INF
 from gevlab.series import (
@@ -223,3 +224,19 @@ def test_symbolic_tail_brackets_the_mpmath_sum(term, upper, mp_term, stop):
         low = mpmath.exp(mpmath.mpf(cert.log_value) - slack)
         high = mpmath.exp(mpmath.mpf(cert.log_value) + slack) + mpmath.exp(cert.log_tail_bound)
         assert low <= total <= high
+
+
+def test_monotone_start_is_found_once_per_call(monkeypatch):
+    # K = 4,096 takes three blocks; the envelope's monotone start is worked
+    # out once for all of them
+    calls = []
+
+    def counted(form, *args, _start=asymptotics.mono_decreasing_start):
+        calls.append(form)
+        return _start(form, *args)
+
+    monkeypatch.setattr(asymptotics, "mono_decreasing_start", counted)
+    form = AsymForm.power(0.5, -2.0) + AsymForm.log_k(24.0)
+    cert = certify_log_series(form.evaluate, bounds=TailBounds.exact(form))
+    assert cert.route == "symbolic-tail" and cert.terms_used == 4096
+    assert len(calls) == 1
