@@ -7,6 +7,7 @@ import sys
 import warnings
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import gevlab.cli_reporting as cli
@@ -452,3 +453,54 @@ def test_power_law_traffic_has_no_inconclusive_certificate(monkeypatch):
     assert digest.hexdigest() == _TRAFFIC_DIGEST
     assert routes["symbolic-tail"] > 0 and routes["symbolic-divergence"] > 0
     assert undecided == {("harness", (-1, p_re, a_im, 2)) for p_re in (0.5, 1) for a_im in (1, -1)}
+
+
+def _explicit_pairs(rng, n=32):
+    return [[float(x), float(y)] for x, y in zip(rng.normal(size=n), rng.normal(size=n))]
+
+
+def _explicit_jobs():
+    # one job per command on a seeded random 32-point explicit spectrum, with
+    # a 32-point explicit vector where the command takes vectors
+    rng = np.random.default_rng(12)
+
+    def vectors():
+        return [{"label": "rnd", "explicit": {"values": _explicit_pairs(rng)}}]
+
+    extra = {
+        "classify-spectrum": lambda: {"beta": 1.5},
+        "classify-vector": lambda: {"beta": 1.5, "vectors": vectors()},
+        "evolve": lambda: {"vectors": vectors(), "t_grid": [0.0, 0.25, 1.0]},
+        "estimate-order": lambda: {"vectors": vectors(), "n_max": 12},
+        "counterexample": lambda: {"beta": 1.5, "case": "bounded"},
+        "harness": lambda: {"beta": 1.5, "vectors": vectors()},
+        "region-boundary": lambda: {"beta": 1.5, "b_plus": 0.75},
+    }
+    for command in cli.COMMANDS:
+        job = {"command": command, "spectrum": {"explicit": {"points": _explicit_pairs(rng)}}}
+        job.update(extra[command]())
+        yield job
+
+
+# sha256 of the CSV tables of the 398 _traffic_jobs() and the 7
+# _explicit_jobs(), each explicit table followed by its seed-free report
+_CSV_DIGEST = "f2c9b71a9fa6cf2734844250bf911aa02a6dc955e97ecd2abe56904b60306a8f"
+
+
+def test_csv_tables_and_explicit_reports_are_pinned(tmp_path):
+    path = tmp_path / "job.csv"
+    digest = hashlib.sha256()
+    statuses = {}
+    for job in _traffic_jobs():
+        report = cli.run(cli.parse_jobspec(json.dumps(job)))
+        cli.emit_csv(report, str(path))
+        digest.update(path.read_bytes())
+    for job in _explicit_jobs():
+        report = cli.run(cli.parse_jobspec(json.dumps(job)))
+        statuses[job["command"]] = report.status
+        cli.emit_csv(report, str(path))
+        digest.update(path.read_bytes())
+        digest.update(report.to_json(seed_free=True).encode())
+    # a finite spectrum satisfies the region condition, so it has no counterexample
+    assert statuses == {c: "error" if c == "counterexample" else "ok" for c in cli.COMMANDS}
+    assert digest.hexdigest() == _CSV_DIGEST
