@@ -22,6 +22,7 @@ import time
 
 import numpy as np
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .counterexamples import (
@@ -194,7 +195,10 @@ def _walk_obj(obj, path: str, required: dict, optional: dict) -> dict:
 def _real(value, path, minimum=None, maximum=None, strict_min=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, "expected a number")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer literal past the float range
+        v = math.inf
     if not math.isfinite(v):
         _fail(path, "must be finite")
     if minimum is not None and (v <= minimum if strict_min else v < minimum):
@@ -212,11 +216,26 @@ def _integer(value, path, minimum=None):
     return int(value)
 
 
+_PLAIN_NUMBERS = (int, float)  # exact types: bool is an int subclass
+
+
 def _pair_list(value, path):
     if not isinstance(value, list) or not value:
         _fail(path, "expected a non-empty list of [re, im] pairs")
     out = []
     for i, item in enumerate(value):
+        # plain finite numbers pass without building a path; anything else
+        # takes the checks below, which name the element that fails
+        if isinstance(item, list) and len(item) == 2:
+            re, im = item
+            if type(re) in _PLAIN_NUMBERS and type(im) in _PLAIN_NUMBERS:
+                try:
+                    re, im = float(re), float(im)
+                except OverflowError:
+                    re = im = math.inf
+                if math.isfinite(re) and math.isfinite(im):
+                    out.append((re, im))
+                    continue
         if not isinstance(item, list) or len(item) != 2:
             _fail(f"{path}[{i}]", "expected a [re, im] pair")
         out.append((_real(item[0], f"{path}[{i}][0]"), _real(item[1], f"{path}[{i}][1]")))
@@ -353,12 +372,21 @@ def parse_jobspec(text: str) -> JobSpec:
     return job
 
 
+def _canonical_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 def serialize_jobspec(job: JobSpec) -> str:
-    return json.dumps(job.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    return _canonical_json(job.to_json_dict())
+
+
+def _job_id_of(job_dict: dict) -> str:
+    return hashlib.sha256(_canonical_json(job_dict).encode()).hexdigest()[:12]
 
 
 def job_id(job: JobSpec) -> str:
-    return hashlib.sha256(serialize_jobspec(job).encode()).hexdigest()[:12]
+    """First 12 hex digits of the sha256 of the canonical job JSON."""
+    return _job_id_of(job.to_json_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +403,14 @@ class RunReport:
     status: str = "ok"
     error: Optional[str] = None
 
-    @property
+    # built once per report: the JSON report and every CSV row share them
+    @cached_property
+    def _job_dict(self) -> dict:
+        return self.job.to_json_dict()
+
+    @cached_property
     def job_id(self) -> str:
-        return job_id(self.job)
+        return _job_id_of(self._job_dict)
 
     def to_json_dict(self, seed_free: bool = False) -> dict:
         return {
@@ -385,7 +418,7 @@ class RunReport:
             "version": TOOL_VERSION,
             "format_version": FORMAT_VERSION,
             "job_id": self.job_id,
-            "job": self.job.to_json_dict(),
+            "job": self._job_dict,
             "flags": self.flags,
             "verdicts": self.verdicts,
             "timings": {k: 0.0 for k in self.timings} if seed_free else self.timings,
@@ -394,7 +427,7 @@ class RunReport:
         }
 
     def to_json(self, seed_free: bool = False) -> str:
-        return json.dumps(self.to_json_dict(seed_free), sort_keys=True, separators=(",", ":"))
+        return _canonical_json(self.to_json_dict(seed_free))
 
 
 def _verdict_dict(v: GevreyVerdict, vector: str, beta: float, t: Optional[float] = None) -> dict:
@@ -625,29 +658,22 @@ def _dispatch(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
 
 
 def _csv_rows(report: RunReport):
+    """One list per verdict, in _CSV_COLUMNS order."""
     jid = report.job_id
     cmd = report.job.command
-    spectrum_label = ""
-    for v in report.verdicts:
-        if "spectrum" in v:
-            spectrum_label = v["spectrum"]
-            break
+    beta = _fmt(report.job.beta)
+    spectrum_label = next((v["spectrum"] for v in report.verdicts if "spectrum" in v), "")
 
-    def base():
-        return {
-            "format_version": FORMAT_VERSION,
-            "job_id": jid,
-            "command": cmd,
-            "spectrum": spectrum_label,
-            "beta": _fmt(report.job.beta),
-        }
+    def row(kind, vector="", flavor="", t="", n="", value="", member="",
+            s_star_low="", s_star_high="", status="", detail=""):
+        return [FORMAT_VERSION, jid, kind, cmd, spectrum_label, vector, beta, flavor, t, n,
+                value, member, s_star_low, s_star_high, status, detail]
 
     for v in report.verdicts:
-        row = base()
         kind = v.get("kind", "")
-        row["kind"] = kind
         if kind == "class":
-            row.update(
+            yield row(
+                kind,
                 vector=v["vector"],
                 flavor=v["flavor"],
                 t=_fmt(v.get("t")),
@@ -658,36 +684,36 @@ def _csv_rows(report: RunReport):
                 detail=v["detail"],
             )
         elif kind == "region":
-            row.update(
-                status=v["status"],
-                value=_fmt(v.get("b_plus")),
-                detail=v["detail"],
-            )
+            yield row(kind, status=v["status"], value=_fmt(v.get("b_plus")), detail=v["detail"])
         elif kind == "admissibility":
-            row.update(
+            yield row(
+                kind,
                 vector=v["vector"],
                 member=_fmt_member(v["admissible"]),
                 status="certified" if not v["unknown"] else "unknown",
                 detail=v["tail_rule"],
             )
         elif kind == "evolve":
-            row.update(
+            yield row(
+                kind,
                 vector=v["vector"],
                 t=_fmt(v["t"]),
                 value=_fmt(v["log_norm"]),
                 status=v["certificate"]["status"],
             )
         elif kind == "norm":
-            row.update(vector=v["vector"], n=_fmt(v["n"]), value=_fmt(v["value"]))
+            yield row(kind, vector=v["vector"], n=_fmt(v["n"]), value=_fmt(v["value"]))
         elif kind == "order-summary":
-            row.update(
+            yield row(
+                kind,
                 vector=v["vector"],
                 value=_fmt(v["beta_hat"]),
                 detail=f"alpha_hat={v['alpha_hat']:.6g};residual={v['fit_residual']:.3g}",
                 status="fit",
             )
         elif kind == "counterexample":
-            row.update(
+            yield row(
+                kind,
                 vector="ce-f",
                 member=_fmt_member(v["roumieu_member"]),
                 status="admissible" if v["admissible"] else "inadmissible",
@@ -695,17 +721,17 @@ def _csv_rows(report: RunReport):
             )
         elif kind == "harness-row":
             ok = v["admissible"] and all(m is not None for _, _, m in v["verdicts"])
-            row.update(
+            yield row(
+                kind,
                 vector=v["vector"],
                 member=_fmt_member(v["admissible"]),
                 status="consistent" if ok else ("skipped" if not v["admissible"] else "unknown"),
                 detail=";".join(f"t={t:g},{fl}:{_fmt_member(m)}" for t, fl, m in v["verdicts"]),
             )
         elif kind == "boundary":
-            row.update(n=_fmt(v["n"]), value=_fmt(v["re"]), detail=f"im={v['im']:.17g}")
+            yield row(kind, n=_fmt(v["n"]), value=_fmt(v["re"]), detail=f"im={v['im']:.17g}")
         else:
-            row.update(detail=json.dumps(v, sort_keys=True))
-        yield row
+            yield row(kind, detail=json.dumps(v, sort_keys=True))
 
 
 def _fmt(x) -> str:
@@ -728,10 +754,9 @@ def emit_csv(report: RunReport, path: str) -> None:
     """One row per verdict with a fixed, versioned column set."""
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=_CSV_COLUMNS, restval="")
-            writer.writeheader()
-            for row in _csv_rows(report):
-                writer.writerow(row)
+            writer = csv.writer(fh)
+            writer.writerow(_CSV_COLUMNS)
+            writer.writerows(_csv_rows(report))
     except OSError as exc:
         raise GevlabError(f"cannot write CSV to {path!r}: {exc}") from exc
 

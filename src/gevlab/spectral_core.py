@@ -96,6 +96,10 @@ class ExplicitSpectrum(SpectrumFamily):
         if len(set(pts)) != len(pts):
             raise SpectrumError("duplicate eigenvalues are rejected, not merged")
         object.__setattr__(self, "points", pts)
+        # built once; not a field, so __eq__ and __hash__ still read points
+        arr = np.asarray(pts, dtype=complex)
+        arr.flags.writeable = False
+        object.__setattr__(self, "_array", arr)
 
     @property
     def size(self) -> int:  # type: ignore[override]
@@ -105,8 +109,7 @@ class ExplicitSpectrum(SpectrumFamily):
         ks = np.asarray(ks, dtype=np.int64)
         if ks.size and (ks.min() < 1 or ks.max() > len(self.points)):
             raise SpectrumError("index outside the explicit spectrum")
-        arr = np.asarray(self.points, dtype=complex)
-        return arr[ks - 1]
+        return self._array[ks - 1]
 
     @property
     def unbounded(self) -> bool:

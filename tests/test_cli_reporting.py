@@ -59,6 +59,53 @@ def test_json_errors_are_positioned():
     assert "line 1" in str(err.value)
 
 
+_PAIRS = "$.spectrum.explicit.points"
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ("[[true, 0]]", f"{_PAIRS}[0][0]: expected a number"),
+        ("[[NaN, 0]]", f"{_PAIRS}[0][0]: must be finite"),
+        ("[[Infinity, 0]]", f"{_PAIRS}[0][0]: must be finite"),
+        ("[[1, 1e400]]", f"{_PAIRS}[0][1]: must be finite"),
+        ("[[1" + "0" * 400 + ", 0]]", f"{_PAIRS}[0][0]: must be finite"),
+        ('[[1, "x"]]', f"{_PAIRS}[0][1]: expected a number"),
+        ("[[1]]", f"{_PAIRS}[0]: expected a [re, im] pair"),
+        ("[[0, 1], 3]", f"{_PAIRS}[1]: expected a [re, im] pair"),
+        ("[[0, 1], [2, -Infinity]]", f"{_PAIRS}[1][1]: must be finite"),
+        ("[]", f"{_PAIRS}: expected a non-empty list of [re, im] pairs"),
+        ("[[0.5, -2]]", None),
+    ],
+)
+def test_explicit_pairs_name_the_element_that_fails(points, message):
+    text = f'{{"command":"classify-spectrum","beta":1,"spectrum":{{"explicit":{{"points":{points}}}}}}}'
+    if message is None:
+        points = cli.parse_jobspec(text).spectrum.points
+        assert points == ((0.5, -2.0),) and type(points[0][1]) is float
+        return
+    with pytest.raises(JobSpecError) as err:
+        cli.parse_jobspec(text)
+    assert str(err.value) == message
+
+
+def test_explicit_vector_values_name_the_element_that_fails():
+    text = (
+        '{"command":"classify-vector","beta":1,"spectrum":{"explicit":{"points":[[1,0]]}},'
+        '"vectors":[{"explicit":{"values":[[1,false]]}}]}'
+    )
+    with pytest.raises(JobSpecError) as err:
+        cli.parse_jobspec(text)
+    assert str(err.value) == "$.vectors[0].explicit.values[0][1]: expected a number"
+
+
+def test_integer_past_the_float_range_is_not_finite():
+    bad = MINIMAL.replace('"beta":1', '"beta":1' + "0" * 400)
+    with pytest.raises(JobSpecError) as err:
+        cli.parse_jobspec(bad)
+    assert str(err.value) == "$.beta: must be finite"
+
+
 def test_vector_spec_needs_exactly_one_kind():
     bad = (
         '{"command":"classify-vector","spectrum":{"power_law":{"a_re":1,"p_re":1,"a_im":0,"p_im":0}},'

@@ -320,6 +320,26 @@ def test_inclusion_chain_across_orders():
                     assert verdicts[(b2, "b")] is True, (name, v.label, b1, b2)
 
 
+_CATALOG = gl.builtin_spectra()
+_ORDERS = (1.0, 1.25, 1.5, 2.0, 3.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_CATALOG)),
+    index=st.integers(min_value=0, max_value=4),
+    orders=st.lists(st.sampled_from(_ORDERS), min_size=2, max_size=2, unique=True).map(sorted),
+    flavor=st.sampled_from([R, B]),
+)
+def test_membership_is_monotone_in_beta(name, index, orders, flavor):
+    # the order-beta classes grow with beta for each flavor: a vector
+    # certified in the class of order b1 is never refuted at b2 > b1
+    b1, b2 = orders
+    f = gl.builtin_vectors(_CATALOG[name])[index]
+    if gl.vector_class(f, b1, flavor).member is True:
+        assert gl.vector_class(f, b2, flavor).member is not False, (name, f.label, b1, b2)
+
+
 # the valid power-law families: a term with a zero coefficient or exponent
 # only adds a constant, and families without an increasing part are refused
 _FAMILIES = [

@@ -36,6 +36,23 @@ def test_nonfinite_eigenvalue_rejected():
         gl.ExplicitSpectrum((complex(math.nan, 0),))
 
 
+def test_explicit_spectrum_array_keeps_equality_and_hash():
+    # the eigenvalue array is built once and is not a field: equal points
+    # still mean equal spectra, and eigenvalues reads the points
+    pts = tuple(complex(k % 4 - 1.5, (k * 7) % 5 - 2) for k in range(10))
+    a, b = gl.ExplicitSpectrum(pts), gl.ExplicitSpectrum(list(pts))
+    assert a == b and hash(a) == hash(b)
+    assert a != gl.ExplicitSpectrum(pts[:9])
+    ks = np.array([3, 1, 10, 3], dtype=np.int64)
+    assert a.eigenvalues(ks).tolist() == [pts[k - 1] for k in ks]
+    assert a.eigenvalues(np.arange(1, 11)).tolist() == list(pts)
+    got = a.eigenvalues(ks)
+    got[0] = 0j  # a copy: the spectrum's own array is untouched
+    assert a.eigenvalues(ks)[0] == pts[2]
+    with pytest.raises(gl.SpectrumError):
+        a.eigenvalues(np.array([11]))
+
+
 def test_constant_power_law_rejected():
     with pytest.raises(gl.SpectrumError):
         gl.PowerLawSpectrum(2.0, 0.0, 3.0, 0.0)
