@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -365,3 +367,33 @@ def test_abs_pow_envelopes_hold_against_an_oracle(a_re, p_re, a_im, p_im, q):
             value = mpmath.hypot(re, im) ** mpmath.mpf(q)
             assert _mp_form(env.lower, k) <= value * (1 + slack), k
             assert value <= _mp_form(env.upper, k) * (1 + slack), k
+
+
+def _envelope_reprs():
+    """The reprs of every modulus envelope over a grid of power-law families."""
+    coeffs = (0.0, 1.0, -1.0, 0.5, -3.0, 2.0, 0.25)
+    powers = (0.0, 0.5, 1.0, 1.5, 2.0, 4.0)
+    for a_re, p_re, a_im, p_im in itertools.product(coeffs, powers, coeffs, powers):
+        try:
+            spec = gl.PowerLawSpectrum(a_re, p_re, a_im, p_im)
+        except gl.SpectrumError:
+            continue
+        for q in (1.0, 1 / 1.5, 0.5, 1 / 3, 2.0, 3.0):
+            yield repr(spec.abs_pow_bounds(q))
+        yield repr(spec.log_abs_bounds())
+        yield repr(spec.unbounded)
+        yield repr(spec._abs_leading())
+
+
+# sha256 of _envelope_reprs(), one repr per line
+_ENVELOPE_DIGEST = "deaa56f0570f56b87518b97b2e856990dd7e01792f08408fb431444cdf3cd06a"
+
+
+def test_power_law_envelopes_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for text in _envelope_reprs():
+        digest.update(text.encode() + b"\n")
+        count += 1
+    assert count == 1620 * 9
+    assert digest.hexdigest() == _ENVELOPE_DIGEST
