@@ -31,12 +31,7 @@ from .errors import CounterexampleError, PlanError
 from .evolution import AdmissibilityCertificate, SolutionHandle, check_admissible
 from .gevrey_classifier import GevreyVerdict, GevreyFlavor, vector_class
 from .logdomain import NEG_INF
-from .series import (
-    DEFAULT_BUDGET,
-    ConvergenceCertificate,
-    SeriesBudget,
-    SeriesStatus,
-)
+from .series import ConvergenceCertificate, SeriesStatus
 from .spectral_core import (
     CoefficientVector,
     ExplicitSpectrum,
@@ -724,59 +719,30 @@ class AnalyticUnknown:
     reason: str
 
 
-_DEFAULT_RADII = tuple(2.0**j for j in range(-12, 5))
+def analytic_at_zero_probe(h: SolutionHandle):
+    """Is y analytic at t = 0, and on what Taylor radius?
 
-
-def analytic_at_zero_probe(
-    h: SolutionHandle,
-    radius_grid: tuple[float, ...] = _DEFAULT_RADII,
-    n_max: int = 40,
-    budget: SeriesBudget = DEFAULT_BUDGET,
-):
-    """Can y be represented by its Taylor series on [0, delta] for a grid delta?
-
-    Tests whether sup_n ( log||A^n f|| - log n! + n log delta ) stays bounded
-    for some grid radius; a certified failure of every radius, or a power
-    norm leaving l^p at finite order, refutes analyticity at 0.
+    For a diagonal operator the Taylor series of y at 0 has radius exactly
+    s*, the critical scale of f at beta = 1.  For delta < s*,
+    delta^n ||A^n f|| / n! <= ||e^{delta|A|} f|| coordinatewise, so the
+    series converges on |t| < s*.  A bound C on delta^n ||A^n f|| / n! for
+    some delta > s* would give ||e^{delta'|A|} f|| <= C sum_n (delta'/delta)^n
+    for every delta' < delta, so f would lie in D(e^{delta'|A|}) past s*.
+    The order-1 Roumieu verdict therefore decides: True gives
+    AnalyticAtZero(s_star_low), the certified low end of the bracket (inf:
+    y is entire), False gives NotAnalytic, None AnalyticUnknown.  Where a
+    power norm leaves l^p at a finite order n, the refutation says so.
     """
-    f = h.f
-    count = f.effective_count()
-    if count is not None:
-        ks = np.arange(1, count + 1, dtype=np.int64)
-        mags, _ = f.log_coeffs(ks)
-        alive = mags > NEG_INF
-        if not np.any(alive):
-            return AnalyticAtZero(math.inf)
-        r = float(np.max(np.abs(f.spectrum.eigenvalues(ks[alive]))))
-        return AnalyticAtZero(1.0 / r if r > 0 else math.inf)
-
-    norms = power_norms(f, n_max, budget)
-    if norms.cutoff is not None:
-        cert = norms.cutoff_certificate
-        if cert is not None and cert.status is SeriesStatus.DIVERGES:
-            return NotAnalytic(
-                f"||A^n f|| leaves l^p at n = {norms.cutoff}: the solution is not "
-                f"even C^{norms.cutoff} at 0"
-            )
-        return AnalyticUnknown(f"power norms undecided at n = {norms.cutoff}")
-
-    ns = np.arange(0, norms.n_max + 1, dtype=float)
-    logs = np.asarray(norms.log_norms)
-    log_fact = np.asarray([math.lgamma(n + 1.0) for n in ns])
-    half = len(ns) // 2
-    best_delta = None
-    all_diverge = True
-    for delta in sorted(radius_grid, reverse=True):
-        u = logs - log_fact + ns * math.log(delta)
-        head, tail_part = u[:half], u[half:]
-        slope = float(np.polyfit(ns[half:], tail_part, 1)[0])
-        if float(np.max(tail_part)) <= float(np.max(head)) + 0.5 and slope <= 0.01:
-            best_delta = delta if best_delta is None else max(best_delta, delta)
-            all_diverge = False
-        elif not (slope > 0.05 and float(np.max(tail_part)) > float(np.max(head)) + 2.0):
-            all_diverge = False
-    if best_delta is not None:
-        return AnalyticAtZero(best_delta)
-    if all_diverge:
-        return NotAnalytic("Taylor terms grow for every probed radius")
-    return AnalyticUnknown("trend analysis is ambiguous on the probed radii")
+    verdict = vector_class(h.f, 1.0)
+    if verdict.member is None:
+        return AnalyticUnknown(verdict.detail)
+    if verdict.member:
+        return AnalyticAtZero(verdict.s_star_low)
+    norms = power_norms(h.f, 40, budget=None)
+    cert = norms.cutoff_certificate
+    if cert is not None and cert.status is SeriesStatus.DIVERGES:
+        return NotAnalytic(
+            f"||A^n f|| leaves l^p at n = {norms.cutoff}: the solution is not "
+            f"even C^{norms.cutoff} at 0"
+        )
+    return NotAnalytic(f"f is not Roumieu of order 1, so the Taylor radius is 0: {verdict.detail}")

@@ -38,7 +38,6 @@ from .logdomain import NEG_INF
 from .series import DEFAULT_BUDGET, SeriesBudget, SeriesStatus
 from .spectral_core import (
     CoefficientVector,
-    CustomSpectrum,
     ExplicitSpectrum,
     PowerLawSpectrum,
     SpectrumFamily,
@@ -483,28 +482,22 @@ def region_condition(
         status = RegionHolds(1.0, spectrum.max_abs() + 1.0)
         return RegionReport(beta, status, tail, extrapolated, "finite spectrum is bounded")
 
-    params = _power_params(spectrum)
-    if params is None:
+    terms = spectrum.envelope_terms
+    if terms is None:
         return RegionReport(
-            beta,
-            RegionUnknown("custom family without declared tail exponents"),
-            tail,
-            extrapolated,
+            beta, RegionUnknown("custom family without declared envelopes"), tail, extrapolated
         )
-    a, p_re, b, p_im, estimated = params
+    (p_re, a, _), (p_im, b_lo, b_hi) = terms.re, terms.im
+    b = max(abs(b_lo), abs(b_hi))  # |Im lam_k| <= b k^p_im
 
+    # the lower Re and upper |Im| coefficients prove Holds; where it fails,
+    # the upper Re and lower |Im| ones, of one sign each, prove Violated
     re_grows = a > 0 and p_re > 0
-    im_unbounded = b != 0 and p_im > 0
-
-    if not im_unbounded:
+    if p_im == 0.0:
         if re_grows:
-            threshold = abs(b) ** (1.0 / beta) if b != 0 else 0.0
-            if threshold == 0.0:
-                status = RegionHolds(1.0, 0.0)
-            else:
-                k_star = max(1, math.ceil((threshold / a) ** (1.0 / p_re)) + 1)
-                radius = abs(spectrum.eigenvalue(k_star)) + 1.0
-                status = RegionHolds(1.0, radius)
+            threshold = b ** (1.0 / beta)
+            k_star = max(terms.k_min, math.ceil((threshold / a) ** (1.0 / p_re)) + 1)
+            status = RegionHolds(1.0, _radius(spectrum, k_star if threshold else None))
             _holds_verified(spectrum, beta, status.b_plus, status.exception_radius)
             return RegionReport(
                 beta, status, tail, extrapolated, "real part grows, imaginary part bounded"
@@ -515,32 +508,18 @@ def region_condition(
 
     delta = p_re - p_im / beta
     if re_grows and delta > 0:
-        if estimated:
-            a_lo, b_hi = a / 8.0, abs(b) * 16.0
-        else:
-            a_lo, b_hi = a, abs(b)
-        k_star = max(
-            1, math.ceil((b_hi ** (1.0 / beta) / a_lo) ** (1.0 / delta)) + 1
-        )
-        radius = abs(spectrum.eigenvalue(k_star)) + 1.0
-        status = RegionHolds(1.0, radius)
+        k_star = max(terms.k_min, math.ceil((b ** (1.0 / beta) / a) ** (1.0 / delta)) + 1)
+        status = RegionHolds(1.0, _radius(spectrum, k_star))
         _holds_verified(spectrum, beta, status.b_plus, status.exception_radius)
         return RegionReport(
             beta, status, tail, extrapolated,
             f"real-part exponent {p_re:g} > |Im| exponent {p_im:g}/beta",
         )
     if re_grows and delta == 0.0:
-        if estimated:
-            return RegionReport(
-                beta,
-                RegionUnknown("estimated constants cannot settle the boundary exponent case"),
-                tail,
-                extrapolated,
-            )
-        b_plus = a / abs(b) ** (1.0 / beta)
+        b_plus = a / b ** (1.0 / beta)
         for _ in range(4):
             b_plus = math.nextafter(b_plus, 0.0)
-        status = RegionHolds(b_plus, 0.0)
+        status = RegionHolds(b_plus, _radius(spectrum, None))
         _holds_verified(spectrum, beta, status.b_plus, status.exception_radius)
         return RegionReport(
             beta, status, tail, extrapolated,
@@ -549,15 +528,23 @@ def region_condition(
     return _violated(spectrum, beta, tail, extrapolated, "imaginary growth outruns the real part")
 
 
-def _power_params(spectrum: SpectrumFamily):
-    if isinstance(spectrum, PowerLawSpectrum):
-        return spectrum.a_re, spectrum.p_re, spectrum.a_im, spectrum.p_im, False
-    if isinstance(spectrum, CustomSpectrum):
-        if spectrum.declared_tail_exponents is None or spectrum._est is None:
-            return None
-        p_re, p_im = spectrum.declared_tail_exponents
-        return spectrum._est["re"], p_re, spectrum._est["im"], p_im, True
-    return None
+def _radius(spectrum: SpectrumFamily, k_star: Optional[int]) -> float:
+    """An exception radius: 1 plus a bound on |lam_k| over k < k_min and, given
+    k_star, over k_min <= k <= k_star; 0 when there is nothing to cover.
+
+    |lam_k| is nondecreasing past k_min on exact envelopes, so |lam_{k_star}|
+    bounds it there; looser envelopes bound it by their upper modulus at k_star.
+    """
+    terms = spectrum.envelope_terms
+    bounds = []
+    if k_star is not None and terms.exact:
+        bounds.append(abs(spectrum.eigenvalue(k_star)))
+    elif k_star is not None:
+        bounds.append(spectrum.abs_pow_bounds(1.0).upper.at(k_star))
+    if terms.k_min > 1:
+        ks = np.arange(1, terms.k_min, dtype=np.int64)
+        bounds.append(float(np.max(np.abs(spectrum.eigenvalues(ks)))))
+    return max(bounds) + 1.0 if bounds else 0.0
 
 
 # ---------------------------------------------------------------------------

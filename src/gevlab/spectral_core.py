@@ -9,7 +9,7 @@ at most one and the model's spectral-measure bound is exactly 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,11 +50,84 @@ def _require_finite_complex(z: complex, what: str) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def _side(form: Optional[AsymForm], what: str) -> tuple[float, float]:
+    """(p, c) of an envelope side c k^p, where p = 0 stands for the constant c."""
+    if not isinstance(form, AsymForm):
+        raise SpectrumError(f"the {what} envelope is missing")
+    if not form.terms and math.isfinite(form.const):
+        return 0.0, form.const
+    t = form.terms[0] if len(form.terms) == 1 else None
+    if t is None or form.const != 0.0 or t.log_power != 0 or not (
+        0.0 < t.power < math.inf and t.coeff != 0.0 and math.isfinite(t.coeff)
+    ):
+        raise SpectrumError(f"the {what} envelope must be one term c*k^p, got {form.describe()}")
+    return t.power, t.coeff
+
+
+def _component(bounds: Optional[TailBounds], name: str) -> tuple[float, float, float]:
+    """The signed (p, lo, hi) of lo k^p <= component <= hi k^p."""
+    if not isinstance(bounds, TailBounds):
+        raise SpectrumError(f"the envelopes of {name} lam_k are missing")
+    (p, lo), (p_hi, hi) = _side(bounds.lower, f"lower {name}"), _side(bounds.upper, f"upper {name}")
+    if p != p_hi:
+        raise SpectrumError(f"both {name} envelopes need one exponent, got {p:g} and {p_hi:g}")
+    if lo > hi or lo < 0.0 < hi:
+        raise SpectrumError(f"the {name} envelopes need lo <= hi of one sign, got [{lo:g}, {hi:g}]")
+    return p, lo, hi
+
+
+def _leading(parts) -> tuple[float, float, float]:
+    """(exponent p, coefficient c, slack) of the modulus of components c_i k^{p_i}.
+
+    sqrt(sum_i c_i^2 k^{2 p_i}) lies between c k^p and c slack k^p: one
+    part, or two of one exponent (c their hypot), give slack 1 for every k.
+    Two of exponents p > p_2 give |lam| in [c k^p, c k^p (1 + (c_2/c) k^{p_2-p})],
+    so the slack holds from k = 1,024; it is kept above 1 even where the
+    correction rounds away.
+    """
+    parts = [(p, c) for p, c in parts if c != 0.0]
+    if len(parts) == 1:
+        return parts[0][0], parts[0][1], 1.0
+    (p1, a1), (p2, a2) = sorted(parts, reverse=True)
+    if p1 == p2:
+        return p1, math.hypot(a1, a2), 1.0
+    return p1, a1, max(1.0 + a2 / a1 * _MIXED_K0 ** (-(p1 - p2)), math.nextafter(1.0, 2.0))
+
+
+@dataclass(frozen=True)
+class EnvelopeTerms:
+    """Leading terms of a family's envelopes, valid for k >= k_min.
+
+    re and im are the signed (p, lo, hi) with lo k^p <= Re lam_k <= hi k^p,
+    and the same for Im lam_k.  lower and upper are the _leading of the
+    smaller and of the larger of |lo|, |hi| of each component:
+    |lam_k| >= c k^p with the lower terms, and |lam_k| <= c slack k^p with
+    the upper ones, from k = 1,024 where the slack is not 1.
+    """
+
+    re: tuple[float, float, float]
+    im: tuple[float, float, float]
+    k_min: int
+    lower: tuple[float, float, float]
+    upper: tuple[float, float, float]
+
+    @property
+    def exact(self) -> bool:
+        """Both components equal their leading term, so |lam_k| is nondecreasing."""
+        return self.re[1] == self.re[2] and self.im[1] == self.im[2]
+
+
 class SpectrumFamily:
-    """Base class; subclasses provide eigenvalues and tail information."""
+    """Base class; subclasses provide eigenvalues and tail information.
+
+    A family that declares the envelopes of Re lam_k and Im lam_k calls
+    _read_envelopes once, at construction; the envelopes of |lam_k|^q and
+    log|lam_k| of every such family are derived from those two, here.
+    """
 
     size: Optional[int] = None
     label: str = ""
+    envelope_terms: Optional[EnvelopeTerms] = None
 
     def eigenvalues(self, ks: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -70,15 +143,64 @@ class SpectrumFamily:
     def im_bounds(self) -> Optional[TailBounds]:
         return None
 
+    def _read_envelopes(self) -> None:
+        re_b, im_b = self.re_bounds(), self.im_bounds()
+        re, im = _component(re_b, "Re"), _component(im_b, "Im")
+        if not (re[0] > 0.0 or im[0] > 0.0):
+            raise SpectrumError("the envelopes declare no growing part (some exponent p > 0)")
+        lower, upper = (
+            _leading((p, pick(abs(lo), abs(hi))) for p, lo, hi in (re, im)) for pick in (min, max)
+        )
+        terms = EnvelopeTerms(re, im, max(re_b.k_min, im_b.k_min), lower, upper)
+        object.__setattr__(self, "envelope_terms", terms)
+
+    def _abs_leading(self) -> tuple[float, float, float]:
+        """(exponent, coefficient, slack) of the upper envelope of |lam_k|."""
+        return self.envelope_terms.upper
+
     def abs_pow_bounds(self, q: float) -> Optional[TailBounds]:
-        return None
+        """Envelopes of |lam_k|^q, from those of Re and Im lam_k.
+
+        The lower envelope is c k^{pq} from the lower modulus terms.  With
+        components of different exponents and 0 < q <= 1, the upper envelope
+        is sum_i c_i^q k^{p_i q} over the larger coefficients of Re and Im,
+        valid from k_min (the triangle inequality, then subadditivity of
+        x^q), so both envelopes share their leading term.  Otherwise it is
+        the upper modulus term times its slack, valid from k = 1,024 when
+        the slack is not 1.  The envelope is exact when both sides agree, as
+        on every power law.
+        """
+        if q <= 0:
+            raise ValueError("abs_pow_bounds expects q > 0")
+        terms = self.envelope_terms
+        if terms is None:
+            return None
+        (p, lo, _), (_, hi, slack) = terms.lower, terms.upper
+        lower = AsymForm.power(p * q, lo**q)
+        if slack == 1.0:
+            upper = lower if hi == lo else AsymForm.power(p * q, hi**q)
+            return TailBounds(lower, upper, terms.k_min)
+        if q <= 1.0:
+            parts = ((pc, max(abs(a), abs(b))) for pc, a, b in (terms.re, terms.im))
+            upper = AsymForm.build(tuple(AsymTerm(pc * q, 0, c**q) for pc, c in parts))
+            return TailBounds(lower, upper, terms.k_min)
+        upper = AsymForm.power(p * q, (hi * slack) ** q)
+        return TailBounds(lower, upper, max(terms.k_min, _MIXED_K0))
 
     def log_abs_bounds(self) -> Optional[TailBounds]:
-        return None
+        terms = self.envelope_terms
+        if terms is None:
+            return None
+        (p, lo, _), (_, hi, slack) = terms.lower, terms.upper
+        lower = AsymForm.log_k(p, const=math.log(lo))
+        if slack == 1.0 and hi == lo:
+            return TailBounds.exact(lower, terms.k_min)
+        k_min = terms.k_min if slack == 1.0 else max(terms.k_min, _MIXED_K0)
+        return TailBounds(lower, AsymForm.log_k(p, const=math.log(hi * slack)), k_min)
 
     @property
     def unbounded(self) -> Optional[bool]:
-        return None
+        return True if self.envelope_terms is not None else None
 
     def max_abs(self) -> Optional[float]:
         return None
@@ -148,6 +270,7 @@ class PowerLawSpectrum(SpectrumFamily):
                 "label",
                 f"power_law({self.a_re:g}*k^{self.p_re:g} + i*{self.a_im:g}*k^{self.p_im:g})",
             )
+        self._read_envelopes()
 
     def eigenvalues(self, ks: np.ndarray) -> np.ndarray:
         kf = np.asarray(ks, dtype=float)
@@ -159,150 +282,38 @@ class PowerLawSpectrum(SpectrumFamily):
     def im_bounds(self) -> TailBounds:
         return TailBounds.exact(AsymForm.power(self.p_im, self.a_im))
 
-    def _abs_leading(self) -> tuple[float, float, float]:
-        """(exponent, coefficient, multiplicative slack) for |lam_k|."""
-        parts = []
-        if self.a_re != 0:
-            parts.append((self.p_re, abs(self.a_re)))
-        if self.a_im != 0:
-            parts.append((self.p_im, abs(self.a_im)))
-        if len(parts) == 1:
-            return parts[0][0], parts[0][1], 1.0
-        (p1, a1), (p2, a2) = sorted(parts, reverse=True)
-        if p1 == p2:
-            return p1, math.hypot(a1, a2), 1.0
-        # |lam| in [a1 k^p1, a1 k^p1 (1 + ratio k^{-(p1-p2)})] for k >= 1
-        ratio = a2 / a1
-        slack = 1.0 + ratio * _MIXED_K0 ** (-(p1 - p2))
-        return p1, a1, slack
-
-    def abs_pow_bounds(self, q: float) -> TailBounds:
-        """Envelopes of |lam_k|^q.
-
-        The lower envelope is the leading part a_hi^q k^{p_hi q}.  With both
-        parts present at different exponents and 0 < q <= 1, the upper
-        envelope |a_re|^q k^{p_re q} + |a_im|^q k^{p_im q} holds from k = 1
-        (the triangle inequality, then subadditivity of x^q), so both
-        envelopes share their leading term.  For q > 1 the upper envelope is
-        the leading part times the multiplicative slack of _abs_leading,
-        valid from k = 1,024.
-        """
-        if q <= 0:
-            raise ValueError("abs_pow_bounds expects q > 0")
-        p, a, slack = self._abs_leading()
-        lower = AsymForm.power(p * q, a**q)
-        if slack == 1.0:
-            return TailBounds.exact(lower)
-        if q <= 1.0:
-            upper = AsymForm.build(
-                (
-                    AsymTerm(self.p_re * q, 0, abs(self.a_re) ** q),
-                    AsymTerm(self.p_im * q, 0, abs(self.a_im) ** q),
-                )
-            )
-            return TailBounds(lower, upper, 1)
-        upper = AsymForm.power(p * q, (a * slack) ** q)
-        return TailBounds(lower, upper, _MIXED_K0)
-
-    def log_abs_bounds(self) -> TailBounds:
-        p, a, slack = self._abs_leading()
-        lower = AsymForm.log_k(p, const=math.log(a))
-        if slack == 1.0:
-            return TailBounds.exact(lower)
-        upper = AsymForm.log_k(p, const=math.log(a * slack))
-        return TailBounds(lower, upper, _MIXED_K0)
-
-    @property
-    def unbounded(self) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
 class CustomSpectrum(SpectrumFamily):
-    """Deterministic rule k -> lam_k with optionally declared tail exponents.
+    """Deterministic rule k -> lam_k with optionally declared envelopes.
 
-    Without declared exponents every asymptotic-analysis operation refuses
-    the family.  With exponents, leading coefficients are estimated from two
-    deep samples and widened by a factor of 8 on each side, so only
-    strict-exponent decisions can ever be certified.
+    envelopes = (re, im) are the TailBounds of Re lam_k and Im lam_k.  Each
+    side is one term c k^p (p = 0: the constant c), both sides of a
+    component share one exponent and one sign, and some exponent is
+    positive; anything else raises SpectrumError.  The caller owns the
+    claim: nothing is sampled, and the envelopes of |lam_k| follow from the
+    declared ones as on every family.  Without envelopes every
+    asymptotic-analysis operation refuses the family.
     """
 
     fn: Callable[[int], complex]
-    declared_tail_exponents: Optional[tuple[float, float]] = None
+    envelopes: Optional[tuple[TailBounds, TailBounds]] = None
     label: str = "custom"
-    _est: Optional[dict] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.declared_tail_exponents is not None:
-            p_re, p_im = self.declared_tail_exponents
-            if p_re < 0 or p_im < 0:
-                raise SpectrumError("declared tail exponents must be >= 0")
-            object.__setattr__(self, "_est", self._estimate())
+        if self.envelopes is not None:
+            if not (isinstance(self.envelopes, tuple) and len(self.envelopes) == 2):
+                raise SpectrumError("envelopes must be the pair (Re envelope, Im envelope)")
+            self._read_envelopes()
 
     def eigenvalues(self, ks: np.ndarray) -> np.ndarray:
         return np.asarray([complex(self.fn(int(k))) for k in np.asarray(ks)], dtype=complex)
 
-    def _estimate(self) -> Optional[dict]:
-        p_re, p_im = self.declared_tail_exponents
-        k1, k2 = 1 << 15, 1 << 16
-        z1, z2 = complex(self.fn(k1)), complex(self.fn(k2))
-        out: dict = {}
-        for name, p, v1, v2 in (
-            ("re", p_re, z1.real, z2.real),
-            ("im", p_im, z1.imag, z2.imag),
-        ):
-            c1, c2 = v1 / k1**p, v2 / k2**p
-            if c1 == 0 and c2 == 0:
-                out[name] = 0.0
-            elif c1 * c2 > 0 and 0.5 < abs(c1 / c2) < 2.0:
-                out[name] = (c1 + c2) / 2.0
-            else:
-                return None
-        return out
-
-    def _component_bounds(self, part: str) -> Optional[TailBounds]:
-        """Envelope of Re (part "re") or Im ("im"): the estimate widened by 8 both ways."""
-        if self._est is None:
-            return None
-        p = self.declared_tail_exponents[0 if part == "re" else 1]
-        c = self._est[part]
-        if c == 0.0:
-            return TailBounds.exact(AsymForm.constant(0.0), 1 << 15)
-        lo, hi = (c / 8.0, c * 8.0) if c > 0 else (c * 8.0, c / 8.0)
-        return TailBounds(AsymForm.power(p, lo), AsymForm.power(p, hi), 1 << 15)
-
     def re_bounds(self) -> Optional[TailBounds]:
-        return self._component_bounds("re")
+        return self.envelopes[0] if self.envelopes is not None else None
 
     def im_bounds(self) -> Optional[TailBounds]:
-        return self._component_bounds("im")
-
-    def _modulus_bounds(self, form: Callable[[float, float], AsymForm]) -> Optional[TailBounds]:
-        """form(p, a/8) below and form(p, 16 a) above, where a k^p is the
-        dominant component of |lam_k|."""
-        if self._est is None:
-            return None
-        p_re, p_im = self.declared_tail_exponents
-        parts = [(p, abs(self._est[n])) for n, p in (("re", p_re), ("im", p_im)) if self._est[n] != 0]
-        if not parts:
-            return None
-        p, a = max(parts)
-        return TailBounds(form(p, a / 8.0), form(p, a * 16.0), 1 << 15)
-
-    def abs_pow_bounds(self, q: float) -> Optional[TailBounds]:
-        return self._modulus_bounds(lambda p, a: AsymForm.power(p * q, a**q))
-
-    def log_abs_bounds(self) -> Optional[TailBounds]:
-        return self._modulus_bounds(lambda p, a: AsymForm.log_k(p, const=math.log(a)))
-
-    @property
-    def unbounded(self) -> Optional[bool]:
-        if self.declared_tail_exponents is None:
-            return None
-        if self._est is None:
-            return None
-        p_re, p_im = self.declared_tail_exponents
-        return (p_re > 0 and self._est["re"] != 0) or (p_im > 0 and self._est["im"] != 0)
+        return self.envelopes[1] if self.envelopes is not None else None
 
 
 # ---------------------------------------------------------------------------

@@ -170,12 +170,13 @@ def test_counterexamples_on_all_violated_catalog_entries():
 
 
 def test_probe_explicit_spectrum_reports_inverse_radius():
+    # a finite spectrum makes y(t) a finite sum of exponentials: entire
     spec = gl.builtin_spectra()["explicit16"]
     f = gl.CoefficientVector.explicit(spec, values=[1.0] * 16)
     h = gl.SolutionHandle.admit(f)
     out = gl.analytic_at_zero_probe(h)
     assert isinstance(out, gl.AnalyticAtZero)
-    assert out.delta == 1.0 / spec.max_abs()
+    assert out.delta == math.inf
 
 
 def test_probe_detects_finite_order_breakdown():

@@ -455,21 +455,45 @@ def test_region_equality_slope_from_coefficients():
     assert abs(rep.status.b_plus - 2.0 / 3.0) < 1e-12
 
 
+def _declared(fn, re, im):
+    """A custom family whose Re and Im envelopes are exactly a k^p, (a, p) = re, im."""
+    env = tuple(gl.TailBounds.exact(gl.AsymForm.power(p, a)) for a, p in (re, im))
+    return gl.CustomSpectrum(fn, env)
+
+
 def test_region_custom_spectrum_paths():
-    holds = gl.region_condition(
-        gl.CustomSpectrum(lambda k: complex(k * k, k), (2.0, 1.0)), 1.0
-    )
+    holds = gl.region_condition(_declared(lambda k: complex(k * k, k), (1, 2), (1, 1)), 1.0)
     assert holds.holds
-    boundary = gl.region_condition(
-        gl.CustomSpectrum(lambda k: complex(2 * k, k), (1.0, 1.0)), 1.0
-    )
-    assert isinstance(boundary.status, gl.RegionUnknown)  # estimated constants
-    violated = gl.region_condition(
-        gl.CustomSpectrum(lambda k: complex(-k, k * k), (1.0, 2.0)), 1.0
-    )
+    # equal exponents: the declared coefficients decide, as on a power law
+    boundary = gl.region_condition(_declared(lambda k: complex(2 * k, k), (2, 1), (1, 1)), 1.0)
+    b_plus = 2.0
+    for _ in range(4):
+        b_plus = math.nextafter(b_plus, 0.0)
+    assert boundary.holds and boundary.status.b_plus == b_plus
+    violated = gl.region_condition(_declared(lambda k: complex(-k, k * k), (-1, 1), (1, 2)), 1.0)
     assert violated.violated
     no_decl = gl.region_condition(gl.CustomSpectrum(lambda k: complex(k, 0)), 1.0)
     assert isinstance(no_decl.status, gl.RegionUnknown)
+
+
+def test_region_radius_covers_points_the_envelopes_leave_open():
+    exact = gl.TailBounds.exact
+    # Re lam_k = k and Im lam_k in [0, 100]: k = 49 lies outside Re >= |Im|
+    # and beyond |lam_{k_star}| + 1 = 102, but within the upper modulus
+    # k + 100 at k_star = 101
+    im = gl.TailBounds(gl.AsymForm.constant(0.0), gl.AsymForm.constant(100.0))
+    step = gl.CustomSpectrum(
+        lambda k: complex(k, 100.0 if k < 50 else 0.0), (exact(gl.AsymForm.power(1.0, 1.0)), im)
+    )
+    rep = gl.region_condition(step, 1.0)
+    assert rep.holds and rep.status.exception_radius == 202.0
+    # envelopes declared from k = 2 leave lam_1 = -50 to the radius
+    late = gl.CustomSpectrum(
+        lambda k: complex(2 * k, k) if k > 1 else -50.0,
+        tuple(exact(gl.AsymForm.power(1.0, a), 2) for a in (2.0, 1.0)),
+    )
+    rep = gl.region_condition(late, 1.0)
+    assert rep.holds and rep.status.exception_radius == 51.0
 
 
 def test_region_constant_imaginary_offset_holds_past_a_radius():

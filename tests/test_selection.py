@@ -316,7 +316,10 @@ def test_verification_reads_the_eigenvalues_not_the_thresholds():
 
 
 def test_custom_family_region_has_no_witness():
-    spec = gl.CustomSpectrum(lambda k: 1j * k * k, declared_tail_exponents=(0.0, 2.0))
+    zero = gl.TailBounds.exact(gl.AsymForm.constant(0.0))
+    spec = gl.CustomSpectrum(
+        lambda k: 1j * k * k, (zero, gl.TailBounds.exact(gl.AsymForm.power(2.0, 1.0)))
+    )
     rep = gl.region_condition(spec, 1.0)
     assert rep.violated and rep.status.witness == ()
     assert "no witness" in rep.detail

@@ -318,10 +318,15 @@ def test_custom_spectrum_without_exponents_refuses_analysis():
 
 
 def test_custom_spectrum_with_exponents_estimates_envelopes():
-    spec = gl.CustomSpectrum(lambda k: complex(2.0 * k, -3.0 * k * k), (1.0, 2.0))
-    rb = spec.re_bounds()
-    assert rb is not None and rb.lower.terms[0].coeff > 0
-    assert spec.unbounded is True
+    # Re lam_k in [1, 3] k and Im lam_k in [-4, -2] k^2
+    re = gl.TailBounds(gl.AsymForm.power(1.0, 1.0), gl.AsymForm.power(1.0, 3.0))
+    im = gl.TailBounds(gl.AsymForm.power(2.0, -4.0), gl.AsymForm.power(2.0, -2.0))
+    spec = gl.CustomSpectrum(lambda k: complex(2.0 * k, -3.0 * k * k), (re, im))
+    assert spec.re_bounds() is re and spec.unbounded is True
+    # |lam_k| >= 2 k^2, and |lam_k| <= 3 k + 4 k^2 by the triangle inequality
+    env = spec.abs_pow_bounds(1.0)
+    assert env.lower == gl.AsymForm.power(2.0, 2.0)
+    assert env.upper == gl.AsymForm.power(2.0, 4.0) + gl.AsymForm.power(1.0, 3.0)
 
 
 def _mp_form(form, k):
@@ -335,8 +340,18 @@ def _mp_form(form, k):
     )
 
 
+def _interval_family():
+    """lam_k = (2 + sin k) k - i (3 + cos k) k^2, declared by the intervals
+    Re lam_k in [1, 3] k and Im lam_k in [-4, -2] k^2."""
+    re = gl.TailBounds(gl.AsymForm.power(1.0, 1.0), gl.AsymForm.power(1.0, 3.0))
+    im = gl.TailBounds(gl.AsymForm.power(2.0, -4.0), gl.AsymForm.power(2.0, -2.0))
+    return gl.CustomSpectrum(
+        lambda k: complex((2.0 + math.sin(k)) * k, -(3.0 + math.cos(k)) * k * k), (re, im)
+    )
+
+
 @pytest.mark.parametrize(
-    "a_re, p_re, a_im, p_im",
+    "family",
     [
         (1, 1, 1, 4),
         (1, 1, 1, 0.5),
@@ -344,29 +359,93 @@ def _mp_form(form, k):
         (-3, 2, 0.25, 1),
         (0.5, 0, 1, 2),
         (1, 3, -2, 1),
+        (1, 6, 1, 0),
+        "interval",
     ],
 )
-@pytest.mark.parametrize("q", [1.0, 1 / 1.5, 0.5])
-def test_abs_pow_envelopes_hold_against_an_oracle(a_re, p_re, a_im, p_im, q):
-    # lower(k) <= |lam_k|^q <= upper(k) from k = 1 on, |lam_k|^q at 50 digits.
-    # The envelopes' float coefficients and exponents sit a few ulps off their
-    # real values, an error that k^power magnifies by log k: hence the
-    # relative slack of 2^-48 (1 + log k)
+@pytest.mark.parametrize("q", [1.0, 1 / 1.5, 0.5, 2.0, 3.0, "log"])
+def test_abs_pow_envelopes_hold_against_an_oracle(family, q):
+    # lower(k) <= |lam_k|^q (or log|lam_k|) <= upper(k) from k_min on, with
+    # lam_k at 50 digits.  The envelopes' float coefficients and exponents sit
+    # a few ulps off their real values, an error that k^power magnifies by
+    # log k: hence the slack of 2^-48 (1 + log k) (1 + |value|)
     import mpmath
 
-    spec = gl.PowerLawSpectrum(a_re, p_re, a_im, p_im)
-    env = spec.abs_pow_bounds(q)
-    assert env.k_min == 1
+    if family == "interval":
+        spec = _interval_family()
+
+        def lam(k):
+            return mpmath.mpc((2 + mpmath.sin(k)) * k, -(3 + mpmath.cos(k)) * k**2)
+
+    else:
+        a_re, p_re, a_im, p_im = (mpmath.mpf(x) for x in family)
+        spec = gl.PowerLawSpectrum(*family)
+
+        def lam(k):
+            return mpmath.mpc(a_re * k**p_re, a_im * k**p_im)
+
+    if q == "log":
+        env, value = spec.log_abs_bounds(), lambda k: mpmath.log(abs(lam(k)))
+    else:
+        env, value = spec.abs_pow_bounds(q), lambda k: abs(lam(k)) ** mpmath.mpf(q)
+    # sums of powers hold from k = 1; leading terms with a slack from k = 1,024
+    assert env.k_min == 1 if q != "log" and q <= 1 else env.k_min in (1, 1024)
     rng = np.random.default_rng(7)
     ks = sorted({1, 2, 3, 10, *(2**j for j in range(41)), *rng.integers(1, 2**40, 20).tolist()})
     with mpmath.workdps(50):
-        for k in ks:
-            slack = mpmath.mpf(2) ** -48 * (1 + mpmath.log(k))
-            re = mpmath.mpf(a_re) * mpmath.mpf(k) ** mpmath.mpf(p_re)
-            im = mpmath.mpf(a_im) * mpmath.mpf(k) ** mpmath.mpf(p_im)
-            value = mpmath.hypot(re, im) ** mpmath.mpf(q)
-            assert _mp_form(env.lower, k) <= value * (1 + slack), k
-            assert value <= _mp_form(env.upper, k) * (1 + slack), k
+        for k in (mpmath.mpf(k) for k in ks if k >= env.k_min):
+            v = value(k)
+            slack = mpmath.mpf(2) ** -48 * (1 + mpmath.log(k)) * (1 + abs(v))
+            assert _mp_form(env.lower, k) <= v + slack, k
+            assert v <= _mp_form(env.upper, k) + slack, k
+
+
+def test_region_reads_declared_intervals():
+    # Re lam_k >= k against |Im lam_k| <= 4 k^2: outrun at beta = 1, and at
+    # beta = 2 inside Re >= |Im|^{1/2} / 2, the lower Re over the upper |Im|
+    # coefficient
+    spec = _interval_family()
+    violated = gl.region_condition(spec, 1.0)
+    assert violated.violated and violated.status.witness == ()
+    holds = gl.region_condition(spec, 2.0)
+    b_plus = 0.5
+    for _ in range(4):
+        b_plus = math.nextafter(b_plus, 0.0)
+    assert holds.holds and holds.status.b_plus == b_plus
+    assert holds.status.exception_radius == 0.0
+
+
+_K = gl.TailBounds.exact(gl.AsymForm.power(1.0, 1.0))
+_K2 = gl.TailBounds.exact(gl.AsymForm.power(2.0, 1.0))
+_ZERO = gl.TailBounds.exact(gl.AsymForm.constant(0.0))
+
+
+def _re(lower, upper=None):
+    """A custom family's envelopes: Re from the given sides, Im lam_k = k^2."""
+    return gl.TailBounds(lower, lower if upper is None else upper), _K2
+
+
+@pytest.mark.parametrize(
+    "envelopes",
+    [
+        _re(gl.AsymForm.power(1.0, 1.0) + gl.AsymForm.power(0.5, 1.0)),
+        _re(gl.AsymForm.power_log(1.0, 1.0)),
+        _re(gl.AsymForm.power(1.0, 1.0), gl.AsymForm.power(2.0, 1.0)),
+        _re(gl.AsymForm.power(1.0, -1.0), gl.AsymForm.power(1.0, 1.0)),
+        _re(gl.AsymForm.power(1.0, 3.0), gl.AsymForm.power(1.0, 1.0)),
+        _re(None, gl.AsymForm.power(1.0, 1.0)),
+        (_K, None),
+        (_K,),
+        (gl.TailBounds.exact(gl.AsymForm.constant(1.0)), _ZERO),
+    ],
+    ids=[
+        "two-term", "log-k", "mixed-exponents", "lo<0<hi", "lo>hi",
+        "missing-side", "missing-component", "not-a-pair", "no-growing-part",
+    ],
+)
+def test_bad_envelope_declarations_are_spectrum_errors(envelopes):
+    with pytest.raises(gl.SpectrumError):
+        gl.CustomSpectrum(lambda k: complex(k, k * k), envelopes)
 
 
 def _envelope_reprs():
