@@ -351,7 +351,7 @@ def _interval_family():
 
 
 @pytest.mark.parametrize(
-    "family",
+    "a_re, p_re, a_im, p_im",
     [
         (1, 1, 1, 4),
         (1, 1, 1, 0.5),
@@ -360,29 +360,29 @@ def _interval_family():
         (0.5, 0, 1, 2),
         (1, 3, -2, 1),
         (1, 6, 1, 0),
-        "interval",
+        pytest.param(None, None, None, None, id="interval"),
     ],
 )
 @pytest.mark.parametrize("q", [1.0, 1 / 1.5, 0.5, 2.0, 3.0, "log"])
-def test_abs_pow_envelopes_hold_against_an_oracle(family, q):
+def test_abs_pow_envelopes_hold_against_an_oracle(a_re, p_re, a_im, p_im, q):
     # lower(k) <= |lam_k|^q (or log|lam_k|) <= upper(k) from k_min on, with
     # lam_k at 50 digits.  The envelopes' float coefficients and exponents sit
     # a few ulps off their real values, an error that k^power magnifies by
     # log k: hence the slack of 2^-48 (1 + log k) (1 + |value|)
     import mpmath
 
-    if family == "interval":
+    if a_re is None:
         spec = _interval_family()
 
         def lam(k):
             return mpmath.mpc((2 + mpmath.sin(k)) * k, -(3 + mpmath.cos(k)) * k**2)
 
     else:
-        a_re, p_re, a_im, p_im = (mpmath.mpf(x) for x in family)
-        spec = gl.PowerLawSpectrum(*family)
+        spec = gl.PowerLawSpectrum(a_re, p_re, a_im, p_im)
 
         def lam(k):
-            return mpmath.mpc(a_re * k**p_re, a_im * k**p_im)
+            re = mpmath.mpf(a_re) * k ** mpmath.mpf(p_re)
+            return mpmath.mpc(re, mpmath.mpf(a_im) * k ** mpmath.mpf(p_im))
 
     if q == "log":
         env, value = spec.log_abs_bounds(), lambda k: mpmath.log(abs(lam(k)))
