@@ -317,12 +317,19 @@ def test_custom_spectrum_without_exponents_refuses_analysis():
     assert spec.unbounded is None
 
 
-def test_custom_spectrum_with_exponents_estimates_envelopes():
-    # Re lam_k in [1, 3] k and Im lam_k in [-4, -2] k^2
+def _interval_family():
+    """lam_k = (2 + sin k) k - i (3 + cos k) k^2, declared by the intervals
+    Re lam_k in [1, 3] k and Im lam_k in [-4, -2] k^2."""
     re = gl.TailBounds(gl.AsymForm.power(1.0, 1.0), gl.AsymForm.power(1.0, 3.0))
     im = gl.TailBounds(gl.AsymForm.power(2.0, -4.0), gl.AsymForm.power(2.0, -2.0))
-    spec = gl.CustomSpectrum(lambda k: complex(2.0 * k, -3.0 * k * k), (re, im))
-    assert spec.re_bounds() is re and spec.unbounded is True
+    return gl.CustomSpectrum(
+        lambda k: complex((2.0 + math.sin(k)) * k, -(3.0 + math.cos(k)) * k * k), (re, im)
+    )
+
+
+def test_custom_spectrum_with_exponents_estimates_envelopes():
+    spec = _interval_family()
+    assert spec.re_bounds() is spec.envelopes[0] and spec.unbounded is True
     # |lam_k| >= 2 k^2, and |lam_k| <= 3 k + 4 k^2 by the triangle inequality
     env = spec.abs_pow_bounds(1.0)
     assert env.lower == gl.AsymForm.power(2.0, 2.0)
@@ -337,16 +344,6 @@ def _mp_form(form, k):
     return mpmath.mpf(form.const) + sum(
         mpmath.mpf(t.coeff) * k ** mpmath.mpf(t.power) * mpmath.log(k) ** t.log_power
         for t in form.terms
-    )
-
-
-def _interval_family():
-    """lam_k = (2 + sin k) k - i (3 + cos k) k^2, declared by the intervals
-    Re lam_k in [1, 3] k and Im lam_k in [-4, -2] k^2."""
-    re = gl.TailBounds(gl.AsymForm.power(1.0, 1.0), gl.AsymForm.power(1.0, 3.0))
-    im = gl.TailBounds(gl.AsymForm.power(2.0, -4.0), gl.AsymForm.power(2.0, -2.0))
-    return gl.CustomSpectrum(
-        lambda k: complex((2.0 + math.sin(k)) * k, -(3.0 + math.cos(k)) * k * k), (re, im)
     )
 
 
@@ -368,7 +365,8 @@ def test_abs_pow_envelopes_hold_against_an_oracle(a_re, p_re, a_im, p_im, q):
     # lower(k) <= |lam_k|^q (or log|lam_k|) <= upper(k) from k_min on, with
     # lam_k at 50 digits.  The envelopes' float coefficients and exponents sit
     # a few ulps off their real values, an error that k^power magnifies by
-    # log k: hence the slack of 2^-48 (1 + log k) (1 + |value|)
+    # log k: hence the relative slack of 2^-48 (1 + log k), taken absolute
+    # on log|lam_k|, which can be 0
     import mpmath
 
     if a_re is None:
@@ -395,7 +393,7 @@ def test_abs_pow_envelopes_hold_against_an_oracle(a_re, p_re, a_im, p_im, q):
     with mpmath.workdps(50):
         for k in (mpmath.mpf(k) for k in ks if k >= env.k_min):
             v = value(k)
-            slack = mpmath.mpf(2) ** -48 * (1 + mpmath.log(k)) * (1 + abs(v))
+            slack = mpmath.mpf(2) ** -48 * (1 + mpmath.log(k)) * (1 if q == "log" else v)
             assert _mp_form(env.lower, k) <= v + slack, k
             assert v <= _mp_form(env.upper, k) + slack, k
 
