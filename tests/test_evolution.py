@@ -1,3 +1,6 @@
+import collections
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -73,6 +76,35 @@ def test_custom_family_without_exponents_is_undetermined():
     assert not cert.admissible and cert.unknown
     with pytest.raises(gl.VectorError):
         gl.SolutionHandle(f, cert)
+
+
+def _admissibility_reprs():
+    """The reprs of check_admissible over a grid of power-law families and
+    five decay profiles: e^-k, e^-k^2, e^{-0.5 sqrt k}, e^-2k and k^-2."""
+    grid = ((0.0, 1.0, -1.0, 0.5), (0.0, 0.5, 1.0, 2.0), (0.0, 1.0, -1.0), (0.0, 1.0, 2.0))
+    for a_re, p_re, a_im, p_im in itertools.product(*grid):
+        try:
+            spec = gl.PowerLawSpectrum(a_re, p_re, a_im, p_im)
+        except gl.SpectrumError:
+            continue
+        vectors = [
+            gl.CoefficientVector.power_decay(spec, c, r)
+            for c, r in ((1.0, 1.0), (1.0, 2.0), (0.5, 0.5), (2.0, 1.0))
+        ]
+        vectors.append(gl.CoefficientVector.polynomial_decay(spec, 2.0))
+        for f in vectors:
+            yield repr(gl.check_admissible(f))
+
+
+# sha256 of the newline-joined _admissibility_reprs()
+_ADMISSIBILITY_DIGEST = "fab2c81191460f8d465c5767261dbd4ac8f323db3b6e2c7ba416b4ae85d8cfbf"
+
+
+def test_admissibility_certificates_are_pinned():
+    reprs = list(_admissibility_reprs())
+    rules = collections.Counter(r.split("tail_rule=")[1].split("(")[0] for r in reprs)
+    assert rules == {"ReBoundedAbove": 275, "WitnessFailure": 198, "DecayDominates": 72}
+    assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == _ADMISSIBILITY_DIGEST
 
 
 # -- solving -------------------------------------------------------------------
