@@ -31,7 +31,6 @@ from .spectral_core import (
     conjugate_exponent,
     predicate_all,
     total_variation,
-    with_lower_form,
 )
 
 
@@ -287,10 +286,8 @@ def domain_member_direct(
     With `budget=None` membership is only decided (see certify_log_series)
     and log_norm stays NaN.
 
-    The tail envelope is the coefficient envelope plus F's growth envelope.
-    A plan hook of the series space overrides it where it couples the two:
-    gevrey_lower_form gives the lower side for a GevreyExpSymbol, and
-    evolution_upper_form the whole envelope for e^{tA} (ExpSymbol, real t).
+    The tail envelope is the series space's term_bounds(F), the envelope
+    of log|f_k| + log|F(lam_k)|, taken to the power p.
     """
     space = f.series_space()
     p = f.p_norm
@@ -300,20 +297,9 @@ def domain_member_direct(
         add = F.log_abs(space.lam(ks))
         return p * np.where(mags == NEG_INF, NEG_INF, mags + add)
 
-    bounds = None
-    cb = space.coeff_bounds
-    if cb is not None:
-        gb = F.growth_bounds_on(space)
-        if gb is not None:
-            bounds = (cb + gb).scale(p)
-    if isinstance(F, GevreyExpSymbol):
-        hook = space.gevrey_lower_form(F.s, F.beta)
-        if hook is not None:
-            bounds = with_lower_form(bounds, hook[0].scale(p), hook[1])
-    elif isinstance(F, ExpSymbol) and F.z.imag == 0.0:
-        hook = space.evolution_upper_form(F.z.real)
-        if hook is not None:
-            bounds = TailBounds(None, hook[0].scale(p), hook[1])
+    bounds = space.term_bounds(F)
+    if bounds is not None:
+        bounds = bounds.scale(p)
     cert = certify_log_series(term, count=space.count, bounds=bounds, budget=budget)
     member = _member_from_status(cert.status)
     log_norm = cert.log_value / p if member is True else math.nan
@@ -486,8 +472,8 @@ def power_norms(
     """Compute ||A^n f||_p for n = 0..n_max, one series engine call per power.
 
     The series of A^n f is certified by certify_log_series over the vector's
-    index space, with the tail envelope (coefficient envelope plus n times
-    the log|lam| envelope) when both envelopes are known.  The powers stop at
+    index space, with the space's term_bounds(lam^n) as tail envelope
+    (A^0 f = f needs no log|lam| envelope).  The powers stop at
     the first one the engine does not certify convergent.  Certificate
     values are in norm units, log ||A^n f||_p.  Each index block the engine
     asks for (a range, or the divergence witness) is read once for all powers:
@@ -497,7 +483,6 @@ def power_norms(
         raise ValueError("n_max must be >= 0")
     space = f.series_space()
     p = f.p_norm
-    cb, lb = space.coeff_bounds, space.log_abs_bounds()
     store: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def block(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -508,7 +493,9 @@ def power_norms(
 
     certs = []
     for n in range(n_max + 1):
-        bounds = None if cb is None or lb is None else (cb + lb.scale(float(n))).scale(p)
+        bounds = space.term_bounds(PowerSymbol(n))
+        if bounds is not None:
+            bounds = bounds.scale(p)
         cert = certify_log_series(
             lambda ks, n=n: _power_term(*block(ks), p, n),
             count=space.count,

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .asymptotics import AsymForm, AsymTerm, TailBounds
-from .borel_calculus import GevreyExpSymbol, power_norms
+from .borel_calculus import ExpSymbol, GevreyExpSymbol, power_norms
 from .errors import CounterexampleError, PlanError
 from .evolution import AdmissibilityCertificate, SolutionHandle, check_admissible
 from .gevrey_classifier import GevreyVerdict, GevreyFlavor, vector_class
@@ -454,11 +454,11 @@ class SupportView(SeriesSpace):
     is None and e^{-decay n Re lam_{j(n)}} otherwise.  re_bounds,
     log_abs_bounds and abs_pow_bounds follow from the plan invariants
     (|lam_{j(n)}| >= n, Re >= n when required, j(n) <= env * n^gamma);
-    im_bounds is None.  Of the optional hooks of SeriesSpace, only
-    evolution_upper_form is set here, when decay is set (such vectors live
-    on plans with Re >= n).  On plans with unbounded real parts the
-    refuting vector f is a _ProofView, which also sets gevrey_lower_form and
-    tv_lower_form.
+    im_bounds is None.  When decay is set (such vectors live on plans with
+    Re >= n), term_bounds of e^{tA} (ExpSymbol, real t) is the coupled upper
+    envelope -decay n^2 + t n.  On plans with unbounded real parts the
+    refuting vector f is a _ProofView, which also couples the lower envelope
+    of its Gevrey weight.
     """
 
     plan: ViolatingSpectrumPlan
@@ -514,11 +514,13 @@ class SupportView(SeriesSpace):
         gamma, p_hi, c = self._abs_upper()
         return TailBounds(AsymForm.log_k(1.0), AsymForm.log_k(gamma * p_hi, const=math.log(c)), 1)
 
-    def evolution_upper_form(self, t: float):
-        if self.decay is None:
-            return None
+    def term_bounds(self, F=None):
+        if self.decay is None or not isinstance(F, ExpSymbol) or F.z.imag != 0.0:
+            return super().term_bounds(F)
+        t = F.z.real
         # (t - decay n) Re_{j(n)} <= -(decay n - t) n  for n > t / decay
-        return (
+        return TailBounds(
+            None,
             AsymForm.power(2.0, -self.decay) + AsymForm.power(1.0, t),
             int(math.ceil(t / self.decay)) + 1,
         )
@@ -528,28 +530,25 @@ class SupportView(SeriesSpace):
 class _ProofView(SupportView):
     """The refuting vector f on a plan with unbounded real parts.
 
-    It adds the proof's coupled lower envelopes at the plan's order, which
-    no componentwise envelope expresses.  Plans with bounded real parts
-    need none: there the componentwise envelopes already give the proof's
-    forms (|lam_{j(n)}| >= n and the n^-2 coefficients), so their refuting
-    vector is a plain SupportView.
+    Its term_bounds of the weight e^{s|lam|^{1/beta}} at the plan's order
+    has the proof's coupled lower envelope s n^3 - n^2, which no
+    componentwise envelope expresses; pairing with h* = n^-2 adds that
+    space's -2 log n.  Plans with bounded real parts need none: there the
+    componentwise envelopes already give the proof's forms (|lam_{j(n)}| >= n
+    and the n^-2 coefficients), so their refuting vector is a plain
+    SupportView.
     """
 
-    def gevrey_lower_form(self, s: float, beta: float):
-        if beta != self.plan.beta:
-            return None
+    def term_bounds(self, F=None):
+        bounds = super().term_bounds(F)
+        if not isinstance(F, GevreyExpSymbol) or F.beta != self.plan.beta:
+            return bounds
         # |lam|^{1/beta} >= n^2 Re and Re >= n give s n^3 - n^2 beyond n >= 1/s
-        k_min = max(2, int(math.ceil(1.0 / s)) + 1)
-        return AsymForm.power(3.0, s) + AsymForm.power(2.0, -1.0), k_min
-
-    def tv_lower_form(self, weight):
-        # pairing with h* = n^-2 adds -2 log n to the Gevrey lower form
-        if not isinstance(weight, GevreyExpSymbol):
-            return None
-        hook = self.gevrey_lower_form(weight.s, weight.beta)
-        if hook is None:
-            return None
-        return hook[0] + AsymForm.log_k(-2.0), hook[1]
+        lower = AsymForm.power(3.0, F.s) + AsymForm.power(2.0, -1.0)
+        k_min = max(2, int(math.ceil(1.0 / F.s)) + 1)
+        if bounds is None:
+            return TailBounds(lower, None, k_min)
+        return TailBounds(lower, bounds.upper, max(k_min, bounds.k_min))
 
 
 def _dense_inverse_fn(view: SupportView):

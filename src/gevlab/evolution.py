@@ -99,7 +99,6 @@ def check_admissible(f: CoefficientVector, t_max: float = DEFAULT_T_MAX) -> Admi
 
     space = f.series_space()
     rule: TailRule
-    extra_times: list[float] = []
 
     if space.count is not None:
         rule = ExplicitFinite()
@@ -117,10 +116,9 @@ def check_admissible(f: CoefficientVector, t_max: float = DEFAULT_T_MAX) -> Admi
                 omega = max(prefix_max, _sup_bound(re_b.upper, re_b.k_min))
                 rule = ReBoundedAbove(omega)
             else:
-                rule = _growing_re_rule(f, space, re_b, extra_times)
+                rule = _growing_re_rule(space, re_b)
 
-    if isinstance(rule, WitnessFailure):
-        extra_times.append(rule.t)
+    extra_times = [rule.t] if isinstance(rule, WitnessFailure) else []
     checked = tuple(dict.fromkeys(grid + extra_times))
 
     probe_status = []
@@ -139,38 +137,26 @@ def check_admissible(f: CoefficientVector, t_max: float = DEFAULT_T_MAX) -> Admi
     )
 
 
-def _growing_re_rule(f, space, re_b, extra_times: list[float]) -> TailRule:
-    hint0 = space.evolution_upper_form(0.0)
-    if hint0 is not None:
-        lead0 = hint0[0].leading()
-        lead_top = space.evolution_upper_form(DEFAULT_T_MAX)[0].leading()
-        if (
-            lead_top is not None
-            and lead_top.coeff < 0
-            and lead0 is not None
-            and (lead0.power, lead0.log_power, lead0.coeff)
-            == (lead_top.power, lead_top.log_power, lead_top.coeff)
-        ):
-            gr = re_b.upper.leading()
-            return DecayDominates(r=lead_top.power, p_re=gr.power if gr else math.nan)
-        return Undetermined("support-view hint does not decay uniformly in t")
-
-    cb = space.coeff_bounds
-    gr_up = re_b.upper.leading()
-    gr_lo = re_b.lower.leading() if re_b.lower is not None else None
-    if cb is None or cb.upper is None:
+def _growing_re_rule(space, re_b) -> TailRule:
+    """Real parts grow.  Decay dominates when the upper envelope of
+    log|f_k| + t Re lam_k has one negative leading term at t = 0 and at
+    DEFAULT_T_MAX (on a dense space: the decay scale exceeds the growth
+    scale).  Otherwise look for a certified failure time."""
+    ups = [space.term_bounds(ExpSymbol(t)) for t in (0.0, DEFAULT_T_MAX)]
+    if any(b is None or b.upper is None for b in ups):
         return Undetermined("no decay envelope for the coefficients")
-    dec_up = cb.upper.leading()
-    g_scale = (gr_up.power, gr_up.log_power)
-    d_scale = (dec_up.power, dec_up.log_power) if dec_up is not None else (0.0, 0)
-    if dec_up is not None and dec_up.coeff < 0 and d_scale > g_scale:
-        return DecayDominates(r=dec_up.power, p_re=gr_up.power)
+    lead0, lead_top = (b.upper.leading() for b in ups)
+    gr_up = re_b.upper.leading()
+    if lead0 is not None and lead0.coeff < 0 and lead0 == lead_top:
+        return DecayDominates(r=lead0.power, p_re=gr_up.power)
 
     # decay does not dominate: look for a certified failure time
+    cb = space.term_bounds()
+    gr_lo = re_b.lower.leading() if re_b.lower is not None else None
     if cb.lower is None or gr_lo is None or gr_lo.coeff <= 0:
         return Undetermined("cannot certify a failure time without lower envelopes")
     dec_lo = cb.lower.leading()
-    if dec_lo is not None and (dec_lo.power, dec_lo.log_power) == g_scale and dec_lo.coeff < 0:
+    if dec_lo is not None and dec_lo.scale() == gr_up.scale() and dec_lo.coeff < 0:
         t_w = 2.0 * (-dec_lo.coeff) / gr_lo.coeff
     else:
         t_w = 1.0

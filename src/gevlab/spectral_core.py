@@ -702,13 +702,11 @@ class SeriesSpace:
     - re_bounds(), im_bounds(), log_abs_bounds(), abs_pow_bounds(q):
       envelopes of Re lam, Im lam, log|lam| and |lam|^q, called exactly
       like SpectrumFamily's, so a symbol's growth_bounds_on takes either.
-    - gevrey_lower_form(s, beta), tv_lower_form(weight),
-      evolution_upper_form(t): optional plan hooks, each returning
-      (form, k_min) or None.  They carry estimates that couple the
-      coefficient decay to lam, which componentwise envelopes lose: a lower
-      envelope of log|c_n| + s|lam|^{1/beta}, of log|f_n g_n| + log|weight|
-      (pairing with the plan's dual), and an upper envelope of
-      log|c_n| + t Re lam.
+    - term_bounds(F): envelope of log|c_n| + log|F(lam_n)|, the one
+      envelope every series over the space reads.  By default it is the
+      sum of the componentwise envelopes; a space whose coefficients are
+      tied to lam (a counterexample plan's vectors) overrides it with the
+      coupled estimate, which no componentwise envelope expresses.
     """
 
     count: Optional[int] = None
@@ -733,21 +731,13 @@ class SeriesSpace:
     def abs_pow_bounds(self, q: float) -> Optional[TailBounds]:
         return None
 
-    def gevrey_lower_form(self, s: float, beta: float) -> Optional[tuple[AsymForm, int]]:
-        return None
-
-    def tv_lower_form(self, weight) -> Optional[tuple[AsymForm, int]]:
-        return None
-
-    def evolution_upper_form(self, t: float) -> Optional[tuple[AsymForm, int]]:
-        return None
-
-
-def with_lower_form(bounds: Optional[TailBounds], form: AsymForm, k_min: int) -> TailBounds:
-    """bounds with its lower envelope replaced by a plan hook's form."""
-    if bounds is None:
-        return TailBounds(form, None, k_min)
-    return TailBounds(form, bounds.upper, max(k_min, bounds.k_min))
+    def term_bounds(self, F=None) -> Optional[TailBounds]:
+        """Envelope of log|c_n| + log|F(lam_n)|; of log|c_n| when F is None."""
+        cb = self.coeff_bounds
+        if cb is None or F is None:
+            return cb
+        gb = F.growth_bounds_on(self)
+        return cb + gb if gb is not None else None
 
 
 @dataclass(frozen=True)
@@ -867,21 +857,12 @@ def total_variation(
             tot = np.where(keep, tot, NEG_INF)
         return tot
 
-    b = None
-    fb, gb = space.coeff_bounds, gspace.coeff_bounds
-    if fb is not None and gb is not None:
-        b = fb + gb
     counts = [n for n in (space.count, gspace.count) if n is not None]
     count = min(counts) if counts else None
-
-    if b is not None and weight is not None:
-        wb = weight.growth_bounds_on(space)
-        b = b + wb if wb is not None else None
+    fb, gb = space.term_bounds(weight), gspace.term_bounds()
+    b = fb + gb if fb is not None and gb is not None else None
     if b is not None and not delta.is_all:
         b = TailBounds(None, b.upper, b.k_min)
-    hook = space.tv_lower_form(weight) if delta.is_all else None
-    if hook is not None:
-        b = with_lower_form(b, *hook)
     return certify_log_series(term, count=count, bounds=b, budget=budget)
 
 

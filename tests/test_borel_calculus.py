@@ -190,12 +190,14 @@ def test_power_norms_log_convex_for_l2():
 
 
 def test_power_norms_without_envelopes_keep_engine_certificates():
-    # no log|lam| envelope: the series of A^0 f has no closed form, so the
-    # powers stop at once on the engine's own no-closed-form certificate
+    # no log|lam| envelope: A^0 f = f is certified by its own decay
+    # envelope, and the powers stop at n = 1 on the engine's own
+    # no-closed-form certificate
     spec = gl.CustomSpectrum(lambda k: complex(k, 0))
     f = gl.CoefficientVector.power_decay(spec, 1.0, 1.0)
     norms = gl.power_norms(f, 4)
-    assert norms.cutoff == 0 and norms.log_norms == ()
+    assert norms.cutoff == 1 and len(norms.log_norms) == 1
+    assert norms.certificates[0].route == "symbolic-tail"
     cert = norms.cutoff_certificate
     assert cert.status is SeriesStatus.INCONCLUSIVE
     assert cert.route == "no-closed-form" and cert.terms_used == 0

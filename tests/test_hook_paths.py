@@ -1,11 +1,12 @@
-"""Golden certificates for the support-view hook paths.
+"""Golden certificates for the support-view envelope paths.
 
-The counterexample vectors of a plan carry coupled envelopes
-(gevrey_lower_form, tv_lower_form, evolution_upper_form) that no
+The counterexample vectors of a plan override SeriesSpace.term_bounds with
+coupled envelopes (the lower envelope of the Gevrey weight on the refuting
+vector, the upper envelope of e^{tA} on vectors with decay) that no
 componentwise envelope can express.  These tests pin every series
 certificate that build_counterexample issues on three plans, in call
-order, so any change to how the hooks reach the series engine shows up as
-a byte difference.  The bounded views are exercised by no benchmark
+order, so any change to how those overrides reach the series engine shows
+up as a byte difference.  The bounded views are exercised by no benchmark
 workload; this file is their only guard.
 """
 
