@@ -47,6 +47,7 @@ from .spectral_core import (
 
 _S_LO = 2.0**-20
 _S_HI = 2.0**20
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class GevreyFlavor(Enum):
@@ -392,7 +393,6 @@ class RegionReport:
     beta: float
     status: object  # RegionHolds | RegionViolated | RegionUnknown
     ratio_tail: RatioTail
-    extrapolated: bool = False
     detail: str = ""
 
     @property
@@ -431,10 +431,10 @@ def _ratio_summary(spectrum: SpectrumFamily, beta: float, sample: int) -> RatioT
     )
 
 
-def _violated(spectrum: SpectrumFamily, beta: float, tail, extrapolated, detail) -> RegionReport:
+def _violated(spectrum: SpectrumFamily, beta: float, tail, detail) -> RegionReport:
     if not isinstance(spectrum, PowerLawSpectrum):
         detail += "; no witness: a custom family has no violating selection"
-        return RegionReport(beta, RegionViolated(()), tail, extrapolated, detail)
+        return RegionReport(beta, RegionViolated(()), tail, detail)
     from .counterexamples import Selection
 
     try:
@@ -446,7 +446,7 @@ def _violated(spectrum: SpectrumFamily, beta: float, tail, extrapolated, detail)
     except PlanError as exc:  # the selection stops before its indices leave int64
         detail += f"; witness cut to {len(selection)} points: {exc}"
     lams = selection.lam(np.arange(1, len(selection) + 1))
-    return RegionReport(beta, RegionViolated(tuple(lams.tolist())), tail, extrapolated, detail)
+    return RegionReport(beta, RegionViolated(tuple(lams.tolist())), tail, detail)
 
 
 def _holds_verified(spectrum, beta, b_plus, radius, sample=4096) -> None:
@@ -459,34 +459,24 @@ def _holds_verified(spectrum, beta, b_plus, radius, sample=4096) -> None:
         raise ConsistencyError("region Holds verdict failed its numeric prefix check")
 
 
-def region_condition(
-    spectrum: SpectrumFamily,
-    beta: float,
-    allow_extrapolation: bool = False,
-) -> RegionReport:
+def region_condition(spectrum: SpectrumFamily, beta: float) -> RegionReport:
     """Is the spectrum inside {Re >= b_+ |Im|^{1/beta}} up to a bounded set?
 
-    The main-theorem backing requires beta >= 1; smaller orders are exposed
-    only behind allow_extrapolation, with no correctness claim.
+    The main theorem backs the test for beta >= 1 only; smaller orders are
+    a ValueError.
     """
     beta = _check_beta(beta)
-    extrapolated = beta < 1.0
-    if extrapolated and not allow_extrapolation:
-        raise ValueError(
-            "region test is theorem-backed only for beta >= 1; "
-            "pass allow_extrapolation=True to evaluate it anyway"
-        )
+    if beta < 1.0:
+        raise ValueError("region test is theorem-backed only for beta >= 1")
     tail = _ratio_summary(spectrum, beta, 4096)
 
     if isinstance(spectrum, ExplicitSpectrum):
         status = RegionHolds(1.0, spectrum.max_abs() + 1.0)
-        return RegionReport(beta, status, tail, extrapolated, "finite spectrum is bounded")
+        return RegionReport(beta, status, tail, "finite spectrum is bounded")
 
     terms = spectrum.envelope_terms
     if terms is None:
-        return RegionReport(
-            beta, RegionUnknown("custom family without declared envelopes"), tail, extrapolated
-        )
+        return RegionReport(beta, RegionUnknown("custom family without declared envelopes"), tail)
     (p_re, a, _), (p_im, b_lo, b_hi) = terms.re, terms.im
     b = max(abs(b_lo), abs(b_hi))  # |Im lam_k| <= b k^p_im
 
@@ -496,51 +486,61 @@ def region_condition(
     if p_im == 0.0:
         if re_grows:
             threshold = b ** (1.0 / beta)
-            k_star = max(terms.k_min, math.ceil((threshold / a) ** (1.0 / p_re)) + 1)
-            status = RegionHolds(1.0, _radius(spectrum, k_star if threshold else None))
-            _holds_verified(spectrum, beta, status.b_plus, status.exception_radius)
-            return RegionReport(
-                beta, status, tail, extrapolated, "real part grows, imaginary part bounded"
-            )
-        return _violated(
-            spectrum, beta, tail, extrapolated, "unbounded spectrum with non-growing real part"
-        )
+            x = _power(threshold / a, 1.0 / p_re) if threshold else None
+            return _holds(spectrum, beta, tail, 1.0, x, "real part grows, imaginary part bounded")
+        return _violated(spectrum, beta, tail, "unbounded spectrum with non-growing real part")
 
     delta = p_re - p_im / beta
     if re_grows and delta > 0:
-        k_star = max(terms.k_min, math.ceil((b ** (1.0 / beta) / a) ** (1.0 / delta)) + 1)
-        status = RegionHolds(1.0, _radius(spectrum, k_star))
-        _holds_verified(spectrum, beta, status.b_plus, status.exception_radius)
-        return RegionReport(
-            beta, status, tail, extrapolated,
-            f"real-part exponent {p_re:g} > |Im| exponent {p_im:g}/beta",
-        )
+        x = _power(b ** (1.0 / beta) / a, 1.0 / delta)
+        detail = f"real-part exponent {p_re:g} > |Im| exponent {p_im:g}/beta"
+        return _holds(spectrum, beta, tail, 1.0, x, detail)
     if re_grows and delta == 0.0:
         b_plus = a / b ** (1.0 / beta)
         for _ in range(4):
             b_plus = math.nextafter(b_plus, 0.0)
-        status = RegionHolds(b_plus, _radius(spectrum, None))
-        _holds_verified(spectrum, beta, status.b_plus, status.exception_radius)
-        return RegionReport(
-            beta, status, tail, extrapolated,
-            "equal exponents: constant ratio rho_k",
-        )
-    return _violated(spectrum, beta, tail, extrapolated, "imaginary growth outruns the real part")
+        return _holds(spectrum, beta, tail, b_plus, None, "equal exponents: constant ratio rho_k")
+    return _violated(spectrum, beta, tail, "imaginary growth outruns the real part")
 
 
-def _radius(spectrum: SpectrumFamily, k_star: Optional[int]) -> float:
-    """An exception radius: 1 plus a bound on |lam_k| over k < k_min and, given
-    k_star, over k_min <= k <= k_star; 0 when there is nothing to cover.
+def _power(x: float, y: float) -> float:
+    """x ** y, inf where it leaves the float range."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
+
+
+def _holds(spectrum, beta, tail, b_plus, x, detail) -> RegionReport:
+    """Holds with b_plus past the threshold index x (None: from k_min), or
+    Unknown where the exception radius leaves the float range."""
+    radius = _radius(spectrum, x)
+    if not math.isfinite(radius):
+        reason = f"exception radius overflows the float range (threshold index {x:g})"
+        return RegionReport(beta, RegionUnknown(reason), tail, detail)
+    status = RegionHolds(b_plus, radius)
+    _holds_verified(spectrum, beta, b_plus, radius)
+    return RegionReport(beta, status, tail, detail)
+
+
+def _radius(spectrum: SpectrumFamily, x: Optional[float]) -> float:
+    """An exception radius: 1 plus a bound on |lam_k| over k < k_min and,
+    given the threshold index x, over k_min <= k <= k_star = ceil(x) + 1;
+    0 when there is nothing to cover, inf past the float range.
 
     |lam_k| is nondecreasing past k_min on exact envelopes, so |lam_{k_star}|
-    bounds it there; looser envelopes bound it by their upper modulus at k_star.
+    bounds it there; looser envelopes, and every k_star past int64, bound it
+    by the upper modulus envelope at k_star, evaluated in floats.
     """
     terms = spectrum.envelope_terms
     bounds = []
-    if k_star is not None and terms.exact:
-        bounds.append(abs(spectrum.eigenvalue(k_star)))
-    elif k_star is not None:
-        bounds.append(spectrum.abs_pow_bounds(1.0).upper.at(k_star))
+    if x is not None:
+        k_star = max(terms.k_min, math.ceil(x) + 1) if x < _INT64_MAX else x
+        if terms.exact and x < _INT64_MAX:
+            bounds.append(abs(spectrum.eigenvalue(k_star)))
+        else:
+            with np.errstate(over="ignore"):
+                bounds.append(spectrum.abs_pow_bounds(1.0).upper.at(k_star))
     if terms.k_min > 1:
         ks = np.arange(1, terms.k_min, dtype=np.int64)
         bounds.append(float(np.max(np.abs(spectrum.eigenvalues(ks)))))

@@ -7,6 +7,7 @@ import sys
 import warnings
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -213,6 +214,32 @@ def test_run_harness_on_violated_spectrum_includes_counterexample():
     assert "counterexample" in kinds
     ce = next(v for v in report.verdicts if v["kind"] == "counterexample")
     assert ce["admissible"] is True and ce["roumieu_member"] is False
+
+
+def _region_verdict(command, p_im):
+    spectrum = {"power_law": {"a_re": 0.5, "p_re": 1, "a_im": 3, "p_im": p_im}}
+    report = cli.run(cli.parse_jobspec(json.dumps({"command": command, "spectrum": spectrum, "beta": 2})))
+    return report, next(v for v in report.verdicts if v["kind"] == "region")
+
+
+@pytest.mark.parametrize("command", ["classify-spectrum", "harness"])
+def test_region_threshold_past_int64_keeps_a_float_radius(command):
+    # 0.5 k >= sqrt(3 k^1.98) from k = (2 sqrt 3)^100, about 1e54; the
+    # radius is the float upper modulus there, to within the rounding of
+    # the float threshold (about 2e-13 here)
+    report, v = _region_verdict(command, 1.98)
+    assert report.status == "ok" and v["status"] == "holds" and v["b_plus"] == 1.0
+    k = mpmath.power(2 * mpmath.sqrt(3), 100)
+    modulus = float(mpmath.hypot(k / 2, 3 * mpmath.power(k, 1.98)))
+    assert v["exception_radius"] == pytest.approx(modulus, rel=1e-9)
+
+
+@pytest.mark.parametrize("command", ["classify-spectrum", "harness"])
+def test_region_radius_past_the_float_range_is_unknown(command):
+    # the threshold index (2 sqrt 3)^{10^6} leaves the float range
+    report, v = _region_verdict(command, 1.999998)
+    assert report.status == "unknown" and v["status"] == "unknown"
+    assert "overflows the float range" in v["reason"]
 
 
 def test_run_harness_accepts_a_user_catalog():

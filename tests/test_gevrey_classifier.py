@@ -511,8 +511,6 @@ def test_region_below_one_needs_the_extrapolation_flag():
     spec = gl.builtin_spectra()["lin-diag"]
     with pytest.raises(ValueError):
         gl.region_condition(spec, 0.5)
-    rep = gl.region_condition(spec, 0.5, allow_extrapolation=True)
-    assert rep.extrapolated
 
 
 def test_region_mixed_strict_dominance_radius():
