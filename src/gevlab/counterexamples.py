@@ -546,8 +546,6 @@ class _ProofView(SupportView):
         # |lam|^{1/beta} >= n^2 Re and Re >= n give s n^3 - n^2 beyond n >= 1/s
         lower = AsymForm.power(3.0, F.s) + AsymForm.power(2.0, -1.0)
         k_min = max(2, int(math.ceil(1.0 / F.s)) + 1)
-        if bounds is None:
-            return TailBounds(lower, None, k_min)
         return TailBounds(lower, bounds.upper, max(k_min, bounds.k_min))
 
 
