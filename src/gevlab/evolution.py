@@ -139,15 +139,16 @@ def check_admissible(f: CoefficientVector, t_max: float = DEFAULT_T_MAX) -> Admi
 
 def _growing_re_rule(space, re_b) -> TailRule:
     """Real parts grow.  Decay dominates when the upper envelope of
-    log|f_k| + t Re lam_k has one negative leading term at t = 0 and at
-    DEFAULT_T_MAX (on a dense space: the decay scale exceeds the growth
-    scale).  Otherwise look for a certified failure time."""
+    log|f_k| + t Re lam_k has one negative leading term, residual included,
+    at t = 0 and at DEFAULT_T_MAX (on a dense space: the decay scale exceeds
+    the growth scale).  Otherwise look for a certified failure time."""
     ups = [space.term_bounds(ExpSymbol(t)) for t in (0.0, DEFAULT_T_MAX)]
     if any(b is None or b.upper is None for b in ups):
         return Undetermined("no decay envelope for the coefficients")
     lead0, lead_top = (b.upper.leading() for b in ups)
     gr_up = re_b.upper.leading()
-    if lead0 is not None and lead0.coeff < 0 and lead0 == lead_top:
+    same = lead0 is not None and (lead0, lead0.residual) == (lead_top, lead_top.residual)
+    if same and lead0.coeff < 0:
         return DecayDominates(r=lead0.power, p_re=gr_up.power)
 
     # decay does not dominate: look for a certified failure time

@@ -485,16 +485,16 @@ def region_condition(spectrum: SpectrumFamily, beta: float) -> RegionReport:
     re_grows = a > 0 and p_re > 0
     if p_im == 0.0:
         if re_grows:
-            threshold = b ** (1.0 / beta)
-            x = _power(threshold / a, 1.0 / p_re) if threshold else None
-            return _holds(spectrum, beta, tail, 1.0, x, "real part grows, imaginary part bounded")
+            k_star = _index_past(a, b, p_re, p_im, beta) if b else None
+            detail = "real part grows, imaginary part bounded"
+            return _holds(spectrum, beta, tail, 1.0, k_star, detail)
         return _violated(spectrum, beta, tail, "unbounded spectrum with non-growing real part")
 
     delta = p_re - p_im / beta
     if re_grows and delta > 0:
-        x = _power(b ** (1.0 / beta) / a, 1.0 / delta)
+        k_star = _index_past(a, b, p_re, p_im, beta)
         detail = f"real-part exponent {p_re:g} > |Im| exponent {p_im:g}/beta"
-        return _holds(spectrum, beta, tail, 1.0, x, detail)
+        return _holds(spectrum, beta, tail, 1.0, k_star, detail)
     if re_grows and delta == 0.0:
         b_plus = a / b ** (1.0 / beta)
         for _ in range(4):
@@ -503,40 +503,50 @@ def region_condition(spectrum: SpectrumFamily, beta: float) -> RegionReport:
     return _violated(spectrum, beta, tail, "imaginary growth outruns the real part")
 
 
-def _power(x: float, y: float) -> float:
-    """x ** y, inf where it leaves the float range."""
+def _index_past(a: float, b: float, p_re: float, p_im: float, beta: float) -> float:
+    """An index past the threshold x = (b^{1/beta}/a)^{1/d}, d = p_re - p_im/beta, from
+    which a k^p_re >= (b k^p_im)^{1/beta}; inf near the end of the float range.
+
+    x and d are rounded, and 1/d amplifies that where d cancels: log x errs
+    by at most eight units of roundoff times amp.  ceil(x) + 1 covers an
+    error below 1 in x, floor(err) the rest.
+    """
+    d = p_re - p_im / beta
     try:
-        return x**y
+        x = (b ** (1.0 / beta) / a) ** (1.0 / d)
     except OverflowError:
         return math.inf
+    err = 0.0
+    if 0.0 < x < math.inf:
+        amp = abs(math.log(x)) * (2.0 + p_im / beta / d) + (4.0 + abs(math.log(b)) / beta) / d + 2.0
+        err = x * math.expm1(min(2.0**-50 * amp, 700.0))
+    return math.ceil(x) + 1 + math.floor(err) if x + err < 2.0**1000 else math.inf
 
 
-def _holds(spectrum, beta, tail, b_plus, x, detail) -> RegionReport:
-    """Holds with b_plus past the threshold index x (None: from k_min), or
-    Unknown where the exception radius leaves the float range."""
-    radius = _radius(spectrum, x)
+def _holds(spectrum, beta, tail, b_plus, k_star, detail) -> RegionReport:
+    """Holds with b_plus from k_star on (None: from k_min), Unknown past the float range."""
+    radius = math.inf if k_star == math.inf else _radius(spectrum, k_star)
     if not math.isfinite(radius):
-        reason = f"exception radius overflows the float range (threshold index {x:g})"
+        reason = "exception radius overflows the float range"
         return RegionReport(beta, RegionUnknown(reason), tail, detail)
     status = RegionHolds(b_plus, radius)
     _holds_verified(spectrum, beta, b_plus, radius)
     return RegionReport(beta, status, tail, detail)
 
 
-def _radius(spectrum: SpectrumFamily, x: Optional[float]) -> float:
-    """An exception radius: 1 plus a bound on |lam_k| over k < k_min and,
-    given the threshold index x, over k_min <= k <= k_star = ceil(x) + 1;
-    0 when there is nothing to cover, inf past the float range.
-
-    |lam_k| is nondecreasing past k_min on exact envelopes, so |lam_{k_star}|
-    bounds it there; looser envelopes, and every k_star past int64, bound it
-    by the upper modulus envelope at k_star, evaluated in floats.
+def _radius(spectrum: SpectrumFamily, k_star: Optional[int]) -> float:
+    """An exception radius: a bound r on |lam_k| over k < k_min and, given
+    k_star, over k_min <= k <= k_star, plus 1 or, past 2^52/(p + 8) for the
+    upper modulus exponent p, the float rounding of r; 0 when there is
+    nothing to cover, inf past the float range.  |lam_k| is nondecreasing
+    past k_min on exact envelopes, so |lam_{k_star}| bounds it there; looser
+    envelopes, and every k_star past int64, take the upper modulus envelope.
     """
     terms = spectrum.envelope_terms
     bounds = []
-    if x is not None:
-        k_star = max(terms.k_min, math.ceil(x) + 1) if x < _INT64_MAX else x
-        if terms.exact and x < _INT64_MAX:
+    if k_star is not None:
+        k_star = max(terms.k_min, k_star)
+        if terms.exact and k_star <= _INT64_MAX:
             bounds.append(abs(spectrum.eigenvalue(k_star)))
         else:
             with np.errstate(over="ignore"):
@@ -544,7 +554,8 @@ def _radius(spectrum: SpectrumFamily, x: Optional[float]) -> float:
     if terms.k_min > 1:
         ks = np.arange(1, terms.k_min, dtype=np.int64)
         bounds.append(float(np.max(np.abs(spectrum.eigenvalues(ks)))))
-    return max(bounds) + 1.0 if bounds else 0.0
+    r = max(bounds, default=0.0)
+    return r + max(1.0, r * (terms.upper[0] + 8.0) * 2.0**-52) if bounds else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -222,16 +222,19 @@ def _region_verdict(command, p_im):
     return report, next(v for v in report.verdicts if v["kind"] == "region")
 
 
+@pytest.mark.parametrize("p_im", [1.93, 1.98])
 @pytest.mark.parametrize("command", ["classify-spectrum", "harness"])
-def test_region_threshold_past_int64_keeps_a_float_radius(command):
-    # 0.5 k >= sqrt(3 k^1.98) from k = (2 sqrt 3)^100, about 1e54; the
-    # radius is the float upper modulus there, to within the rounding of
-    # the float threshold (about 2e-13 here)
-    report, v = _region_verdict(command, 1.98)
+def test_region_radius_covers_the_true_threshold(command, p_im):
+    # 0.5 k >= sqrt(3 k^p_im) from k = (2 sqrt 3)^{1/(1 - p_im/2)}, about
+    # 2.6e15 (int64) and 1e54 (past it); the float threshold falls short of
+    # it by more than one index, and the radius must still cover
+    # |lam| at the ceiling of the true threshold, to 200 bits
+    report, v = _region_verdict(command, p_im)
     assert report.status == "ok" and v["status"] == "holds" and v["b_plus"] == 1.0
-    k = mpmath.power(2 * mpmath.sqrt(3), 100)
-    modulus = float(mpmath.hypot(k / 2, 3 * mpmath.power(k, 1.98)))
-    assert v["exception_radius"] == pytest.approx(modulus, rel=1e-9)
+    with mpmath.workprec(200):
+        k = mpmath.ceil(mpmath.power(2 * mpmath.sqrt(3), 1 / (1 - mpmath.mpf(p_im) / 2)))
+        modulus = mpmath.hypot(k / 2, 3 * mpmath.power(k, p_im))
+        assert modulus <= v["exception_radius"] <= modulus * (1 + mpmath.mpf(1e-9))
 
 
 @pytest.mark.parametrize("command", ["classify-spectrum", "harness"])

@@ -78,6 +78,14 @@ def test_custom_family_without_exponents_is_undetermined():
         gl.SolutionHandle(f, cert)
 
 
+def test_growth_below_the_coefficient_rounding_is_no_decay():
+    # e^{-k} against Re lam_k = 1e-19 k: at t = 100 the merged leading
+    # coefficient -1 + 1e-17 rounds to -1, yet e^{tA} f diverges past t = 1e19
+    spec = gl.PowerLawSpectrum(1e-19, 1, 0, 0)
+    cert = gl.check_admissible(gl.CoefficientVector.power_decay(spec, 1.0, 1.0))
+    assert cert.tail_rule == gl.WitnessFailure(2e19) and not cert.admissible
+
+
 def _admissibility_reprs():
     """The reprs of check_admissible over a grid of power-law families and
     five decay profiles: e^-k, e^-k^2, e^{-0.5 sqrt k}, e^-2k and k^-2."""
