@@ -2,9 +2,10 @@
 
 The symbol catalog covers powers lam^n, exponentials e^{z*lam} and the
 regularity weights e^{s*|lam|^(1/beta)}, plus finite products of these.
-Domain membership f in D(F(A)) is decided two independent ways: directly
-(the image sequence must stay in l^p) and through a dual probe family in the
-style of a total-variation criterion; the direct route is authoritative.
+Domain membership f in D(F(A)) is decided directly (the image sequence must
+stay in l^p).  The dual reading of the same membership, through the pairing
+measures of f with dual vectors, is refuted by the slowly decaying dual h*
+and otherwise decided by the direct certificate.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .asymptotics import AsymForm, TailBounds
 from .errors import DomainError
-from .logdomain import NEG_INF, LogPolar, logsumexp
+from .logdomain import NEG_INF
 from .series import (
     DEFAULT_BUDGET,
     ConvergenceCertificate,
@@ -320,130 +321,39 @@ def apply_symbol(F: SymbolFunction, f: CoefficientVector) -> CoefficientVector:
     return f._with_symbols((F,))
 
 
-def _coordinate_dual(spectrum, j: int, q: float) -> CoefficientVector:
-    entries = [LogPolar.zero()] * (j - 1) + [LogPolar(0.0, 0.0)]
-    return CoefficientVector.explicit(
-        spectrum, log_polars=entries, p=q, label=f"e*_{j}"
-    )
+def domain_member_prop31(F: SymbolFunction, f: CoefficientVector) -> DomainVerdict:
+    """Dual criterion: (i) int |F| dv(f, g, .) < inf for every dual g, and
+    (ii) the cut-off sup_{||g||_q <= 1} int_{|F| > n} |F| dv(f, g, .) -> 0.
 
-
-def _sign_dual(
-    F: SymbolFunction, f: CoefficientVector, q: float, prefix: int = 256
-) -> CoefficientVector:
-    """Normalized truncated duality extremizer of F(A)f in l^q."""
-    count = f.effective_count()
-    n = min(prefix, count) if count is not None else prefix
-    ks = np.arange(1, n + 1, dtype=np.int64)
-    mags, phases = f.log_coeffs(ks)
-    lams = f.spectrum.eigenvalues(ks)
-    w = np.where(mags == NEG_INF, NEG_INF, mags + F.log_abs(lams))
-    w_phase = phases + F.phase(lams)
-    if np.all(w == NEG_INF):
-        return _coordinate_dual(f.spectrum, 1, q)
-    p = f.p_norm
-    log_norm_p = logsumexp(p * w) / p  # ||w||_p over the prefix
-    g_mags = np.where(w == NEG_INF, NEG_INF, (p - 1.0) * (w - log_norm_p))
-    entries = [
-        LogPolar.zero() if m == NEG_INF else LogPolar(float(m), float(-ph))
-        for m, ph in zip(g_mags, w_phase)
-    ]
-    return CoefficientVector.explicit(
-        f.spectrum, log_polars=entries, p=q, label="sign-dual"
-    )
-
-
-def domain_member_prop31(
-    F: SymbolFunction,
-    f: CoefficientVector,
-    probe_budget: int = 8,
-    budget: SeriesBudget = DEFAULT_BUDGET,
-) -> DomainVerdict:
-    """Dual-probe criterion over a deterministic finite probe family.
-
-    Condition (i): int |F| dv(f, g, .) finite for each probe g (unit
-    coordinate duals, the normalized truncated sign dual of F(A)f, and the
-    slowly decaying dual with coordinates k^-2).  Condition (ii): the
-    cutoff tails over {|F| > n} must vanish as the cutoff n doubles.  The
-    probe family is a cross-check, not a proof; the direct criterion is
-    authoritative.
+    The slowly decaying dual h* with coordinates k^-2 refutes (i) where its
+    pairing diverges.  Otherwise the verdict and certificate are the direct
+    criterion's: the supremum in (ii) is ||F(A) P_{|F|>n} f||_p, which tends
+    to 0 exactly when the direct l^p series converges, and that convergence
+    gives (i) for every g by Hoelder.  Hoelder also makes the direct series
+    diverge wherever the h* pairing does, so every verdict is the direct one.
     """
-    if probe_budget < 1:
-        raise ValueError("probe_budget must be >= 1")
     if f.series_view is not None:
         raise DomainError(
             "dual-probe criterion pairs against dense duals and is not available "
             "for support-view vectors; the direct criterion is authoritative there"
         )
     q = conjugate_exponent(f.p_norm)
-    count = f.effective_count()
-    n_coord = min(probe_budget, 8, count) if count is not None else min(probe_budget, 8)
-    probes: list[tuple[str, CoefficientVector]] = [
-        (f"e*_{j}", _coordinate_dual(f.spectrum, j, q)) for j in range(1, n_coord + 1)
-    ]
-    probes.append(("sign-dual", _sign_dual(F, f, q)))
-    probes.append(("h*(k^-2)", CoefficientVector.polynomial_decay(f.spectrum, 2.0, p=q, label="h*")))
-
-    certs: dict[str, ConvergenceCertificate] = {}
-    undecided: Optional[str] = None
-    for name, g in probes:
-        cert = total_variation(f, g, predicate_all(), weight=F, budget=budget)
-        certs[name] = cert
-        if cert.status is SeriesStatus.DIVERGES:
-            return DomainVerdict(
-                False,
-                cert,
-                DomainCriterion.DUAL_PROP31,
-                detail=f"condition (i) diverges for probe {name}",
-            )
-        if cert.status is SeriesStatus.INCONCLUSIVE:
-            undecided = name
-    if undecided is not None:
-        cert = certs[undecided]
+    h_star = CoefficientVector.polynomial_decay(f.spectrum, 2.0, p=q, label="h*")
+    cert = total_variation(f, h_star, predicate_all(), weight=F, budget=None)
+    if cert.status is SeriesStatus.DIVERGES:
         return DomainVerdict(
-            None,
+            False,
             cert,
             DomainCriterion.DUAL_PROP31,
-            detail=f"condition (i) has no closed form for probe {undecided}: {cert.detail}",
+            detail="condition (i) diverges for probe h*(k^-2)",
         )
-
-    # Condition (ii): prefix cutoff sums over {|F| > n} with doubling cutoffs.
-    k_pref = min(count, 1 << 14) if count is not None else 1 << 14
-    ks = np.arange(1, k_pref + 1, dtype=np.int64)
-    lams = f.spectrum.eigenvalues(ks)
-    logF = F.log_abs(lams)
-    fm, _ = f.log_coeffs(ks)
-    tail_ok = True
-    last_profile = []
-    for name, g in probes:
-        gm, _ = g.log_coeffs(ks)
-        atoms = np.where(fm == NEG_INF, NEG_INF, fm + gm + logF)
-        total = certs[name].log_value
-        floor = total + math.log(budget.rel_tol) if total > NEG_INF else NEG_INF
-        t_last = NEG_INF
-        for j in range(0, 64, 4):
-            cutoff = math.log(2.0) * j
-            above = logF > cutoff
-            t_last = logsumexp(atoms[above]) if np.any(above) else NEG_INF
-            if t_last == NEG_INF:
-                break
-        last_profile.append((name, t_last))
-        certified_tail = certs[name].log_tail_bound
-        if t_last > max(floor, -700.0) or (
-            not math.isnan(certified_tail) and certified_tail > max(floor, -700.0)
-        ):
-            tail_ok = False
-    if not tail_ok:
-        return DomainVerdict(
-            None,
-            certs["h*(k^-2)"],
-            DomainCriterion.DUAL_PROP31,
-            detail=f"condition (ii) cutoff tails did not vanish: {last_profile!r}",
-        )
+    direct = domain_member_direct(F, f, budget=None)
     return DomainVerdict(
-        True,
-        certs["h*(k^-2)"],
+        direct.member,
+        direct.certificate,
         DomainCriterion.DUAL_PROP31,
-        detail=f"all {len(probes)} probes satisfied (i) and (ii)",
+        detail=f"condition (ii) read off the direct l^{f.p_norm:g} series: "
+        f"{direct.certificate.status.value}",
     )
 
 

@@ -29,7 +29,7 @@ from .asymptotics import AsymForm, AsymTerm, TailBounds
 from .borel_calculus import ExpSymbol, GevreyExpSymbol, power_norms
 from .errors import CounterexampleError, PlanError
 from .evolution import AdmissibilityCertificate, SolutionHandle, check_admissible
-from .gevrey_classifier import GevreyVerdict, GevreyFlavor, vector_class
+from .gevrey_classifier import GevreyVerdict, GevreyFlavor, short_float, vector_class
 from .logdomain import NEG_INF
 from .series import ConvergenceCertificate, SeriesStatus
 from .spectral_core import (
@@ -232,7 +232,8 @@ class Selection:
             delta = pim / Fraction(beta) - pre
             if delta <= 0:
                 raise PlanError(
-                    f"real-part exponent {spec.p_re:g} >= |Im| exponent {spec.p_im:g}/beta: "
+                    f"real-part exponent {short_float(spec.p_re)} >= |Im| exponent "
+                    f"{short_float(spec.p_im)}/beta: "
                     "the region condition holds beyond a bounded set"
                 )
             factors = ((a, Fraction(1)), (abs(b), -1 / Fraction(beta)))
@@ -299,10 +300,10 @@ class Selection:
         hit[hit] = self._js[pos[hit]] == js[hit]
         return np.where(hit, pos + 1, 0)
 
-    def identity_certified(self, prefix: int = 512) -> bool:
-        """True when j(n) = n provably for every n, not just the prefix."""
-        self.extend(prefix)
-        if not np.array_equal(self._js[:prefix], np.arange(1, prefix + 1)):
+    def identity_certified(self) -> bool:
+        """True when j(n) = n provably for every n, not just the first 512."""
+        self.extend(512)
+        if not np.array_equal(self._js[:512], np.arange(1, 513)):
             return False
         for t in self.thresholds:
             if t.exponent > 1.0:
@@ -629,11 +630,7 @@ class CounterexampleArtifacts:
     detail: str = ""
 
 
-def build_counterexample(
-    plan: ViolatingSpectrumPlan,
-    p: float = 2.0,
-    s_probes: tuple[float, ...] = _S_PROBES,
-) -> CounterexampleArtifacts:
+def build_counterexample(plan: ViolatingSpectrumPlan, p: float = 2.0) -> CounterexampleArtifacts:
     """Assemble and verify the proof vectors for a violating plan.
 
     The initial vector must pass the admissibility check and must be
@@ -660,7 +657,7 @@ def build_counterexample(
         )
 
     probe_certs: dict[float, ConvergenceCertificate] = {}
-    for s in s_probes:
+    for s in _S_PROBES:
         cert = total_variation(
             f, h_star, predicate_all(), weight=GevreyExpSymbol(s, plan.beta), budget=None
         )

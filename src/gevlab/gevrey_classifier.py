@@ -449,14 +449,20 @@ def _violated(spectrum: SpectrumFamily, beta: float, tail, detail) -> RegionRepo
     return RegionReport(beta, RegionViolated(tuple(lams.tolist())), tail, detail)
 
 
-def _holds_verified(spectrum, beta, b_plus, radius, sample=4096) -> None:
-    n = spectrum.size if spectrum.size is not None else sample
-    ks = np.arange(1, min(n, sample) + 1, dtype=np.int64)
+def _holds_verified(spectrum, beta, b_plus, radius) -> None:
+    n = 4096 if spectrum.size is None else min(spectrum.size, 4096)
+    ks = np.arange(1, n + 1, dtype=np.int64)
     lams = spectrum.eigenvalues(ks)
     outside = np.abs(lams) > radius
     ok = lams.real >= b_plus * np.abs(lams.imag) ** (1.0 / beta)
     if not bool(np.all(ok[outside])):
         raise ConsistencyError("region Holds verdict failed its numeric prefix check")
+
+
+def short_float(x: float) -> str:
+    """x in :g form where that text reads back as x, its repr otherwise."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
 
 
 def region_condition(spectrum: SpectrumFamily, beta: float) -> RegionReport:
@@ -493,7 +499,9 @@ def region_condition(spectrum: SpectrumFamily, beta: float) -> RegionReport:
     delta = p_re - p_im / beta
     if re_grows and delta > 0:
         k_star = _index_past(a, b, p_re, p_im, beta)
-        detail = f"real-part exponent {p_re:g} > |Im| exponent {p_im:g}/beta"
+        detail = (
+            f"real-part exponent {short_float(p_re)} > |Im| exponent {short_float(p_im)}/beta"
+        )
         return _holds(spectrum, beta, tail, 1.0, k_star, detail)
     if re_grows and delta == 0.0:
         b_plus = a / b ** (1.0 / beta)

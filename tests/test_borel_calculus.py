@@ -135,11 +135,17 @@ def test_prop31_accepts_identity():
     assert v.member is True
 
 
-def test_prop31_rejects_zero_budget():
-    spec = gl.PowerLawSpectrum(1, 1, 1, 1)
-    f = gl.CoefficientVector.power_decay(spec, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        gl.domain_member_prop31(gl.PowerSymbol(0), f, probe_budget=0)
+def test_prop31_equals_direct_on_the_catalog():
+    cases = 0
+    for spec in gl.builtin_spectra().values():
+        for f in gl.builtin_vectors(spec):
+            for F in gl.catalog_symbols():
+                direct = gl.domain_member_direct(F, f, budget=None)
+                dual = gl.domain_member_prop31(F, f)
+                assert dual.member == direct.member, (spec.label, f.label, F.name)
+                assert dual.criterion is gl.DomainCriterion.DUAL_PROP31
+                cases += 1
+    assert cases == 400
 
 
 # -- power norms ----------------------------------------------------------------

@@ -507,6 +507,15 @@ def test_region_falling_real_part_with_growing_imaginary_is_violated():
     assert gl.region_condition(gl.PowerLawSpectrum(-1, 1, 1, 2), 1.0).violated
 
 
+def test_region_detail_prints_exponents_that_read_back():
+    # :g alone prints 1.999998 as 2, so the detail would state 1 > 1
+    spec = gl.PowerLawSpectrum(0.5, 1, 3, 1.999998)
+    want = "real-part exponent 1 > |Im| exponent 1.999998/beta"
+    assert gl.region_condition(spec, 2.0).detail == want
+    with pytest.raises(gl.PlanError, match=r"exponent 1 >= \|Im\| exponent 1\.999998/beta"):
+        gl.plan_for_spectrum(spec, 2.0)
+
+
 def test_region_below_one_needs_the_extrapolation_flag():
     spec = gl.builtin_spectra()["lin-diag"]
     with pytest.raises(ValueError):
