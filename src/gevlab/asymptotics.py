@@ -240,23 +240,55 @@ def _effective_leading(form: AsymForm) -> Optional[AsymTerm]:
     return max(items, key=lambda t: (t.power, t.log_power))
 
 
+def _batched(form: AsymForm, ks: np.ndarray) -> np.ndarray:
+    """form at every point of ks in one call, numpy's overflow and invalid
+    warnings held back: a scalar loop reads only a prefix of the points, and
+    the points past it must not warn.  numpy evaluates each element the same
+    way at any array length, so every value equals the scalar one."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return form.evaluate(ks)
+
+
+def _warn_as_read(form: AsymForm, ks: np.ndarray, vals: np.ndarray) -> None:
+    """Evaluate form again, warnings on, at the points a scalar loop read
+    whose batched value is not finite.  Overflow and invalid operations
+    leave a non-finite value, so numpy reports exactly what that loop did."""
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        form.evaluate(ks[bad])
+
+
 def mono_decreasing_start(form: AsymForm, start: int = 4) -> Optional[int]:
     """Smallest power-of-two index beyond which `form` is decreasing.
 
-    Checks the sign of the symbolic derivative at four doubling checkpoints;
-    only meaningful for forms classified SUPER_DECAY or decaying POLY.
+    The first checkpoint k = max(4, start) 2^i <= 2^40 where the symbolic
+    derivative is negative at k, 2k, 4k and 8k and form(2k) <= form(k).
+    Both forms are evaluated once, over every checkpoint.  Only meaningful
+    for forms classified SUPER_DECAY or decaying POLY.
     """
     deriv = form.derivative()
     lead = _effective_leading(deriv)
     if lead is not None and lead.coeff > 0:
         return None
     k = max(4, start)
-    while k <= 1 << 40:
-        pts = np.array([k, 2 * k, 4 * k, 8 * k], dtype=float)
-        if np.all(deriv.evaluate(pts) < 0) and form.at(2 * k) <= form.at(k):
-            return k
-        k *= 2
-    return None
+    n = ((1 << 40) // k).bit_length()  # checkpoints k 2^i <= 2^40, i < n
+    if not n:
+        return None
+    ks = k * 2.0 ** np.arange(n + 3)
+    dvals = _batched(deriv, ks)
+    fvals = _batched(form, ks[: n + 1])
+    neg = (dvals < 0).tolist()
+    found, read = None, []  # read: form points of the checkpoints tested
+    for i in range(n):
+        if all(neg[i : i + 4]):
+            read += (i, i + 1)
+            if fvals[i + 1] <= fvals[i]:
+                found = i
+                break
+    last = n - 1 if found is None else found
+    _warn_as_read(deriv, ks[: last + 4], dvals[: last + 4])
+    _warn_as_read(form, ks[read], fvals[read])
+    return None if found is None else k << found
 
 
 def log_tail_bound(form: AsymForm, K: int) -> Optional[float]:
@@ -284,16 +316,22 @@ def tail_bounder(form: AsymForm) -> Callable[[int], Optional[float]]:
     start = mono_decreasing_start(form) if kind is GrowthKind.SUPER_DECAY else None
 
     def bound(K: int) -> Optional[float]:
+        """Blocks (left, 2 left] for left = K 2^j, j < 240, each bounded by
+        left e^{form(left + 1)}; form is read for 8 doublings per call."""
         if start is None or K < start:
             return None
         acc = NEG_INF
-        left = int(K)
-        for j in range(240):
-            contrib = math.log(left) + form.at(left + 1)
-            acc = logaddexp(acc, contrib)
-            if j >= 2 and contrib < acc - 60.0:
-                return acc
-            left *= 2
+        for j0 in range(0, 240, 8):
+            lefts = [int(K) << j for j in range(j0, j0 + 8)]
+            ks = np.array([left + 1 for left in lefts], dtype=float)
+            vals = _batched(form, ks)
+            for i, (left, v) in enumerate(zip(lefts, vals.tolist())):
+                contrib = math.log(left) + v
+                acc = logaddexp(acc, contrib)
+                if j0 + i >= 2 and contrib < acc - 60.0:
+                    _warn_as_read(form, ks[: i + 1], vals[: i + 1])
+                    return acc
+            _warn_as_read(form, ks, vals)
         return None
 
     return bound
@@ -315,13 +353,23 @@ class TailBounds:
     def exact(cls, form: AsymForm, k_min: int = 1) -> "TailBounds":
         return cls(form, form, k_min)
 
+    def _is_exact(self) -> bool:
+        return self.lower is self.upper and self.lower is not None
+
     def __add__(self, other: "TailBounds") -> "TailBounds":
+        """Side by side; exact operands give one form for both sides."""
+        k_min = max(self.k_min, other.k_min)
+        if self._is_exact() and other._is_exact():
+            return TailBounds.exact(self.lower + other.lower, k_min)
         lo = self.lower + other.lower if (self.lower is not None and other.lower is not None) else None
         up = self.upper + other.upper if (self.upper is not None and other.upper is not None) else None
-        return TailBounds(lo, up, max(self.k_min, other.k_min))
+        return TailBounds(lo, up, k_min)
 
     def scale(self, c: float) -> "TailBounds":
-        """Scale by a scalar; a negative factor swaps the two sides."""
+        """Scale by a scalar; a negative factor swaps the two sides, and an
+        exact envelope stays one form."""
+        if self._is_exact():
+            return TailBounds.exact(self.lower.scale(c), self.k_min)
         lo = self.lower.scale(c) if self.lower is not None else None
         up = self.upper.scale(c) if self.upper is not None else None
         if c < 0:

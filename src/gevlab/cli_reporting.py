@@ -1,7 +1,7 @@
 """Batch front end: JSON job specs in, JSON reports and CSV tables out.
 
-Job files are parsed strictly (unknown fields are rejected, semantic errors
-name the violated invariant) and reports are reproducible byte for byte for
+Job files are parsed strictly (unknown fields and fields the command never
+reads are rejected, semantic errors name the violated invariant) and reports are reproducible byte for byte for
 identical inputs and tool version; wall-clock timings are the one exception
 and are zeroed under --seed-free.
 
@@ -347,9 +347,23 @@ _REQUIRED = {
     "region-boundary": ("beta", "b_plus"),
 }
 
+# the optional fields each command reads besides output_path, k_max and tol,
+# which every command accepts: run builds its series budget from the last two,
+# as the CLI's --kmax and --tol overrides do for every command
+_OPTIONAL = {
+    "classify-spectrum": (),
+    "classify-vector": ("flavor", "p_norm"),
+    "evolve": ("p_norm", "t_max", "k_max", "tol"),
+    "estimate-order": ("p_norm", "n_max", "k_max", "tol"),
+    "counterexample": ("spectrum",),
+    "harness": ("vectors", "p_norm"),
+    "region-boundary": ("im_max", "samples"),
+}
+
 
 def parse_jobspec(text: str) -> JobSpec:
-    """Strict parse: unknown fields rejected, semantic errors name the field."""
+    """Strict parse: unknown and unused fields rejected, semantic errors name
+    the field."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -364,6 +378,10 @@ def parse_jobspec(text: str) -> JobSpec:
     for name in _REQUIRED[command]:
         if name not in got:
             _fail("$", f"command {command!r} requires field {name!r}")
+    reads = ("command", "output_path", "k_max", "tol", *_REQUIRED[command], *_OPTIONAL[command])
+    for name in got:
+        if name not in reads:
+            _fail(f"$.{name}", f"command {command!r} does not read this field")
     if "beta" in got and got["beta"] < 0:
         _fail("$.beta", "beta must be >= 0")
     job = JobSpec(command=command, **{k: v for k, v in got.items() if k != "command"})

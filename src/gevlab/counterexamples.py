@@ -127,10 +127,15 @@ class _Threshold:
     def estimate(self, ns: np.ndarray) -> np.ndarray:
         """K^{1/e} n^(m/e): in float64 while that lands within one of T(n),
         past 2^50 in numpy's extended precision (float64 on platforms without
-        one), whose array arithmetic is several times slower."""
-        wide = ns.size and self.coeff * float(ns.max()) ** self.exponent >= _FLOAT_EXACT
+        one), whose array arithmetic is several times slower.  An estimate
+        past the range of its type is inf, which leaves int64 in extend."""
+        try:
+            wide = ns.size and self.coeff * float(ns.max()) ** self.exponent >= _FLOAT_EXACT
+        except OverflowError:  # n^exponent past the float range
+            wide = True
         nf = ns.astype(np.longdouble if wide else float)
-        return nf.dtype.type(self._coeff_ext) * nf**self.exponent * np.exp(self._exponent_err * np.log(nf))
+        with np.errstate(over="ignore"):
+            return nf.dtype.type(self._coeff_ext) * nf**self.exponent * np.exp(self._exponent_err * np.log(nf))
 
     def holds(self, js: np.ndarray, ns: np.ndarray) -> np.ndarray:
         """The condition at each (j, n), decided exactly."""
@@ -187,7 +192,7 @@ class _Threshold:
         ok = self.holds(side[ask], ns[ask])
         hi[ask[ok]], lo[ask[~ok]] = side[ask[ok]], side[ask[~ok]]
         while (act := np.flatnonzero(hi - lo > 1)).size:
-            mid = (lo[act] + hi[act]) // 2
+            mid = lo[act] + (hi[act] - lo[act]) // 2
             ok = self.holds(mid, ns[act])
             hi[act[ok]], lo[act[~ok]] = mid[ok], mid[~ok]
         out[near] = hi

@@ -99,7 +99,12 @@ def logaddexp(a: float, b: float) -> float:
 
 
 def logsumexp(values) -> float:
-    """log(sum(e^v)) with max-shift and compensated (fsum) accumulation."""
+    """log(sum(e^v)) with max-shift and compensated (fsum) accumulation.
+
+    Terms whose shifted exponential underflows to 0 are left out of the sum:
+    fsum is correctly rounded, so an exact 0 changes nothing.  `!= 0.0`
+    keeps NaN, so a +inf entry still gives NaN.
+    """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return NEG_INF
@@ -108,7 +113,8 @@ def logsumexp(values) -> float:
         return NEG_INF
     if math.isnan(m):
         raise ValueError("NaN in log-domain summation")
-    s = math.fsum(np.exp(arr - m).tolist())
+    x = np.exp(arr - m)
+    s = math.fsum(x[x != 0.0].tolist())
     return m + math.log(s)
 
 

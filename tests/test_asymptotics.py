@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -7,18 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gevlab as gl
 from gevlab.asymptotics import (
     AsymForm,
     AsymTerm,
     GrowthKind,
     TailBounds,
+    _effective_leading,
     classify_form,
     form_converges,
     form_diverges,
     log_tail_bound,
     mono_decreasing_start,
+    tail_bounder,
 )
-from gevlab.logdomain import NEG_INF
+from gevlab.logdomain import NEG_INF, logaddexp
 
 
 def test_build_merges_and_cancels_exactly():
@@ -190,3 +194,177 @@ def test_bounds_addition_propagates_unknown_sides():
     b = TailBounds.exact(AsymForm.power(1.0, -1.0), 8)
     c = a + b
     assert c.lower is None and c.upper is not None and c.k_min == 8
+
+
+def test_exact_bounds_stay_one_form_through_add_and_scale():
+    a = TailBounds.exact(AsymForm.power(1.25, -0.5) + AsymForm.log_k(3.0), 2)
+    b = TailBounds.exact(AsymForm.power(0.5, 0.75), 8)
+    for got, want in (
+        (a + b, a.lower + b.lower),
+        (a.scale(2.0), a.lower.scale(2.0)),
+        (a.scale(-1.5), a.lower.scale(-1.5)),
+    ):
+        assert got.lower is got.upper and got.lower == want
+    assert (a + b).k_min == 8
+    # a side that is not shared is still computed on its own
+    c = a + TailBounds(b.lower, AsymForm.power(0.5, 1.0), 1)
+    assert c.lower is not c.upper and c.lower == a.lower + b.lower
+
+
+# The scalar loops that the batched evaluations replaced, kept as the oracle:
+# every start and every bound must be the same float, and a numpy warning
+# must be raised exactly where these loops raised one.
+
+
+def _scalar_mono_start(form, start=4):
+    deriv = form.derivative()
+    lead = _effective_leading(deriv)
+    if lead is not None and lead.coeff > 0:
+        return None
+    k = max(4, start)
+    while k <= 1 << 40:
+        pts = np.array([k, 2 * k, 4 * k, 8 * k], dtype=float)
+        if np.all(deriv.evaluate(pts) < 0) and form.at(2 * k) <= form.at(k):
+            return k
+        k *= 2
+    return None
+
+
+def _scalar_tail_bound(form, start, K):
+    if start is None or K < start:
+        return None
+    acc = NEG_INF
+    left = int(K)
+    for j in range(240):
+        contrib = math.log(left) + form.at(left + 1)
+        acc = logaddexp(acc, contrib)
+        if j >= 2 and contrib < acc - 60.0:
+            return acc
+        left *= 2
+    return None
+
+
+def _outcome(fn, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return repr(fn(*args))
+        except RuntimeWarning:
+            return "RuntimeWarning"
+
+
+# slow decays (1e-6 k^0.1) run the bound past its first batch of 8, a
+# constant of 1e17 makes neighbouring checkpoints equal, and k^30 overflows
+# past the points the scalar loops read
+_terms = st.lists(
+    st.builds(
+        AsymTerm,
+        power=st.sampled_from([-1.0, -0.5, 0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 30.0]),
+        log_power=st.integers(0, 2),
+        coeff=st.one_of(
+            st.floats(-10.0, 10.0).filter(lambda c: abs(c) > 1e-3),
+            st.sampled_from([-1e-6, 1e-6, -1e-4]),
+        ),
+    ),
+    min_size=1,
+    max_size=3,
+)
+_consts = st.one_of(st.floats(-50.0, 50.0), st.sampled_from([-1e17, 1e17]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(terms=_terms, const=_consts, start=st.sampled_from([4, 5, 64, 1000, 1 << 39]))
+def test_batched_monotone_start_matches_the_scalar_loop(terms, const, start):
+    form = AsymForm.build(terms, const)
+    assert _outcome(mono_decreasing_start, form, start) == _outcome(_scalar_mono_start, form, start)
+
+
+@settings(max_examples=500, deadline=None)
+@given(terms=_terms, const=_consts, K=st.sampled_from([4, 7, 100, 1024, 1 << 20, 1 << 30, 1 << 40]))
+def test_batched_tail_bound_matches_the_scalar_loop(terms, const, K):
+    form = AsymForm.build(terms, const)
+    if classify_form(form)[0] is not GrowthKind.SUPER_DECAY:
+        return
+    assert _outcome(lambda: tail_bounder(form)(K)) == _outcome(
+        lambda: _scalar_tail_bound(form, _scalar_mono_start(form), K)
+    )
+
+
+_RISING = AsymForm.build((AsymTerm(40.0, 0, -1e-300), AsymTerm(39.9, 0, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "form, K",
+    [
+        # the derivative stays positive past 2^43: the scalar loop reads
+        # k^39.9 at k = 2^43 and overflows
+        (_RISING, 4),
+        # decreasing from k = 4 on; k^30 overflows from 2^34 on, inside the
+        # bound's first batch but past the three points the scalar loop reads
+        (AsymForm.power(30.0, -1.0), 1 << 30),
+        # (-L^2 + 8.2 L - 16) / k with L = log k: the derivative is negative
+        # at 4, 8 and 16 but not at 32, and negative again past e^5
+        (AsymForm.build((AsymTerm(0.0, 3, -1 / 3), AsymTerm(0.0, 2, 4.1), AsymTerm(0.0, 1, -16.0))), 256),
+        # the bound stops at j = 8 and j = 9, early in its second batch
+        (AsymForm.power(1.0, -0.1), 4),
+        (AsymForm.power(0.5, -0.1), 1024),
+        # neighbouring checkpoints round to the same value
+        (AsymForm.power(0.5, -1.0, 1e17), 4),
+    ],
+)
+def test_batched_loops_match_the_scalar_loops_on_edge_forms(form, K):
+    assert _outcome(mono_decreasing_start, form) == _outcome(_scalar_mono_start, form)
+    assert _outcome(lambda: tail_bounder(form)(K)) == _outcome(
+        lambda: _scalar_tail_bound(form, _scalar_mono_start(form), K)
+    )
+
+
+def test_batched_monotone_start_warns_where_the_scalar_loop_did():
+    assert _outcome(_scalar_mono_start, _RISING) == "RuntimeWarning"
+    assert _outcome(mono_decreasing_start, _RISING) == "RuntimeWarning"
+
+
+def _counted(monkeypatch):
+    counts = {"build": 0, "evaluate": 0}
+    build, evaluate = AsymForm.__dict__["build"].__func__, AsymForm.evaluate
+
+    def counted_build(cls, *args, **kwargs):
+        counts["build"] += 1
+        return build(cls, *args, **kwargs)
+
+    def counted_evaluate(self, ks):
+        counts["evaluate"] += 1
+        return evaluate(self, ks)
+
+    monkeypatch.setattr(AsymForm, "build", classmethod(counted_build))
+    monkeypatch.setattr(AsymForm, "evaluate", counted_evaluate)
+    return counts
+
+
+def _guard_cases():
+    lin_diag = gl.builtin_spectra()["lin-diag"]
+    return {
+        # (build, evaluate) calls of each, as the series engine makes them
+        "power_norms": (
+            lambda: gl.power_norms(
+                gl.CoefficientVector.power_decay(gl.PowerLawSpectrum(-1.0, 1.0, 1.0, 2.0), 0.5, 1.25),
+                n_max=16,
+            ),
+            (167, 51),
+        ),
+        "vector_class": (
+            lambda: gl.vector_class(gl.builtin_vectors(lin_diag)[1], 1.0, gl.GevreyFlavor.ROUMIEU),
+            (12, 0),
+        ),
+        "harness": (lambda: gl.theorem_equivalence_harness(gl.builtin_spectra()["lin-sqrt"], 1.0), (294, 0)),
+    }
+
+
+@pytest.mark.parametrize("case", ["power_norms", "vector_class", "harness"])
+def test_envelope_work_does_not_grow(monkeypatch, case):
+    # an exact envelope is one form through + and scale, and the tail
+    # checkpoints are read in batches; duplicated work raises these counts
+    fn, (builds, evaluates) = _guard_cases()[case]
+    counts = _counted(monkeypatch)
+    fn()
+    assert counts["build"] <= builds and counts["evaluate"] <= evaluates, counts

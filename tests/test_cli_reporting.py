@@ -54,6 +54,32 @@ def test_unknown_field_rejected_with_path():
     assert "unknown field 'extra'" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ('{"command":"region-boundary","beta":1,"b_plus":0.5,'
+         '"spectrum":{"power_law":{"a_re":1,"p_re":1,"a_im":1,"p_im":1}}}', "$.spectrum"),
+        (MINIMAL[:-1] + ',"vectors":[{"power_decay":{"c":1,"r":2}}]}', "$.vectors"),
+        (MINIMAL[:-1] + ',"flavor":"roumieu"}', "$.flavor"),
+        ('{"command":"evolve","spectrum":{"explicit":{"points":[[1,0]]}},"beta":1,'
+         '"vectors":[{"explicit":{"values":[[1,0]]}}],"t_grid":[0]}', "$.beta"),
+        ('{"command":"counterexample","beta":1,"case":"bounded","n_max":8}', "$.n_max"),
+    ],
+)
+def test_unused_field_rejected_with_path(text, path):
+    with pytest.raises(JobSpecError) as err:
+        cli.parse_jobspec(text)
+    assert str(err.value).startswith(f"{path}: command ") and "does not read" in str(err.value)
+
+
+def test_every_command_accepts_the_series_budget_and_output_path():
+    for text in ROUNDTRIP_JOBS:
+        job = json.loads(text)
+        job.update(k_max=2048, tol=1e-6, output_path="out.csv")
+        parsed = cli.parse_jobspec(json.dumps(job))
+        assert (parsed.k_max, parsed.tol, parsed.output_path) == (2048, 1e-6, "out.csv")
+
+
 def test_json_errors_are_positioned():
     with pytest.raises(JobSpecError) as err:
         cli.parse_jobspec("{not json}")
@@ -348,6 +374,23 @@ def test_main_math_error_exits_one(tmp_path):
     assert rc == 1
 
 
+def test_main_reports_a_threshold_past_the_float_range(tmp_path, capsys):
+    # k^0.5 + i k^1.05 at beta = 2: j(n) ~ n^80, so n^80 leaves the float
+    # range in the threshold estimate; a structured error, not a traceback
+    path = write_job(
+        tmp_path,
+        '{"command":"harness","beta":2,'
+        '"spectrum":{"power_law":{"a_re":1,"p_re":0.5,"a_im":1,"p_im":1.05}}}',
+    )
+    rc = cli.main(["harness", "--job", path, "--seed-free"])
+    assert rc == 1
+    out = capsys.readouterr()
+    report = json.loads(out.out)
+    assert report["status"] == "error"
+    assert report["error"].startswith("selected index leaves int64 at order n=")
+    assert json.loads(out.err)["error"] == report["error"]
+
+
 def test_main_unwritable_csv_exits_one(tmp_path):
     path = write_job(tmp_path, MINIMAL)
     rc = cli.main(
@@ -538,7 +581,8 @@ def _explicit_pairs(rng, n=32):
 
 def _explicit_jobs():
     # one job per command on a seeded random 32-point explicit spectrum, with
-    # a 32-point explicit vector where the command takes vectors
+    # a 32-point explicit vector where the command takes vectors;
+    # region-boundary reads no spectrum, so its job carries none
     rng = np.random.default_rng(12)
 
     def vectors():
@@ -556,12 +600,14 @@ def _explicit_jobs():
     for command in cli.COMMANDS:
         job = {"command": command, "spectrum": {"explicit": {"points": _explicit_pairs(rng)}}}
         job.update(extra[command]())
+        if command == "region-boundary":
+            del job["spectrum"]
         yield job
 
 
 # sha256 of the CSV tables of the 398 _traffic_jobs() and the 7
 # _explicit_jobs(), each explicit table followed by its seed-free report
-_CSV_DIGEST = "f2c9b71a9fa6cf2734844250bf911aa02a6dc955e97ecd2abe56904b60306a8f"
+_CSV_DIGEST = "8b60075011518da433605662561e15f71be146ed30f8a37bdcaedbefae4168c2"
 
 
 def test_csv_tables_and_explicit_reports_are_pinned(tmp_path):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -175,3 +176,62 @@ def test_kernels_match_mpmath_on_hard_arrays(mags, phases):
         assert abs(value - exact) <= 8 * _EPS * (len(mags) + abs(exact) * (1 + abs(got.log_mag)))
         real = m + mpmath.log(_mp_sum(mags, [0.0] * len(mags)).real)
         assert abs(logsumexp(mags) - real) <= 4 * _EPS * (len(mags) + abs(real))
+
+
+def _fsum_of_every_term(values):
+    """logsumexp before underflowed terms were left out of the sum."""
+    arr = np.asarray(values, dtype=float)
+    if arr.size == 0:
+        return NEG_INF
+    m = float(np.max(arr))
+    if m == NEG_INF:
+        return NEG_INF
+    if math.isnan(m):
+        raise ValueError("NaN in log-domain summation")
+    return m + math.log(math.fsum(np.exp(arr - m).tolist()))
+
+
+def _both(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return repr(logsumexp(values)), repr(_fsum_of_every_term(values))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.0, -800.0, -1000.0, -5.0, -745.5],  # underflowing tail
+        [0.0] + [-740.0 - 0.25 * i for i in range(20)],  # subnormal terms stay
+        [-1e300, -1e300 + 1e284, -1.0e300 - 1e284],
+        [NEG_INF, NEG_INF, NEG_INF],
+        [],
+        [math.inf, 0.0, -2000.0],
+        [math.inf, math.inf],
+        [3.0, NEG_INF, -1e6, 2.5],
+    ],
+)
+def test_logsumexp_without_underflowed_terms_is_the_same_float(values):
+    got, want = _both(values)
+    assert got == want
+
+
+def test_logsumexp_keeps_nan():
+    for values in ([0.0, math.nan], [math.nan], [math.inf, math.nan, -1000.0]):
+        with pytest.raises(ValueError):
+            logsumexp(values)
+    # +inf - +inf is NaN, which the sum keeps
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert math.isnan(logsumexp([math.inf, -800.0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.floats(-2000.0, 50.0), st.just(NEG_INF)),
+        max_size=40,
+    )
+)
+def test_logsumexp_matches_the_sum_of_every_term(values):
+    got, want = _both(values)
+    assert got == want

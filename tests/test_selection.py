@@ -300,6 +300,24 @@ def test_selection_past_int64_keeps_the_violated_verdict():
     assert len(report.verdicts[0]["witness"]) == 8
 
 
+@pytest.mark.parametrize("params, n", [((1.0, 0.5, 1.0, 1.2), 700), ((1.0, 1.0, 1.0, 2.1), 6209)])
+def test_bisection_midpoint_stays_in_int64(monkeypatch, params, n):
+    # near the int64 edge lo + hi passes 2^63 and wraps to a negative index;
+    # the midpoint lo + (hi - lo) // 2 does not, so the harness ends in the
+    # structured int64 error instead of mpmath's log of a negative number
+    seen = []
+    holds = _Threshold.holds
+
+    def counted(self, js, ns):
+        seen.extend(js.tolist())
+        return holds(self, js, ns)
+
+    monkeypatch.setattr(_Threshold, "holds", counted)
+    with pytest.raises(gl.PlanError, match=f"^selected index leaves int64 at order n={n}$"):
+        gl.theorem_equivalence_harness(gl.PowerLawSpectrum(*params), 1.5)
+    assert seen and min(seen) > 0
+
+
 def test_verification_reads_the_eigenvalues_not_the_thresholds():
     # a selection that lost its violation threshold picks j(n) = n on
     # k+i*k^4 at beta = 2, where Re = n > n^-2 |Im|^{1/2} = 1 for n >= 2
