@@ -253,9 +253,9 @@ def _warn_as_read(form: AsymForm, ks: np.ndarray, vals: np.ndarray) -> None:
     """Evaluate form again, warnings on, at the points a scalar loop read
     whose batched value is not finite.  Overflow and invalid operations
     leave a non-finite value, so numpy reports exactly what that loop did."""
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        form.evaluate(ks[bad])
+    finite = np.isfinite(vals)
+    if not finite.all():
+        form.evaluate(ks[~finite])
 
 
 def mono_decreasing_start(form: AsymForm, start: int = 4) -> Optional[int]:
