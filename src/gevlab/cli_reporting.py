@@ -1,9 +1,9 @@
 """Batch front end: JSON job specs in, JSON reports and CSV tables out.
 
 Job files are parsed strictly (unknown fields and fields the command never
-reads are rejected, semantic errors name the violated invariant) and reports are reproducible byte for byte for
-identical inputs and tool version; wall-clock timings are the one exception
-and are zeroed under --seed-free.
+reads are rejected, semantic errors name the violated invariant) and reports
+are reproducible byte for byte for identical inputs and tool version;
+wall-clock timings are the one exception and are zeroed under --seed-free.
 
 Exit status: 0 for clean verdicts, 2 when any verdict is Unknown, 1 on
 errors.
@@ -347,14 +347,16 @@ _REQUIRED = {
     "region-boundary": ("beta", "b_plus"),
 }
 
-# the optional fields each command reads besides output_path, k_max and tol,
-# which every command accepts: run builds its series budget from the last two,
-# as the CLI's --kmax and --tol overrides do for every command
+# every command accepts these: run builds its series budget from k_max and
+# tol, as the CLI's --kmax and --tol overrides do for every command
+_EVERY_COMMAND = ("command", "output_path", "k_max", "tol")
+
+# the optional fields each command reads besides _EVERY_COMMAND
 _OPTIONAL = {
     "classify-spectrum": (),
     "classify-vector": ("flavor", "p_norm"),
-    "evolve": ("p_norm", "t_max", "k_max", "tol"),
-    "estimate-order": ("p_norm", "n_max", "k_max", "tol"),
+    "evolve": ("p_norm", "t_max"),
+    "estimate-order": ("p_norm", "n_max"),
     "counterexample": ("spectrum",),
     "harness": ("vectors", "p_norm"),
     "region-boundary": ("im_max", "samples"),
@@ -378,7 +380,7 @@ def parse_jobspec(text: str) -> JobSpec:
     for name in _REQUIRED[command]:
         if name not in got:
             _fail("$", f"command {command!r} requires field {name!r}")
-    reads = ("command", "output_path", "k_max", "tol", *_REQUIRED[command], *_OPTIONAL[command])
+    reads = (*_EVERY_COMMAND, *_REQUIRED[command], *_OPTIONAL[command])
     for name in got:
         if name not in reads:
             _fail(f"$.{name}", f"command {command!r} does not read this field")
