@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -667,6 +668,43 @@ def test_harness_raises_on_a_certified_contradiction(monkeypatch):
         gl.theorem_equivalence_harness(gl.builtin_spectra()["lin-diag"], 1.0)
     assert err.value.report is not None
     assert any("Roumieu refuted" in note for note in err.value.report.notes)
+
+
+def _harness_records():
+    """One structured record per catalog harness call.  Reports hold vectors
+    and closures whose reprs carry object addresses, so only their values
+    are kept: the region, each row's (t, flavor, member), and the
+    counterexample's case, bracket, probes and dual-probe routes."""
+    for name, spec in gl.builtin_spectra().items():
+        for beta in (1.0, 1.5, 2.0):
+            rep = gl.theorem_equivalence_harness(spec, beta)
+            region = (repr(rep.region.status), repr(rep.region.ratio_tail), rep.region.detail)
+            rows = tuple(
+                (r.vector, r.admissible, r.admissible_unknown, r.verdicts) for r in rep.rows
+            )
+            ce = rep.counterexample
+            if ce is not None:
+                v = ce.non_membership
+                ce = (
+                    ce.plan.case.value,
+                    repr(ce.admissibility),
+                    (v.member, v.s_star_low, v.s_star_high),
+                    len(v.probes),
+                    v.probes,
+                    tuple((s, c.status.value, c.route) for s, c in ce.probe_certificates.items()),
+                )
+            yield repr((name, beta, region, rows, ce, rep.notes))
+
+
+# sha256 of the newline-joined _harness_records()
+_HARNESS_DIGEST = "f99e2cdf0654933ae1391aaba1713234a560fc551656aed7d0a5569613ff5383"
+
+
+def test_catalog_harness_reports_are_pinned():
+    records = list(_harness_records())
+    assert len(records) == 24
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == _HARNESS_DIGEST
 
 
 def test_harness_explicit_spectrum_trivially_consistent():
