@@ -138,13 +138,17 @@ class _Threshold:
             return nf.dtype.type(self._coeff_ext) * nf**self.exponent * np.exp(self._exponent_err * np.log(nf))
 
     def holds(self, js: np.ndarray, ns: np.ndarray) -> np.ndarray:
-        """The condition at each (j, n), decided exactly."""
+        """The condition at each (j, n), decided exactly: Q j^E >= P n^M in
+        int64 where both sides stay below 2^63 for the whole call, else in
+        Python ints."""
         strict = self.strict & (ns >= 2)
         if self._int is None:
             cases = zip(js.tolist(), ns.tolist(), strict.tolist())
             return np.asarray([self._holds_iv(*c) for c in cases], dtype=bool)
         q, e, p, m = self._int
-        lhs, rhs = q * js.astype(object) ** e, p * ns.astype(object) ** m
+        top = max(q * int(np.abs(js).max(initial=1)) ** e, p * int(ns.max(initial=1)) ** m)
+        dtype = np.int64 if top < _MAX_INDEX else object
+        lhs, rhs = q * js.astype(dtype) ** e, p * ns.astype(dtype) ** m
         return np.where(strict, lhs > rhs, lhs >= rhs).astype(bool)
 
     def _holds_iv(self, j: int, n: int, strict: bool) -> bool:

@@ -77,15 +77,17 @@ class AdmissibilityCertificate:
 
 
 def _sup_bound(form, lo: int = 1) -> float:
-    """Numeric upper estimate of sup_{k >= lo} form(k) for non-growing forms."""
+    """Numeric upper estimate of sup_{k >= lo} form(k) for non-growing forms.
+
+    The 61 checkpoints lo and max(lo, 1) 2^i, i = 1..60, are read in one
+    batched call.  They are the points a one-at-a-time loop read, and every
+    one is read, so numpy warns on the operations where that loop warned.
+    """
     kind, _ = classify_form(form)
     if kind is GrowthKind.GROWS:
         return math.inf
-    vals = [form.at(float(lo))]
-    k = max(lo, 1)
-    for _ in range(60):
-        k *= 2
-        vals.append(form.at(float(k)))
+    ks = np.concatenate(([float(lo)], max(lo, 1) * 2.0 ** np.arange(1, 61)))
+    vals = form.evaluate(ks).tolist()
     if all(t.power < 0 for t in form.terms):
         vals.append(form.const)  # the limit, when every term vanishes
     return max(vals)

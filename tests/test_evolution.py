@@ -2,11 +2,13 @@ import collections
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import gevlab as gl
+import gevlab.evolution as ev
 
 
 def explicit16_pair(seed=5, scale=0.5):
@@ -113,6 +115,38 @@ def test_admissibility_certificates_are_pinned():
     rules = collections.Counter(r.split("tail_rule=")[1].split("(")[0] for r in reprs)
     assert rules == {"ReBoundedAbove": 275, "WitnessFailure": 198, "DecayDominates": 72}
     assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == _ADMISSIBILITY_DIGEST
+
+
+def _sup_bound_loop(form, lo):
+    """Reference: the checkpoints lo, 2 max(lo, 1), 4 max(lo, 1), ... read one at a time."""
+    vals, k = [form.at(float(lo))], max(lo, 1)
+    for _ in range(60):
+        k *= 2
+        vals.append(form.at(float(k)))
+    if all(t.power < 0 for t in form.terms):
+        vals.append(form.const)
+    return max(vals)
+
+
+def _read_with_warnings(read):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        value = read()
+    return value, {(w.category, str(w.message)) for w in seen}
+
+
+@pytest.mark.parametrize(
+    "form, lo",
+    [
+        (gl.AsymForm.power(-1.0, -1.0, 3.0), 1),  # the limit 3 is the supremum
+        (gl.AsymForm.power(0.5, -1.0) + gl.AsymForm.log_k(10.0), 1),
+        (gl.AsymForm.power(0.5, -1.0) + gl.AsymForm.log_k(10.0), 5),
+        (gl.AsymForm.power(2.0, -1.0) + gl.AsymForm.power(1.9, 1e300), 3),  # overflows
+    ],
+)
+def test_sup_bound_reads_the_checkpoints_of_a_scalar_loop(form, lo):
+    value, warned = _read_with_warnings(lambda: ev._sup_bound(form, lo))
+    assert (value, warned) == _read_with_warnings(lambda: _sup_bound_loop(form, lo))
 
 
 # -- solving -------------------------------------------------------------------

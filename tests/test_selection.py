@@ -229,6 +229,67 @@ def test_threshold_constants_past_the_float_range():
     assert sel.indices(np.arange(1, 101)).tolist() == list(range(1, 101))
 
 
+_VIOLATING_THRESHOLDS = [
+    (name, beta, t)
+    for name, spec in gl.builtin_spectra().items()
+    for beta in (1.0, 1.5, 2.0)
+    if gl.region_condition(spec, beta).violated
+    for t in Selection(spec, beta).thresholds
+]
+
+
+def _exact_holds(t: _Threshold, js, ns) -> list[bool]:
+    q, e, p, m = t._int
+    return [
+        q * j**e > p * n**m if t.strict and n >= 2 else q * j**e >= p * n**m
+        for j, n in zip(js, ns)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(
+            st.one_of(st.integers(1, 3), st.integers(1, 10**6)), st.integers(-3, 3)
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_exact_threshold_rule_matches_python_ints(pairs):
+    # j within 3 of T(n), n from 1 (non-strict) up to 10^6: P n^M passes 2^63
+    # there on k+i*k^4 at beta 1.5 and 2, so some calls take int64 and some
+    # Python ints
+    ns = np.asarray([n for n, _ in pairs], dtype=np.int64)
+    offsets = np.asarray([d for _, d in pairs])
+    for name, beta, t in _VIOLATING_THRESHOLDS:
+        assert t._int is not None
+        js = np.maximum(t.least(ns) + offsets, 1)
+        got = t.holds(js, ns).tolist()
+        assert got == _exact_holds(t, js.tolist(), ns.tolist()), (name, beta, t.name)
+
+
+@pytest.mark.parametrize(
+    "q, p, j, n, strict, want",
+    [
+        # Q j^E = 2^63 - 1 = P n^M still fits int64: a tie
+        (2**63 - 1, 1, 1, 2**63 - 1, False, True),
+        (2**63 - 1, 1, 1, 2**63 - 1, True, False),
+        # Q j^E = 2^63 would wrap to -2^63 in int64
+        (2**62, 1, 2, 2**63 - 1, False, True),
+        (2**62, 1, 2, 2**63 - 1, True, True),
+        # P n^M = 2^63 likewise
+        (1, 2**62, 2**63 - 1, 2, False, False),
+    ],
+)
+def test_int64_guard_stops_at_two_to_the_63(q, p, j, n, strict, want):
+    # j >= K n with K = P / Q: the rule reads Q j >= P n (> when strict)
+    t = _Threshold("edge", strict, Fraction(1), Fraction(1), ((Fraction(p, q), Fraction(1)),))
+    assert t._int == (q, 1, p, 1)
+    js, ns = np.asarray([j], dtype=np.int64), np.asarray([n], dtype=np.int64)
+    assert t.holds(js, ns).tolist() == [want] == _exact_holds(t, [j], [n])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     a_re=st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
