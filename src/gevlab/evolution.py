@@ -80,8 +80,8 @@ def _sup_bound(form, lo: int = 1) -> float:
     """Numeric upper estimate of sup_{k >= lo} form(k) for non-growing forms.
 
     The 61 checkpoints lo and max(lo, 1) 2^i, i = 1..60, are read in one
-    batched call.  They are the points a one-at-a-time loop read, and every
-    one is read, so numpy warns on the operations where that loop warned.
+    batched call.  Every checkpoint is read, so numpy warns on the same
+    operations as reading them one at a time would.
     """
     kind, _ = classify_form(form)
     if kind is GrowthKind.GROWS:
