@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from dataclasses import fields
 
 import mpmath
 import numpy as np
@@ -78,6 +79,59 @@ def test_every_command_accepts_the_series_budget_and_output_path():
         job.update(k_max=2048, tol=1e-6, output_path="out.csv")
         parsed = cli.parse_jobspec(json.dumps(job))
         assert (parsed.k_max, parsed.tol, parsed.output_path) == (2048, 1e-6, "out.csv")
+
+
+# One valid value per job field, and the fields each command requires and
+# reads besides them (README, "Required fields per command").
+_FIELD_VALUES = {
+    "spectrum": {"power_law": {"a_re": 1, "p_re": 1, "a_im": 1, "p_im": 1}},
+    "vectors": [{"power_decay": {"c": 1, "r": 2}}],
+    "beta": 1,
+    "flavor": "roumieu",
+    "t_grid": [0, 1],
+    "p_norm": 1,
+    "t_max": 50,
+    "n_max": 8,
+    "tol": 1e-6,
+    "k_max": 2048,
+    "case": "bounded",
+    "b_plus": 0.5,
+    "im_max": 10,
+    "samples": 8,
+    "output_path": "out.csv",
+}
+_EVERY_COMMAND_READS = ("output_path", "k_max", "tol")
+_COMMAND_FIELDS = {  # command: (required, optional besides _EVERY_COMMAND_READS)
+    "classify-spectrum": (("spectrum", "beta"), ()),
+    "classify-vector": (("spectrum", "vectors", "beta"), ("flavor", "p_norm")),
+    "evolve": (("spectrum", "vectors", "t_grid"), ("p_norm", "t_max")),
+    "estimate-order": (("spectrum", "vectors"), ("p_norm", "n_max")),
+    "counterexample": (("beta", "case"), ("spectrum",)),
+    "harness": (("spectrum", "beta"), ("vectors", "p_norm")),
+    "region-boundary": (("beta", "b_plus"), ("im_max", "samples")),
+}
+
+
+def test_field_values_cover_every_job_field():
+    assert set(_FIELD_VALUES) == {f.name for f in fields(cli.JobSpec)} - {"command"}
+    assert set(_COMMAND_FIELDS) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_FIELDS))
+def test_each_command_requires_and_reads_its_declared_fields(command):
+    required, optional = _COMMAND_FIELDS[command]
+    job = {"command": command, **{name: _FIELD_VALUES[name] for name in required}}
+    assert cli.parse_jobspec(json.dumps(job)).command == command
+    for name in (*optional, *_EVERY_COMMAND_READS):
+        cli.parse_jobspec(json.dumps({**job, name: _FIELD_VALUES[name]}))
+    for name in required:
+        with pytest.raises(JobSpecError) as err:
+            cli.parse_jobspec(json.dumps({k: v for k, v in job.items() if k != name}))
+        assert str(err.value) == f"$: command {command!r} requires field {name!r}"
+    for name in set(_FIELD_VALUES) - {*required, *optional, *_EVERY_COMMAND_READS}:
+        with pytest.raises(JobSpecError) as err:
+            cli.parse_jobspec(json.dumps({**job, name: _FIELD_VALUES[name]}))
+        assert str(err.value) == f"$.{name}: command {command!r} does not read this field"
 
 
 def test_json_errors_are_positioned():
