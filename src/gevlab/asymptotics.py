@@ -136,9 +136,6 @@ class AsymForm:
             c * self.const,
         )
 
-    def shift(self, c: float) -> "AsymForm":
-        return AsymForm(self.terms, self.const + c)
-
     def evaluate(self, ks) -> np.ndarray:
         ks = np.asarray(ks, dtype=float)
         out = np.full_like(ks, self.const)
@@ -375,6 +372,3 @@ class TailBounds:
         if c < 0:
             lo, up = up, lo
         return TailBounds(lo, up, self.k_min)
-
-
-ZERO_BOUNDS = TailBounds.exact(AsymForm.constant(0.0))

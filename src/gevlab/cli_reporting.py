@@ -51,16 +51,6 @@ from .spectral_core import CoefficientVector, ExplicitSpectrum, PowerLawSpectrum
 TOOL_VERSION = "0.1.0"
 FORMAT_VERSION = "1"
 
-COMMANDS = (
-    "classify-spectrum",
-    "classify-vector",
-    "evolve",
-    "estimate-order",
-    "counterexample",
-    "harness",
-    "region-boundary",
-)
-
 _CSV_COLUMNS = (
     "format_version",
     "job_id",
@@ -87,59 +77,14 @@ _CSV_COLUMNS = (
 
 
 @dataclass(frozen=True)
-class SpectrumSpec:
-    kind: str  # "explicit" | "power_law"
-    points: tuple[tuple[float, float], ...] = ()
-    params: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
-
-    def build(self):
-        if self.kind == "explicit":
-            return ExplicitSpectrum(tuple(complex(re, im) for re, im in self.points))
-        a_re, p_re, a_im, p_im = self.params
-        return PowerLawSpectrum(a_re, p_re, a_im, p_im)
-
-    def to_json(self) -> dict:
-        if self.kind == "explicit":
-            return {"explicit": {"points": [[re, im] for re, im in self.points]}}
-        a_re, p_re, a_im, p_im = self.params
-        return {"power_law": {"a_re": a_re, "p_re": p_re, "a_im": a_im, "p_im": p_im}}
-
-
-@dataclass(frozen=True)
-class VectorSpec:
-    label: str
-    kind: str  # "explicit" | "power_decay" | "polynomial_decay"
-    values: tuple[tuple[float, float], ...] = ()
-    c: float = 0.0
-    r: float = 0.0
-    d: float = 0.0
-
-    def build(self, spectrum, p: float) -> CoefficientVector:
-        if self.kind == "explicit":
-            return CoefficientVector.explicit(
-                spectrum, values=[complex(re, im) for re, im in self.values],
-                p=p, label=self.label,
-            )
-        if self.kind == "power_decay":
-            return CoefficientVector.power_decay(spectrum, self.c, self.r, p=p, label=self.label)
-        return CoefficientVector.polynomial_decay(spectrum, self.d, p=p, label=self.label)
-
-    def to_json(self) -> dict:
-        out: dict = {"label": self.label}
-        if self.kind == "explicit":
-            out["explicit"] = {"values": [[re, im] for re, im in self.values]}
-        elif self.kind == "power_decay":
-            out["power_decay"] = {"c": self.c, "r": self.r}
-        else:
-            out["polynomial_decay"] = {"d": self.d}
-        return out
-
-
-@dataclass(frozen=True)
 class JobSpec:
+    """A parsed job. `spectrum` and each of `vectors` keep the JSON object
+    that parsing validated (numbers as floats, pairs as tuples, a vector's
+    label defaulting to its kind), which is also their canonical form."""
+
     command: str
-    spectrum: Optional[SpectrumSpec] = None
-    vectors: tuple[VectorSpec, ...] = ()
+    spectrum: Optional[dict] = None
+    vectors: tuple[dict, ...] = ()
     beta: Optional[float] = None
     flavor: str = "both"
     t_grid: tuple[float, ...] = ()
@@ -156,19 +101,8 @@ class JobSpec:
 
     def to_json_dict(self) -> dict:
         """The fields that differ from their defaults, in declaration order."""
-        out: dict = {}
-        for fld in fields(self):
-            value = getattr(self, fld.name)
-            if value == fld.default:  # command has no default and always stays
-                continue
-            if fld.name == "spectrum":
-                value = value.to_json()
-            elif fld.name == "vectors":
-                value = [v.to_json() for v in value]
-            elif fld.name == "t_grid":
-                value = list(value)
-            out[fld.name] = value
-        return out
+        # command has no default and always stays
+        return {f.name: v for f in fields(self) if (v := getattr(self, f.name)) != f.default}
 
 
 def _fail(path: str, message: str):
@@ -242,7 +176,7 @@ def _pair_list(value, path):
     return tuple(out)
 
 
-def _parse_spectrum(value, path) -> SpectrumSpec:
+def _parse_spectrum(value, path) -> dict:
     got = _walk_obj(
         value,
         path,
@@ -264,13 +198,10 @@ def _parse_spectrum(value, path) -> SpectrumSpec:
     )
     if len(got) != 1:
         _fail(path, "give exactly one of 'explicit' / 'power_law'")
-    if "explicit" in got:
-        return SpectrumSpec("explicit", points=got["explicit"]["points"])
-    pl = got["power_law"]
-    return SpectrumSpec("power_law", params=(pl["a_re"], pl["p_re"], pl["a_im"], pl["p_im"]))
+    return got
 
 
-def _parse_vector(value, path) -> VectorSpec:
+def _parse_vector(value, path) -> dict:
     got = _walk_obj(
         value,
         path,
@@ -295,13 +226,8 @@ def _parse_vector(value, path) -> VectorSpec:
     kinds = [k for k in ("explicit", "power_decay", "polynomial_decay") if k in got]
     if len(kinds) != 1:
         _fail(path, "give exactly one of 'explicit' / 'power_decay' / 'polynomial_decay'")
-    kind = kinds[0]
-    label = got.get("label", kind)
-    if kind == "explicit":
-        return VectorSpec(label, "explicit", values=got["explicit"]["values"])
-    if kind == "power_decay":
-        return VectorSpec(label, "power_decay", c=got["power_decay"]["c"], r=got["power_decay"]["r"])
-    return VectorSpec(label, "polynomial_decay", d=got["polynomial_decay"]["d"])
+    got.setdefault("label", kinds[0])
+    return got
 
 
 def _parse_vectors(value, path):
@@ -337,30 +263,9 @@ _FIELD_PARSERS = {
     "output_path": lambda v, p: v if isinstance(v, str) else _fail(p, "expected a string"),
 }
 
-_REQUIRED = {
-    "classify-spectrum": ("spectrum", "beta"),
-    "classify-vector": ("spectrum", "vectors", "beta"),
-    "evolve": ("spectrum", "vectors", "t_grid"),
-    "estimate-order": ("spectrum", "vectors"),
-    "counterexample": ("beta", "case"),
-    "harness": ("spectrum", "beta"),
-    "region-boundary": ("beta", "b_plus"),
-}
-
 # every command accepts these: run builds its series budget from k_max and
 # tol, as the CLI's --kmax and --tol overrides do for every command
 _EVERY_COMMAND = ("command", "output_path", "k_max", "tol")
-
-# the optional fields each command reads besides _EVERY_COMMAND
-_OPTIONAL = {
-    "classify-spectrum": (),
-    "classify-vector": ("flavor", "p_norm"),
-    "evolve": ("p_norm", "t_max"),
-    "estimate-order": ("p_norm", "n_max"),
-    "counterexample": ("spectrum",),
-    "harness": ("vectors", "p_norm"),
-    "region-boundary": ("im_max", "samples"),
-}
 
 
 def parse_jobspec(text: str) -> JobSpec:
@@ -375,12 +280,13 @@ def parse_jobspec(text: str) -> JobSpec:
     got = _walk_obj(raw, "$", {"command": _FIELD_PARSERS["command"]},
                     {k: v for k, v in _FIELD_PARSERS.items() if k != "command"})
     command = got["command"]
-    if command not in COMMANDS:
+    if command not in _COMMANDS:
         _fail("$.command", f"unknown command {command!r}; expected one of {COMMANDS}")
-    for name in _REQUIRED[command]:
+    _, required, optional = _COMMANDS[command]
+    for name in required:
         if name not in got:
             _fail("$", f"command {command!r} requires field {name!r}")
-    reads = (*_EVERY_COMMAND, *_REQUIRED[command], *_OPTIONAL[command])
+    reads = (*_EVERY_COMMAND, *required, *optional)
     for name in got:
         if name not in reads:
             _fail(f"$.{name}", f"command {command!r} does not read this field")
@@ -502,6 +408,25 @@ def _flavors(job: JobSpec):
     return (GevreyFlavor.ROUMIEU if job.flavor == "roumieu" else GevreyFlavor.BEURLING,)
 
 
+def _build_spectrum(spec: dict):
+    if "explicit" in spec:
+        return ExplicitSpectrum(tuple(complex(re, im) for re, im in spec["explicit"]["points"]))
+    pl = spec["power_law"]
+    return PowerLawSpectrum(pl["a_re"], pl["p_re"], pl["a_im"], pl["p_im"])
+
+
+def _build_vector(spec: dict, spectrum, p: float) -> CoefficientVector:
+    label = spec["label"]
+    if "explicit" in spec:
+        values = [complex(re, im) for re, im in spec["explicit"]["values"]]
+        return CoefficientVector.explicit(spectrum, values=values, p=p, label=label)
+    if "power_decay" in spec:
+        pd = spec["power_decay"]
+        return CoefficientVector.power_decay(spectrum, pd["c"], pd["r"], p=p, label=label)
+    d = spec["polynomial_decay"]["d"]
+    return CoefficientVector.polynomial_decay(spectrum, d, p=p, label=label)
+
+
 def run(job: JobSpec, budget: Optional[SeriesBudget] = None, flags: Optional[dict] = None) -> RunReport:
     """Execute a parsed job; math failures become structured errors."""
     if budget is None:
@@ -509,7 +434,9 @@ def run(job: JobSpec, budget: Optional[SeriesBudget] = None, flags: Optional[dic
     report = RunReport(job=job, flags=flags or {})
     t0 = time.perf_counter()
     try:
-        _dispatch(job, budget, report)
+        if job.command not in _COMMANDS:
+            raise JobSpecError(f"unhandled command {job.command!r}")
+        _COMMANDS[job.command][0](job, budget, report)
     except HarnessError as exc:
         report.status = "error"
         report.error = f"harness inconsistency: {exc}"
@@ -522,154 +449,164 @@ def run(job: JobSpec, budget: Optional[SeriesBudget] = None, flags: Optional[dic
     return report
 
 
-def _dispatch(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
-    """Run one command; only evolve norms and estimate-order power norms
-    resolve series values, so only they read the budget."""
-    cmd = job.command
-    if cmd == "classify-spectrum":
-        spectrum = job.spectrum.build()
-        region = region_condition(spectrum, job.beta)
-        report.verdicts.append(_region_dict(region, spectrum.label))
-        return
+def _classify_spectrum(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
+    spectrum = _build_spectrum(job.spectrum)
+    region = region_condition(spectrum, job.beta)
+    report.verdicts.append(_region_dict(region, spectrum.label))
 
-    if cmd == "classify-vector":
-        spectrum = job.spectrum.build()
-        for vs in job.vectors:
-            vec = vs.build(spectrum, job.p_norm)
-            if job.beta == 0.0:
-                v = vector_class_beta0(vec)
-                report.verdicts.append(_verdict_dict(v, vec.label, 0.0))
-            else:
-                for flavor in _flavors(job):
-                    v = vector_class(vec, job.beta, flavor)
-                    report.verdicts.append(_verdict_dict(v, vec.label, job.beta))
-        return
 
-    if cmd == "evolve":
-        spectrum = job.spectrum.build()
-        for vs in job.vectors:
-            vec = vs.build(spectrum, job.p_norm)
-            cert = check_admissible(vec, job.t_max)
-            report.verdicts.append(
-                {
-                    "kind": "admissibility",
-                    "vector": vec.label,
-                    "admissible": cert.admissible,
-                    "tail_rule": cert.detail,
-                    "checked_times": list(cert.checked_times),
-                    "unknown": cert.unknown,
-                }
-            )
-            if not cert.admissible:
-                continue
-            handle = SolutionHandle(vec, cert)
-            for t in job.t_grid:
-                y = solve(handle, t)
-                log_norm, ncert = y.log_norm(budget)
-                entry = {
-                    "kind": "evolve",
-                    "vector": vec.label,
-                    "t": t,
-                    "log_norm": json_float(log_norm),
-                    "certificate": ncert.to_dict(),
-                    "unknown": ncert.status.value == "inconclusive",
-                }
-                if spectrum.size is not None and spectrum.size <= 64:
-                    coords = y.to_complex(np.arange(1, spectrum.size + 1, dtype=np.int64))
-                    entry["coords"] = [[z.real, z.imag] for z in coords]
-                report.verdicts.append(entry)
-        return
-
-    if cmd == "estimate-order":
-        spectrum = job.spectrum.build()
-        for vs in job.vectors:
-            vec = vs.build(spectrum, job.p_norm)
-            est = estimate_order(vec, n_max=job.n_max, budget=budget)
-            for n, value in enumerate(est.log_norms):
-                report.verdicts.append(
-                    {"kind": "norm", "vector": vec.label, "n": n, "value": json_float(value)}
-                )
-            report.verdicts.append(
-                {
-                    "kind": "order-summary",
-                    "vector": vec.label,
-                    "beta_hat": est.beta_hat,
-                    "alpha_hat": est.alpha_hat,
-                    "fit_residual": est.fit_residual,
-                    "n_range": list(est.n_range),
-                }
-            )
-        return
-
-    if cmd == "counterexample":
-        case = PlanCase.BOUNDED_REAL_PARTS if job.case == "bounded" else PlanCase.UNBOUNDED_REAL_PARTS
-        if job.spectrum is not None:
-            plan = plan_for_spectrum(job.spectrum.build(), job.beta, case)
+def _classify_vector(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
+    spectrum = _build_spectrum(job.spectrum)
+    for vs in job.vectors:
+        vec = _build_vector(vs, spectrum, job.p_norm)
+        if job.beta == 0.0:
+            v = vector_class_beta0(vec)
+            report.verdicts.append(_verdict_dict(v, vec.label, 0.0))
         else:
-            plan = build_violating_spectrum(job.beta, case)
-        art = build_counterexample(plan)
+            for flavor in _flavors(job):
+                v = vector_class(vec, job.beta, flavor)
+                report.verdicts.append(_verdict_dict(v, vec.label, job.beta))
+
+
+def _evolve(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
+    spectrum = _build_spectrum(job.spectrum)
+    for vs in job.vectors:
+        vec = _build_vector(vs, spectrum, job.p_norm)
+        cert = check_admissible(vec, job.t_max)
+        report.verdicts.append(
+            {
+                "kind": "admissibility",
+                "vector": vec.label,
+                "admissible": cert.admissible,
+                "tail_rule": cert.detail,
+                "checked_times": list(cert.checked_times),
+                "unknown": cert.unknown,
+            }
+        )
+        if not cert.admissible:
+            continue
+        handle = SolutionHandle(vec, cert)
+        for t in job.t_grid:
+            y = solve(handle, t)
+            log_norm, ncert = y.log_norm(budget)
+            entry = {
+                "kind": "evolve",
+                "vector": vec.label,
+                "t": t,
+                "log_norm": json_float(log_norm),
+                "certificate": ncert.to_dict(),
+                "unknown": ncert.status.value == "inconclusive",
+            }
+            if spectrum.size is not None and spectrum.size <= 64:
+                coords = y.to_complex(np.arange(1, spectrum.size + 1, dtype=np.int64))
+                entry["coords"] = [[z.real, z.imag] for z in coords]
+            report.verdicts.append(entry)
+
+
+def _estimate_order(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
+    spectrum = _build_spectrum(job.spectrum)
+    for vs in job.vectors:
+        vec = _build_vector(vs, spectrum, job.p_norm)
+        est = estimate_order(vec, n_max=job.n_max, budget=budget)
+        for n, value in enumerate(est.log_norms):
+            report.verdicts.append(
+                {"kind": "norm", "vector": vec.label, "n": n, "value": json_float(value)}
+            )
+        report.verdicts.append(
+            {
+                "kind": "order-summary",
+                "vector": vec.label,
+                "beta_hat": est.beta_hat,
+                "alpha_hat": est.alpha_hat,
+                "fit_residual": est.fit_residual,
+                "n_range": list(est.n_range),
+            }
+        )
+
+
+def _counterexample(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
+    case = PlanCase.BOUNDED_REAL_PARTS if job.case == "bounded" else PlanCase.UNBOUNDED_REAL_PARTS
+    if job.spectrum is not None:
+        plan = plan_for_spectrum(_build_spectrum(job.spectrum), job.beta, case)
+    else:
+        plan = build_violating_spectrum(job.beta, case)
+    art = build_counterexample(plan)
+    report.verdicts.append(
+        {
+            "kind": "counterexample",
+            "spectrum": plan.spectrum.label,
+            "beta": job.beta,
+            "case": job.case,
+            "admissible": art.admissibility.admissible,
+            "roumieu_member": art.non_membership.member,
+            "probe_certificates": {
+                f"{s:g}": c.to_dict() for s, c in art.probe_certificates.items()
+            },
+            "l_bound": json_float(art.l_bound),
+            "unknown": False,
+        }
+    )
+
+
+def _harness(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
+    spectrum = _build_spectrum(job.spectrum)
+    vecs = None
+    if job.vectors:
+        vecs = [_build_vector(vs, spectrum, job.p_norm) for vs in job.vectors]
+    hr = theorem_equivalence_harness(spectrum, job.beta, vecs)
+    report.verdicts.append(_region_dict(hr.region, hr.spectrum))
+    for row in hr.rows:
+        report.verdicts.append(
+            {
+                "kind": "harness-row",
+                "vector": row.vector,
+                "admissible": row.admissible,
+                "verdicts": [[t, fl, m] for t, fl, m in row.verdicts],
+                "unknown": row.admissible_unknown
+                or any(m is None for _, _, m in row.verdicts),
+            }
+        )
+    if hr.counterexample is not None:
         report.verdicts.append(
             {
                 "kind": "counterexample",
-                "spectrum": plan.spectrum.label,
+                "spectrum": hr.counterexample.spectrum.label,
                 "beta": job.beta,
-                "case": job.case,
-                "admissible": art.admissibility.admissible,
-                "roumieu_member": art.non_membership.member,
-                "probe_certificates": {
-                    f"{s:g}": c.to_dict() for s, c in art.probe_certificates.items()
-                },
-                "l_bound": json_float(art.l_bound),
+                "case": hr.counterexample.plan.case.value,
+                "admissible": hr.counterexample.admissibility.admissible,
+                "roumieu_member": hr.counterexample.non_membership.member,
                 "unknown": False,
             }
         )
-        return
 
-    if cmd == "harness":
-        spectrum = job.spectrum.build()
-        vecs = None
-        if job.vectors:
-            vecs = [vs.build(spectrum, job.p_norm) for vs in job.vectors]
-        hr = theorem_equivalence_harness(spectrum, job.beta, vecs)
-        report.verdicts.append(_region_dict(hr.region, hr.spectrum))
-        for row in hr.rows:
-            report.verdicts.append(
-                {
-                    "kind": "harness-row",
-                    "vector": row.vector,
-                    "admissible": row.admissible,
-                    "verdicts": [[t, fl, m] for t, fl, m in row.verdicts],
-                    "unknown": row.admissible_unknown
-                    or any(m is None for _, _, m in row.verdicts),
-                }
-            )
-        if hr.counterexample is not None:
-            report.verdicts.append(
-                {
-                    "kind": "counterexample",
-                    "spectrum": hr.counterexample.spectrum.label,
-                    "beta": job.beta,
-                    "case": hr.counterexample.plan.case.value,
-                    "admissible": hr.counterexample.admissibility.admissible,
-                    "roumieu_member": hr.counterexample.non_membership.member,
-                    "unknown": False,
-                }
-            )
-        return
 
-    if cmd == "region-boundary":
-        # sampled boundary Re = b_plus * |Im|^{1/beta} for external plotting
-        beta, b_plus = job.beta, job.b_plus
-        n = job.samples
-        for i in range(n):
-            im = -job.im_max + 2.0 * job.im_max * i / (n - 1)
-            re = b_plus * abs(im) ** (1.0 / beta)
-            report.verdicts.append(
-                {"kind": "boundary", "n": i, "im": im, "re": re, "unknown": False}
-            )
-        return
+def _region_boundary(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
+    # sampled boundary Re = b_plus * |Im|^{1/beta} for external plotting
+    beta, b_plus = job.beta, job.b_plus
+    n = job.samples
+    for i in range(n):
+        im = -job.im_max + 2.0 * job.im_max * i / (n - 1)
+        re = b_plus * abs(im) ** (1.0 / beta)
+        report.verdicts.append(
+            {"kind": "boundary", "n": i, "im": im, "re": re, "unknown": False}
+        )
 
-    raise JobSpecError(f"unhandled command {cmd!r}")
+
+# command: (handler, required fields, optional fields besides _EVERY_COMMAND).
+# A handler appends each verdict to the report as it makes it, so an error
+# report keeps the verdicts made before the error.  Only evolve norms and
+# estimate-order power norms resolve series values, so only their handlers
+# read the budget.
+_COMMANDS = {
+    "classify-spectrum": (_classify_spectrum, ("spectrum", "beta"), ()),
+    "classify-vector": (_classify_vector, ("spectrum", "vectors", "beta"), ("flavor", "p_norm")),
+    "evolve": (_evolve, ("spectrum", "vectors", "t_grid"), ("p_norm", "t_max")),
+    "estimate-order": (_estimate_order, ("spectrum", "vectors"), ("p_norm", "n_max")),
+    "counterexample": (_counterexample, ("beta", "case"), ("spectrum",)),
+    "harness": (_harness, ("spectrum", "beta"), ("vectors", "p_norm")),
+    "region-boundary": (_region_boundary, ("beta", "b_plus"), ("im_max", "samples")),
+}
+COMMANDS = tuple(_COMMANDS)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from .spectral_core import (
 
 _S_LO = 2.0**-20
 _S_HI = 2.0**20
+_HARNESS_TIMES = (0.0, 1.0)  # the harness classifies each admissible solution at these times
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -717,7 +718,6 @@ def theorem_equivalence_harness(
     spectrum: SpectrumFamily,
     beta: float,
     vector_catalog: Optional[Sequence[CoefficientVector]] = None,
-    t_checks: tuple[float, ...] = (0.0, 1.0),
 ) -> HarnessReport:
     """Cross-check the region verdict against per-vector classifications.
 
@@ -747,7 +747,7 @@ def theorem_equivalence_harness(
             continue
         h = SolutionHandle(v, cert)
         verd: list[tuple[float, str, Optional[bool]]] = []
-        for t in t_checks:
+        for t in _HARNESS_TIMES:
             r, b = _classify_both(solve(h, t), beta)
             verd.append((t, GevreyFlavor.ROUMIEU.value, r.member))
             verd.append((t, GevreyFlavor.BEURLING.value, b.member))

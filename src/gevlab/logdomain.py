@@ -67,12 +67,6 @@ class LogPolar:
             return cls.zero()
         return cls(math.log(abs(z)), cmath.phase(z))
 
-    @classmethod
-    def from_real(cls, x: float) -> "LogPolar":
-        if x == 0:
-            return cls.zero()
-        return cls(math.log(abs(x)), 0.0 if x > 0 else math.pi)
-
     @property
     def is_zero(self) -> bool:
         return self.log_mag == NEG_INF

@@ -30,6 +30,7 @@ from .series import (
 SPECTRAL_MEASURE_BOUND = 1.0
 
 _MIXED_K0 = 1024
+_MULTIPLICATIVITY_PREFIX = 4096  # coordinates compared on a parametric vector
 
 
 def conjugate_exponent(p: float) -> float:
@@ -788,29 +789,19 @@ def project(f: CoefficientVector, delta: BorelPredicate) -> CoefficientVector:
         return f
     if delta.is_none:
         return CoefficientVector.zero(f.spectrum, f.p_norm)
-    if isinstance(f.impl, _ExplicitCoeffs) and len(f.impl.mags):
-        n = len(f.impl.mags)
-        keep = delta.mask(f.spectrum.eigenvalues(np.arange(1, n + 1, dtype=np.int64)))
-        impl = _ExplicitCoeffs(
-            np.where(keep, f.impl.mags, NEG_INF), np.where(keep, f.impl.phases, 0.0)
-        )
-        return CoefficientVector(f.spectrum, f.p_norm, f"[{delta.description}]{f.label}", impl)
     return f.masked(delta)
 
 
 def multiplicativity_check(
-    delta1: BorelPredicate,
-    delta2: BorelPredicate,
-    f: CoefficientVector,
-    prefix: int = 4096,
+    delta1: BorelPredicate, delta2: BorelPredicate, f: CoefficientVector
 ) -> bool:
     """E(d1)E(d2) = E(d1 and d2), checked coordinatewise exactly.
 
     Explicit vectors are compared over their whole support; parametric ones
-    over a deterministic prefix.
+    over their first _MULTIPLICATIVITY_PREFIX coordinates.
     """
     count = f.effective_count()
-    n = count if count is not None else prefix
+    n = count if count is not None else _MULTIPLICATIVITY_PREFIX
     ks = np.arange(1, n + 1, dtype=np.int64)
     lhs = project(project(f, delta1), delta2)
     rhs = project(f, predicate_and(delta1, delta2))

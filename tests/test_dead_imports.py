@@ -1,7 +1,8 @@
-"""Every module-level import of a gevlab module is used in that module.
+"""Every module-level import of a gevlab module is used in that module, and
+every module-level private name is read somewhere in the package.
 
 Parses the sources with `ast`, so it needs no lint tool.  `__init__.py`
-re-exports its imports and is left out.
+re-exports its imports and is left out of the import check.
 """
 
 import ast
@@ -29,3 +30,32 @@ def test_no_unused_module_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [n for n in _imported_names(tree) if n not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_no_unreferenced_private_names():
+    """Every module-level private function, class or assignment in
+    `src/gevlab` is read somewhere in `src/gevlab`, as a name or an
+    attribute."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(_SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [
+        f"{name}:{n}" for name, tree in trees.items() for n in _private_definitions(tree) if n not in read
+    ]
+    assert not unread, f"private names defined but never read: {unread}"
