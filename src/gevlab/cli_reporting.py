@@ -17,10 +17,12 @@ import hashlib
 import json
 import math
 import os
+import stat
 import sys
 import time
 
 import numpy as np
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional, Sequence
@@ -707,10 +709,38 @@ def _fmt_member(m) -> str:
     return "true" if m else "false"
 
 
+def _open_without_truncate(path: str, flags: int) -> int:
+    # mode 0o666, as open() uses: os.open's default 0o777 would make a new
+    # file executable
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+@contextmanager
+def _written_over(path: str, **kwargs):
+    """Open `path` for text writing over its old bytes; truncate at the end.
+
+    The file is never truncated to zero first: on ext4 closing a file that
+    was truncated to zero starts writeback (auto_da_alloc), which costs
+    several times the write itself.  Special files such as /dev/null or a
+    pipe cannot be truncated and need not be.
+    """
+    with open(path, "w", opener=_open_without_truncate, **kwargs) as fh:
+        yield fh
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
 def emit_csv(report: RunReport, path: str) -> None:
-    """One row per verdict with a fixed, versioned column set."""
+    """One row per verdict with a fixed, versioned column set.
+
+    The table is written over the old file, which is truncated after the
+    last row, never to zero first.  The write is not atomic (no fsync, no
+    rename): a crash mid-write can leave new rows followed by the old
+    file's tail.  A caller who needs atomic output writes to a temporary
+    path and renames it.
+    """
     try:
-        with open(path, "w", newline="") as fh:
+        with _written_over(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(_CSV_COLUMNS)
             writer.writerows(_csv_rows(report))
@@ -779,7 +809,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     payload = report.to_json(seed_free=args.seed_free)
     try:
         if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
+            with _written_over(args.report, encoding="utf-8") as fh:
                 fh.write(payload + "\n")
         else:
             print(payload)

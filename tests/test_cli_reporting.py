@@ -1,7 +1,9 @@
+import functools
 import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -11,10 +13,12 @@ from dataclasses import fields
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gevlab.cli_reporting as cli
 from gevlab import borel_calculus, spectral_core
-from gevlab.errors import JobSpecError
+from gevlab.errors import GevlabError, JobSpecError
 
 MINIMAL = '{"command":"classify-spectrum","spectrum":{"power_law":{"a_re":1,"p_re":1,"a_im":1,"p_im":1}},"beta":1}'
 
@@ -681,3 +685,92 @@ def test_csv_tables_and_explicit_reports_are_pinned(tmp_path):
     # a finite spectrum satisfies the region condition, so it has no counterexample
     assert statuses == {c: "error" if c == "counterexample" else "ok" for c in cli.COMMANDS}
     assert digest.hexdigest() == _CSV_DIGEST
+
+
+# -- writing over an old file --------------------------------------------------
+
+
+@functools.cache
+def _sampled_traffic_reports():
+    # every 25th traffic job: each command, tables from one row to dozens
+    return tuple(cli.run(cli.parse_jobspec(json.dumps(job))) for job in list(_traffic_jobs())[::25])
+
+
+def _fresh_table(report, directory):
+    path = directory / "fresh.csv"
+    if path.exists():
+        path.unlink()
+    cli.emit_csv(report, str(path))
+    return path.read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_csv_written_over_any_old_file_matches_a_fresh_write(tmp_path_factory, data):
+    # emit_csv writes over the old bytes and truncates after the last row, so
+    # an old file of any length, often longer than the new table, leaves
+    # nothing behind
+    reports = _sampled_traffic_reports()
+    report = reports[data.draw(st.integers(0, len(reports) - 1), label="report")]
+    directory = tmp_path_factory.mktemp("over")
+    fresh = _fresh_table(report, directory)
+    length = data.draw(st.integers(0, 3 * len(fresh)), label="old length")
+    pattern = data.draw(st.binary(min_size=1, max_size=16), label="old pattern")
+    path = directory / "job.csv"
+    path.write_bytes((pattern * (length // len(pattern) + 1))[:length])
+    cli.emit_csv(report, str(path))
+    assert path.read_bytes() == fresh
+
+
+def test_csv_to_special_files_links_and_existing_files(tmp_path):
+    long_report, short_report = (
+        cli.run(cli.parse_jobspec(text))
+        for text in (
+            '{"command":"harness","spectrum":{"power_law":{"a_re":1,"p_re":1,"a_im":1,"p_im":1}},"beta":1}',
+            MINIMAL,
+        )
+    )
+    fresh = _fresh_table(short_report, tmp_path)
+    # a special file cannot be truncated and is not
+    cli.emit_csv(short_report, os.devnull)
+    # a symlink is written through and stays a link
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    cli.emit_csv(long_report, str(target))
+    link.symlink_to(target)
+    cli.emit_csv(short_report, str(link))
+    assert link.is_symlink() and target.read_bytes() == fresh
+    # an existing file keeps its inode and mode bits
+    path = tmp_path / "private.csv"
+    cli.emit_csv(long_report, str(path))
+    path.chmod(0o600)
+    before = path.stat()
+    cli.emit_csv(short_report, str(path))
+    after = path.stat()
+    assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o600)
+    assert path.read_bytes() == fresh
+    # a new file gets the mode that open() gives
+    with open(tmp_path / "plain.txt", "w"):
+        pass
+    assert stat.S_IMODE((tmp_path / "fresh.csv").stat().st_mode) == stat.S_IMODE(
+        (tmp_path / "plain.txt").stat().st_mode
+    )
+    for bad in (tmp_path, tmp_path / "missing" / "x.csv"):
+        with pytest.raises(GevlabError, match=r"^cannot write CSV to "):
+            cli.emit_csv(short_report, str(bad))
+
+
+def test_report_written_over_a_longer_report(tmp_path):
+    long_job = write_job(
+        tmp_path,
+        '{"command":"harness","spectrum":{"power_law":{"a_re":1,"p_re":1,"a_im":1,"p_im":1}},"beta":1}',
+        "long.json",
+    )
+    short_job = write_job(tmp_path, MINIMAL, "short.json")
+    path, fresh = tmp_path / "r.json", tmp_path / "fresh.json"
+    assert cli.main(["harness", "--job", long_job, "--report", str(path), "--seed-free"]) == 0
+    long_size = path.stat().st_size
+    assert cli.main(["classify-spectrum", "--job", short_job, "--report", str(path), "--seed-free"]) == 0
+    assert cli.main(["classify-spectrum", "--job", short_job, "--report", str(fresh), "--seed-free"]) == 0
+    text = path.read_text(encoding="utf-8")
+    assert len(text) < long_size and text == fresh.read_text(encoding="utf-8")
+    assert text.endswith("}\n") and json.loads(text)["job"]["command"] == "classify-spectrum"
