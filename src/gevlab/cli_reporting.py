@@ -544,7 +544,7 @@ def _counterexample(job: JobSpec, budget: SeriesBudget, report: RunReport) -> No
             "probe_certificates": {
                 f"{s:g}": c.to_dict() for s, c in art.probe_certificates.items()
             },
-            "l_bound": json_float(art.l_bound),
+            "log_l_bound": json_float(art.log_l_bound),
             "unknown": False,
         }
     )

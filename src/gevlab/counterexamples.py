@@ -635,7 +635,7 @@ class CounterexampleArtifacts:
     admissibility: AdmissibilityCertificate
     non_membership: GevreyVerdict
     probe_certificates: dict
-    l_bound: Optional[float] = None
+    log_l_bound: Optional[float] = None
     detail: str = ""
 
 
@@ -676,17 +676,17 @@ def build_counterexample(plan: ViolatingSpectrumPlan, p: float = 2.0) -> Counter
                 f"dual-probe series failed to diverge at s={s:g}: {cert.to_dict()!r}"
             )
 
-    l_bound = None
+    log_l_bound = None
     if plan.case is PlanCase.UNBOUNDED_REAL_PARTS and h is not None:
-        # e^{-(n/2 - t) Re_{j(n)}} stays bounded on the prefix for each probe t
+        # L bounds e^{-(n/2 - t) Re_{j(n)}} on the prefix for each probe t; L
+        # itself leaves the float range (e^5000 on the canonical plan), so
+        # its log is kept
         ns = np.arange(1, 513, dtype=np.int64)
         re = plan.selected_lams(ns).real
-        l_bound = 0.0
-        for t in (0.0, 1.0, 50.0, 100.0):
-            vals = -(ns / 2.0 - t) * re
-            l_bound = max(l_bound, float(np.exp(np.clip(np.max(vals), None, 700.0))))
-        if not math.isfinite(l_bound):
-            raise CounterexampleError("auxiliary bound L is not finite on the prefix")
+        ts = np.array([0.0, 1.0, 50.0, 100.0])[:, None]
+        log_l_bound = float(np.max(-(ns / 2.0 - ts) * re))
+        if not math.isfinite(log_l_bound):
+            raise CounterexampleError("auxiliary bound log L is not finite on the prefix")
 
     return CounterexampleArtifacts(
         plan=plan,
@@ -697,7 +697,7 @@ def build_counterexample(plan: ViolatingSpectrumPlan, p: float = 2.0) -> Counter
         admissibility=admissibility,
         non_membership=non_membership,
         probe_certificates=probe_certs,
-        l_bound=l_bound,
+        log_l_bound=log_l_bound,
         detail=plan.detail,
     )
 

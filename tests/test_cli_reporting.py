@@ -596,7 +596,7 @@ def _traffic_jobs():
 
 
 # sha256 of the 398 seed-free reports of _traffic_jobs(), concatenated in order
-_TRAFFIC_DIGEST = "aab8caf41ff28547f4985134df6a75842f7cd78ad5c0988770838ce268174fa8"
+_TRAFFIC_DIGEST = "cfa80def9948b06479784d29dc83329ceba26d2c4757cdedc3995eac03f76078"
 
 
 def test_power_law_traffic_has_no_inconclusive_certificate(monkeypatch):

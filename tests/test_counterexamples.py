@@ -85,7 +85,19 @@ def test_unbounded_counterexample_matches_proof_coefficients():
     assert np.allclose(mags, -(ks.astype(float) ** 2), rtol=0, atol=0)
     hm, _ = art.h.log_coeffs(ks)
     assert np.allclose(hm, -0.5 * ks.astype(float) ** 2, rtol=0, atol=0)
-    assert art.l_bound is not None and math.isfinite(art.l_bound)
+    # log L = max over t in {0, 1, 50, 100} and n <= 512 of -(n/2 - t) n, at
+    # t = 100 and n = 100; L = e^5000 is past the float range
+    assert art.log_l_bound == 5000.0
+
+
+def test_auxiliary_bound_log_matches_a_scalar_loop():
+    # on 1e6 k + i k^5 at beta = 1, Re lam_{j(n)} = 1e6 j(n) puts log L near
+    # 1.7e10, far past the e^700 at which L once was clipped
+    plan = gl.plan_for_spectrum(gl.PowerLawSpectrum(1e6, 1, 1, 5), 1.0, gl.PlanCase.UNBOUNDED_REAL_PARTS)
+    art = gl.build_counterexample(plan)
+    re = plan.selected_lams(np.arange(1, 513, dtype=np.int64)).real
+    expected = max(-(n / 2.0 - t) * float(r) for n, r in enumerate(re, 1) for t in (0.0, 1.0, 50.0, 100.0))
+    assert art.log_l_bound == expected and 1e10 < expected < 1e11
 
 
 def test_probe_certificates_diverge_at_all_scales():
