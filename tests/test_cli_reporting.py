@@ -690,6 +690,10 @@ def test_csv_tables_and_explicit_reports_are_pinned(tmp_path):
 # -- writing over an old file --------------------------------------------------
 
 
+# a harness job, whose table and report are longer than MINIMAL's
+_HARNESS = '{"command":"harness","spectrum":{"power_law":{"a_re":1,"p_re":1,"a_im":1,"p_im":1}},"beta":1}'
+
+
 @functools.cache
 def _sampled_traffic_reports():
     # every 25th traffic job: each command, tables from one row to dozens
@@ -698,8 +702,6 @@ def _sampled_traffic_reports():
 
 def _fresh_table(report, directory):
     path = directory / "fresh.csv"
-    if path.exists():
-        path.unlink()
     cli.emit_csv(report, str(path))
     return path.read_bytes()
 
@@ -723,13 +725,7 @@ def test_csv_written_over_any_old_file_matches_a_fresh_write(tmp_path_factory, d
 
 
 def test_csv_to_special_files_links_and_existing_files(tmp_path):
-    long_report, short_report = (
-        cli.run(cli.parse_jobspec(text))
-        for text in (
-            '{"command":"harness","spectrum":{"power_law":{"a_re":1,"p_re":1,"a_im":1,"p_im":1}},"beta":1}',
-            MINIMAL,
-        )
-    )
+    long_report, short_report = (cli.run(cli.parse_jobspec(text)) for text in (_HARNESS, MINIMAL))
     fresh = _fresh_table(short_report, tmp_path)
     # a special file cannot be truncated and is not
     cli.emit_csv(short_report, os.devnull)
@@ -760,11 +756,7 @@ def test_csv_to_special_files_links_and_existing_files(tmp_path):
 
 
 def test_report_written_over_a_longer_report(tmp_path):
-    long_job = write_job(
-        tmp_path,
-        '{"command":"harness","spectrum":{"power_law":{"a_re":1,"p_re":1,"a_im":1,"p_im":1}},"beta":1}',
-        "long.json",
-    )
+    long_job = write_job(tmp_path, _HARNESS, "long.json")
     short_job = write_job(tmp_path, MINIMAL, "short.json")
     path, fresh = tmp_path / "r.json", tmp_path / "fresh.json"
     assert cli.main(["harness", "--job", long_job, "--report", str(path), "--seed-free"]) == 0
