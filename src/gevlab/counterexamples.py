@@ -204,62 +204,63 @@ class _Threshold:
 
 
 class Selection:
-    """Greedy choice of indices j(1) < j(2) < ... from a power-law family.
+    """Greedy choice of indices j(1) < j(2) < ... from a family's envelopes.
 
-    lam_j = a_re j^p_re + i a_im j^p_im.  j(n) is the least j > j(n-1) with
+    For j >= k_min, spectrum.envelope_terms bounds re_lo j^p_re <= Re lam_j
+    <= re_hi j^p_re and Im lam_j alike; b is the smaller of |im_lo|, |im_hi|.
+    j(n) is the least j > j(n-1), with j(0) = k_min - 1, such that
 
-    - |lam_j| >= n, through the leading-term bound a_hi j^p_hi >= n (a_hi is
-      the hypot of the coefficients when both parts share the top exponent):
-      the threshold modulus;
+    - |lam_j| >= n, through c j^p >= n at the exponent p of terms.lower, c^2
+      the sum of the squared lower coefficients there: the threshold modulus;
     - Re lam_j < n^-2 |Im lam_j|^{1/beta}, non-strict at n = 1, where the
-      canonical rules sit exactly on the boundary.  For a_re > 0 this is the
+      canonical rules sit exactly on the boundary.  For re_hi > 0 this is the
       threshold violation, j^delta > c n^2 with delta = p_im/beta - p_re and
-      c = a_re/|a_im|^{1/beta}; for a_re <= 0 every j meets it;
-    - Re lam_j >= n when real parts grow (a_re > 0, p_re > 0): the threshold
-      re_ge_n.
+      c = re_hi/b^{1/beta}; for re_hi <= 0 every j meets it;
+    - Re lam_j >= n when real parts grow (re_lo > 0, p_re > 0): the threshold
+      re_ge_n, j^p_re >= n / re_lo.
 
-    |lam_j| increases strictly in j, and so do the selected moduli.  Every
-    condition is a monotone threshold in j: j(n) = max(j(n-1) + 1, T_1(n),
-    ..., T_k(n)), which extend computes as j(n) - n = cummax(T(n) - n) for all
-    new orders at once, with no eigenvalue.  _Threshold makes each T_i exact.
+    Each threshold is the worst case of its inequality over the envelopes,
+    on a power law (lo = hi) the inequality itself.  Every condition is a
+    monotone threshold in j: j(n) = max(j(n-1) + 1, T_1(n), ..., T_k(n)),
+    which extend computes as j(n) - n = cummax(T(n) - n) for all new orders
+    at once, with no eigenvalue.  _Threshold makes each T_i exact.
     """
 
-    def __init__(self, spectrum: PowerLawSpectrum, beta: float):
+    def __init__(self, spectrum: SpectrumFamily, beta: float):
         self.spectrum = spectrum
         self.beta = beta
         self._js = np.zeros(0, dtype=np.int64)
-        spec = spectrum
-        a, pre, b, pim = (Fraction(v) for v in (spec.a_re, spec.p_re, spec.a_im, spec.p_im))
+        terms = spectrum.envelope_terms
+        (p_re, re_lo, re_hi), (p_im, im_lo, im_hi) = terms.re, terms.im
+        lo, a, pre, pim = (Fraction(v) for v in (re_lo, re_hi, p_re, p_im))
+        b = Fraction(min(abs(im_lo), abs(im_hi)))
+        self.k_min = terms.k_min
         self.violation = self.re_ge_n = None
         if a > 0:
             # positive real parts need |Im| to outrun them: a j^pre < n^-2 |Im_j|^{1/beta}
-            if b == 0 or pim == 0:
-                raise PlanError(
-                    "positive real part with bounded imaginary part: "
-                    "the region condition holds, no violating selection exists"
-                )
+            # (delta > 0 needs pim > 0, and then b > 0)
             delta = pim / Fraction(beta) - pre
             if delta <= 0:
                 raise PlanError(
-                    f"real-part exponent {short_float(spec.p_re)} >= |Im| exponent "
-                    f"{short_float(spec.p_im)}/beta: "
+                    f"real-part exponent {short_float(p_re)} >= |Im| exponent "
+                    f"{short_float(p_im)}/beta: "
                     "the region condition holds beyond a bounded set"
                 )
-            factors = ((a, Fraction(1)), (abs(b), -1 / Fraction(beta)))
+            factors = ((a, Fraction(1)), (b, -1 / Fraction(beta)))
             self.violation = _Threshold("violation inequality", True, delta, Fraction(2), factors)
-            if pre > 0:
-                factors = ((a, Fraction(-1)),)
+            if pre > 0:  # then lo > 0 as well: both Re coefficients share one sign
+                factors = ((lo, Fraction(-1)),)
                 self.re_ge_n = _Threshold("Re lam_{j(n)} >= n", False, pre, Fraction(1), factors)
-        p_hi, _, _ = spectrum._abs_leading()
-        if p_hi <= 0:
-            raise PlanError("modulus of the family does not grow")
-        lead_sq = sum(c * c for p, c in ((pre, a), (pim, b)) if c != 0 and p == p_hi)
+        p_lo = terms.lower[0]
+        lows = (min(abs(c_lo), abs(c_hi)) for p, c_lo, c_hi in (terms.re, terms.im) if p == p_lo)
         self.modulus = _Threshold(
-            "|lam_{j(n)}| >= n", False, Fraction(p_hi), Fraction(1), ((lead_sq, Fraction(-1, 2)),)
+            "|lam_{j(n)}| >= n", False, Fraction(p_lo), Fraction(1),
+            ((sum(Fraction(c) ** 2 for c in lows), Fraction(-1, 2)),),
         )
         self.thresholds = [t for t in (self.violation, self.re_ge_n, self.modulus) if t is not None]
         self.gamma = max(1.0, max(t.exponent for t in self.thresholds))
-        self.env_coeff = sum(t.coeff for t in self.thresholds) + 1.0
+        # j(n) <= n + k_min - 1 + max_i coeff_i n^{exponent_i} <= env_coeff n^gamma
+        self.env_coeff = sum(t.coeff for t in self.thresholds) + self.k_min
 
     def __len__(self) -> int:
         return self._js.size
@@ -280,7 +281,7 @@ class Selection:
         out = np.flatnonzero(~fits)
         n_fit = out[0] if out.size else ns.size
         if n_fit:
-            prev = int(self._js[-1]) if self._js.size else 0
+            prev = int(self._js[-1]) if self._js.size else self.k_min - 1
             floor = np.max([t.least(ns[:n_fit]) for t in self.thresholds], axis=0)
             js = ns[:n_fit] + np.maximum.accumulate(np.maximum(floor - ns[:n_fit], prev + 1 - n0))
             self._js = np.concatenate([self._js, js])
@@ -373,9 +374,9 @@ def _verify_plan(plan: ViolatingSpectrumPlan, prefix: int = _VERIFY_PREFIX) -> N
     that selected them, so a wrongly derived threshold fails here.  Only an
     entry within _NEAR of its boundary is decided by the selection's exact
     rule for that inequality (for the modulus, the leading-term bound, which
-    implies it), so a tie fails a strict inequality.  Strictly increasing
-    indices give strictly increasing moduli.  Real parts stay below omega on
-    bounded plans; the disks have radii in (0, 1/n) and are pairwise disjoint.
+    implies it), so a tie fails a strict inequality.  Indices increase
+    strictly (on a power law, moduli too).  Real parts stay below omega on
+    bounded plans; the disks have radii in (0, 1/n), and neighbours are disjoint.
     """
     sel = plan.selection
     ns = np.arange(1, prefix + 1, dtype=np.int64)
@@ -420,30 +421,31 @@ def build_violating_spectrum(beta: float, case: PlanCase) -> ViolatingSpectrumPl
 def plan_for_spectrum(
     spectrum: SpectrumFamily, beta: float, case: Optional[PlanCase] = None
 ) -> ViolatingSpectrumPlan:
-    """Select a violating subsequence inside the given power-law family."""
+    """Select a violating subsequence inside a family that declares envelopes.
+
+    Real parts grow when re_lo > 0 and p_re > 0 (envelope_terms.re), and are
+    otherwise at most omega = max(re_hi, 0).  _verify_plan reads the actual
+    eigenvalues, so a loose envelope can cause a rejection, never an unsound plan.
+    """
     if isinstance(spectrum, ExplicitSpectrum):
         raise PlanError("a finite spectrum never violates the region condition")
-    if not isinstance(spectrum, PowerLawSpectrum):
-        raise PlanError("violating selections are implemented for power-law families")
+    if spectrum.envelope_terms is None:
+        raise PlanError("a family without declared envelopes has no violating selection")
     if not (beta >= 1 and math.isfinite(beta)):
         raise PlanError("plans are constructed for beta >= 1")
-    re_unbounded = spectrum.a_re > 0 and spectrum.p_re > 0
+    p_re, re_lo, re_hi = spectrum.envelope_terms.re
+    re_unbounded = re_lo > 0 and p_re > 0
     inferred = PlanCase.UNBOUNDED_REAL_PARTS if re_unbounded else PlanCase.BOUNDED_REAL_PARTS
     if case is None:
         case = inferred
     elif case is not inferred:
         raise PlanError(f"this family supports only the {inferred.value} construction")
-    selection = Selection(spectrum, beta)
-    omega = None
-    if case is PlanCase.BOUNDED_REAL_PARTS:
-        # Re lam_k = a k^p with a <= 0 (sup 0), or the constant a itself
-        omega = max(spectrum.a_re, 0.0)
     plan = ViolatingSpectrumPlan(
         beta=beta,
         case=case,
         spectrum=spectrum,
-        selection=selection,
-        omega=omega,
+        selection=Selection(spectrum, beta),
+        omega=max(re_hi, 0.0) if case is PlanCase.BOUNDED_REAL_PARTS else None,
         verified_prefix=_VERIFY_PREFIX,
         detail=f"{case.value} construction on {spectrum.label}",
     )
@@ -462,9 +464,9 @@ class SupportView(SeriesSpace):
 
     Index n stands for lam_{j(n)}; the coefficient there is n^-2 when decay
     is None and e^{-decay n Re lam_{j(n)}} otherwise.  re_bounds,
-    log_abs_bounds and abs_pow_bounds follow from the plan invariants
-    (|lam_{j(n)}| >= n, Re >= n when required, j(n) <= env * n^gamma);
-    im_bounds is None.  When decay is set (such vectors live on plans with
+    log_abs_bounds and abs_pow_bounds follow from the family's envelope_terms
+    and the plan invariants (|lam_{j(n)}| >= n, Re >= n when required,
+    j(n) <= env_coeff n^gamma); im_bounds is None.  When decay is set (such vectors live on plans with
     Re >= n), term_bounds of e^{tA} (ExpSymbol, real t) is the coupled upper
     envelope -decay n^2 + t n.  On plans with unbounded real parts the
     refuting vector f is a _ProofView, which also couples the lower envelope
@@ -499,19 +501,20 @@ class SupportView(SeriesSpace):
         )
 
     def _abs_upper(self) -> tuple[float, float, float]:
-        """(gamma, p_hi, c): |lam_{j(n)}| <= c n^{gamma p_hi}."""
-        spec = self.plan.spectrum
-        p_hi, _, _ = spec._abs_leading()
-        coeff = (abs(spec.a_re) + abs(spec.a_im)) * self.selection.env_coeff**p_hi
-        return self.selection.gamma, p_hi, coeff
+        """(gamma, p_hi, c): |lam_{j(n)}| <= |Re| + |Im| <= c n^{gamma p_hi}."""
+        terms = self.plan.spectrum.envelope_terms
+        p_hi = terms.upper[0]
+        top = sum(max(abs(lo), abs(hi)) for _, lo, hi in (terms.re, terms.im))
+        return self.selection.gamma, p_hi, top * self.selection.env_coeff**p_hi
 
     def re_bounds(self) -> TailBounds:
         if self.plan.case is PlanCase.BOUNDED_REAL_PARTS:
             return TailBounds(None, AsymForm.constant(self.plan.omega), 1)
-        spec, sel = self.plan.spectrum, self.selection
+        sel = self.selection
+        p_re, _, re_hi = self.plan.spectrum.envelope_terms.re
         return TailBounds(
             AsymForm.power(1.0, 1.0),  # Re >= n by selection
-            AsymForm.power(sel.gamma * spec.p_re, spec.a_re * sel.env_coeff**spec.p_re),
+            AsymForm.power(sel.gamma * p_re, re_hi * sel.env_coeff**p_re),
             1,
         )
 
@@ -597,7 +600,7 @@ def _bounded_vectors(plan: ViolatingSpectrumPlan, p: float):
 def _unbounded_vectors(plan: ViolatingSpectrumPlan, p: float):
     spec = plan.spectrum
     q = conjugate_exponent(p)
-    if plan.selection.identity_certified() and spec.p_re == 1.0 and spec.a_re == 1.0:
+    if plan.selection.identity_certified() and spec.envelope_terms.re == (1.0, 1.0, 1.0):
         # Re lam_k = k exactly: the proof's coefficients are e^{-k^2}
         f = CoefficientVector.power_decay(spec, 1.0, 2.0, p=p, label="ce-f(e^-k^2)")
         h = CoefficientVector.power_decay(spec, 0.5, 2.0, p=p, label="ce-h(e^-k^2/2)")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class ReBoundedAbove:
 @dataclass(frozen=True)
 class DecayDominates:
     r: float
-    p_re: float
+    p_re: Optional[float]  # None on a plan's view, whose coupled envelope has no Re exponent
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,9 @@ def check_admissible(f: CoefficientVector, t_max: float = DEFAULT_T_MAX) -> Admi
 def _growing_re_rule(space, re_b) -> TailRule:
     """Real parts grow.  Decay dominates when the upper envelope of
     log|f_k| + t Re lam_k has one negative leading term, residual included,
-    at t = 0 and at DEFAULT_T_MAX (on a dense space: the decay scale exceeds
-    the growth scale).  Otherwise look for a certified failure time."""
+    at t = 0 and at DEFAULT_T_MAX: on a dense space the decay scale then
+    exceeds the growth scale, and a plan's view (space.selection set) reads
+    its own coupled envelope.  Otherwise look for a certified failure time."""
     ups = [space.term_bounds(ExpSymbol(t)) for t in (0.0, DEFAULT_T_MAX)]
     if any(b is None or b.upper is None for b in ups):
         return Undetermined("no decay envelope for the coefficients")
@@ -151,7 +152,7 @@ def _growing_re_rule(space, re_b) -> TailRule:
     gr_up = re_b.upper.leading()
     same = lead0 is not None and (lead0, lead0.residual) == (lead_top, lead_top.residual)
     if same and lead0.coeff < 0:
-        return DecayDominates(r=lead0.power, p_re=gr_up.power)
+        return DecayDominates(lead0.power, gr_up.power if space.selection is None else None)
 
     # decay does not dominate: look for a certified failure time
     cb = space.term_bounds()
@@ -186,6 +187,8 @@ def _rule_detail(rule: TailRule) -> str:
         return "finitely many atoms"
     if isinstance(rule, ReBoundedAbove):
         return f"Re(lam_k) <= {rule.omega:g} for all k"
+    if isinstance(rule, DecayDominates) and rule.p_re is None:
+        return f"coupled envelope keeps a negative leading term n^{rule.r:g} at t = 0 and {DEFAULT_T_MAX:g}"
     if isinstance(rule, DecayDominates):
         return f"coefficient decay exponent {rule.r:g} > real-part growth exponent {rule.p_re:g}"
     if isinstance(rule, WitnessFailure):

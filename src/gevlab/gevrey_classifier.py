@@ -39,7 +39,6 @@ from .series import DEFAULT_BUDGET, SeriesBudget, SeriesStatus
 from .spectral_core import (
     CoefficientVector,
     ExplicitSpectrum,
-    PowerLawSpectrum,
     SpectrumFamily,
     abs_gt,
     project,
@@ -360,13 +359,13 @@ class RegionHolds:
 class RegionViolated:
     """The spectrum leaves {Re >= b_+ |Im|^{1/beta}} along an unbounded set.
 
-    On a power-law family the witness is lam_{j(1)}, ..., lam_{j(12)} of the
-    violating selection that plan_for_spectrum uses (counterexamples.
-    Selection): |lam_{j(n)}| >= n and Re lam_{j(n)} < n^-2 |Im lam_{j(n)}|^{1/beta},
-    decided exactly.  The witness stops early, possibly empty, where the
-    selected indices would leave int64 (a Violated verdict all the same), and
-    a custom family has no selection, so its witness is empty; in both cases
-    the report's detail says so.
+    The witness is lam_{j(1)}, ..., lam_{j(12)} of the violating selection
+    that plan_for_spectrum uses (counterexamples.Selection), read from the
+    same declared envelopes as the verdict: |lam_{j(n)}| >= n and
+    Re lam_{j(n)} < n^-2 |Im lam_{j(n)}|^{1/beta}, each in its worst case over
+    the envelopes (on a power law, itself), decided exactly.  The witness
+    stops early, possibly empty, where the selected indices would leave int64
+    (a Violated verdict all the same), and the report's detail says so.
     """
 
     witness: tuple[complex, ...]
@@ -433,9 +432,6 @@ def _ratio_summary(spectrum: SpectrumFamily, beta: float, sample: int) -> RatioT
 
 
 def _violated(spectrum: SpectrumFamily, beta: float, tail, detail) -> RegionReport:
-    if not isinstance(spectrum, PowerLawSpectrum):
-        detail += "; no witness: a custom family has no violating selection"
-        return RegionReport(beta, RegionViolated(()), tail, detail)
     from .counterexamples import Selection
 
     try:

@@ -155,10 +155,6 @@ class SpectrumFamily:
         terms = EnvelopeTerms(re, im, max(re_b.k_min, im_b.k_min), lower, upper)
         object.__setattr__(self, "envelope_terms", terms)
 
-    def _abs_leading(self) -> tuple[float, float, float]:
-        """(exponent, coefficient, slack) of the upper envelope of |lam_k|."""
-        return self.envelope_terms.upper
-
     def abs_pow_bounds(self, q: float) -> Optional[TailBounds]:
         """Envelopes of |lam_k|^q, from those of Re and Im lam_k.
 

@@ -59,3 +59,20 @@ def test_no_unreferenced_private_names():
         f"{name}:{n}" for name, tree in trees.items() for n in _private_definitions(tree) if n not in read
     ]
     assert not unread, f"private names defined but never read: {unread}"
+
+
+_POWER_LAW_FIELDS = {"a_re", "p_re", "a_im", "p_im"}
+
+
+@pytest.mark.parametrize("name", ["counterexamples.py", "gevrey_classifier.py"])
+def test_plans_and_region_read_envelopes_not_power_law_fields(name):
+    """Selections, plans and the region test read a family's envelope_terms
+    only, so no attribute of a PowerLawSpectrum is read there, and the
+    classifier does not name the class at all."""
+    tree = ast.parse((_SRC / name).read_text(), filename=name)
+    attrs = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not attrs & _POWER_LAW_FIELDS, f"{name} reads power-law fields: {attrs & _POWER_LAW_FIELDS}"
+    if name == "gevrey_classifier.py":
+        named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        named |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        assert "PowerLawSpectrum" not in named, f"{name} names PowerLawSpectrum"

@@ -47,7 +47,7 @@ GOLDEN = {
     },
     ("mixed-quart", 2.0): {
         "probe_status": _CONVERGES_ALL_T,
-        "tail_rule": "DecayDominates(r=2.0, p_re=2.0)",
+        "tail_rule": "DecayDominates(r=2.0, p_re=None)",
         "class_probes": "((9.5367431640625e-07, 'diverges'),)",
         "probe_certificates": _PROBES_DIVERGE,
         "series_calls": [_ADMISSIBILITY_PROBE] * 4 + [_DIVERGES] * 4,

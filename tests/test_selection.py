@@ -92,38 +92,48 @@ def _sign(lhs, rhs) -> int:
         return 0 if abs(gap) < mpmath.mpf(2) ** -200 else (1 if gap > 0 else -1)
 
 
-def _ok(spec, beta: float, j: int, n: int) -> bool:
-    """The selection rule at (j, n), on the eigenvalue lam_j = a j^pre + i b j^pim."""
-    a, pre, b, pim = (Fraction(v) for v in (spec.a_re, spec.p_re, spec.a_im, spec.p_im))
+def _power_law(spec):
+    """The envelopes of a power law: each component equals its own term."""
+    return (spec.p_re, spec.a_re, spec.a_re), (spec.p_im, spec.a_im, spec.a_im), 1
+
+
+def _ok(env, beta: float, j: int, n: int) -> bool:
+    """The selection rule at (j, n), in its worst case over the envelopes
+    env = ((p_re, re_lo, re_hi), (p_im, im_lo, im_hi), k_min): re_lo j^pre
+    <= Re lam_j <= re_hi j^pre and the same for Im lam_j."""
+    (pre, re_lo, re_hi), (pim, im_lo, im_hi), _ = env
+    pre, pim, lo, a = (Fraction(v) for v in (pre, pim, re_lo, re_hi))
+    b = min(abs(Fraction(im_lo)), abs(Fraction(im_hi)))  # |Im lam_j| >= b j^pim
     inv_beta = 1 / Fraction(beta)
-    parts = [(p, c) for p, c in ((pre, a), (pim, b)) if c != 0]
+    parts = [(p, c) for p, c in ((pre, min(abs(lo), abs(a))), (pim, b)) if c != 0]
     p_hi = max(p for p, _ in parts)
     lead_sq = sum(c * c for p, c in parts if p == p_hi)
-    # |lam_j| >= n through the leading term
+    # |lam_j| >= n through the lower leading term
     if _sign([(lead_sq, Fraction(1, 2)), (j, p_hi)], [(n, 1)]) < 0:
         return False
-    # Re < n^-2 |Im|^{1/beta}, non-strict at n = 1; for a <= 0, Re <= 0 <= rhs
-    # with equality only when a = b = 0
+    # Re < n^-2 |Im|^{1/beta}, non-strict at n = 1; for re_hi <= 0, Re <= 0 <= rhs
+    # with equality only when Re = Im = 0
     if a > 0:
-        s = _sign([(a, 1), (j, pre), (n, 2)], [(abs(b), inv_beta), (j, pim * inv_beta)])
+        s = _sign([(a, 1), (j, pre), (n, 2)], [(b, inv_beta), (j, pim * inv_beta)])
         if s > 0 or (s == 0 and n >= 2):
             return False
     # Re >= n when real parts grow
-    if a > 0 and pre > 0 and _sign([(a, 1), (j, pre)], [(n, 1)]) < 0:
+    if lo > 0 and pre > 0 and _sign([(lo, 1), (j, pre)], [(n, 1)]) < 0:
         return False
     return True
 
 
-def _guess(spec, beta: float, n: int) -> int:
+def _guess(env, beta: float, n: int) -> int:
     """Float estimate of the least index meeting the rule at order n."""
-    a, pre, b, pim = spec.a_re, spec.p_re, spec.a_im, spec.p_im
-    parts = [(p, abs(c)) for p, c in ((pre, a), (pim, b)) if c != 0]
+    (pre, re_lo, re_hi), (pim, im_lo, im_hi), _ = env
+    b = min(abs(im_lo), abs(im_hi))
+    parts = [(p, c) for p, c in ((pre, min(abs(re_lo), abs(re_hi))), (pim, b)) if c != 0]
     p_hi = max(p for p, _ in parts)
     g = (n / math.hypot(*(c for p, c in parts if p == p_hi))) ** (1.0 / p_hi)
-    if a > 0:
-        g = max(g, (a * n * n / abs(b) ** (1.0 / beta)) ** (1.0 / (pim / beta - pre)))
-        if pre > 0:
-            g = max(g, (n / a) ** (1.0 / pre))
+    if re_hi > 0:
+        g = max(g, (re_hi * n * n / b ** (1.0 / beta)) ** (1.0 / (pim / beta - pre)))
+    if re_lo > 0 and pre > 0:
+        g = max(g, (n / re_lo) ** (1.0 / pre))
     return int(g)
 
 
@@ -142,11 +152,12 @@ def _least(ok, lo: int, guess: int) -> int:
     return hi
 
 
-def _greedy(spec, beta: float, n_top: int) -> list[int]:
-    """Reference: the greedy choice made one index at a time with the oracle."""
-    js, prev = [], 0
+def _greedy(env, beta: float, n_top: int) -> list[int]:
+    """Reference: the greedy choice made one index at a time with the oracle,
+    from j(0) = k_min - 1."""
+    js, prev = [], env[2] - 1
     for n in range(1, n_top + 1):
-        prev = _least(lambda j: _ok(spec, beta, j, n), prev, _guess(spec, beta, n))
+        prev = _least(lambda j: _ok(env, beta, j, n), prev, _guess(env, beta, n))
         js.append(prev)
     return js
 
@@ -197,7 +208,7 @@ def test_blocks_match_scalar_greedy(a_re, p_re, a_im, p_im, beta, orders):
     sel = Selection(spec, beta)
     for n in (1, 7, 300, orders):  # extensions seeded at several places
         sel.extend(n)
-    assert sel.indices(np.arange(1, orders + 1)).tolist() == _greedy(spec, beta, orders)
+    assert sel.indices(np.arange(1, orders + 1)).tolist() == _greedy(_power_law(spec), beta, orders)
 
 
 @pytest.mark.parametrize(
@@ -306,7 +317,7 @@ def test_selection_matches_exact_greedy_on_small_denominators(a_re, p_re, a_im, 
             sel.extend(n)
     except (gl.SpectrumError, gl.PlanError):
         assume(False)
-    assert sel.indices(np.arange(1, 301)).tolist() == _greedy(spec, beta, 300)
+    assert sel.indices(np.arange(1, 301)).tolist() == _greedy(_power_law(spec), beta, 300)
 
 
 def test_boundary_order_on_mixed_quart_at_beta_two():
@@ -348,7 +359,7 @@ def test_selection_past_int64_keeps_the_violated_verdict():
     spec = gl.PowerLawSpectrum(1.0, 1.0, 1.0, 1.1)
     rep = gl.region_condition(spec, 1.0)
     assert rep.violated
-    want = spec.eigenvalues(np.asarray(_greedy(spec, 1.0, 8)))
+    want = spec.eigenvalues(np.asarray(_greedy(_power_law(spec), 1.0, 8)))
     assert rep.status.witness == tuple(want.tolist())
     assert "witness cut to 8 points: selected index leaves int64 at order n=9" in rep.detail
     job = cli.parse_jobspec(
@@ -394,14 +405,86 @@ def test_verification_reads_the_eigenvalues_not_the_thresholds():
         _verify_plan(plan)
 
 
-def test_custom_family_region_has_no_witness():
-    zero = gl.TailBounds.exact(gl.AsymForm.constant(0.0))
-    spec = gl.CustomSpectrum(
-        lambda k: 1j * k * k, (zero, gl.TailBounds.exact(gl.AsymForm.power(2.0, 1.0)))
+# lam_k = k (1 + 0.1 sin k) + i k^2, declared by 0.9 k <= Re lam_k <= 1.1 k and
+# Im lam_k = k^2: the region condition fails at beta = 1 from the envelopes alone
+_LOOSE_ENV = ((1.0, 0.9, 1.1), (2.0, 1.0, 1.0), 1)
+
+
+def _loose_family():
+    re = gl.TailBounds(gl.AsymForm.power(1.0, 0.9), gl.AsymForm.power(1.0, 1.1))
+    im = gl.TailBounds.exact(gl.AsymForm.power(2.0, 1.0))
+    return gl.CustomSpectrum(
+        lambda k: complex(k * (1.0 + 0.1 * math.sin(k)), k * k), (re, im), label="loose"
     )
+
+
+def test_custom_family_witness_is_the_plan_selection():
+    spec = _loose_family()
     rep = gl.region_condition(spec, 1.0)
-    assert rep.violated and rep.status.witness == ()
-    assert "no witness" in rep.detail
+    assert rep.violated and len(rep.status.witness) == 12
+    plan = gl.plan_for_spectrum(spec, 1.0)
+    assert plan.case is gl.PlanCase.UNBOUNDED_REAL_PARTS
+    assert rep.status.witness == tuple(plan.selected_lams(np.arange(1, 13)).tolist())
+
+
+def test_custom_family_harness_certifies_its_counterexample():
+    report = gl.theorem_equivalence_harness(_loose_family(), 1.0)
+    art = report.counterexample
+    assert report.region.violated and not report.notes
+    assert art.admissibility.admissible and art.non_membership.member is False
+
+
+def test_loose_family_matches_the_envelope_greedy():
+    sel = Selection(_loose_family(), 1.0)
+    assert sel.indices(np.arange(1, 1001)).tolist() == _greedy(_LOOSE_ENV, 1.0, 1000)
+
+
+def test_selection_starts_where_the_envelopes_hold():
+    # lam_1 = 5 breaks Re lam_k = 0, declared from k = 2 only: j(1) = 1 would
+    # fail the violation inequality 5 < |Im lam_1| = 0
+    exact = gl.TailBounds.exact
+    spec = gl.CustomSpectrum(
+        lambda k: 5.0 if k == 1 else 1j * k * k,
+        (exact(gl.AsymForm.constant(0.0), 2), exact(gl.AsymForm.power(2.0, 1.0), 2)),
+    )
+    plan = gl.plan_for_spectrum(spec, 1.0)
+    js = plan.selection.indices(np.arange(1, plan.verified_prefix + 1))
+    assert js.min() == js[0] == 2
+    assert js.tolist()[:4] == _greedy(((0.0, 0.0, 0.0), (2.0, 1.0, 1.0), 2), 1.0, 4)
+    _verify_plan(plan)
+    assert plan.omega == 0.0 and plan.selection.env_coeff >= 2.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    a_re=st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
+    p_re=st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]),
+    a_im=st.sampled_from([0.0, 0.25, 1.0, 2.5]),
+    p_im=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 4.0]),
+    beta=st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0]),
+)
+def test_power_law_envelopes_declared_on_a_custom_family_plan_alike(a_re, p_re, a_im, p_im, beta):
+    # the plan reads only envelope_terms, so the power law's own exact
+    # envelopes, declared on a custom family with the same rule, give the same
+    # selection, case and omega, or the same PlanError
+    try:
+        spec = gl.PowerLawSpectrum(a_re, p_re, a_im, p_im)
+    except gl.SpectrumError:
+        assume(False)
+    custom = gl.CustomSpectrum(spec.eigenvalue, (spec.re_bounds(), spec.im_bounds()))
+    plans = []
+    for family in (spec, custom):
+        try:
+            plans.append(gl.plan_for_spectrum(family, beta))
+        except gl.PlanError as exc:
+            plans.append(str(exc))
+    want, got = plans
+    if isinstance(want, str):
+        assert got == want
+        return
+    ns = np.arange(1, 4097)
+    assert np.array_equal(got.selection.indices(ns), want.selection.indices(ns))
+    assert (got.case, got.omega) == (want.case, want.omega)
 
 
 @pytest.mark.parametrize("decay", [None, 1.0])
@@ -447,7 +530,7 @@ def test_dense_inverse_matches_brute_force(decay):
     assert fresh.selection.indices(np.arange(1, 3)).tolist() == [1, 5]
     assert fresh.selection._js.size <= 2048
     ns = np.arange(1, 1025)
-    ref = np.asarray(_greedy(spec, 2.0, 1024), dtype=np.int64)
+    ref = np.asarray(_greedy(_power_law(spec), 2.0, 1024), dtype=np.int64)
     assert ref[-1] >= js[-1]
     keep = ref <= js[-1]
     want = np.full(js.shape, NEG_INF)

@@ -399,12 +399,13 @@ def test_abs_pow_envelopes_hold_against_an_oracle(a_re, p_re, a_im, p_im, q):
 
 
 def test_region_reads_declared_intervals():
-    # Re lam_k >= k against |Im lam_k| <= 4 k^2: outrun at beta = 1, and at
-    # beta = 2 inside Re >= |Im|^{1/2} / 2, the lower Re over the upper |Im|
-    # coefficient
+    # Re lam_k >= k against |Im lam_k| <= 4 k^2: outrun at beta = 1, with the
+    # witness selected from Re <= 3 k and |Im| >= 2 k^2, and at beta = 2 inside
+    # Re >= |Im|^{1/2} / 2, the lower Re over the upper |Im| coefficient
     spec = _interval_family()
     violated = gl.region_condition(spec, 1.0)
-    assert violated.violated and violated.status.witness == ()
+    want = gl.plan_for_spectrum(spec, 1.0).selected_lams(np.arange(1, 13))
+    assert violated.violated and violated.status.witness == tuple(want.tolist())
     holds = gl.region_condition(spec, 2.0)
     b_plus = 0.5
     for _ in range(4):
@@ -459,7 +460,7 @@ def _envelope_reprs():
             yield repr(spec.abs_pow_bounds(q))
         yield repr(spec.log_abs_bounds())
         yield repr(spec.unbounded)
-        yield repr(spec._abs_leading())
+        yield repr(spec.envelope_terms.upper)
 
 
 # sha256 of _envelope_reprs(), one repr per line
