@@ -176,6 +176,100 @@ class AsymForm:
         return " + ".join(bits)
 
 
+def affine_family(base: AsymForm, slope: AsymForm, p: float) -> Callable[[float], AsymForm]:
+    """n -> (base + slope.scale(n)).scale(p), for forms as build makes them
+    and p > 0.
+
+    Each row gets exactly the terms and floats of those AsymForm operations:
+    the same `_term` calls, zero terms dropped alike.  Their coefficients
+    are affine in n, so a term of base that slope.scale(n) does not share is
+    scaled by p once, for every n.
+    """
+    own = {t.scale(): t for t in base.terms}
+    scaled_own = {s: _term(*s, (t.coeff, t.residual), p) for s, t in own.items()}
+    scales = sorted(own.keys() | {t.scale() for t in slope.terms}, reverse=True)
+
+    def row(n: float) -> AsymForm:
+        steep = {}  # the nonzero terms of slope.scale(n)
+        if n != 0.0:
+            for t in slope.terms:
+                u = _term(t.power, t.log_power, (t.coeff, t.residual), n)
+                if u.coeff != 0.0:
+                    steep[u.scale()] = u
+        terms = []
+        for s in scales:
+            d = steep.get(s)
+            if d is None:
+                t = scaled_own.get(s)
+            else:
+                b = own.get(s)
+                m = d if b is None else _term(*s, (b.coeff, b.residual, d.coeff, d.residual))
+                t = _term(*s, (m.coeff, m.residual), p) if m.coeff != 0.0 else None
+            if t is not None and t.coeff != 0.0:
+                terms.append(t)
+        const = base.const + (n * slope.const if n != 0.0 else 0.0)
+        return AsymForm(tuple(terms), p * const)
+
+    return row
+
+
+class FormRows:
+    """AsymForms stacked as the rows of one coefficient matrix, so a whole
+    family is evaluated in one array call.
+
+    Row r of evaluate(ks) is forms[r].evaluate(ks), element for element:
+    coeffs[r, j] is the coefficient of scales[j] = (q_j, m_j) in forms[r],
+    0 where the form has no such term (build keeps no zero coefficient),
+    and a missing term adds nothing.  A single form is evaluated as itself.
+    """
+
+    __slots__ = ("forms", "scales", "coeffs", "consts", "full")
+
+    def __init__(self, forms):
+        self.forms = tuple(forms)
+        if len(self.forms) < 2:
+            return
+        scales = sorted({t.scale() for f in self.forms for t in f.terms}, reverse=True)
+        col = {s: j for j, s in enumerate(scales)}
+        rows, seen = [], [0] * len(scales)
+        for f in self.forms:
+            row = [0.0] * len(scales)
+            for t in f.terms:
+                j = col[t.scale()]
+                row[j] = t.coeff
+                seen[j] += 1
+            rows.append(row)
+        self.scales = tuple(scales)
+        self.coeffs = np.array(rows, dtype=float).reshape(len(rows), len(scales))
+        self.consts = np.array([f.const for f in self.forms], dtype=float)
+        self.full = [c == len(rows) for c in seen]  # no row misses scales[j]
+
+    def __len__(self) -> int:
+        return len(self.forms)
+
+    def take(self, rows: list[int]) -> "FormRows":
+        """The rows listed, in increasing order."""
+        return self if len(rows) == len(self.forms) else FormRows(self.forms[r] for r in rows)
+
+    def evaluate(self, ks) -> np.ndarray:
+        """Every row at every point of ks, shape (rows, points)."""
+        if len(self.forms) == 1:
+            return self.forms[0].evaluate(ks)[None]
+        ks = np.asarray(ks, dtype=float)
+        if not self.forms:
+            return np.empty((0, ks.size))
+        out = np.repeat(self.consts[:, None], ks.size, axis=1)
+        if self.scales:
+            lk = np.log(ks)
+        for j, (q, m) in enumerate(self.scales):
+            c = self.coeffs[:, j, None]
+            piece = c * ks**q
+            if m:
+                piece *= lk**m
+            np.add(out, piece, out=out, where=True if self.full[j] else c != 0.0)
+        return out
+
+
 class GrowthKind(Enum):
     GROWS = "grows"
     SUPER_DECAY = "super-decay"
@@ -237,55 +331,70 @@ def _effective_leading(form: AsymForm) -> Optional[AsymTerm]:
     return max(items, key=lambda t: (t.power, t.log_power))
 
 
-def _batched(form: AsymForm, ks: np.ndarray) -> np.ndarray:
-    """form at every point of ks in one call, numpy's overflow and invalid
-    warnings held back: a scalar loop reads only a prefix of the points, and
-    the points past it must not warn.  numpy evaluates each element the same
-    way at any array length, so every value equals the scalar one."""
+def _batched(rows: FormRows, ks: np.ndarray) -> list:
+    """Every row at every point of ks in one call, as lists, numpy's
+    overflow and invalid warnings held back: a scalar loop reads only a
+    prefix of the points, and the points past it must not warn.  numpy
+    evaluates each element the same way at any array length, so every value
+    equals the scalar one."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return form.evaluate(ks)
+        return rows.evaluate(ks).tolist()
 
 
-def _warn_as_read(form: AsymForm, ks: np.ndarray, vals: np.ndarray) -> None:
-    """Evaluate form again, warnings on, at the points a scalar loop read
-    whose batched value is not finite.  Overflow and invalid operations
-    leave a non-finite value, so numpy reports exactly what that loop did."""
-    finite = np.isfinite(vals)
-    if not finite.all():
-        form.evaluate(ks[~finite])
+def _warn_as_read(form: AsymForm, ks: np.ndarray, vals: list, read) -> None:
+    """Evaluate form again, warnings on, at the points ks[i], i in read, that
+    a scalar loop read and whose batched value vals[i] is not finite.
+    Overflow and invalid operations leave a non-finite value, so numpy
+    reports exactly what that loop did."""
+    bad = [i for i in read if not math.isfinite(vals[i])]
+    if bad:
+        form.evaluate(ks[bad])
 
 
-def mono_decreasing_start(form: AsymForm, start: int = 4) -> Optional[int]:
+def mono_decreasing_start(form: "AsymForm | FormRows", start: int = 4):
     """Smallest power-of-two index beyond which `form` is decreasing.
 
     The first checkpoint k = max(4, start) 2^i <= 2^40 where the symbolic
     derivative is negative at k, 2k, 4k and 8k and form(2k) <= form(k).
     Both forms are evaluated once, over every checkpoint.  Only meaningful
-    for forms classified SUPER_DECAY or decaying POLY.
+    for forms classified SUPER_DECAY or decaying POLY.  Given a FormRows,
+    the start of every row, as a list: the rows are evaluated in one call,
+    and so are their derivatives.
     """
-    deriv = form.derivative()
-    lead = _effective_leading(deriv)
-    if lead is not None and lead.coeff > 0:
-        return None
+    if isinstance(form, AsymForm):
+        return _mono_starts(FormRows([form]), start)[0]
+    return _mono_starts(form, start)
+
+
+def _mono_starts(rows: FormRows, start: int) -> list[Optional[int]]:
+    out: list[Optional[int]] = [None] * len(rows)
+    derivs = [form.derivative() for form in rows.forms]
+    live = [r for r, d in enumerate(derivs) if not _rises(d)]
     k = max(4, start)
     n = ((1 << 40) // k).bit_length()  # checkpoints k 2^i <= 2^40, i < n
-    if not n:
-        return None
+    if not n or not live:
+        return out
     ks = k * 2.0 ** np.arange(n + 3)
-    dvals = _batched(deriv, ks)
-    fvals = _batched(form, ks[: n + 1])
-    neg = (dvals < 0).tolist()
-    found, read = None, []  # read: form points of the checkpoints tested
-    for i in range(n):
-        if all(neg[i : i + 4]):
-            read += (i, i + 1)
-            if fvals[i + 1] <= fvals[i]:
-                found = i
-                break
-    last = n - 1 if found is None else found
-    _warn_as_read(deriv, ks[: last + 4], dvals[: last + 4])
-    _warn_as_read(form, ks[read], fvals[read])
-    return None if found is None else k << found
+    dvals = _batched(FormRows(derivs[r] for r in live), ks)
+    fvals = _batched(rows.take(live), ks[: n + 1])
+    for r, dv, fv in zip(live, dvals, fvals):
+        found, read = None, []  # read: form points of the checkpoints tested
+        for i in range(n):
+            if dv[i] < 0 and dv[i + 1] < 0 and dv[i + 2] < 0 and dv[i + 3] < 0:
+                read += (i, i + 1)
+                if fv[i + 1] <= fv[i]:
+                    found = i
+                    break
+        last = n - 1 if found is None else found
+        _warn_as_read(derivs[r], ks, dv, range(last + 4))
+        _warn_as_read(rows.forms[r], ks, fv, read)
+        out[r] = None if found is None else k << found
+    return out
+
+
+def _rises(deriv: AsymForm) -> bool:
+    lead = _effective_leading(deriv)
+    return lead is not None and lead.coeff > 0
 
 
 def log_tail_bound(form: AsymForm, K: int) -> Optional[float]:
@@ -299,39 +408,84 @@ def log_tail_bound(form: AsymForm, K: int) -> Optional[float]:
 
 
 def tail_bounder(form: AsymForm) -> Callable[[int], Optional[float]]:
-    """K -> log_tail_bound(form, K), with `form` classified and its monotone
-    start found once for every K."""
-    kind, payload = classify_form(form)
-    if kind is GrowthKind.CONST and payload == NEG_INF:
-        return lambda K: NEG_INF
-    if kind is GrowthKind.POLY and payload < -1.0:
-        # the integral bound is exact only for a pure d*log(k) + const form
-        if any(t.power != 0.0 or t.log_power != 1 for t in form.terms):
-            return lambda K: None
-        # sum_{k>K} k^d e^c <= e^c * K^{d+1} / (-d-1) for decreasing k^d
-        return lambda K: form.const + (payload + 1.0) * math.log(K) - math.log(-payload - 1.0)
-    start = mono_decreasing_start(form) if kind is GrowthKind.SUPER_DECAY else None
+    """K -> log_tail_bound(form, K), the one-form case of tail_bounders."""
+    bound = tail_bounders([form])
+    return lambda K: bound(K, [0])[0]
 
-    def bound(K: int) -> Optional[float]:
-        """Blocks (left, 2 left] for left = K 2^j, j < 240, each bounded by
-        left e^{form(left + 1)}; form is read for 8 doublings per call."""
-        if start is None or K < start:
-            return None
-        acc = NEG_INF
-        for j0 in range(0, 240, 8):
-            lefts = [int(K) << j for j in range(j0, j0 + 8)]
-            ks = np.array([left + 1 for left in lefts], dtype=float)
-            vals = _batched(form, ks)
-            for i, (left, v) in enumerate(zip(lefts, vals.tolist())):
-                contrib = math.log(left) + v
-                acc = logaddexp(acc, contrib)
-                if j0 + i >= 2 and contrib < acc - 60.0:
-                    _warn_as_read(form, ks[: i + 1], vals[: i + 1])
-                    return acc
-            _warn_as_read(form, ks, vals)
-        return None
+
+def tail_bounders(forms: list) -> Callable[[int, list], list]:
+    """(K, rows) -> [log_tail_bound(forms[r], K) for r in rows].
+
+    Each form is classified once.  The monotone starts of all forms that
+    decay faster than every power come from one mono_decreasing_start call,
+    and the checkpoints of all rows bounded at one K from one evaluation.
+    """
+    closed: list = []  # per form: K -> bound, or None for the block bound
+    for form in forms:
+        kind, payload = classify_form(form)
+        if kind is GrowthKind.CONST and payload == NEG_INF:
+            closed.append(lambda K: NEG_INF)
+        elif kind is GrowthKind.POLY and payload < -1.0:
+            closed.append(_poly_bound(form, payload))
+        elif kind is GrowthKind.SUPER_DECAY:
+            closed.append(None)
+        else:
+            closed.append(lambda K: None)
+    decay = [r for r, c in enumerate(closed) if c is None]
+    rows = FormRows(forms[r] for r in decay)
+    starts = dict(zip(decay, mono_decreasing_start(rows))) if decay else {}
+    kept = [i for i, r in enumerate(decay) if starts[r] is not None]
+    rows = rows.take(kept)
+    pos = {decay[i]: j for j, i in enumerate(kept)}  # form -> its row in rows
+
+    def bound(K: int, which: list) -> list:
+        out = [None if closed[r] is None else closed[r](K) for r in which]
+        due = [i for i, r in enumerate(which) if r in pos and K >= starts[r]]
+        if due:
+            for i, tb in zip(due, _block_bounds(rows.take([pos[which[i]] for i in due]), K)):
+                out[i] = tb
+        return out
 
     return bound
+
+
+def _poly_bound(form: AsymForm, payload: float) -> Callable[[int], Optional[float]]:
+    # the integral bound is exact only for a pure d*log(k) + const form
+    if any(t.power != 0.0 or t.log_power != 1 for t in form.terms):
+        return lambda K: None
+    # sum_{k>K} k^d e^c <= e^c * K^{d+1} / (-d-1) for decreasing k^d
+    return lambda K: form.const + (payload + 1.0) * math.log(K) - math.log(-payload - 1.0)
+
+
+def _block_bounds(rows: FormRows, K: int) -> list[Optional[float]]:
+    """Blocks (left, 2 left] for left = K 2^j, j < 240, each bounded by
+    left e^{form(left + 1)}, summed for every row until a block adds less
+    than e^-60 of the sum; the rows still summing are read for 8 doublings
+    per call."""
+    out: list[Optional[float]] = [None] * len(rows)
+    acc = [NEG_INF] * len(rows)
+    live = list(range(len(rows)))
+    for j0 in range(0, 240, 8):
+        lefts = [int(K) << j for j in range(j0, j0 + 8)]
+        ks = np.array([left + 1 for left in lefts], dtype=float)
+        going = []
+        for r, v in zip(live, _batched(rows.take(live), ks)):
+            a = acc[r]
+            for i, left in enumerate(lefts):
+                contrib = math.log(left) + v[i]
+                a = logaddexp(a, contrib)
+                if j0 + i >= 2 and contrib < a - 60.0:
+                    _warn_as_read(rows.forms[r], ks, v, range(i + 1))
+                    out[r] = a
+                    break
+            else:
+                _warn_as_read(rows.forms[r], ks, v, range(8))
+                acc[r] = a
+                going.append(r)
+        live = going
+        if not live:
+            break
+    return out
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .asymptotics import AsymForm, TailBounds
+from .asymptotics import AsymForm, TailBounds, affine_family
 from .errors import DomainError
 from .logdomain import NEG_INF
 from .series import (
@@ -25,6 +25,7 @@ from .series import (
     ConvergenceCertificate,
     SeriesBudget,
     SeriesStatus,
+    certify_log_rows,
     certify_log_series,
 )
 from .spectral_core import (
@@ -379,43 +380,74 @@ class PowerNorms:
 def power_norms(
     f: CoefficientVector, n_max: int, budget: SeriesBudget = DEFAULT_BUDGET
 ) -> PowerNorms:
-    """Compute ||A^n f||_p for n = 0..n_max, one series engine call per power.
+    """Compute ||A^n f||_p for n = 0..n_max in one series engine pass.
 
-    The series of A^n f is certified by certify_log_series over the vector's
-    index space, with the space's term_bounds(lam^n) as tail envelope
-    (A^0 f = f needs no log|lam| envelope).  The powers stop at
-    the first one the engine does not certify convergent.  Certificate
-    values are in norm units, log ||A^n f||_p.  Each index block the engine
-    asks for (a range, or the divergence witness) is read once for all powers:
-    its coefficients and log|lam| are kept by first index, last index and length.
+    Each power is a row of certify_log_rows over the vector's index space:
+    the series of A^n f, with the space's term_bounds(lam^n) as tail
+    envelope (A^0 f = f needs no log|lam| envelope).  The envelopes of all
+    rows come at once from the space's coeff_bounds and log_abs_bounds
+    (power_bounds); a finite index space reads none.  Each index block is
+    read once for all powers, and the engine sums it for every power still
+    summing.  The powers stop at the first one the engine does not certify
+    convergent.  Certificate values are in norm units, log ||A^n f||_p.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     space = f.series_space()
     p = f.p_norm
-    store: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+    block: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 
-    def block(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def terms(ks: np.ndarray, ns: list[int]) -> np.ndarray:
         key = (int(ks[0]), int(ks[-1]), ks.size)
-        if key not in store:
-            store[key] = (space.coeff_log(ks)[0], _log_abs(space.lam(ks)))
-        return store[key]
+        if key not in block:  # the block just read, kept for the next group of rows
+            block.clear()
+            block[key] = (space.coeff_log(ks)[0], _log_abs(space.lam(ks)))
+        return _power_terms(*block[key], p, np.array(ns))
 
-    certs = []
+    bounds = () if space.count is not None else power_bounds(space, n_max, p)
+    certs = certify_log_rows(terms, n_max + 1, count=space.count, bounds=bounds, budget=budget)
+    done = [replace(c, log_value=c.log_value / p) for c in certs if c.converged]
+    if len(done) == len(certs):
+        return PowerNorms(tuple(c.log_value for c in done), tuple(done))
+    return PowerNorms(tuple(c.log_value for c in done), tuple(done), len(done), certs[-1])
+
+
+def power_bounds(space, n_max: int, p: float) -> Iterator[Optional[TailBounds]]:
+    """space.term_bounds(PowerSymbol(n)).scale(p) for n = 0..n_max, in order
+    and only as far as they are read.
+
+    The space's coeff_bounds and log_abs_bounds are read once.  Each side of
+    row n is (coeff_bounds + n log_abs_bounds) p, worked out by
+    affine_family bit for bit as PowerSymbol(n).growth_bounds_on and the
+    TailBounds arithmetic of term_bounds give it (A^0: the constant 0,
+    valid from k = 1).  No space overrides term_bounds for a power of A.
+    """
+    cb = space.coeff_bounds
+    if cb is None:
+        yield from (None for _ in range(n_max + 1))
+        return
+    la = space.log_abs_bounds() if n_max else None
+    exact = cb._is_exact() and (la is None or la._is_exact())
+
+    def side(name: str) -> Callable[[float], Optional[AsymForm]]:
+        base, slope = getattr(cb, name), getattr(la, name, None)
+        if base is None:
+            return lambda n: None
+        row = affine_family(base, slope if slope is not None else _ZERO, p)
+        return row if slope is not None else lambda n: None if n else row(n)
+
+    upper = side("upper")
+    lower = upper if exact else side("lower")
     for n in range(n_max + 1):
-        bounds = space.term_bounds(PowerSymbol(n))
-        if bounds is not None:
-            bounds = bounds.scale(p)
-        cert = certify_log_series(
-            lambda ks, n=n: _power_term(*block(ks), p, n),
-            count=space.count,
-            bounds=bounds,
-            budget=budget,
-        )
-        if cert.status is not SeriesStatus.CONVERGES:
-            return PowerNorms(tuple(c.log_value for c in certs), tuple(certs), n, cert)
-        certs.append(replace(cert, log_value=cert.log_value / p))
-    return PowerNorms(tuple(c.log_value for c in certs), tuple(certs))
+        if n and la is None:
+            yield None
+            continue
+        k_min = max(cb.k_min, la.k_min) if n else cb.k_min
+        up = upper(float(n))
+        yield TailBounds.exact(up, k_min) if exact else TailBounds(lower(float(n)), up, k_min)
+
+
+_ZERO = AsymForm.constant(0.0)
 
 
 def _log_abs(lams: np.ndarray) -> np.ndarray:
@@ -423,8 +455,13 @@ def _log_abs(lams: np.ndarray) -> np.ndarray:
         return np.log(np.abs(lams))
 
 
-def _power_term(mags: np.ndarray, logabs: np.ndarray, p: float, n: int) -> np.ndarray:
-    if n == 0:
-        return p * mags
-    out = p * np.where(mags == NEG_INF, NEG_INF, mags + n * logabs)
-    return np.where(np.isnan(out), NEG_INF, out)
+def _power_terms(mags: np.ndarray, logabs: np.ndarray, p: float, ns: np.ndarray) -> np.ndarray:
+    """p log|lam_k^n f_k| for each n of ns (one row each) at each index of
+    the block; row n = 0 is p log|f_k|, with no 0 * log|lam_k| in it."""
+    out = np.empty((ns.size, mags.size))
+    zero = ns == 0
+    out[zero] = p * mags
+    if not zero.all():
+        row = p * np.where(mags == NEG_INF, NEG_INF, mags + ns[~zero, None] * logabs)
+        out[~zero] = np.where(np.isnan(row), NEG_INF, row)
+    return out

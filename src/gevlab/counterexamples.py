@@ -376,7 +376,9 @@ def _verify_plan(plan: ViolatingSpectrumPlan, prefix: int = _VERIFY_PREFIX) -> N
     rule for that inequality (for the modulus, the leading-term bound, which
     implies it), so a tie fails a strict inequality.  Indices increase
     strictly (on a power law, moduli too).  Real parts stay below omega on
-    bounded plans; the disks have radii in (0, 1/n), and neighbours are disjoint.
+    bounded plans; the disks have radii in (0, 1/n) and are pairwise disjoint
+    on the first 512 orders: neighbours where Re and Im are monotone along
+    them, as on every power law, and every pair otherwise.
     """
     sel = plan.selection
     ns = np.arange(1, prefix + 1, dtype=np.int64)
@@ -399,9 +401,20 @@ def _verify_plan(plan: ViolatingSpectrumPlan, prefix: int = _VERIFY_PREFIX) -> N
     eps = plan.epsilons(n_eps)
     if not np.all((eps > 0) & (eps < 1.0 / np.arange(1, n_eps + 1))):
         raise PlanError("disk radii leave (0, 1/n) on the verified prefix")
-    gaps = np.abs(np.diff(plan.selected_lams(np.arange(1, n_eps + 1, dtype=np.int64))))
-    if not np.all(gaps >= eps[:-1] + eps[1:]):
+    centers = plan.selected_lams(np.arange(1, n_eps + 1, dtype=np.int64))
+    if _monotone(centers.real) and _monotone(centers.imag):
+        # steps of one sign per component only lengthen a chord, so
+        # disjoint neighbours make every pair disjoint
+        i, j = np.arange(n_eps - 1), np.arange(1, n_eps)
+    else:
+        i, j = np.triu_indices(n_eps, 1)
+    if not np.all(np.abs(centers[j] - centers[i]) >= eps[i] + eps[j]):
         raise PlanError("disks are not pairwise disjoint on the verified prefix")
+
+
+def _monotone(x: np.ndarray) -> bool:
+    steps = np.diff(x)
+    return bool(np.all(steps >= 0) or np.all(steps <= 0))
 
 
 def build_violating_spectrum(beta: float, case: PlanCase) -> ViolatingSpectrumPlan:

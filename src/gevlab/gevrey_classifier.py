@@ -637,7 +637,8 @@ def estimate_order(
     fit of y - beta_hat n log n by log c + n log alpha over [n_min, n_max];
     on the fallback path they equal the coefficients and residual of the
     three-term fit (with beta_hat = 0 on finite support, the two-term fit of
-    y itself).  power_norms is called once, for n = 0..n_max.
+    y itself).  power_norms is called once: one series engine pass
+    certifies ||A^n f|| for every n = 0..n_max, each power a row.
 
     Early orders are dominated by the constants, so n_min defaults to
     max(4, n_max/4).

@@ -9,7 +9,10 @@ tail bound falls below tolerance (`symbolic-tail`).  Without such an envelope
 the result is Inconclusive on route `no-closed-form`, at once: the engine
 never extrapolates from a summed prefix and never silently truncates.
 Without a budget the engine only decides: it returns the same status and
-route and sums no term.
+route and sums no term.  A family of such sums, one row each, is certified
+in one pass (`certify_log_rows`): every row keeps its own rule and
+certificate, and the rows share each block of indices, the monotone starts
+and the tail-bound checkpoints.  One sum is the family of one row.
 """
 
 from __future__ import annotations
@@ -17,11 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .asymptotics import TailBounds, form_converges, form_diverges, tail_bounder
+from .asymptotics import TailBounds, form_converges, form_diverges, tail_bounders
 from .logdomain import LOG_ABS_FLOOR, NEG_INF, logaddexp, logsumexp
 
 
@@ -42,6 +45,11 @@ class SeriesBudget:
 
 DEFAULT_BUDGET = SeriesBudget()
 _BLOCK_START = 1 << 10  # the first partial sum covers k = 1.._BLOCK_START
+_FINITE_STEP = 1 << 16  # a finite sum is added up in blocks of this many indices
+# Log-terms in one block of rows: rows are grouped so that a block read for
+# many rows holds no more than a 32,768-index block of one row.
+_ROWS_CAP = 1 << 15
+_WITNESS_KS = np.array([1 << j for j in range(15)], dtype=np.int64)  # k = 2^0..2^14
 
 
 @dataclass(frozen=True)
@@ -98,34 +106,6 @@ def json_float(x: Optional[float]):
     return x
 
 
-def _exact_finite(term_fn, count: int) -> ConvergenceCertificate:
-    total = NEG_INF
-    step = 1 << 16
-    start = 1
-    while start <= count:
-        stop = min(count, start + step - 1)
-        blk = logsumexp(term_fn(np.arange(start, stop + 1, dtype=np.int64)))
-        total = logaddexp(total, blk)
-        start = stop + 1
-    return ConvergenceCertificate(
-        SeriesStatus.CONVERGES,
-        log_value=total,
-        log_tail_bound=NEG_INF,
-        terms_used=count,
-        route="exact-finite",
-    )
-
-
-def _divergence_witness(term_fn) -> dict:
-    ks = [1 << j for j in range(0, 15)]
-    vals = term_fn(np.asarray(ks, dtype=np.int64))
-    return {
-        "kind": "sample-prefix",
-        "k": [int(k) for k in ks],
-        "log_term": [float(v) for v in vals],
-    }
-
-
 def certify_log_series(
     term_fn: Callable[[np.ndarray], np.ndarray],
     *,
@@ -141,65 +121,151 @@ def certify_log_series(
     no term evaluated) when neither envelope decides.  With `budget=None`
     only the status is certified: no term is evaluated apart from the
     divergence witness, and a convergent certificate carries no value.
+    This is the one-row case of certify_log_rows.
+    """
+    return certify_log_rows(
+        lambda ks, rows: (term_fn(ks),),
+        1,
+        count=count,
+        bounds=(bounds,),
+        budget=budget,
+    )[0]
+
+
+def certify_log_rows(
+    term_rows: Callable[[np.ndarray, list], Sequence[np.ndarray]],
+    rows: int,
+    *,
+    count: Optional[int] = None,
+    bounds: Iterable[Optional[TailBounds]] = (),
+    budget: Optional[SeriesBudget] = DEFAULT_BUDGET,
+) -> list[ConvergenceCertificate]:
+    """Certify sum_k e^{term_rows(k, r)} for each row r = 0..rows-1, every
+    row by the rule of certify_log_series.
+
+    `term_rows(ks, rs)` maps an int64 index array and a list of rows to the
+    log-terms of those rows, one array (or one row of a 2-D array) each.
+    A finite `count` sums every row over k = 1..count and reads no
+    envelope.  An
+    infinite sum reads `bounds`, one envelope (or None) per row, in order:
+    the rows are decided up to the first that does not converge, whose
+    certificate ends the list, and no later row is read.  The convergent
+    rows are summed together, each stopping at its own K: one block of
+    indices is read for all rows still summing, in groups of rows of at
+    most _ROWS_CAP terms, and the tail bounds of all rows checked at one K
+    come from one evaluation.
     """
     if count is not None:
         if count < 0:
             raise ValueError("count must be nonnegative")
         if budget is None:
-            return ConvergenceCertificate(SeriesStatus.CONVERGES, route="exact-finite")
-        return _exact_finite(term_fn, count)
+            return [ConvergenceCertificate(SeriesStatus.CONVERGES, route="exact-finite")] * rows
+        totals = [NEG_INF] * rows
+        everyone = list(range(rows))
+        for start in range(1, count + 1, _FINITE_STEP):
+            stop = min(count, start + _FINITE_STEP - 1)
+            _add_block(term_rows, np.arange(start, stop + 1, dtype=np.int64), everyone, totals)
+        return [
+            ConvergenceCertificate(
+                SeriesStatus.CONVERGES,
+                log_value=total,
+                log_tail_bound=NEG_INF,
+                terms_used=count,
+                route="exact-finite",
+            )
+            for total in totals
+        ]
 
-    if bounds is not None and bounds.lower is not None and form_diverges(bounds.lower):
-        return ConvergenceCertificate(
+    uppers, k_mins = [], []
+    diverging = undecided = None  # the first row that does not converge
+    for _, b in zip(range(rows), bounds):
+        if b is not None and b.lower is not None and form_diverges(b.lower):
+            diverging = b
+            break
+        if b is None or b.upper is None or not form_converges(b.upper):
+            undecided = ConvergenceCertificate(
+                SeriesStatus.INCONCLUSIVE, route="no-closed-form", detail=_undecided(b)
+            )
+            break
+        uppers.append(b.upper)
+        k_mins.append(b.k_min)
+
+    details = [f"upper envelope {u.describe()}" for u in uppers]
+    if budget is None:
+        certs = [
+            ConvergenceCertificate(SeriesStatus.CONVERGES, route="symbolic-tail", detail=d)
+            for d in details
+        ]
+    else:
+        certs = _resolved(term_rows, uppers, k_mins, details, budget) if uppers else []
+    if diverging is not None:
+        log_terms = term_rows(_WITNESS_KS, [len(uppers)])[0]
+        undecided = ConvergenceCertificate(
             SeriesStatus.DIVERGES,
             log_value=math.inf,
             terms_used=0,
             route="symbolic-divergence",
-            witness=_divergence_witness(term_fn),
-            detail=f"lower envelope {bounds.lower.describe()} does not decay"
-            f" (valid k >= {bounds.k_min})",
+            witness={
+                "kind": "sample-prefix",
+                "k": _WITNESS_KS.tolist(),
+                "log_term": [float(v) for v in log_terms],
+            },
+            detail=f"lower envelope {diverging.lower.describe()} does not decay"
+            f" (valid k >= {diverging.k_min})",
         )
-    if bounds is None or bounds.upper is None or not form_converges(bounds.upper):
-        return ConvergenceCertificate(
-            SeriesStatus.INCONCLUSIVE,
-            route="no-closed-form",
-            detail=_undecided(bounds),
-        )
+    return certs if undecided is None else certs + [undecided]
 
-    detail = f"upper envelope {bounds.upper.describe()}"
-    if budget is None:
-        return ConvergenceCertificate(SeriesStatus.CONVERGES, route="symbolic-tail", detail=detail)
-    tail = tail_bounder(bounds.upper)
-    running = NEG_INF
+
+def _resolved(term_rows, uppers, k_mins, details, budget) -> list[ConvergenceCertificate]:
+    """Partial sums over k = 1..K, K doubling up to the budget, of the rows
+    with summable upper envelopes; a row stops at the first K >= its k_min
+    where the tail bound falls below rel_tol times its sum."""
+    tails = tail_bounders(uppers)
+    log_tol = math.log(budget.rel_tol)
+    running = [NEG_INF] * len(uppers)
+    certs: list = [None] * len(uppers)
+    live = list(range(len(uppers)))
     prev_end = 0
-    while prev_end < budget.k_max:
+    while live and prev_end < budget.k_max:
         K = min(budget.k_max, max(_BLOCK_START, prev_end * 2))
-        ks = np.arange(prev_end + 1, K + 1, dtype=np.int64)
-        running = logaddexp(running, logsumexp(term_fn(ks)))
+        _add_block(term_rows, np.arange(prev_end + 1, K + 1, dtype=np.int64), live, running)
         prev_end = K
-        if K >= bounds.k_min:
-            tb = tail(K)
-            if tb is not None and (
-                tb <= running + math.log(budget.rel_tol) or tb <= LOG_ABS_FLOOR
-            ):
-                return ConvergenceCertificate(
+        due = [r for r in live if K >= k_mins[r]]
+        for r, tb in zip(due, tails(K, due)):
+            if tb is not None and (tb <= running[r] + log_tol or tb <= LOG_ABS_FLOOR):
+                certs[r] = ConvergenceCertificate(
                     SeriesStatus.CONVERGES,
-                    log_value=running,
+                    log_value=running[r],
                     log_tail_bound=tb,
                     terms_used=K,
                     route="symbolic-tail",
-                    detail=detail,
+                    detail=details[r],
                 )
+        live = [r for r in live if certs[r] is None]
 
-    tb = tail(prev_end) if prev_end >= bounds.k_min else None
-    return ConvergenceCertificate(
-        SeriesStatus.CONVERGES,
-        log_value=running,
-        log_tail_bound=tb if tb is not None else math.inf,
-        terms_used=prev_end,
-        route="symbolic-tail",
-        detail="convergent by upper envelope; value resolved to budget only",
-    )
+    due = [r for r in live if prev_end >= k_mins[r]]
+    tbs = dict(zip(due, tails(prev_end, due))) if due else {}
+    for r in live:
+        tb = tbs.get(r)
+        certs[r] = ConvergenceCertificate(
+            SeriesStatus.CONVERGES,
+            log_value=running[r],
+            log_tail_bound=tb if tb is not None else math.inf,
+            terms_used=prev_end,
+            route="symbolic-tail",
+            detail="convergent by upper envelope; value resolved to budget only",
+        )
+    return certs
+
+
+def _add_block(term_rows, ks: np.ndarray, rows: list[int], running: list[float]) -> None:
+    """Add the block ks of each listed row to its log partial sum, reading
+    the rows in groups of at most _ROWS_CAP log-terms."""
+    group = max(1, _ROWS_CAP // ks.size)
+    for i in range(0, len(rows), group):
+        rs = rows[i : i + group]
+        for r, vals in zip(rs, term_rows(ks, rs)):
+            running[r] = logaddexp(running[r], logsumexp(vals))
 
 
 def _undecided(bounds: Optional[TailBounds]) -> str:

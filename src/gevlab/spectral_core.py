@@ -703,7 +703,9 @@ class SeriesSpace:
       envelope every series over the space reads.  By default it is the
       sum of the componentwise envelopes; a space whose coefficients are
       tied to lam (a counterexample plan's vectors) overrides it with the
-      coupled estimate, which no componentwise envelope expresses.
+      coupled estimate, which no componentwise envelope expresses.  No
+      override concerns a power of A: power_norms works out the envelopes
+      of all powers from coeff_bounds and log_abs_bounds at once.
     """
 
     count: Optional[int] = None

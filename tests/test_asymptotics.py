@@ -12,15 +12,18 @@ import gevlab as gl
 from gevlab.asymptotics import (
     AsymForm,
     AsymTerm,
+    FormRows,
     GrowthKind,
     TailBounds,
     _effective_leading,
+    affine_family,
     classify_form,
     form_converges,
     form_diverges,
     log_tail_bound,
     mono_decreasing_start,
     tail_bounder,
+    tail_bounders,
 )
 from gevlab.logdomain import NEG_INF, logaddexp
 
@@ -324,9 +327,60 @@ def test_batched_monotone_start_warns_where_the_scalar_loop_did():
     assert _outcome(mono_decreasing_start, _RISING) == "RuntimeWarning"
 
 
+def _bits(form):
+    return [(t.power, t.log_power, t.coeff, t.residual) for t in form.terms], form.const
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.builds(AsymForm.build, _terms, _consts),
+    slope=st.builds(AsymForm.build, _terms, _consts),
+    p=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+    n=st.integers(0, 40),
+)
+def test_affine_family_rows_are_the_form_arithmetic(base, slope, p, n):
+    # every coefficient, residual and constant of row n is the float the
+    # AsymForm operations give, shared scales and cancellations included
+    want = (base + slope.scale(float(n))).scale(p)
+    assert repr(_bits(affine_family(base, slope, p)(float(n)))) == repr(_bits(want))
+
+
+def test_affine_family_drops_a_cancelled_term():
+    # k^-4 on lam_k = k^2: the log k coefficient of row 2 is -4 + 2 * 2 = 0
+    base, slope = AsymForm.log_k(-4.0), AsymForm.log_k(2.0, const=0.5)
+    row = affine_family(base, slope, 2.0)
+    assert row(2.0) == (base + slope.scale(2.0)).scale(2.0) == AsymForm.constant(2.0)
+    assert row(3.0).terms == (AsymTerm(0.0, 1, 4.0),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(forms=st.lists(st.builds(AsymForm.build, _terms, _consts), min_size=1, max_size=5))
+def test_form_rows_evaluate_every_form_as_itself(forms):
+    ks = np.array([1.0, 2.0, 7.0, 1e3, 2.0**40, 2.0**60])
+    with np.errstate(all="ignore"):
+        got = FormRows(forms).evaluate(ks)
+        for row, form in zip(got, forms):
+            assert repr(row.tolist()) == repr(form.evaluate(ks).tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    forms=st.lists(st.builds(AsymForm.build, _terms, _consts), min_size=1, max_size=5),
+    K=st.sampled_from([4, 100, 1024, 1 << 30]),
+)
+def test_rows_of_starts_and_tail_bounds_are_each_forms_own(forms, K):
+    # one call for all rows gives each form the start and bound of its own
+    # call, and warns where one of those calls warns
+    each = _outcome(lambda: ([mono_decreasing_start(f) for f in forms], [tail_bounder(f)(K) for f in forms]))
+    rows = list(range(len(forms)))
+    together = _outcome(lambda: (mono_decreasing_start(FormRows(forms)), tail_bounders(forms)(K, rows)))
+    assert together == each
+
+
 def _counted(monkeypatch):
-    counts = {"build": 0, "evaluate": 0}
+    counts = {"build": 0, "evaluate": 0, "rows": 0}
     build, evaluate = AsymForm.__dict__["build"].__func__, AsymForm.evaluate
+    rows_evaluate = FormRows.evaluate
 
     def counted_build(cls, *args, **kwargs):
         counts["build"] += 1
@@ -336,27 +390,36 @@ def _counted(monkeypatch):
         counts["evaluate"] += 1
         return evaluate(self, ks)
 
+    def counted_rows_evaluate(self, ks):
+        counts["rows"] += 1
+        return rows_evaluate(self, ks)
+
     monkeypatch.setattr(AsymForm, "build", classmethod(counted_build))
     monkeypatch.setattr(AsymForm, "evaluate", counted_evaluate)
+    monkeypatch.setattr(FormRows, "evaluate", counted_rows_evaluate)
     return counts
 
 
 def _guard_cases():
     lin_diag = gl.builtin_spectra()["lin-diag"]
     return {
-        # (build, evaluate) calls of each, as the series engine makes them
+        # (AsymForm.build, AsymForm.evaluate, FormRows.evaluate) calls of
+        # each, as the series engine makes them.  power_norms reads the two
+        # envelopes once, builds one derivative per power for the monotone
+        # starts and evaluates all 17 rows together: twice for the starts,
+        # once for the tail bounds at K = 1,024
         "power_norms": (
             lambda: gl.power_norms(
                 gl.CoefficientVector.power_decay(gl.PowerLawSpectrum(-1.0, 1.0, 1.0, 2.0), 0.5, 1.25),
                 n_max=16,
             ),
-            (167, 51),
+            (22, 0, 3),
         ),
         "vector_class": (
             lambda: gl.vector_class(gl.builtin_vectors(lin_diag)[1], 1.0, gl.GevreyFlavor.ROUMIEU),
-            (12, 0),
+            (12, 0, 0),
         ),
-        "harness": (lambda: gl.theorem_equivalence_harness(gl.builtin_spectra()["lin-sqrt"], 1.0), (294, 0)),
+        "harness": (lambda: gl.theorem_equivalence_harness(gl.builtin_spectra()["lin-sqrt"], 1.0), (294, 0, 0)),
     }
 
 
@@ -364,7 +427,7 @@ def _guard_cases():
 def test_envelope_work_does_not_grow(monkeypatch, case):
     # an exact envelope is one form through + and scale, and the tail
     # checkpoints are read in batches; duplicated work raises these counts
-    fn, (builds, evaluates) = _guard_cases()[case]
+    fn, ceiling = _guard_cases()[case]
     counts = _counted(monkeypatch)
     fn()
-    assert counts["build"] <= builds and counts["evaluate"] <= evaluates, counts
+    assert all(n <= top for n, top in zip(counts.values(), ceiling)), counts

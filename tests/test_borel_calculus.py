@@ -1,12 +1,17 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gevlab as gl
+from gevlab.borel_calculus import power_bounds
 from gevlab.logdomain import NEG_INF
-from gevlab.series import SeriesStatus
+from gevlab.series import DEFAULT_BUDGET, SeriesBudget, SeriesStatus, certify_log_series
 
 
 def test_power_zero_and_exp_zero_are_bitwise_identity():
@@ -261,6 +266,147 @@ def test_power_norms_read_each_index_once():
     norms = gl.power_norms(f, 12)
     assert norms.cutoff is None and max(c.terms_used for c in norms.certificates) == 4096
     assert asked == Counter(range(1, 4097))
+
+
+def _bits(bounds):
+    if bounds is None:
+        return None
+    sides = [
+        None if f is None else ([(t.power, t.log_power, t.coeff, t.residual) for t in f.terms], f.const)
+        for f in (bounds.lower, bounds.upper)
+    ]
+    return repr((sides, bounds.k_min))
+
+
+def _bound_spaces():
+    mixed = gl.PowerLawSpectrum(-1.0, 1.0, 1.0, 2.0)  # log|lam| envelopes valid from k = 1,024
+    lin = gl.PowerLawSpectrum(1.0, 1.0, 0.0, 0.0)
+    yield gl.CoefficientVector.power_decay(mixed, 0.5, 1.25)
+    yield gl.CoefficientVector.polynomial_decay(lin, 4.0)  # the log k terms cancel at n = 4
+    yield gl.CoefficientVector.power_decay(gl.CustomSpectrum(lambda k: complex(k, 0)), 1.0, 1.0)
+    art = gl.build_counterexample(gl.plan_for_spectrum(gl.builtin_spectra()["mixed-quart"], 2.0))
+    yield art.f  # a plan view: the family's and the selection's envelopes
+    yield art.h_star
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_power_bounds_are_each_powers_term_bounds(p):
+    # row n is space.term_bounds(A^n).scale(p), every coefficient, residual,
+    # constant and k_min the same float, on finite-k_min, cancelling,
+    # envelope-free and plan-view spaces
+    for f in _bound_spaces():
+        space = f.series_space()
+        rows = list(power_bounds(space, 12, p))
+        want = [space.term_bounds(gl.PowerSymbol(n)) for n in range(13)]
+        assert [_bits(b) for b in rows] == [_bits(w.scale(p) if w is not None else None) for w in want]
+
+
+def _power_norms_one_call_per_power(f, n_max, budget):
+    # the reference: one series engine call per power, each with the space's
+    # own term_bounds(A^n), stopping at the first power not certified
+    space, p = f.series_space(), f.p_norm
+
+    def term(ks, n):
+        mags = space.coeff_log(ks)[0]
+        if n == 0:
+            return p * mags
+        with np.errstate(divide="ignore"):
+            logabs = np.log(np.abs(space.lam(ks)))
+        out = p * np.where(mags == NEG_INF, NEG_INF, mags + n * logabs)
+        return np.where(np.isnan(out), NEG_INF, out)
+
+    certs = []
+    for n in range(n_max + 1):
+        bounds = space.term_bounds(gl.PowerSymbol(n))
+        bounds = bounds.scale(p) if bounds is not None else None
+        cert = certify_log_series(lambda ks, n=n: term(ks, n), count=space.count, bounds=bounds, budget=budget)
+        if cert.status is not SeriesStatus.CONVERGES:
+            return gl.PowerNorms(tuple(c.log_value for c in certs), tuple(certs), n, cert)
+        certs.append(replace(cert, log_value=cert.log_value / p))
+    return gl.PowerNorms(tuple(c.log_value for c in certs), tuple(certs))
+
+
+_FAMILIES = st.tuples(
+    st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    st.sampled_from([0.0, 1.0, -0.5]),
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+).filter(lambda x: (x[0] != 0.0 and x[1] > 0.0) or (x[2] != 0.0 and x[3] > 0.0))
+
+
+@st.composite
+def _power_norm_cases(draw):
+    p = draw(st.sampled_from([1.0, 2.0, 3.0]))
+    n_max = draw(st.integers(0, 20))
+    kind = draw(st.sampled_from(["power-decay", "power-decay", "polynomial-decay", "explicit"]))
+    if kind == "explicit":
+        size = draw(st.integers(1, 40))
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        spec = gl.ExplicitSpectrum(tuple(rng.normal(size=size) + 1j * rng.normal(size=size)))
+        f = gl.CoefficientVector.explicit(spec, values=rng.normal(size=size) + 1j * rng.normal(size=size), p=p)
+        return f, n_max, draw(st.sampled_from([None, DEFAULT_BUDGET]))
+    spec = gl.PowerLawSpectrum(*draw(_FAMILIES))
+    if kind == "power-decay":
+        c = draw(st.sampled_from([0.5, 1.0, 2.0]))
+        r = draw(st.sampled_from([0.5, 0.75, 1.0, 1.25, 2.5]))
+        f = gl.CoefficientVector.power_decay(spec, c, r, p=p)
+        return f, n_max, draw(st.sampled_from([None, DEFAULT_BUDGET]))
+    # k^-d leaves l^p at a finite power on a growing spectrum; slowly
+    # converging rows sum to a budget of 2^14 terms
+    d = draw(st.sampled_from([1.5, 2.0, 3.0, 4.5, 8.0]))
+    f = gl.CoefficientVector.polynomial_decay(spec, d, p=p)
+    return f, n_max, draw(st.sampled_from([None, SeriesBudget(k_max=1 << 14)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_power_norm_cases())
+def test_power_norms_equal_one_engine_call_per_power(case):
+    # the family engine gives every power the certificate a call of its own
+    # gives it: status, route, value, tail bound, terms used, detail and
+    # witness, and the same cutoff; repr tells every float apart
+    f, n_max, budget = case
+    got = gl.power_norms(f, n_max, budget)
+    assert repr(got) == repr(_power_norms_one_call_per_power(f, n_max, budget))
+
+
+def test_power_norms_leave_lp_where_one_call_per_power_does():
+    # lam_k = k, f_k = k^-3 in l^1: A^n f leaves l^1 at n = 2
+    f = gl.CoefficientVector.polynomial_decay(gl.PowerLawSpectrum(1, 1, 0, 0), 3.0, p=1.0)
+    got = gl.power_norms(f, 10)
+    assert got.cutoff == 2 and got.cutoff_certificate.route == "symbolic-divergence"
+    assert got.cutoff_certificate.witness["log_term"][3] == pytest.approx(-math.log(8.0))
+    assert repr(got) == repr(_power_norms_one_call_per_power(f, 10, DEFAULT_BUDGET))
+
+
+def test_power_norms_read_each_index_once_in_groups_of_rows():
+    # e^{-sqrt(k)} on lam_k = k, n_max = 40: the powers stop from K = 1,024
+    # to 32,768, so the blocks of 8,192 and 16,384 indices are summed for
+    # up to 26 rows in groups of rows; each index is still read once, and
+    # every certificate is the one a call of its own gives
+    asked = Counter()
+
+    def coeffs(ks):
+        asked.update(ks.tolist())
+        return -np.sqrt(ks.astype(float)), np.zeros(len(ks))
+
+    spec = gl.PowerLawSpectrum(1, 1, 0, 0)
+    f = gl.CoefficientVector.custom(spec, coeffs, gl.TailBounds.exact(gl.AsymForm.power(0.5, -1.0)))
+    norms = gl.power_norms(f, 40)
+    assert asked == Counter(range(1, 32769))
+    assert [c.terms_used for c in norms.certificates][24:27] == [16384, 16384, 16384]
+    assert repr(norms) == repr(_power_norms_one_call_per_power(f, 40, DEFAULT_BUDGET))
+
+
+def test_power_norms_match_mpmath_on_a_job_stream_pair():
+    # ||A^n f||_2 for f_k = e^{-2 k^1.25} on lam_k = k^0.5 + i k^2, against
+    # sum_k |lam_k|^{2n} e^{-4 k^1.25} summed by mpmath to 30 digits
+    spec = gl.PowerLawSpectrum(1.0, 0.5, 1.0, 2.0)
+    norms = gl.power_norms(gl.CoefficientVector.power_decay(spec, 2.0, 1.25), 16)
+    mpmath.mp.dps = 30
+    for n in (0, 8, 16):
+        total = mpmath.nsum(lambda k: (k + k**4) ** n * mpmath.exp(-4 * k ** mpmath.mpf(1.25)), [1, mpmath.inf])
+        oracle = float(mpmath.log(total) / 2)
+        assert abs(norms.log_norms[n] - oracle) <= 1e-9 * abs(oracle) + 1e-12, (n, norms.log_norms[n], oracle)
 
 
 def test_estimate_cond_i_instance():

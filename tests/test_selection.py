@@ -455,6 +455,21 @@ def test_selection_starts_where_the_envelopes_hold():
     assert plan.omega == 0.0 and plan.selection.env_coeff >= 2.0
 
 
+def test_overlapping_disks_off_a_monotone_selection_are_refused():
+    # lam_k = i k^2 but lam_5 = 49.9i and lam_7 = 49.95i, inside the declared
+    # k^2 <= Im <= 2 k^2: j(n) = n, and Im is not monotone along it, so the
+    # disks at n = 5 and n = 7 (0.05 apart, radii 0.1 and 1/14) overlap
+    # although every pair of neighbours is disjoint
+    def lam(k):
+        return {5: 49.9j, 7: 49.95j}.get(k, 1j * k * k)
+
+    im = gl.TailBounds(gl.AsymForm.power(2.0, 1.0), gl.AsymForm.power(2.0, 2.0))
+    spec = gl.CustomSpectrum(lam, (gl.TailBounds.exact(gl.AsymForm.constant(0.0)), im))
+    assert Selection(spec, 1.0).indices(np.arange(1, 10)).tolist() == list(range(1, 10))
+    with pytest.raises(gl.PlanError, match="pairwise disjoint"):
+        gl.plan_for_spectrum(spec, 1.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     a_re=st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0]),

@@ -240,3 +240,15 @@ def test_monotone_start_is_found_once_per_call(monkeypatch):
     cert = certify_log_series(form.evaluate, bounds=TailBounds.exact(form))
     assert cert.route == "symbolic-tail" and cert.terms_used == 4096
     assert len(calls) == 1
+
+
+def test_tail_is_checked_at_k_min_itself():
+    # an envelope valid from k = 1,024, the first doubling end, decides the
+    # sum there: the mixed-spectrum envelopes of log|lam| start at 1,024
+    def term(ks):
+        return -ks.astype(float)
+
+    cert = certify_log_series(term, bounds=TailBounds.exact(AsymForm.power(1.0, -1.0), 1024))
+    assert cert.route == "symbolic-tail" and cert.terms_used == 1024
+    late = certify_log_series(term, bounds=TailBounds.exact(AsymForm.power(1.0, -1.0), 1025))
+    assert late.terms_used == 2048
