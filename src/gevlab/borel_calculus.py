@@ -30,6 +30,7 @@ from .series import (
 )
 from .spectral_core import (
     CoefficientVector,
+    LamBounds,
     conjugate_exponent,
     predicate_all,
     total_variation,
@@ -52,8 +53,8 @@ class SymbolFunction:
     def phase(self, lams: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def growth_bounds_on(self, space) -> Optional[TailBounds]:
-        """Envelope of log|F(lam_k)| over a SeriesSpace or a SpectrumFamily."""
+    def growth_bounds_on(self, lam: Optional[LamBounds]) -> Optional[TailBounds]:
+        """Envelope of log|F(lam_k)| from the eigenvalue envelopes lam (None: unknown)."""
         raise NotImplementedError
 
     def factors(self) -> tuple["SymbolFunction", ...]:
@@ -89,11 +90,10 @@ class PowerSymbol(SymbolFunction):
             return np.zeros(len(lams))
         return self.n * np.angle(lams)
 
-    def growth_bounds_on(self, space):
+    def growth_bounds_on(self, lam):
         if self.n == 0:
             return TailBounds.exact(AsymForm.constant(0.0))
-        b = space.log_abs_bounds()
-        return b.scale(float(self.n)) if b is not None else None
+        return lam.log_abs().scale(float(self.n)) if lam is not None else None
 
     def sort_key(self):
         return (0, self.n)
@@ -121,15 +121,15 @@ class ExpSymbol(SymbolFunction):
     def phase(self, lams):
         return self.z.real * lams.imag + self.z.imag * lams.real
 
-    def growth_bounds_on(self, space):
+    def growth_bounds_on(self, lam):
         out = None
         if self.z.real != 0.0:
-            rb = space.re_bounds()
+            rb = lam.re if lam is not None else None
             if rb is None:
                 return None
             out = rb.scale(self.z.real)
         if self.z.imag != 0.0:
-            ib = space.im_bounds()
+            ib = lam.im if lam is not None else None
             if ib is None:
                 return None
             piece = ib.scale(-self.z.imag)
@@ -168,9 +168,8 @@ class GevreyExpSymbol(SymbolFunction):
     def phase(self, lams):
         return np.zeros(len(lams))
 
-    def growth_bounds_on(self, space):
-        b = space.abs_pow_bounds(1.0 / self.beta)
-        return b.scale(self.s) if b is not None else None
+    def growth_bounds_on(self, lam):
+        return lam.abs_pow(1.0 / self.beta).scale(self.s) if lam is not None else None
 
     def sort_key(self):
         return (2, self.s, self.beta)
@@ -205,10 +204,10 @@ class CompositeSymbol(SymbolFunction):
             out = out + s.phase(lams)
         return out
 
-    def growth_bounds_on(self, space):
+    def growth_bounds_on(self, lam):
         out = TailBounds.exact(AsymForm.constant(0.0))
         for s in self.parts:
-            g = s.growth_bounds_on(space)
+            g = s.growth_bounds_on(lam)
             if g is None:
                 return None
             out = out + g
@@ -385,7 +384,7 @@ def power_norms(
     Each power is a row of certify_log_rows over the vector's index space:
     the series of A^n f, with the space's term_bounds(lam^n) as tail
     envelope (A^0 f = f needs no log|lam| envelope).  The envelopes of all
-    rows come at once from the space's coeff_bounds and log_abs_bounds
+    rows come at once from the space's coeff_bounds and lam_bounds.log_abs()
     (power_bounds); a finite index space reads none.  Each index block is
     read once for all powers, and the engine sums it for every power still
     summing.  The powers stop at the first one the engine does not certify
@@ -416,8 +415,8 @@ def power_bounds(space, n_max: int, p: float) -> Iterator[Optional[TailBounds]]:
     """space.term_bounds(PowerSymbol(n)).scale(p) for n = 0..n_max, in order
     and only as far as they are read.
 
-    The space's coeff_bounds and log_abs_bounds are read once.  Each side of
-    row n is (coeff_bounds + n log_abs_bounds) p, worked out by
+    The space's coeff_bounds and lam_bounds.log_abs() are read once.  Each
+    side of row n is (coeff_bounds + n log_abs) p, worked out by
     affine_family bit for bit as PowerSymbol(n).growth_bounds_on and the
     TailBounds arithmetic of term_bounds give it (A^0: the constant 0,
     valid from k = 1).  No space overrides term_bounds for a power of A.
@@ -426,7 +425,7 @@ def power_bounds(space, n_max: int, p: float) -> Iterator[Optional[TailBounds]]:
     if cb is None:
         yield from (None for _ in range(n_max + 1))
         return
-    la = space.log_abs_bounds() if n_max else None
+    la = space.lam_bounds.log_abs() if n_max and space.lam_bounds is not None else None
     exact = cb._is_exact() and (la is None or la._is_exact())
 
     def side(name: str) -> Callable[[float], Optional[AsymForm]]:

@@ -292,8 +292,9 @@ def parse_jobspec(text: str) -> JobSpec:
     for name in got:
         if name not in reads:
             _fail(f"$.{name}", f"command {command!r} does not read this field")
-    if "beta" in got and got["beta"] < 0:
-        _fail("$.beta", "beta must be >= 0")
+    least = 1.0 if command == "region-boundary" else 0.0  # the region test's orders
+    if "beta" in got and got["beta"] < least:
+        _fail("$.beta", f"beta must be >= {least:g}")
     job = JobSpec(command=command, **{k: v for k, v in got.items() if k != "command"})
     if job.command == "classify-vector" and job.beta == 0.0 and job.flavor == "beurling":
         _fail("$.flavor", "beta = 0 supports only the roumieu flavor")
@@ -590,7 +591,7 @@ def _region_boundary(job: JobSpec, budget: SeriesBudget, report: RunReport) -> N
         im = -job.im_max + 2.0 * job.im_max * i / (n - 1)
         re = b_plus * abs(im) ** (1.0 / beta)
         report.verdicts.append(
-            {"kind": "boundary", "n": i, "im": im, "re": re, "unknown": False}
+            {"kind": "boundary", "n": i, "im": im, "re": json_float(re), "unknown": False}
         )
 
 

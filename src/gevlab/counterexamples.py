@@ -35,6 +35,7 @@ from .series import ConvergenceCertificate, SeriesStatus
 from .spectral_core import (
     CoefficientVector,
     ExplicitSpectrum,
+    LamBounds,
     PowerLawSpectrum,
     SeriesSpace,
     SpectrumFamily,
@@ -476,10 +477,10 @@ class SupportView(SeriesSpace):
     """SeriesSpace of a vector supported on a plan's selected subsequence.
 
     Index n stands for lam_{j(n)}; the coefficient there is n^-2 when decay
-    is None and e^{-decay n Re lam_{j(n)}} otherwise.  re_bounds,
-    log_abs_bounds and abs_pow_bounds follow from the family's envelope_terms
-    and the plan invariants (|lam_{j(n)}| >= n, Re >= n when required,
-    j(n) <= env_coeff n^gamma); im_bounds is None.  When decay is set (such vectors live on plans with
+    is None and e^{-decay n Re lam_{j(n)}} otherwise.  lam_bounds is built
+    once from the family's envelope_terms and the plan invariants
+    (|lam_{j(n)}| >= n, Re >= n when required, j(n) <= env_coeff n^gamma),
+    with no Im envelope.  When decay is set (such vectors live on plans with
     Re >= n), term_bounds of e^{tA} (ExpSymbol, real t) is the coupled upper
     envelope -decay n^2 + t n.  On plans with unbounded real parts the
     refuting vector f is a _ProofView, which also couples the lower envelope
@@ -488,6 +489,24 @@ class SupportView(SeriesSpace):
 
     plan: ViolatingSpectrumPlan
     decay: Optional[float] = None
+
+    def __post_init__(self):
+        terms, sel = self.plan.spectrum.envelope_terms, self.plan.selection
+        if self.plan.case is PlanCase.BOUNDED_REAL_PARTS:
+            re = TailBounds(None, AsymForm.constant(self.plan.omega), 1)
+        else:
+            p_re, _, re_hi = terms.re
+            re = TailBounds(
+                AsymForm.power(1.0, 1.0),  # Re >= n by selection
+                AsymForm.power(sel.gamma * p_re, re_hi * sel.env_coeff**p_re),
+                1,
+            )
+        # n <= |lam_{j(n)}| <= |Re| + |Im| <= c n^{gamma p_hi}
+        p_hi = terms.upper[0]
+        top = sum(max(abs(lo), abs(hi)) for _, lo, hi in (terms.re, terms.im))
+        upper = (sel.gamma * p_hi, top * sel.env_coeff**p_hi, 1.0)
+        lam = LamBounds(re, None, (1.0, 1.0, 1.0), upper, (upper[:2],), 1)
+        object.__setattr__(self, "lam_bounds", lam)
 
     @property
     def selection(self) -> Selection:
@@ -508,37 +527,10 @@ class SupportView(SeriesSpace):
         if self.decay is None:
             return TailBounds.exact(AsymForm.log_k(-2.0))
         return TailBounds(
-            _neg_n_times(self.re_bounds().upper, self.decay),
+            _neg_n_times(self.lam_bounds.re.upper, self.decay),
             AsymForm.power(2.0, -self.decay),  # -decay * n * Re <= -decay n^2
             1,
         )
-
-    def _abs_upper(self) -> tuple[float, float, float]:
-        """(gamma, p_hi, c): |lam_{j(n)}| <= |Re| + |Im| <= c n^{gamma p_hi}."""
-        terms = self.plan.spectrum.envelope_terms
-        p_hi = terms.upper[0]
-        top = sum(max(abs(lo), abs(hi)) for _, lo, hi in (terms.re, terms.im))
-        return self.selection.gamma, p_hi, top * self.selection.env_coeff**p_hi
-
-    def re_bounds(self) -> TailBounds:
-        if self.plan.case is PlanCase.BOUNDED_REAL_PARTS:
-            return TailBounds(None, AsymForm.constant(self.plan.omega), 1)
-        sel = self.selection
-        p_re, _, re_hi = self.plan.spectrum.envelope_terms.re
-        return TailBounds(
-            AsymForm.power(1.0, 1.0),  # Re >= n by selection
-            AsymForm.power(sel.gamma * p_re, re_hi * sel.env_coeff**p_re),
-            1,
-        )
-
-    def abs_pow_bounds(self, q: float) -> TailBounds:
-        gamma, p_hi, c = self._abs_upper()
-        # |lam_{j(n)}| >= n
-        return TailBounds(AsymForm.power(q, 1.0), AsymForm.power(q * gamma * p_hi, c**q), 1)
-
-    def log_abs_bounds(self) -> TailBounds:
-        gamma, p_hi, c = self._abs_upper()
-        return TailBounds(AsymForm.log_k(1.0), AsymForm.log_k(gamma * p_hi, const=math.log(c)), 1)
 
     def term_bounds(self, F=None):
         if self.decay is None or not isinstance(F, ExpSymbol) or F.z.imag != 0.0:

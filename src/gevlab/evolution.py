@@ -105,7 +105,7 @@ def check_admissible(f: CoefficientVector, t_max: float = DEFAULT_T_MAX) -> Admi
     if space.count is not None:
         rule = ExplicitFinite()
     else:
-        re_b = space.re_bounds()
+        re_b = space.lam_bounds.re if space.lam_bounds is not None else None
         if re_b is None or re_b.upper is None:
             rule = Undetermined("no real-part envelope for this family")
         else:
@@ -264,6 +264,8 @@ def pairing(v: CoefficientVector, w: CoefficientVector, k_cap: int = 1 << 16) ->
         if not form_converges(prod):
             raise VectorError("pairing series is not certifiably convergent")
         tail = log_tail_bound(prod, n) if n >= max(vb.k_min, wb.k_min) else None
+        if tail is None:
+            raise VectorError(f"pairing tail beyond k={n} has no certified bound")
     ks = np.arange(1, n + 1, dtype=np.int64)
     vm, vp = v.log_coeffs(ks)
     wm, wp = w.log_coeffs(ks)

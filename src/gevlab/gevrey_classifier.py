@@ -120,8 +120,8 @@ def _closed_forms(
     Otherwise tie is None.
     """
     space = f.series_space()
-    growth = space.abs_pow_bounds(1.0 / beta)
-    decay = space.coeff_bounds
+    decay, lam = space.coeff_bounds, space.lam_bounds
+    growth = lam.abs_pow(1.0 / beta) if lam is not None else None
     if growth is None or growth.upper is None or decay is None or decay.upper is None:
         return False, None
     gu = growth.upper
@@ -555,7 +555,7 @@ def _radius(spectrum: SpectrumFamily, k_star: Optional[int]) -> float:
             bounds.append(abs(spectrum.eigenvalue(k_star)))
         else:
             with np.errstate(over="ignore"):
-                bounds.append(spectrum.abs_pow_bounds(1.0).upper.at(k_star))
+                bounds.append(spectrum.lam_bounds.abs_pow(1.0).upper.at(k_star))
     if terms.k_min > 1:
         ks = np.arange(1, terms.k_min, dtype=np.int64)
         bounds.append(float(np.max(np.abs(spectrum.eigenvalues(ks)))))

@@ -100,10 +100,9 @@ class EnvelopeTerms:
     """Leading terms of a family's envelopes, valid for k >= k_min.
 
     re and im are the signed (p, lo, hi) with lo k^p <= Re lam_k <= hi k^p,
-    and the same for Im lam_k.  lower and upper are the _leading of the
-    smaller and of the larger of |lo|, |hi| of each component:
-    |lam_k| >= c k^p with the lower terms, and |lam_k| <= c slack k^p with
-    the upper ones, from k = 1,024 where the slack is not 1.
+    and the same for Im lam_k.  lower and upper are the modulus terms of
+    the family's LamBounds: the _leading of the smaller and of the larger
+    of |lo|, |hi| of each component.
     """
 
     re: tuple[float, float, float]
@@ -118,17 +117,77 @@ class EnvelopeTerms:
         return self.re[1] == self.re[2] and self.im[1] == self.im[2]
 
 
+def _power_form(p: float, c: float, q: float) -> Optional[AsymForm]:
+    """c^q k^p for c > 0, or None where c^q leaves the float range: an
+    overflow, or an underflow to 0, which as an upper envelope claims 0."""
+    try:
+        cq = c**q
+    except OverflowError:
+        return None
+    return AsymForm.power(p, cq) if cq else None
+
+
+@dataclass(frozen=True)
+class LamBounds:
+    """Envelopes of the eigenvalues lam_n of an index space, from n = k_min.
+
+    re, im: the TailBounds of Re lam_n and Im lam_n (None: unknown).  lower,
+    upper: modulus terms (p, c, slack) with c n^p <= |lam_n| <= c slack n^p,
+    from n = 1,024 where the upper slack is not 1.  parts: the (p_i, c_i)
+    with |lam_n| <= sum_i c_i n^{p_i}.
+    """
+
+    re: Optional[TailBounds]
+    im: Optional[TailBounds]
+    lower: tuple[float, float, float]
+    upper: tuple[float, float, float]
+    parts: tuple[tuple[float, float], ...]
+    k_min: int
+
+    def abs_pow(self, q: float) -> TailBounds:
+        """Envelopes of |lam_n|^q.
+
+        The lower envelope is c n^{pq} from the lower modulus term.  With a
+        slack and 0 < q <= 1, the upper envelope is sum_i c_i^q n^{p_i q}
+        over the parts, valid from k_min (subadditivity of x^q), so both
+        envelopes share their leading term.  Otherwise it is the upper
+        modulus term times its slack.  The envelope is exact when both
+        terms agree, as on every power law.  A side whose c^q leaves the
+        float range is None.
+        """
+        if q <= 0:
+            raise ValueError("abs_pow expects q > 0")
+        (p, lo, _), (p_hi, hi, slack) = self.lower, self.upper
+        lower = _power_form(p * q, lo, q)
+        if slack == 1.0 and (p_hi, hi) == (p, lo):
+            return TailBounds.exact(lower, self.k_min)
+        if slack != 1.0 and q <= 1.0:
+            upper = AsymForm.build(tuple(AsymTerm(pc * q, 0, c**q) for pc, c in self.parts))
+            return TailBounds(lower, upper, self.k_min)
+        k_min = self.k_min if slack == 1.0 else max(self.k_min, _MIXED_K0)
+        return TailBounds(lower, _power_form(p_hi * q, hi * slack, q), k_min)
+
+    def log_abs(self) -> TailBounds:
+        (p, lo, _), (p_hi, hi, slack) = self.lower, self.upper
+        lower = AsymForm.log_k(p, const=math.log(lo))
+        if slack == 1.0 and (p_hi, hi) == (p, lo):
+            return TailBounds.exact(lower, self.k_min)
+        k_min = self.k_min if slack == 1.0 else max(self.k_min, _MIXED_K0)
+        return TailBounds(lower, AsymForm.log_k(p_hi, const=math.log(hi * slack)), k_min)
+
+
 class SpectrumFamily:
     """Base class; subclasses provide eigenvalues and tail information.
 
-    A family that declares the envelopes of Re lam_k and Im lam_k calls
-    _read_envelopes once, at construction; the envelopes of |lam_k|^q and
-    log|lam_k| of every such family are derived from those two, here.
+    A family that declares the envelopes of Re lam_k and Im lam_k passes
+    them to _read_envelopes once, at construction, which sets envelope_terms
+    and lam_bounds from them; both are None on every other family.
     """
 
     size: Optional[int] = None
     label: str = ""
     envelope_terms: Optional[EnvelopeTerms] = None
+    lam_bounds: Optional[LamBounds] = None
 
     def eigenvalues(self, ks: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -136,64 +195,17 @@ class SpectrumFamily:
     def eigenvalue(self, k: int) -> complex:
         return complex(self.eigenvalues(np.asarray([k], dtype=np.int64))[0])
 
-    # Tail descriptions (None when unavailable); all valid for k >= k_min of
-    # the returned bounds.
-    def re_bounds(self) -> Optional[TailBounds]:
-        return None
-
-    def im_bounds(self) -> Optional[TailBounds]:
-        return None
-
-    def _read_envelopes(self) -> None:
-        re_b, im_b = self.re_bounds(), self.im_bounds()
+    def _read_envelopes(self, re_b: TailBounds, im_b: TailBounds) -> None:
         re, im = _component(re_b, "Re"), _component(im_b, "Im")
         if not (re[0] > 0.0 or im[0] > 0.0):
             raise SpectrumError("the envelopes declare no growing part (some exponent p > 0)")
-        lower, upper = (
-            _leading((p, pick(abs(lo), abs(hi))) for p, lo, hi in (re, im)) for pick in (min, max)
+        lows, parts = (
+            tuple((p, pick(abs(lo), abs(hi))) for p, lo, hi in (re, im)) for pick in (min, max)
         )
-        terms = EnvelopeTerms(re, im, max(re_b.k_min, im_b.k_min), lower, upper)
-        object.__setattr__(self, "envelope_terms", terms)
-
-    def abs_pow_bounds(self, q: float) -> Optional[TailBounds]:
-        """Envelopes of |lam_k|^q, from those of Re and Im lam_k.
-
-        The lower envelope is c k^{pq} from the lower modulus terms.  With
-        components of different exponents and 0 < q <= 1, the upper envelope
-        is sum_i c_i^q k^{p_i q} over the larger coefficients of Re and Im,
-        valid from k_min (the triangle inequality, then subadditivity of
-        x^q), so both envelopes share their leading term.  Otherwise it is
-        the upper modulus term times its slack, valid from k = 1,024 when
-        the slack is not 1.  The envelope is exact when both sides agree, as
-        on every power law.
-        """
-        if q <= 0:
-            raise ValueError("abs_pow_bounds expects q > 0")
-        terms = self.envelope_terms
-        if terms is None:
-            return None
-        (p, lo, _), (_, hi, slack) = terms.lower, terms.upper
-        lower = AsymForm.power(p * q, lo**q)
-        if slack == 1.0:
-            upper = lower if hi == lo else AsymForm.power(p * q, hi**q)
-            return TailBounds(lower, upper, terms.k_min)
-        if q <= 1.0:
-            parts = ((pc, max(abs(a), abs(b))) for pc, a, b in (terms.re, terms.im))
-            upper = AsymForm.build(tuple(AsymTerm(pc * q, 0, c**q) for pc, c in parts))
-            return TailBounds(lower, upper, terms.k_min)
-        upper = AsymForm.power(p * q, (hi * slack) ** q)
-        return TailBounds(lower, upper, max(terms.k_min, _MIXED_K0))
-
-    def log_abs_bounds(self) -> Optional[TailBounds]:
-        terms = self.envelope_terms
-        if terms is None:
-            return None
-        (p, lo, _), (_, hi, slack) = terms.lower, terms.upper
-        lower = AsymForm.log_k(p, const=math.log(lo))
-        if slack == 1.0 and hi == lo:
-            return TailBounds.exact(lower, terms.k_min)
-        k_min = terms.k_min if slack == 1.0 else max(terms.k_min, _MIXED_K0)
-        return TailBounds(lower, AsymForm.log_k(p, const=math.log(hi * slack)), k_min)
+        lower, upper = _leading(lows), _leading(parts)
+        k_min = max(re_b.k_min, im_b.k_min)
+        object.__setattr__(self, "envelope_terms", EnvelopeTerms(re, im, k_min, lower, upper))
+        object.__setattr__(self, "lam_bounds", LamBounds(re_b, im_b, lower, upper, parts, k_min))
 
     @property
     def unbounded(self) -> Optional[bool]:
@@ -267,17 +279,14 @@ class PowerLawSpectrum(SpectrumFamily):
                 "label",
                 f"power_law({self.a_re:g}*k^{self.p_re:g} + i*{self.a_im:g}*k^{self.p_im:g})",
             )
-        self._read_envelopes()
+        self._read_envelopes(
+            TailBounds.exact(AsymForm.power(self.p_re, self.a_re)),
+            TailBounds.exact(AsymForm.power(self.p_im, self.a_im)),
+        )
 
     def eigenvalues(self, ks: np.ndarray) -> np.ndarray:
         kf = np.asarray(ks, dtype=float)
         return self.a_re * kf**self.p_re + 1j * self.a_im * kf**self.p_im
-
-    def re_bounds(self) -> TailBounds:
-        return TailBounds.exact(AsymForm.power(self.p_re, self.a_re))
-
-    def im_bounds(self) -> TailBounds:
-        return TailBounds.exact(AsymForm.power(self.p_im, self.a_im))
 
 
 @dataclass(frozen=True)
@@ -301,16 +310,10 @@ class CustomSpectrum(SpectrumFamily):
         if self.envelopes is not None:
             if not (isinstance(self.envelopes, tuple) and len(self.envelopes) == 2):
                 raise SpectrumError("envelopes must be the pair (Re envelope, Im envelope)")
-            self._read_envelopes()
+            self._read_envelopes(*self.envelopes)
 
     def eigenvalues(self, ks: np.ndarray) -> np.ndarray:
         return np.asarray([complex(self.fn(int(k))) for k in np.asarray(ks)], dtype=complex)
-
-    def re_bounds(self) -> Optional[TailBounds]:
-        return self.envelopes[0] if self.envelopes is not None else None
-
-    def im_bounds(self) -> Optional[TailBounds]:
-        return self.envelopes[1] if self.envelopes is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +521,7 @@ class _MappedCoeffs(_CoeffImpl):
         if b is None:
             return None
         for sym in self.symbols:
-            g = sym.growth_bounds_on(spectrum)
+            g = sym.growth_bounds_on(spectrum.lam_bounds)
             if g is None:
                 return None
             b = b + g
@@ -696,20 +699,20 @@ class SeriesSpace:
     - coeff_bounds: envelope of the log-magnitudes, None when unknown.
     - selection: the object the indices are drawn from (None: the
       eigenvalue order itself); two vectors pair only over one selection.
-    - re_bounds(), im_bounds(), log_abs_bounds(), abs_pow_bounds(q):
-      envelopes of Re lam, Im lam, log|lam| and |lam|^q, called exactly
-      like SpectrumFamily's, so a symbol's growth_bounds_on takes either.
+    - lam_bounds: the LamBounds of the eigenvalues at the indices, None
+      when unknown; every symbol reads its growth envelope from it.
     - term_bounds(F): envelope of log|c_n| + log|F(lam_n)|, the one
       envelope every series over the space reads.  By default it is the
       sum of the componentwise envelopes; a space whose coefficients are
       tied to lam (a counterexample plan's vectors) overrides it with the
       coupled estimate, which no componentwise envelope expresses.  No
       override concerns a power of A: power_norms works out the envelopes
-      of all powers from coeff_bounds and log_abs_bounds at once.
+      of all powers from coeff_bounds and lam_bounds.log_abs() at once.
     """
 
     count: Optional[int] = None
     coeff_bounds: Optional[TailBounds] = None
+    lam_bounds: Optional[LamBounds] = None
     selection: object = None
 
     def lam(self, ns: np.ndarray) -> np.ndarray:
@@ -718,24 +721,12 @@ class SeriesSpace:
     def coeff_log(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def re_bounds(self) -> Optional[TailBounds]:
-        return None
-
-    def im_bounds(self) -> Optional[TailBounds]:
-        return None
-
-    def log_abs_bounds(self) -> Optional[TailBounds]:
-        return None
-
-    def abs_pow_bounds(self, q: float) -> Optional[TailBounds]:
-        return None
-
     def term_bounds(self, F=None) -> Optional[TailBounds]:
         """Envelope of log|c_n| + log|F(lam_n)|; of log|c_n| when F is None."""
         cb = self.coeff_bounds
         if cb is None or F is None:
             return cb
-        gb = F.growth_bounds_on(self)
+        gb = F.growth_bounds_on(self.lam_bounds)
         return cb + gb if gb is not None else None
 
 
@@ -759,17 +750,9 @@ class DenseSpace(SeriesSpace):
     def coeff_bounds(self) -> Optional[TailBounds]:
         return self.vector.decay_bounds()
 
-    def re_bounds(self) -> Optional[TailBounds]:
-        return self.vector.spectrum.re_bounds()
-
-    def im_bounds(self) -> Optional[TailBounds]:
-        return self.vector.spectrum.im_bounds()
-
-    def log_abs_bounds(self) -> Optional[TailBounds]:
-        return self.vector.spectrum.log_abs_bounds()
-
-    def abs_pow_bounds(self, q: float) -> Optional[TailBounds]:
-        return self.vector.spectrum.abs_pow_bounds(q)
+    @property
+    def lam_bounds(self) -> Optional[LamBounds]:
+        return self.vector.spectrum.lam_bounds
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +802,7 @@ def total_variation(
 
     The sum runs over the series spaces of f and g, which must share one
     selection.  `weight` is a symbol-like object exposing log_abs(lams) and
-    growth_bounds_on(space); None means the constant weight 1.  With
+    growth_bounds_on(lam_bounds); None means the constant weight 1.  With
     weight 1 and delta = C this is the total variation of the pairing
     measure, bounded by ||f||_p ||g||_q.  `budget=None` only decides the
     status (see certify_log_series).

@@ -288,6 +288,43 @@ def test_run_region_boundary_samples_the_curve():
         assert v["re"] == 0.5 * abs(v["im"]) ** 0.5
 
 
+@pytest.mark.parametrize("beta", [0, 0.001])
+def test_region_boundary_below_order_one_is_a_job_error(tmp_path, capsys, beta):
+    # Re = b_plus |Im|^{1/beta} is the region test's boundary, read for
+    # beta >= 1; below that 1/beta divided by zero or overflowed
+    path = write_job(tmp_path, f'{{"command":"region-boundary","beta":{beta},"b_plus":1}}')
+    assert cli.main(["region-boundary", "--job", path]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "$.beta: beta must be >= 1"
+
+
+def _strict_json(text):
+    """json.loads that refuses Infinity, -Infinity and NaN, which are not JSON."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_region_boundary_past_the_float_range_is_json():
+    job = cli.parse_jobspec('{"command":"region-boundary","beta":1,"b_plus":1e300,"im_max":1e300}')
+    verdicts = _strict_json(cli.run(job).to_json())["verdicts"]
+    assert verdicts[0]["re"] == "inf" and verdicts[0]["im"] == -1e300
+
+
+def test_classify_vector_past_the_float_range_is_unknown():
+    # |lam_k|^{1/beta} = (sqrt(5) k)^1000 on k + 2ik at beta = 0.001: the
+    # power overflows, so the verdict is Unknown, not a traceback
+    job = cli.parse_jobspec(
+        '{"command":"classify-vector","beta":0.001,"flavor":"both",'
+        '"spectrum":{"power_law":{"a_re":1,"p_re":1,"a_im":2,"p_im":1}},'
+        '"vectors":[{"power_decay":{"c":1,"r":1}}]}'
+    )
+    report = cli.run(job)
+    assert report.status == "unknown"
+    assert [v["member"] for v in _strict_json(report.to_json())["verdicts"]] == [None, None]
+
+
 def test_run_harness_on_violated_spectrum_includes_counterexample():
     job = cli.parse_jobspec(
         '{"command":"harness","spectrum":{"power_law":{"a_re":0,"p_re":0,"a_im":1,"p_im":2}},"beta":1}'
@@ -625,7 +662,9 @@ def test_power_law_traffic_has_no_inconclusive_certificate(monkeypatch):
         current["family"] = tuple(job["spectrum"]["power_law"].values()) if "spectrum" in job else None
         report = cli.run(cli.parse_jobspec(json.dumps(job)))
         assert report.status == "ok", (job, report.error)
-        assert "inconclusive" not in report.to_json(), job
+        # every report is strict JSON: no Infinity or NaN constant
+        text = report.to_json()
+        assert "inconclusive" not in text and _strict_json(text)["status"] == "ok", job
         digest.update(report.to_json(seed_free=True).encode())
     # the seed-free reports pin every verdict, bracket and value byte for byte
     assert digest.hexdigest() == _TRAFFIC_DIGEST

@@ -76,3 +76,19 @@ def test_plans_and_region_read_envelopes_not_power_law_fields(name):
         named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         named |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
         assert "PowerLawSpectrum" not in named, f"{name} names PowerLawSpectrum"
+
+
+_ENVELOPE_METHODS = {"re_bounds", "im_bounds", "abs_pow_bounds", "log_abs_bounds"}
+
+
+def test_eigenvalue_envelopes_are_one_object():
+    """Families and index spaces hand on one LamBounds (lam_bounds), whose
+    abs_pow and log_abs are the only derivation of the |lam|^q and log|lam|
+    envelopes; no module defines the old per-class envelope methods."""
+    defined = [
+        f"{path.name}:{node.name}"
+        for path in sorted(_SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in _ENVELOPE_METHODS
+    ]
+    assert not defined, f"eigenvalue envelope methods defined outside LamBounds: {defined}"

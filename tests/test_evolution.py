@@ -286,3 +286,19 @@ def test_weak_residual_needs_time_margin_on_infinite_spectra():
     g = gl.CoefficientVector.power_decay(spec, 1.0, 1.0, p=2.0)
     with pytest.raises(ValueError):
         gl.weak_solution_residual(h, g, [0.0])
+
+
+def test_pairing_refuses_a_tail_it_cannot_bound():
+    # exact envelope -0.51 log k + 1/k on both vectors: the product's tail
+    # past k = 65,536 has no closed-form bound (a log form with a power
+    # term), and the truncated sum 18.70 is far from the true 58.75
+    spec = gl.PowerLawSpectrum(1, 1, 0, 0)
+    env = gl.TailBounds.exact(gl.AsymForm.log_k(-0.51) + gl.AsymForm.power(-1.0, 1.0))
+
+    def coeffs(ks):
+        kf = ks.astype(float)
+        return -0.51 * np.log(kf) + 1.0 / kf, np.zeros(kf.shape)
+
+    v = gl.CoefficientVector.custom(spec, coeffs, env)
+    with pytest.raises(gl.VectorError, match="no certified bound"):
+        ev.pairing(v, v)

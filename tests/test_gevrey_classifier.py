@@ -731,3 +731,16 @@ def test_decisions_evaluate_no_coefficient_beyond_the_witness():
     r = gl.vector_class(f, 1.0, R)
     assert [st for _, st in r.probes] == ["converges", "diverges"]
     assert asked == [[1 << j for j in range(15)]]
+
+
+def test_a_power_past_the_float_range_leaves_the_class_unknown():
+    # |lam_k| = k/2 at beta = 0.0005: 0.5^2000 underflows to 0, and an upper
+    # envelope |lam_k|^2000 <= 0 once put e^{-k}, which lies in no class of
+    # order beta < 1, in both classes.  On k + 2ik at beta = 0.001,
+    # sqrt(5)^1000 overflows.  Either way the envelope keeps no side
+    spec = gl.PowerLawSpectrum(0.5, 1, 0, 0)
+    assert spec.lam_bounds.abs_pow(2000.0) == gl.TailBounds(None, None)
+    f = gl.CoefficientVector.power_decay(spec, 1, 1)
+    assert [gl.vector_class(f, 0.0005, fl).member for fl in gl.GevreyFlavor] == [None, None]
+    g = gl.CoefficientVector.power_decay(gl.PowerLawSpectrum(1, 1, 2, 1), 1, 1)
+    assert gl.vector_class(g, 0.001).member is None

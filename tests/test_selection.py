@@ -486,7 +486,7 @@ def test_power_law_envelopes_declared_on_a_custom_family_plan_alike(a_re, p_re, 
         spec = gl.PowerLawSpectrum(a_re, p_re, a_im, p_im)
     except gl.SpectrumError:
         assume(False)
-    custom = gl.CustomSpectrum(spec.eigenvalue, (spec.re_bounds(), spec.im_bounds()))
+    custom = gl.CustomSpectrum(spec.eigenvalue, (spec.lam_bounds.re, spec.lam_bounds.im))
     plans = []
     for family in (spec, custom):
         try:

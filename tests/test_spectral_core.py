@@ -313,7 +313,7 @@ def test_pairing_measure_atoms():
 
 def test_custom_spectrum_without_exponents_refuses_analysis():
     spec = gl.CustomSpectrum(lambda k: complex(k, k))
-    assert spec.re_bounds() is None and spec.abs_pow_bounds(1.0) is None
+    assert spec.lam_bounds is None
     assert spec.unbounded is None
 
 
@@ -329,9 +329,9 @@ def _interval_family():
 
 def test_custom_spectrum_with_exponents_estimates_envelopes():
     spec = _interval_family()
-    assert spec.re_bounds() is spec.envelopes[0] and spec.unbounded is True
+    assert spec.lam_bounds.re is spec.envelopes[0] and spec.unbounded is True
     # |lam_k| >= 2 k^2, and |lam_k| <= 3 k + 4 k^2 by the triangle inequality
-    env = spec.abs_pow_bounds(1.0)
+    env = spec.lam_bounds.abs_pow(1.0)
     assert env.lower == gl.AsymForm.power(2.0, 2.0)
     assert env.upper == gl.AsymForm.power(2.0, 4.0) + gl.AsymForm.power(1.0, 3.0)
 
@@ -383,9 +383,9 @@ def test_abs_pow_envelopes_hold_against_an_oracle(a_re, p_re, a_im, p_im, q):
             return mpmath.mpc(re, mpmath.mpf(a_im) * k ** mpmath.mpf(p_im))
 
     if q == "log":
-        env, value = spec.log_abs_bounds(), lambda k: mpmath.log(abs(lam(k)))
+        env, value = spec.lam_bounds.log_abs(), lambda k: mpmath.log(abs(lam(k)))
     else:
-        env, value = spec.abs_pow_bounds(q), lambda k: abs(lam(k)) ** mpmath.mpf(q)
+        env, value = spec.lam_bounds.abs_pow(q), lambda k: abs(lam(k)) ** mpmath.mpf(q)
     # sums of powers hold from k = 1; leading terms with a slack from k = 1,024
     assert env.k_min == 1 if q != "log" and q <= 1 else env.k_min in (1, 1024)
     rng = np.random.default_rng(7)
@@ -457,8 +457,8 @@ def _envelope_reprs():
         except gl.SpectrumError:
             continue
         for q in (1.0, 1 / 1.5, 0.5, 1 / 3, 2.0, 3.0):
-            yield repr(spec.abs_pow_bounds(q))
-        yield repr(spec.log_abs_bounds())
+            yield repr(spec.lam_bounds.abs_pow(q))
+        yield repr(spec.lam_bounds.log_abs())
         yield repr(spec.unbounded)
         yield repr(spec.envelope_terms.upper)
 
