@@ -68,7 +68,6 @@ from .gevrey_classifier import (
     GevreyVerdict,
     HarnessReport,
     OrderEstimate,
-    RatioTail,
     RegionHolds,
     RegionReport,
     RegionUnknown,

@@ -260,7 +260,8 @@ _FIELD_PARSERS = {
         p, "must be 'bounded' or 'unbounded'"
     ),
     "b_plus": lambda v, p: _real(v, p, minimum=0.0, strict_min=True),
-    "im_max": lambda v, p: _real(v, p, minimum=0.0, strict_min=True),
+    # region-boundary samples Im through 2 im_max, which must stay finite
+    "im_max": lambda v, p: _real(v, p, minimum=0.0, maximum=sys.float_info.max / 2, strict_min=True),
     "samples": lambda v, p: _integer(v, p, minimum=2),
     "output_path": lambda v, p: v if isinstance(v, str) else _fail(p, "expected a string"),
 }
@@ -383,14 +384,6 @@ def _region_dict(report, spectrum_label: str) -> dict:
         "spectrum": spectrum_label,
         "beta": report.beta,
         "detail": report.detail,
-        "ratio_tail": {
-            "count": report.ratio_tail.count,
-            "finite": report.ratio_tail.finite,
-            "min": json_float(report.ratio_tail.min),
-            "max": json_float(report.ratio_tail.max),
-            "tail_min": json_float(report.ratio_tail.tail_min),
-            "tail_max": json_float(report.ratio_tail.tail_max),
-        },
         "unknown": isinstance(status, RegionUnknown),
     }
     if isinstance(status, RegionHolds):

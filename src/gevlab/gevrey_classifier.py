@@ -377,22 +377,12 @@ class RegionUnknown:
 
 
 @dataclass(frozen=True)
-class RatioTail:
-    """Summary of rho_k = Re(lam_k) / |Im(lam_k)|^{1/beta} over a sample."""
-
-    count: int
-    finite: int
-    min: float
-    max: float
-    tail_min: float
-    tail_max: float
-
-
-@dataclass(frozen=True)
 class RegionReport:
+    """The region verdict at order beta; `detail` names the exponent rule
+    that decided it."""
+
     beta: float
     status: object  # RegionHolds | RegionViolated | RegionUnknown
-    ratio_tail: RatioTail
     detail: str = ""
 
     @property
@@ -404,34 +394,7 @@ class RegionReport:
         return isinstance(self.status, RegionViolated)
 
 
-def _rho(lams: np.ndarray, beta: float) -> np.ndarray:
-    re, im = lams.real, np.abs(lams.imag)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = re / im ** (1.0 / beta)
-    zero_im = im == 0.0
-    rho = np.where(zero_im & (re >= 0), math.inf, rho)
-    rho = np.where(zero_im & (re < 0), -math.inf, rho)
-    return rho
-
-
-def _ratio_summary(spectrum: SpectrumFamily, beta: float, sample: int) -> RatioTail:
-    n = spectrum.size if spectrum.size is not None else sample
-    n = min(n, sample)
-    ks = np.arange(1, n + 1, dtype=np.int64)
-    rho = _rho(spectrum.eigenvalues(ks), beta)
-    finite = rho[np.isfinite(rho)]
-    half = rho[n // 2 :]
-    return RatioTail(
-        count=n,
-        finite=int(finite.size),
-        min=float(np.min(rho)),
-        max=float(np.max(rho)),
-        tail_min=float(np.min(half)),
-        tail_max=float(np.max(half)),
-    )
-
-
-def _violated(spectrum: SpectrumFamily, beta: float, tail, detail) -> RegionReport:
+def _violated(spectrum: SpectrumFamily, beta: float, detail) -> RegionReport:
     from .counterexamples import Selection
 
     try:
@@ -443,7 +406,7 @@ def _violated(spectrum: SpectrumFamily, beta: float, tail, detail) -> RegionRepo
     except PlanError as exc:  # the selection stops before its indices leave int64
         detail += f"; witness cut to {len(selection)} points: {exc}"
     lams = selection.lam(np.arange(1, len(selection) + 1))
-    return RegionReport(beta, RegionViolated(tuple(lams.tolist())), tail, detail)
+    return RegionReport(beta, RegionViolated(tuple(lams.tolist())), detail)
 
 
 def _holds_verified(spectrum, beta, b_plus, radius) -> None:
@@ -465,21 +428,22 @@ def short_float(x: float) -> str:
 def region_condition(spectrum: SpectrumFamily, beta: float) -> RegionReport:
     """Is the spectrum inside {Re >= b_+ |Im|^{1/beta}} up to a bounded set?
 
-    The main theorem backs the test for beta >= 1 only; smaller orders are
-    a ValueError.
+    A rule on the exponents of the declared envelopes decides; a family
+    without them is Unknown, and no eigenvalue is evaluated.  The main
+    theorem backs the test for beta >= 1 only; smaller orders are a
+    ValueError.
     """
     beta = _check_beta(beta)
     if beta < 1.0:
         raise ValueError("region test is theorem-backed only for beta >= 1")
-    tail = _ratio_summary(spectrum, beta, 4096)
 
     if isinstance(spectrum, ExplicitSpectrum):
         status = RegionHolds(1.0, spectrum.max_abs() + 1.0)
-        return RegionReport(beta, status, tail, "finite spectrum is bounded")
+        return RegionReport(beta, status, "finite spectrum is bounded")
 
     terms = spectrum.envelope_terms
     if terms is None:
-        return RegionReport(beta, RegionUnknown("custom family without declared envelopes"), tail)
+        return RegionReport(beta, RegionUnknown("custom family without declared envelopes"))
     (p_re, a, _), (p_im, b_lo, b_hi) = terms.re, terms.im
     b = max(abs(b_lo), abs(b_hi))  # |Im lam_k| <= b k^p_im
 
@@ -490,8 +454,8 @@ def region_condition(spectrum: SpectrumFamily, beta: float) -> RegionReport:
         if re_grows:
             k_star = _index_past(a, b, p_re, p_im, beta) if b else None
             detail = "real part grows, imaginary part bounded"
-            return _holds(spectrum, beta, tail, 1.0, k_star, detail)
-        return _violated(spectrum, beta, tail, "unbounded spectrum with non-growing real part")
+            return _holds(spectrum, beta, 1.0, k_star, detail)
+        return _violated(spectrum, beta, "unbounded spectrum with non-growing real part")
 
     delta = p_re - p_im / beta
     if re_grows and delta > 0:
@@ -499,13 +463,13 @@ def region_condition(spectrum: SpectrumFamily, beta: float) -> RegionReport:
         detail = (
             f"real-part exponent {short_float(p_re)} > |Im| exponent {short_float(p_im)}/beta"
         )
-        return _holds(spectrum, beta, tail, 1.0, k_star, detail)
+        return _holds(spectrum, beta, 1.0, k_star, detail)
     if re_grows and delta == 0.0:
         b_plus = a / b ** (1.0 / beta)
         for _ in range(4):
             b_plus = math.nextafter(b_plus, 0.0)
-        return _holds(spectrum, beta, tail, b_plus, None, "equal exponents: constant ratio rho_k")
-    return _violated(spectrum, beta, tail, "imaginary growth outruns the real part")
+        return _holds(spectrum, beta, b_plus, None, "equal exponents: constant ratio rho_k")
+    return _violated(spectrum, beta, "imaginary growth outruns the real part")
 
 
 def _index_past(a: float, b: float, p_re: float, p_im: float, beta: float) -> float:
@@ -528,15 +492,15 @@ def _index_past(a: float, b: float, p_re: float, p_im: float, beta: float) -> fl
     return math.ceil(x) + 1 + math.floor(err) if x + err < 2.0**1000 else math.inf
 
 
-def _holds(spectrum, beta, tail, b_plus, k_star, detail) -> RegionReport:
+def _holds(spectrum, beta, b_plus, k_star, detail) -> RegionReport:
     """Holds with b_plus from k_star on (None: from k_min), Unknown past the float range."""
     radius = math.inf if k_star == math.inf else _radius(spectrum, k_star)
     if not math.isfinite(radius):
         reason = "exception radius overflows the float range"
-        return RegionReport(beta, RegionUnknown(reason), tail, detail)
+        return RegionReport(beta, RegionUnknown(reason), detail)
     status = RegionHolds(b_plus, radius)
     _holds_verified(spectrum, beta, b_plus, radius)
-    return RegionReport(beta, status, tail, detail)
+    return RegionReport(beta, status, detail)
 
 
 def _radius(spectrum: SpectrumFamily, k_star: Optional[int]) -> float:

@@ -2,17 +2,18 @@
 
 A finite sum is added up exactly (`exact-finite`).  An infinite sum is
 decided only from its declared envelopes (`TailBounds`): a lower envelope
-whose terms do not decay proves divergence (`symbolic-divergence`); a
-summable upper envelope proves convergence, and partial sums over k = 1..K,
-K doubling up to a budget, resolve the value until the envelope's closed-form
-tail bound falls below tolerance (`symbolic-tail`).  Without such an envelope
-the result is Inconclusive on route `no-closed-form`, at once: the engine
-never extrapolates from a summed prefix and never silently truncates.
-Without a budget the engine only decides: it returns the same status and
-route and sums no term.  A family of such sums, one row each, is certified
-in one pass (`certify_log_rows`): every row keeps its own rule and
-certificate, and the rows share each block of indices, the monotone starts
-and the tail-bound checkpoints.  One sum is the family of one row.
+whose terms do not decay proves divergence (`symbolic-divergence`) with no
+term evaluated; a summable upper envelope proves convergence, and partial
+sums over k = 1..K, K doubling up to a budget, resolve the value until the
+envelope's closed-form tail bound falls below tolerance (`symbolic-tail`).
+Without such an envelope the result is Inconclusive on route
+`no-closed-form`, at once: the engine never extrapolates from a summed
+prefix and never silently truncates.  Without a budget the engine only
+decides: it returns the same status and route and evaluates no term.  A
+family of such sums, one row each, is certified in one pass
+(`certify_log_rows`): every row keeps its own rule and certificate, and the
+rows share each block of indices, the monotone starts and the tail-bound
+checkpoints.  One sum is the family of one row.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ _FINITE_STEP = 1 << 16  # a finite sum is added up in blocks of this many indice
 # Log-terms in one block of rows: rows are grouped so that a block read for
 # many rows holds no more than a 32,768-index block of one row.
 _ROWS_CAP = 1 << 15
-_WITNESS_KS = np.array([1 << j for j in range(15)], dtype=np.int64)  # k = 2^0..2^14
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,8 @@ class ConvergenceCertificate:
     `log_value` is the log of the certified partial sum (CONVERGES) and
     `log_tail_bound` bounds the log of the truncation error.  A decision
     certificate, issued without a budget, resolves no value: when it
-    CONVERGES, both are NaN and `terms_used` is 0.  DIVERGES carries a
-    witness payload sampling the terms at k = 2^0..2^14.
+    CONVERGES, both are NaN and `terms_used` is 0.  DIVERGES evaluates no
+    term: `detail` names the lower envelope that proves it and its `k_min`.
     """
 
     status: SeriesStatus
@@ -72,7 +72,6 @@ class ConvergenceCertificate:
     log_tail_bound: float = math.nan
     terms_used: int = 0
     route: str = ""
-    witness: Optional[dict] = None
     detail: str = ""
 
     @property
@@ -90,7 +89,6 @@ class ConvergenceCertificate:
             "log_tail_bound": json_float(self.log_tail_bound),
             "terms_used": self.terms_used,
             "route": self.route,
-            "witness": self.witness,
             "detail": self.detail,
         }
 
@@ -119,8 +117,8 @@ def certify_log_series(
     `bounds` sandwiches the log-terms beyond bounds.k_min; an infinite sum
     is decided from it alone, and is INCONCLUSIVE (route `no-closed-form`,
     no term evaluated) when neither envelope decides.  With `budget=None`
-    only the status is certified: no term is evaluated apart from the
-    divergence witness, and a convergent certificate carries no value.
+    only the status is certified: no term is evaluated, and a convergent
+    certificate carries no value.
     This is the one-row case of certify_log_rows.
     """
     return certify_log_rows(
@@ -199,17 +197,10 @@ def certify_log_rows(
     else:
         certs = _resolved(term_rows, uppers, k_mins, details, budget) if uppers else []
     if diverging is not None:
-        log_terms = term_rows(_WITNESS_KS, [len(uppers)])[0]
         undecided = ConvergenceCertificate(
             SeriesStatus.DIVERGES,
             log_value=math.inf,
-            terms_used=0,
             route="symbolic-divergence",
-            witness={
-                "kind": "sample-prefix",
-                "k": _WITNESS_KS.tolist(),
-                "log_term": [float(v) for v in log_terms],
-            },
             detail=f"lower envelope {diverging.lower.describe()} does not decay"
             f" (valid k >= {diverging.k_min})",
         )

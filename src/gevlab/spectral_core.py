@@ -9,6 +9,7 @@ at most one and the model's spectral-measure bound is exactly 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -118,13 +119,14 @@ class EnvelopeTerms:
 
 
 def _power_form(p: float, c: float, q: float) -> Optional[AsymForm]:
-    """c^q k^p for c > 0, or None where c^q leaves the float range: an
-    overflow, or an underflow to 0, which as an upper envelope claims 0."""
+    """c^q k^p for c > 0, or None where c^q leaves the normal float range:
+    an overflow, or an underflow to 0 or to a subnormal, which a probe's
+    scale s can round to 0, so that as an upper envelope it claims 0."""
     try:
         cq = c**q
     except OverflowError:
         return None
-    return AsymForm.power(p, cq) if cq else None
+    return AsymForm.power(p, cq) if cq >= sys.float_info.min else None
 
 
 @dataclass(frozen=True)

@@ -362,8 +362,8 @@ def _power_norm_cases(draw):
 @given(case=_power_norm_cases())
 def test_power_norms_equal_one_engine_call_per_power(case):
     # the family engine gives every power the certificate a call of its own
-    # gives it: status, route, value, tail bound, terms used, detail and
-    # witness, and the same cutoff; repr tells every float apart
+    # gives it: status, route, value, tail bound, terms used and detail, and
+    # the same cutoff; repr tells every float apart
     f, n_max, budget = case
     got = gl.power_norms(f, n_max, budget)
     assert repr(got) == repr(_power_norms_one_call_per_power(f, n_max, budget))
@@ -374,7 +374,6 @@ def test_power_norms_leave_lp_where_one_call_per_power_does():
     f = gl.CoefficientVector.polynomial_decay(gl.PowerLawSpectrum(1, 1, 0, 0), 3.0, p=1.0)
     got = gl.power_norms(f, 10)
     assert got.cutoff == 2 and got.cutoff_certificate.route == "symbolic-divergence"
-    assert got.cutoff_certificate.witness["log_term"][3] == pytest.approx(-math.log(8.0))
     assert repr(got) == repr(_power_norms_one_call_per_power(f, 10, DEFAULT_BUDGET))
 
 

@@ -312,6 +312,14 @@ def test_region_boundary_past_the_float_range_is_json():
     assert verdicts[0]["re"] == "inf" and verdicts[0]["im"] == -1e300
 
 
+def test_region_boundary_im_max_past_half_the_float_range_is_a_job_error(tmp_path, capsys):
+    # the samples run through 2 im_max, which overflows to inf past max / 2
+    path = write_job(tmp_path, '{"command":"region-boundary","beta":1,"b_plus":1,"im_max":1.5e308}')
+    assert cli.main(["region-boundary", "--job", path]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error == f"$.im_max: must be <= {sys.float_info.max / 2}"
+
+
 def test_classify_vector_past_the_float_range_is_unknown():
     # |lam_k|^{1/beta} = (sqrt(5) k)^1000 on k + 2ik at beta = 0.001: the
     # power overflows, so the verdict is Unknown, not a traceback
@@ -563,14 +571,13 @@ def test_main_rejects_bad_overrides_by_name(tmp_path, monkeypatch, capsys, flags
 
 @pytest.mark.parametrize("case", ["bounded", "unbounded"])
 def test_counterexample_witness_ignores_k_max(case):
-    # the dual probes only decide, so no budget reaches their witnesses
+    # the dual probes only decide, so no budget reaches their certificates
     job = {"command": "counterexample", "beta": 1, "case": case}
     certs = [
         cli.run(cli.parse_jobspec(json.dumps(j))).verdicts[0]["probe_certificates"]
         for j in (job, {**job, "k_max": 1024})
     ]
     assert certs[0] == certs[1]
-    assert all(c["witness"]["k"] == [1 << j for j in range(15)] for c in certs[1].values())
 
 
 def test_cli_subprocess_end_to_end(tmp_path):
@@ -633,7 +640,7 @@ def _traffic_jobs():
 
 
 # sha256 of the 398 seed-free reports of _traffic_jobs(), concatenated in order
-_TRAFFIC_DIGEST = "cfa80def9948b06479784d29dc83329ceba26d2c4757cdedc3995eac03f76078"
+_TRAFFIC_DIGEST = "f4444041af00276e65812a16157a1034d23ff50ae1d82133f10a25639d83e864"
 
 
 def test_power_law_traffic_has_no_inconclusive_certificate(monkeypatch):
@@ -704,7 +711,7 @@ def _explicit_jobs():
 
 # sha256 of the CSV tables of the 398 _traffic_jobs() and the 7
 # _explicit_jobs(), each explicit table followed by its seed-free report
-_CSV_DIGEST = "8b60075011518da433605662561e15f71be146ed30f8a37bdcaedbefae4168c2"
+_CSV_DIGEST = "577be523eb9687c81c84a522e600e7fc920dc2faf807510f517590d0c0a0e8aa"
 
 
 def test_csv_tables_and_explicit_reports_are_pinned(tmp_path):
@@ -724,6 +731,67 @@ def test_csv_tables_and_explicit_reports_are_pinned(tmp_path):
     # a finite spectrum satisfies the region condition, so it has no counterexample
     assert statuses == {c: "error" if c == "counterexample" else "ok" for c in cli.COMMANDS}
     assert digest.hexdigest() == _CSV_DIGEST
+
+
+def _keys(*names):
+    return frozenset(names)
+
+
+# the key sets of the reports of _traffic_jobs() and _explicit_jobs(): every
+# verdict kind, every certificate dict, and the report itself
+_REPORT_KEYS = _keys(
+    "error", "flags", "format_version", "job", "job_id", "status", "timings", "tool",
+    "verdicts", "version",
+)
+_CERTIFICATE_KEYS = _keys("detail", "log_tail_bound", "log_value", "route", "status", "terms_used")
+_EVOLVE_KEYS = _keys("certificate", "kind", "log_norm", "t", "unknown", "vector")
+_COUNTEREXAMPLE_KEYS = _keys(
+    "admissible", "beta", "case", "kind", "roumieu_member", "spectrum", "unknown"
+)
+_REGION_KEYS = _keys("beta", "detail", "kind", "spectrum", "status", "unknown")
+_VERDICT_KEYS = {
+    "admissibility": {
+        _keys("admissible", "checked_times", "kind", "tail_rule", "unknown", "vector")
+    },
+    "boundary": {_keys("im", "kind", "n", "re", "unknown")},
+    "class": {
+        _keys(
+            "beta", "detail", "flavor", "kind", "member", "probes", "s_star_high", "s_star_low",
+            "support_bound", "t", "unknown", "vector",
+        )
+    },
+    # the explicit plan (bounded case) reports no probe certificates
+    "counterexample": {
+        _COUNTEREXAMPLE_KEYS,
+        _COUNTEREXAMPLE_KEYS | {"log_l_bound", "probe_certificates"},
+    },
+    # coordinates on explicit spectra only
+    "evolve": {_EVOLVE_KEYS, _EVOLVE_KEYS | {"coords"}},
+    "harness-row": {_keys("admissible", "kind", "unknown", "vector", "verdicts")},
+    "norm": {_keys("kind", "n", "value", "vector")},
+    "order-summary": {_keys("alpha_hat", "beta_hat", "fit_residual", "kind", "n_range", "vector")},
+    "region": {
+        _REGION_KEYS | {"b_plus", "exception_radius"},
+        _REGION_KEYS | {"witness"},
+    },
+}
+
+
+def test_report_keys_are_pinned():
+    # a report carries what proves its verdicts and nothing sampled; any
+    # change to the format shows here
+    reports, verdicts, certificates = set(), {}, []
+    for job in [*_traffic_jobs(), *_explicit_jobs()]:
+        report = json.loads(cli.run(cli.parse_jobspec(json.dumps(job))).to_json())
+        reports.add(frozenset(report))
+        for v in report["verdicts"]:
+            verdicts.setdefault(v["kind"], set()).add(frozenset(v))
+            if "certificate" in v:
+                certificates.append(v["certificate"])
+            certificates.extend(v.get("probe_certificates", {}).values())
+    assert reports == {_REPORT_KEYS}
+    assert verdicts == _VERDICT_KEYS
+    assert certificates and {frozenset(c) for c in certificates} == {_CERTIFICATE_KEYS}
 
 
 # -- writing over an old file --------------------------------------------------

@@ -70,7 +70,6 @@ def test_symbolic_divergence_beats_misleading_prefix():
     cert = certify_log_series(term, bounds=bounds, budget=SeriesBudget(k_max=1 << 16))
     assert cert.status is SeriesStatus.DIVERGES
     assert cert.route == "symbolic-divergence"
-    assert cert.witness["kind"] == "sample-prefix"
 
 
 def _ten_atoms(ks):
