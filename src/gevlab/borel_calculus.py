@@ -456,11 +456,11 @@ def _log_abs(lams: np.ndarray) -> np.ndarray:
 
 def _power_terms(mags: np.ndarray, logabs: np.ndarray, p: float, ns: np.ndarray) -> np.ndarray:
     """p log|lam_k^n f_k| for each n of ns (one row each) at each index of
-    the block; row n = 0 is p log|f_k|, with no 0 * log|lam_k| in it."""
+    the block; row n = 0 is p log|f_k|, with no 0 * log|lam_k| in it.  A
+    NaN eigenvalue stays a NaN term, which the row's logsumexp refuses."""
     out = np.empty((ns.size, mags.size))
     zero = ns == 0
     out[zero] = p * mags
     if not zero.all():
-        row = p * np.where(mags == NEG_INF, NEG_INF, mags + ns[~zero, None] * logabs)
-        out[~zero] = np.where(np.isnan(row), NEG_INF, row)
+        out[~zero] = p * np.where(mags == NEG_INF, NEG_INF, mags + ns[~zero, None] * logabs)
     return out

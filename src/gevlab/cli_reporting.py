@@ -144,11 +144,13 @@ def _real(value, path, minimum=None, maximum=None, strict_min=False):
     return v
 
 
-def _integer(value, path, minimum=None):
+def _integer(value, path, minimum=None, maximum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, "expected an integer")
     if minimum is not None and value < minimum:
         _fail(path, f"must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        _fail(path, f"must be <= {maximum}")
     return int(value)
 
 
@@ -255,7 +257,10 @@ _FIELD_PARSERS = {
     "t_max": lambda v, p: _real(v, p, minimum=0.0, strict_min=True),
     "n_max": lambda v, p: _integer(v, p, minimum=1),
     "tol": lambda v, p: _real(v, p, minimum=0.0, strict_min=True),
-    "k_max": lambda v, p: _integer(v, p, minimum=1024),
+    # a sum read to k_max has a last block of up to k_max/2 indices: 2^22
+    # keeps each within the 2^21 terms of logsumexp's grid sum, and a huge
+    # k_max from asking numpy for a huge block
+    "k_max": lambda v, p: _integer(v, p, minimum=1024, maximum=1 << 22),
     "case": lambda v, p: v if v in ("bounded", "unbounded") else _fail(
         p, "must be 'bounded' or 'unbounded'"
     ),

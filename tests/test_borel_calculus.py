@@ -214,6 +214,16 @@ def test_power_norms_without_envelopes_keep_engine_certificates():
     assert cert.route == "no-closed-form" and cert.terms_used == 0
 
 
+def test_power_norms_refuse_a_nan_eigenvalue_as_the_direct_test_does():
+    # lam_3 = NaN must not drop the k = 3 term: ||Af|| would read log sqrt(21)
+    spec = gl.CustomSpectrum(lambda k: complex(math.nan if k == 3 else k, 0))
+    f = gl.CoefficientVector.explicit(spec, values=[1.0] * 4)
+    with pytest.raises(ValueError, match="NaN in log-domain summation"):
+        gl.domain_member_direct(gl.PowerSymbol(1), f)
+    with pytest.raises(ValueError, match="NaN in log-domain summation"):
+        gl.power_norms(f, 2)
+
+
 def _power_decay(params, c, r):
     return lambda: gl.CoefficientVector.power_decay(gl.PowerLawSpectrum(*params), c, r)
 

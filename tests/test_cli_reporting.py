@@ -552,8 +552,22 @@ _EVOLVE_K2 = json.dumps({
         ([], "many", "GSL_KMAX"),
         (["--tol", "0"], None, "--tol"),
         (["--tol", "nan"], None, "--tol"),
+        # a block of about k_max/2 indices: past 2^22 an error, not a MemoryError
+        (["--kmax", str((1 << 22) + 1)], None, "--kmax"),
+        ([], str((1 << 22) + 1), "GSL_KMAX"),
+        ([], "1099511627776", "GSL_KMAX"),
     ],
-    ids=["kmax-zero", "kmax-negative", "env-zero", "env-not-an-integer", "tol-zero", "tol-nan"],
+    ids=[
+        "kmax-zero",
+        "kmax-negative",
+        "env-zero",
+        "env-not-an-integer",
+        "tol-zero",
+        "tol-nan",
+        "kmax-past-2^22",
+        "env-past-2^22",
+        "env-2^40",
+    ],
 )
 def test_main_rejects_bad_overrides_by_name(tmp_path, monkeypatch, capsys, flags, env, named):
     path = write_job(tmp_path, _EVOLVE_K2)
@@ -567,6 +581,17 @@ def test_main_rejects_bad_overrides_by_name(tmp_path, monkeypatch, capsys, flags
     assert out.out == ""
     err = json.loads(out.err)
     assert err["status"] == "error" and err["error"].startswith(f"{named}: "), err
+
+
+def test_k_max_is_at_most_2_to_the_22(tmp_path, monkeypatch, capsys):
+    job = json.loads(_EVOLVE_K2)
+    assert cli.parse_jobspec(json.dumps({**job, "k_max": 1 << 22})).k_max == 1 << 22
+    with pytest.raises(JobSpecError, match=r"^\$\.k_max: must be <= 4194304$"):
+        cli.parse_jobspec(json.dumps({**job, "k_max": (1 << 22) + 1}))
+    path = write_job(tmp_path, MINIMAL)
+    monkeypatch.setenv("GSL_KMAX", str(1 << 22))
+    assert cli.main(["classify-spectrum", "--job", path, "--kmax", str(1 << 22), "--seed-free"]) == 0
+    assert json.loads(capsys.readouterr().out)["flags"]["kmax"] == 1 << 22
 
 
 @pytest.mark.parametrize("case", ["bounded", "unbounded"])

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gevlab import asymptotics
+import gevlab as gl
+from gevlab import asymptotics, series
 from gevlab.asymptotics import AsymForm, AsymTerm, TailBounds
 from gevlab.logdomain import NEG_INF
 from gevlab.series import (
@@ -251,3 +252,21 @@ def test_tail_is_checked_at_k_min_itself():
     assert cert.route == "symbolic-tail" and cert.terms_used == 1024
     late = certify_log_series(term, bounds=TailBounds.exact(AsymForm.power(1.0, -1.0), 1025))
     assert late.terms_used == 2048
+
+
+def test_power_norms_pass_every_log_term_through_logsumexp(monkeypatch):
+    # the benchmark counts logsumexp calls and terms under this name: each
+    # block of each row is one call, so the terms are the certificates' sum
+    sizes = []
+
+    def counted(values, _lse=series.logsumexp):
+        sizes.append(np.asarray(values).size)
+        return _lse(values)
+
+    monkeypatch.setattr(series, "logsumexp", counted)
+    # e^{-sqrt(k)} on lam_k = k
+    f = gl.CoefficientVector.power_decay(gl.PowerLawSpectrum(1, 1, 0, 0), 1.0, 0.5)
+    norms = gl.power_norms(f, 40)
+    assert norms.cutoff is None and len(norms.certificates) == 41
+    assert sum(c.terms_used for c in norms.certificates) == sum(sizes) == 439_296
+    assert len(sizes) == 155
