@@ -26,14 +26,10 @@ from .borel_calculus import (
 )
 from .catalog import builtin_spectra, builtin_vectors
 from .counterexamples import (
-    AnalyticAtZero,
-    AnalyticUnknown,
     CounterexampleArtifacts,
-    NotAnalytic,
     PlanCase,
     SupportView,
     ViolatingSpectrumPlan,
-    analytic_at_zero_probe,
     build_counterexample,
     build_violating_spectrum,
     plan_for_spectrum,
@@ -74,7 +70,6 @@ from .gevrey_classifier import (
     RegionViolated,
     estimate_order,
     region_condition,
-    solution_class_at,
     theorem_equivalence_harness,
     vector_class,
     vector_class_beta0,
@@ -88,25 +83,13 @@ from .series import (
     DEFAULT_BUDGET,
 )
 from .spectral_core import (
-    SPECTRAL_MEASURE_BOUND,
-    BorelPredicate,
     CoefficientVector,
     CustomSpectrum,
     ExplicitSpectrum,
-    PairingMeasure,
     PowerLawSpectrum,
     SeriesSpace,
     SpectrumFamily,
-    abs_gt,
-    abs_le,
     conjugate_exponent,
-    disk,
-    halfplane_re_ge,
-    multiplicativity_check,
-    predicate_all,
-    predicate_and,
-    predicate_none,
-    project,
     total_variation,
 )
 

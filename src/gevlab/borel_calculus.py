@@ -32,7 +32,6 @@ from .spectral_core import (
     CoefficientVector,
     LamBounds,
     conjugate_exponent,
-    predicate_all,
     total_variation,
 )
 
@@ -339,7 +338,7 @@ def domain_member_prop31(F: SymbolFunction, f: CoefficientVector) -> DomainVerdi
         )
     q = conjugate_exponent(f.p_norm)
     h_star = CoefficientVector.polynomial_decay(f.spectrum, 2.0, p=q, label="h*")
-    cert = total_variation(f, h_star, predicate_all(), weight=F, budget=None)
+    cert = total_variation(f, h_star, weight=F, budget=None)
     if cert.status is SeriesStatus.DIVERGES:
         return DomainVerdict(
             False,

@@ -26,9 +26,9 @@ from typing import Optional
 import numpy as np
 
 from .asymptotics import AsymForm, AsymTerm, TailBounds
-from .borel_calculus import ExpSymbol, GevreyExpSymbol, power_norms
+from .borel_calculus import ExpSymbol, GevreyExpSymbol
 from .errors import CounterexampleError, PlanError
-from .evolution import AdmissibilityCertificate, SolutionHandle, check_admissible
+from .evolution import AdmissibilityCertificate, check_admissible
 from .gevrey_classifier import GevreyVerdict, GevreyFlavor, short_float, vector_class
 from .logdomain import NEG_INF
 from .series import ConvergenceCertificate, SeriesStatus
@@ -40,7 +40,6 @@ from .spectral_core import (
     SeriesSpace,
     SpectrumFamily,
     conjugate_exponent,
-    predicate_all,
     total_variation,
 )
 
@@ -675,9 +674,7 @@ def build_counterexample(plan: ViolatingSpectrumPlan, p: float = 2.0) -> Counter
 
     probe_certs: dict[float, ConvergenceCertificate] = {}
     for s in _S_PROBES:
-        cert = total_variation(
-            f, h_star, predicate_all(), weight=GevreyExpSymbol(s, plan.beta), budget=None
-        )
+        cert = total_variation(f, h_star, weight=GevreyExpSymbol(s, plan.beta), budget=None)
         probe_certs[s] = cert
         if cert.status is not SeriesStatus.DIVERGES:
             raise CounterexampleError(
@@ -708,52 +705,3 @@ def build_counterexample(plan: ViolatingSpectrumPlan, p: float = 2.0) -> Counter
         log_l_bound=log_l_bound,
         detail=plan.detail,
     )
-
-
-# ---------------------------------------------------------------------------
-# Analyticity probe at t = 0
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AnalyticAtZero:
-    delta: float
-
-
-@dataclass(frozen=True)
-class NotAnalytic:
-    reason: str
-
-
-@dataclass(frozen=True)
-class AnalyticUnknown:
-    reason: str
-
-
-def analytic_at_zero_probe(h: SolutionHandle):
-    """Is y analytic at t = 0, and on what Taylor radius?
-
-    For a diagonal operator the Taylor series of y at 0 has radius exactly
-    s*, the critical scale of f at beta = 1.  For delta < s*,
-    delta^n ||A^n f|| / n! <= ||e^{delta|A|} f|| coordinatewise, so the
-    series converges on |t| < s*.  A bound C on delta^n ||A^n f|| / n! for
-    some delta > s* would give ||e^{delta'|A|} f|| <= C sum_n (delta'/delta)^n
-    for every delta' < delta, so f would lie in D(e^{delta'|A|}) past s*.
-    The order-1 Roumieu verdict therefore decides: True gives
-    AnalyticAtZero(s_star_low), the certified low end of the bracket (inf:
-    y is entire), False gives NotAnalytic, None AnalyticUnknown.  Where a
-    power norm leaves l^p at a finite order n, the refutation says so.
-    """
-    verdict = vector_class(h.f, 1.0)
-    if verdict.member is None:
-        return AnalyticUnknown(verdict.detail)
-    if verdict.member:
-        return AnalyticAtZero(verdict.s_star_low)
-    norms = power_norms(h.f, 40, budget=None)
-    cert = norms.cutoff_certificate
-    if cert is not None and cert.status is SeriesStatus.DIVERGES:
-        return NotAnalytic(
-            f"||A^n f|| leaves l^p at n = {norms.cutoff}: the solution is not "
-            f"even C^{norms.cutoff} at 0"
-        )
-    return NotAnalytic(f"f is not Roumieu of order 1, so the Taylor radius is 0: {verdict.detail}")

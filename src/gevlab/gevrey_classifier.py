@@ -40,8 +40,6 @@ from .spectral_core import (
     CoefficientVector,
     ExplicitSpectrum,
     SpectrumFamily,
-    abs_gt,
-    project,
 )
 
 _S_LO = 2.0**-20
@@ -285,9 +283,9 @@ def vector_class(
 def vector_class_beta0(f: CoefficientVector) -> GevreyVerdict:
     """Exponential-type test (order 0): bounded spectral support.
 
-    Member exactly when some projection onto {|lam| <= alpha} carries all of
-    f; the reported support bound is the largest eigenvalue modulus on the
-    support.
+    Member exactly when the nonzero coordinates of f lie in some disk
+    |lam| <= alpha; the reported support bound is the largest eigenvalue
+    modulus over them.
     """
     count = f.effective_count()
     if count is not None:
@@ -300,10 +298,6 @@ def vector_class_beta0(f: CoefficientVector) -> GevreyVerdict:
                 support_bound=0.0, detail="zero vector",
             )
         alpha = float(np.max(np.abs(f.spectrum.eigenvalues(ks[alive]))))
-        leftover = project(f, abs_gt(alpha))
-        lm, _ = leftover.log_coeffs(ks)
-        if bool(np.any(lm > NEG_INF)):
-            raise ConsistencyError("projection beyond the support bound is not zero")
         return GevreyVerdict(
             GevreyFlavor.ROUMIEU, True, math.inf, math.inf,
             support_bound=alpha, detail=f"support inside |lam| <= {alpha:g}",
@@ -330,18 +324,6 @@ def vector_class_beta0(f: CoefficientVector) -> GevreyVerdict:
         GevreyFlavor.ROUMIEU, None, 0.0, math.inf,
         detail="support unknown beyond the declared envelope",
     )
-
-
-def solution_class_at(
-    h: SolutionHandle,
-    t: float,
-    beta: float,
-    flavor: GevreyFlavor = GevreyFlavor.ROUMIEU,
-) -> GevreyVerdict:
-    """Class of y(t): the solution is order-beta at t iff y(t) is."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return vector_class(solve(h, t), beta, flavor)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,7 @@
 """Discrete model of a scalar-type spectral operator on a sequence space.
 
 A spectrum family lists (or generates) the eigenvalues lam_k; vectors are
-given by their coordinates in the eigenbasis, stored in log-polar form; the
-spectral measure acts by coordinate masking, so every projection has norm
-at most one and the model's spectral-measure bound is exactly 1.
+given by their coordinates in the eigenbasis, stored in log-polar form.
 """
 
 from __future__ import annotations
@@ -26,12 +24,7 @@ from .series import (
     certify_log_series,
 )
 
-#: Bound on the operator norm of the spectral measure.  The coordinate model
-#: forces the bound to be exactly one; it is housed here as a fixed property.
-SPECTRAL_MEASURE_BOUND = 1.0
-
 _MIXED_K0 = 1024
-_MULTIPLICATIVITY_PREFIX = 4096  # coordinates compared on a parametric vector
 
 
 def conjugate_exponent(p: float) -> float:
@@ -319,86 +312,6 @@ class CustomSpectrum(SpectrumFamily):
 
 
 # ---------------------------------------------------------------------------
-# Borel predicates
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BorelPredicate:
-    """Pure, deterministic membership rule for a Borel subset of the plane."""
-
-    fn: Callable[[complex], bool]
-    description: str
-    bulk: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    is_all: bool = False
-    is_none: bool = False
-
-    def __call__(self, lam: complex) -> bool:
-        return bool(self.fn(lam))
-
-    def mask(self, lams: np.ndarray) -> np.ndarray:
-        if self.is_all:
-            return np.ones(len(lams), dtype=bool)
-        if self.is_none:
-            return np.zeros(len(lams), dtype=bool)
-        if self.bulk is not None:
-            return np.asarray(self.bulk(lams), dtype=bool)
-        return np.asarray([self.fn(complex(z)) for z in lams], dtype=bool)
-
-
-def predicate_all() -> BorelPredicate:
-    return BorelPredicate(lambda z: True, "C", is_all=True)
-
-
-def predicate_none() -> BorelPredicate:
-    return BorelPredicate(lambda z: False, "{}", is_none=True)
-
-
-def halfplane_re_ge(c: float) -> BorelPredicate:
-    return BorelPredicate(
-        lambda z: z.real >= c, f"Re(lam) >= {c:g}", bulk=lambda zs: zs.real >= c
-    )
-
-
-def abs_gt(alpha: float) -> BorelPredicate:
-    return BorelPredicate(
-        lambda z: abs(z) > alpha, f"|lam| > {alpha:g}", bulk=lambda zs: np.abs(zs) > alpha
-    )
-
-
-def abs_le(alpha: float) -> BorelPredicate:
-    return BorelPredicate(
-        lambda z: abs(z) <= alpha, f"|lam| <= {alpha:g}", bulk=lambda zs: np.abs(zs) <= alpha
-    )
-
-
-def disk(center: complex, radius: float) -> BorelPredicate:
-    c = complex(center)
-    return BorelPredicate(
-        lambda z: abs(z - c) < radius,
-        f"|lam - {c}| < {radius:g}",
-        bulk=lambda zs: np.abs(zs - c) < radius,
-    )
-
-
-def predicate_and(d1: BorelPredicate, d2: BorelPredicate) -> BorelPredicate:
-    if d1.is_none or d2.is_none:
-        return predicate_none()
-    if d1.is_all:
-        return d2
-    if d2.is_all:
-        return d1
-    bulk = None
-    if d1.bulk is not None and d2.bulk is not None:
-        bulk = lambda zs: np.asarray(d1.bulk(zs), dtype=bool) & np.asarray(d2.bulk(zs), dtype=bool)
-    return BorelPredicate(
-        lambda z: d1.fn(z) and d2.fn(z),
-        f"({d1.description}) and ({d2.description})",
-        bulk=bulk,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Coefficient vectors
 # ---------------------------------------------------------------------------
 
@@ -474,30 +387,6 @@ class _CustomCoeffs(_CoeffImpl):
 
     def support_size(self):
         return self.support
-
-
-@dataclass(frozen=True)
-class _MaskedCoeffs(_CoeffImpl):
-    base: _CoeffImpl
-    predicate: BorelPredicate
-
-    def log_coeffs(self, ks, spectrum):
-        mags, phases = self.base.log_coeffs(ks, spectrum)
-        keep = self.predicate.mask(spectrum.eigenvalues(ks))
-        mags = np.where(keep, mags, NEG_INF)
-        phases = np.where(keep, phases, 0.0)
-        return mags, phases
-
-    def decay_bounds(self, spectrum):
-        # Masking can only remove atoms: the upper envelope survives, the
-        # lower one does not.
-        b = self.base.decay_bounds(spectrum)
-        if b is None:
-            return None
-        return TailBounds(None, b.upper, b.k_min)
-
-    def support_size(self):
-        return self.base.support_size()
 
 
 @dataclass(frozen=True)
@@ -603,10 +492,6 @@ class CoefficientVector:
         vec._certify_storable()
         return vec
 
-    @classmethod
-    def zero(cls, spectrum, p: float = 2.0):
-        return cls(spectrum, p, "zero", _ExplicitCoeffs(np.empty(0), np.empty(0)))
-
     def _certify_storable(self):
         """Reject vectors whose l^p membership cannot be certified."""
         if self.effective_count() is not None:
@@ -672,14 +557,6 @@ class CoefficientVector:
             impl = _MappedCoeffs(self.impl, _canonical_symbols(symbols))
         names = "*".join(getattr(s, "name", "F") for s in symbols)
         return CoefficientVector(self.spectrum, self.p_norm, f"{names}({self.label})", impl)
-
-    def masked(self, predicate: BorelPredicate) -> "CoefficientVector":
-        return CoefficientVector(
-            self.spectrum,
-            self.p_norm,
-            f"[{predicate.description}]{self.label}",
-            _MaskedCoeffs(self.impl, predicate),
-        )
 
     def series_space(self) -> SeriesSpace:
         if self.series_view is not None:
@@ -762,52 +639,20 @@ class DenseSpace(SeriesSpace):
 # ---------------------------------------------------------------------------
 
 
-def project(f: CoefficientVector, delta: BorelPredicate) -> CoefficientVector:
-    """Spectral-measure action E(delta): keep the coordinates inside delta.
-
-    Idempotent and multiplicative bit for bit; the projected vector never has
-    a larger norm, which realizes the measure bound M = 1.
-    """
-    if delta.is_all:
-        return f
-    if delta.is_none:
-        return CoefficientVector.zero(f.spectrum, f.p_norm)
-    return f.masked(delta)
-
-
-def multiplicativity_check(
-    delta1: BorelPredicate, delta2: BorelPredicate, f: CoefficientVector
-) -> bool:
-    """E(d1)E(d2) = E(d1 and d2), checked coordinatewise exactly.
-
-    Explicit vectors are compared over their whole support; parametric ones
-    over their first _MULTIPLICATIVITY_PREFIX coordinates.
-    """
-    count = f.effective_count()
-    n = count if count is not None else _MULTIPLICATIVITY_PREFIX
-    ks = np.arange(1, n + 1, dtype=np.int64)
-    lhs = project(project(f, delta1), delta2)
-    rhs = project(f, predicate_and(delta1, delta2))
-    lm, lp = lhs.log_coeffs(ks)
-    rm, rp = rhs.log_coeffs(ks)
-    return bool(np.array_equal(lm, rm) and np.array_equal(lp, rp))
-
-
 def total_variation(
     f: CoefficientVector,
     g: CoefficientVector,
-    delta: BorelPredicate,
     weight=None,
     budget: Optional[SeriesBudget] = DEFAULT_BUDGET,
 ) -> ConvergenceCertificate:
-    """Certify sum over {k: lam_k in delta} of weight(lam_k)*|f_k g_k|.
+    """Certify the sum over all k of weight(lam_k)*|f_k g_k|.
 
     The sum runs over the series spaces of f and g, which must share one
     selection.  `weight` is a symbol-like object exposing log_abs(lams) and
     growth_bounds_on(lam_bounds); None means the constant weight 1.  With
-    weight 1 and delta = C this is the total variation of the pairing
-    measure, bounded by ||f||_p ||g||_q.  `budget=None` only decides the
-    status (see certify_log_series).
+    weight 1 this is the total variation of the pairing of f and g, bounded
+    by ||f||_p ||g||_q.  `budget=None` only decides the status (see
+    certify_log_series).
     """
     if f.spectrum is not g.spectrum and f.spectrum != g.spectrum:
         raise VectorError("total variation needs both vectors on the same spectrum")
@@ -826,48 +671,10 @@ def total_variation(
         tot = fm + gm
         if weight is not None:
             tot = tot + weight.log_abs(space.lam(ns))
-        if not delta.is_all:
-            keep = delta.mask(space.lam(ns))
-            tot = np.where(keep, tot, NEG_INF)
         return tot
 
     counts = [n for n in (space.count, gspace.count) if n is not None]
     count = min(counts) if counts else None
     fb, gb = space.term_bounds(weight), gspace.term_bounds()
     b = fb + gb if fb is not None and gb is not None else None
-    if b is not None and not delta.is_all:
-        b = TailBounds(None, b.upper, b.k_min)
     return certify_log_series(term, count=count, bounds=b, budget=budget)
-
-
-@dataclass(frozen=True)
-class PairingMeasure:
-    """Atomic measure with weight |f_k g_k| at lam_k for a dual pair (f, g)."""
-
-    f: CoefficientVector
-    g: CoefficientVector
-
-    def __post_init__(self):
-        q = conjugate_exponent(self.f.p_norm)
-        if abs(self.g.p_norm - q) > 1e-9:
-            raise VectorError("pairing measure needs conjugate exponents")
-
-    def atom_log_mags(self, ks) -> np.ndarray:
-        fm, _ = self.f.log_coeffs(ks)
-        gm, _ = self.g.log_coeffs(ks)
-        return fm + gm
-
-    def total_variation(
-        self,
-        delta: Optional[BorelPredicate] = None,
-        weight=None,
-        budget: SeriesBudget = DEFAULT_BUDGET,
-    ) -> ConvergenceCertificate:
-        return total_variation(
-            self.f, self.g, delta if delta is not None else predicate_all(), weight, budget
-        )
-
-    def holder_log_bound(self, budget: SeriesBudget = DEFAULT_BUDGET) -> float:
-        nf, _ = self.f.log_norm(budget)
-        ng, _ = self.g.log_norm(budget)
-        return nf + ng

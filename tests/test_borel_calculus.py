@@ -424,7 +424,7 @@ def test_estimate_cond_i_instance():
     f = gl.CoefficientVector.power_decay(spec, 1.0, 1.0)
     g = gl.CoefficientVector.power_decay(spec, 0.5, 1.0)
     F = gl.ExpSymbol(2.0)
-    tv = gl.total_variation(f, g, gl.predicate_all(), weight=F)
+    tv = gl.total_variation(f, g, weight=F)
     vf = gl.domain_member_direct(F, f)
     gnorm, _ = g.log_norm()
     assert tv.status is SeriesStatus.CONVERGES and vf.member is True

@@ -178,53 +178,49 @@ def test_counterexamples_on_all_violated_catalog_entries():
             assert art.non_membership.member is False, (name, beta)
 
 
-# -- analyticity probe -----------------------------------------------------------
+# -- order-1 verdicts at t = 0 ------------------------------------------------
+# The Taylor series of y at 0 has radius s*, the critical scale of f at
+# beta = 1, so the order-1 Roumieu verdict decides analyticity at t = 0.
 
 
 def test_probe_explicit_spectrum_reports_inverse_radius():
     # a finite spectrum makes y(t) a finite sum of exponentials: entire
     spec = gl.builtin_spectra()["explicit16"]
     f = gl.CoefficientVector.explicit(spec, values=[1.0] * 16)
-    h = gl.SolutionHandle.admit(f)
-    out = gl.analytic_at_zero_probe(h)
-    assert isinstance(out, gl.AnalyticAtZero)
-    assert out.delta == math.inf
+    out = gl.vector_class(f, 1.0)
+    assert out.member is True
+    assert out.s_star_low == math.inf
 
 
 def test_probe_detects_finite_order_breakdown():
     spec = gl.PowerLawSpectrum(-1, 1, 0, 0)
     f = gl.CoefficientVector.polynomial_decay(spec, 2.0)
-    h = gl.SolutionHandle.admit(f)
-    out = gl.analytic_at_zero_probe(h)
-    assert isinstance(out, gl.NotAnalytic)
-    assert "n = 2" in out.reason
+    assert gl.vector_class(f, 1.0).member is False
+    norms = gl.power_norms(f, 40, budget=None)
+    assert norms.cutoff == 2
+    assert norms.cutoff_certificate.status is SeriesStatus.DIVERGES
 
 
 def test_probe_refutes_counterexample_at_order_one():
     art = gl.build_counterexample(
         gl.build_violating_spectrum(1.0, gl.PlanCase.BOUNDED_REAL_PARTS)
     )
-    h = gl.SolutionHandle(art.f, art.admissibility)
-    assert isinstance(gl.analytic_at_zero_probe(h), gl.NotAnalytic)
+    assert gl.vector_class(art.f, 1.0).member is False
 
 
 def test_probe_analytic_for_smooth_data_on_growing_spectrum():
     spec = gl.PowerLawSpectrum(1, 1, 0, 0)
     f = gl.CoefficientVector.power_decay(spec, 1.0, 2.0)
-    h = gl.SolutionHandle.admit(f)
-    out = gl.analytic_at_zero_probe(h)
-    assert isinstance(out, gl.AnalyticAtZero)
+    assert gl.vector_class(f, 1.0).member is True
 
 
 def test_jump_probe_consistency_on_holding_spectra():
-    # analytic at zero + region holds at order one => entire
+    # analytic at zero (order-1 Roumieu) + region holds at order one => entire
     for name in ("lin-diag", "pos-real", "lin-sqrt"):
         spec = gl.builtin_spectra()[name]
         assert gl.region_condition(spec, 1.0).holds
         for v in gl.builtin_vectors(spec):
-            cert = gl.check_admissible(v)
-            if not cert.admissible:
+            if not gl.check_admissible(v).admissible:
                 continue
-            h = gl.SolutionHandle(v, cert)
-            if isinstance(gl.analytic_at_zero_probe(h), gl.AnalyticAtZero):
+            if gl.vector_class(v, 1.0).member is True:
                 assert gl.vector_class(v, 1.0, gl.GevreyFlavor.BEURLING).member is True

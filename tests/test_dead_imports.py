@@ -1,11 +1,14 @@
-"""Every module-level import of a gevlab module is used in that module, and
-every module-level private name is read somewhere in the package.
+"""Every module-level import of a gevlab module is used in that module,
+every module-level private name is read somewhere in the package, and every
+module-level public function or class is read outside its own definition,
+save a listed few.
 
 Parses the sources with `ast`, so it needs no lint tool.  `__init__.py`
 re-exports its imports and is left out of the import check.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,6 +35,15 @@ def test_no_unused_module_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+def _read_counts(tree: ast.AST) -> Counter:
+    """How often each name is read, as a name or an attribute, in tree."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+    )
+
+
 def _private_definitions(tree: ast.Module) -> list[str]:
     names = []
     for node in tree.body:
@@ -48,13 +60,7 @@ def test_no_unreferenced_private_names():
     `src/gevlab` is read somewhere in `src/gevlab`, as a name or an
     attribute."""
     trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(_SRC.glob("*.py"))}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = set().union(*map(_read_counts, trees.values()))
     unread = [
         f"{name}:{n}" for name, tree in trees.items() for n in _private_definitions(tree) if n not in read
     ]
@@ -92,3 +98,34 @@ def test_eigenvalue_envelopes_are_one_object():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in _ENVELOPE_METHODS
     ]
     assert not defined, f"eigenvalue envelope methods defined outside LamBounds: {defined}"
+
+
+# Public names that no package module reads, each with the reason it stays.
+_UNREAD_PUBLIC = {
+    "apply_symbol": "test oracle: symbol application on an explicit vector",
+    "catalog_symbols": "test oracle: the symbol catalog the calculus tests iterate",
+    "weak_solution_residual": "test oracle: the weak form of y' = A y on a solution",
+    "serialize_jobspec": "round-trip partner of parse_jobspec in the tests",
+    "domain_member_prop31": "perfbench wraps it by name to trace the dual-probe layer",
+    "builtin_spectra": "public entry point: the catalog of the harness and the acceptance suite",
+    "CustomSpectrum": "public entry point: a user-declared spectrum family",
+}
+
+
+def test_every_public_definition_is_read_by_the_package():
+    """Every module-level public function or class in `src/gevlab` is read,
+    as a name or an attribute, by package code outside its own definition;
+    the re-export in `__init__.py` does not count.  _UNREAD_PUBLIC lists the
+    exceptions, and each of them must still be unread."""
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in _MODULES}
+    total = sum(map(_read_counts, trees.values()), Counter())
+    unread = {
+        node.name
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and total[node.name] == _read_counts(node)[node.name]
+    }
+    assert not unread - set(_UNREAD_PUBLIC), f"public names no package module reads: {sorted(unread - set(_UNREAD_PUBLIC))}"
+    assert not set(_UNREAD_PUBLIC) - unread, f"allow-listed names that are now read: {sorted(set(_UNREAD_PUBLIC) - unread)}"

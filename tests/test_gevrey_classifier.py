@@ -257,6 +257,11 @@ def test_beta0_support_classification():
     v = gl.vector_class_beta0(supported)
     assert v.member is True and v.support_bound == 10.0
 
+    # the bound is the largest |lam_k| over the nonzero coordinates k = 2, 4
+    gapped = gl.CoefficientVector.explicit(spec, values=[0.0, 1.0, 0.0, 2.0, 0.0, 0.0])
+    v = gl.vector_class_beta0(gapped)
+    assert v.member is True and v.support_bound == 4.0
+
     decaying = gl.CoefficientVector.power_decay(spec, 1.0, 1.0)
     assert gl.vector_class_beta0(decaying).member is False
 
@@ -280,8 +285,8 @@ def test_solution_smoothing_on_left_halfplane_spectrum():
     spec = gl.PowerLawSpectrum(-1, 1, 0, 0)
     f = gl.CoefficientVector.polynomial_decay(spec, 2.0)
     h = gl.SolutionHandle.admit(f)
-    assert gl.solution_class_at(h, 0.0, 1.0, R).member is False
-    r1 = gl.solution_class_at(h, 1.0, 1.0, R)
+    assert gl.vector_class(gl.solve(h, 0.0), 1.0, R).member is False
+    r1 = gl.vector_class(gl.solve(h, 1.0), 1.0, R)
     assert r1.member is True
     assert r1.s_star_low <= 1.0 <= r1.s_star_high
 

@@ -4,25 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import gevlab as gl
 from gevlab.logdomain import NEG_INF
 from gevlab.series import SeriesStatus
 
-KS10 = np.arange(1, 11, dtype=np.int64)
-
 
 def ten_point_spectrum():
     pts = tuple(complex(k % 4 - 1.5, (k * 7) % 5 - 2) for k in range(10))
     return gl.ExplicitSpectrum(pts)
-
-
-def mask_predicate(bits):
-    pts = ten_point_spectrum().points
-    allowed = {pts[i] for i in range(10) if bits[i]}
-    return gl.BorelPredicate(lambda z: z in allowed, f"mask{bits}")
 
 
 # -- validation ---------------------------------------------------------------
@@ -115,102 +105,6 @@ def test_p_norm_range_enforced():
         gl.conjugate_exponent(1.0)
 
 
-# -- projection ---------------------------------------------------------------
-
-
-def test_project_full_plane_is_identity_object():
-    spec = ten_point_spectrum()
-    f = gl.CoefficientVector.explicit(spec, values=[1.0] * 10)
-    assert gl.project(f, gl.predicate_all()) is f
-
-
-def test_project_empty_set_is_zero():
-    spec = ten_point_spectrum()
-    f = gl.CoefficientVector.explicit(spec, values=[1.0] * 10)
-    g = gl.project(f, gl.predicate_none())
-    mags, _ = g.log_coeffs(KS10)
-    assert np.all(mags == NEG_INF)
-
-
-def test_project_halfplane_masks_coordinatewise():
-    spec = gl.ExplicitSpectrum((1 + 0j, 2j, -3 + 0j))
-    f = gl.CoefficientVector.explicit(spec, values=[1.0, 1.0, 1.0])
-    g = gl.project(f, gl.halfplane_re_ge(0.0))
-    assert np.allclose(g.to_complex(np.arange(1, 4)), [1.0, 1.0, 0.0])
-
-
-def test_projection_idempotent_bitwise():
-    spec = ten_point_spectrum()
-    f = gl.CoefficientVector.explicit(spec, values=[complex(k, -k) for k in range(10)])
-    delta = gl.halfplane_re_ge(-0.5)
-    once = gl.project(f, delta)
-    twice = gl.project(once, delta)
-    m1, p1 = once.log_coeffs(KS10)
-    m2, p2 = twice.log_coeffs(KS10)
-    assert np.array_equal(m1, m2) and np.array_equal(p1, p2)
-
-
-def test_multiplicativity_exhaustive_over_masks():
-    # every 10-bit mask, paired with its complement, a shift, and itself
-    spec = ten_point_spectrum()
-    f = gl.CoefficientVector.explicit(
-        spec, values=[complex(1.0 / (k + 1), k) for k in range(10)]
-    )
-    for m in range(1024):
-        bits1 = [(m >> i) & 1 for i in range(10)]
-        partners = (
-            bits1,
-            [1 - b for b in bits1],
-            bits1[1:] + bits1[:1],
-            [(m >> ((i + 3) % 10)) & 1 for i in range(10)],
-        )
-        for bits2 in partners:
-            assert gl.multiplicativity_check(mask_predicate(bits1), mask_predicate(bits2), f)
-
-
-def test_multiplicativity_on_parametric_prefix():
-    spec = gl.PowerLawSpectrum(1, 1, 1, 1)
-    f = gl.CoefficientVector.power_decay(spec, 1.0, 2.0)
-    assert gl.multiplicativity_check(gl.abs_le(100.0), gl.halfplane_re_ge(3.0), f)
-
-
-@settings(max_examples=40)
-@given(st.integers(min_value=0, max_value=1023), st.integers(min_value=0, max_value=1023))
-def test_multiplicativity_property(m1, m2):
-    spec = ten_point_spectrum()
-    f = gl.CoefficientVector.explicit(spec, values=[complex(k + 1) for k in range(10)])
-    b1 = [(m1 >> i) & 1 for i in range(10)]
-    b2 = [(m2 >> i) & 1 for i in range(10)]
-    assert gl.multiplicativity_check(mask_predicate(b1), mask_predicate(b2), f)
-
-
-@settings(max_examples=40)
-@given(
-    st.lists(st.floats(min_value=-3, max_value=3), min_size=10, max_size=10),
-    st.integers(min_value=0, max_value=1023),
-)
-def test_projection_never_expands_the_norm(res, mask_bits):
-    spec = ten_point_spectrum()
-    f = gl.CoefficientVector.explicit(spec, values=[complex(x) for x in res])
-    bits = [(mask_bits >> i) & 1 for i in range(10)]
-    nf, _ = f.log_norm()
-    ng, _ = gl.project(f, mask_predicate(bits)).log_norm()
-    assert ng <= nf + 1e-12
-
-
-def test_unit_vector_projection_norms_are_zero_or_one():
-    spec = ten_point_spectrum()
-    delta = gl.halfplane_re_ge(0.0)
-    for j in range(1, 11):
-        e_j = gl.CoefficientVector.explicit(
-            spec, values=[1.0 if i == j - 1 else 0.0 for i in range(10)]
-        )
-        log_norm, cert = gl.project(e_j, delta).log_norm()
-        assert cert.status is SeriesStatus.CONVERGES
-        assert log_norm == NEG_INF or abs(log_norm) < 1e-15
-    assert gl.SPECTRAL_MEASURE_BOUND == 1.0
-
-
 # -- total variation ----------------------------------------------------------
 
 
@@ -219,16 +113,18 @@ def test_total_variation_geometric_value():
     vals = [2.0**-k for k in range(1, 21)]
     f = gl.CoefficientVector.explicit(spec, values=vals)
     g = gl.CoefficientVector.explicit(spec, values=vals)
-    cert = gl.total_variation(f, g, gl.predicate_all())
+    cert = gl.total_variation(f, g)
     oracle = (1.0 - 4.0**-20) / 3.0
     assert cert.status is SeriesStatus.CONVERGES
     assert abs(math.exp(cert.log_value) - oracle) < 1e-12
 
 
 def test_total_variation_empty_domain_is_zero():
+    # disjoint supports leave no atom: the sum is exactly zero
     spec = ten_point_spectrum()
-    f = gl.CoefficientVector.explicit(spec, values=[1.0] * 10)
-    cert = gl.total_variation(f, f, gl.predicate_none())
+    f = gl.CoefficientVector.explicit(spec, values=[float(k % 2) for k in range(10)])
+    g = gl.CoefficientVector.explicit(spec, values=[float(1 - k % 2) for k in range(10)])
+    cert = gl.total_variation(f, g)
     assert cert.status is SeriesStatus.CONVERGES and cert.log_value == NEG_INF
 
 
@@ -238,7 +134,7 @@ def test_total_variation_gevrey_weight_diverges():
     f = gl.CoefficientVector.polynomial_decay(spec, 2.0)
     g = gl.CoefficientVector.polynomial_decay(spec, 2.0)
     for s in (2.0**-10, 1.0, 2.0**10):
-        cert = gl.total_variation(f, g, gl.predicate_all(), weight=gl.GevreyExpSymbol(s, 1.0))
+        cert = gl.total_variation(f, g, weight=gl.GevreyExpSymbol(s, 1.0))
         assert cert.status is SeriesStatus.DIVERGES
 
 
@@ -247,29 +143,15 @@ def test_holder_bound_on_weightless_total_variation():
     spec = ten_point_spectrum()
     f = gl.CoefficientVector.explicit(spec, values=list(map(complex, rng.normal(size=10))))
     g = gl.CoefficientVector.explicit(spec, values=list(map(complex, rng.normal(size=10))))
-    cert = gl.total_variation(f, g, gl.predicate_all())
-    pm = gl.PairingMeasure(f, g)
-    assert cert.log_value <= pm.holder_log_bound() + 1e-12
+    cert = gl.total_variation(f, g)
+    assert cert.log_value <= f.log_norm()[0] + g.log_norm()[0] + 1e-12
 
     spec2 = gl.PowerLawSpectrum(1, 1, 0, 0)
     f2 = gl.CoefficientVector.power_decay(spec2, 1.0, 1.0)
     g2 = gl.CoefficientVector.power_decay(spec2, 0.5, 1.0)
-    cert2 = gl.total_variation(f2, g2, gl.predicate_all())
+    cert2 = gl.total_variation(f2, g2)
     assert cert2.status is SeriesStatus.CONVERGES
-    assert cert2.log_value <= gl.PairingMeasure(f2, g2).holder_log_bound() + 1e-12
-
-
-def test_countable_additivity_over_disjoint_masks():
-    spec = ten_point_spectrum()
-    f = gl.CoefficientVector.explicit(spec, values=[complex(k + 1, 1) for k in range(10)])
-    g = gl.CoefficientVector.explicit(spec, values=[complex(2, -k) for k in range(10)])
-    parts = [mask_predicate([1 if i % 3 == r else 0 for i in range(10)]) for r in range(3)]
-    union_bits = [1 if i % 3 in (0, 1, 2) else 0 for i in range(10)]
-    whole = gl.total_variation(f, g, mask_predicate(union_bits))
-    total = sum(
-        math.exp(gl.total_variation(f, g, d).log_value) for d in parts
-    )
-    assert abs(math.exp(whole.log_value) - total) < 1e-12
+    assert cert2.log_value <= f2.log_norm()[0] + g2.log_norm()[0] + 1e-12
 
 
 def test_dual_exponent_mismatch_rejected():
@@ -277,9 +159,7 @@ def test_dual_exponent_mismatch_rejected():
     f = gl.CoefficientVector.explicit(spec, values=[1.0] * 10, p=3.0)
     g = gl.CoefficientVector.explicit(spec, values=[1.0] * 10, p=2.0)
     with pytest.raises(gl.VectorError):
-        gl.total_variation(f, g, gl.predicate_all())
-    with pytest.raises(gl.VectorError):
-        gl.PairingMeasure(f, g)
+        gl.total_variation(f, g)
 
 
 def test_parametric_vector_norm_closed_form():
@@ -290,25 +170,6 @@ def test_parametric_vector_norm_closed_form():
     oracle = 0.5 * math.log(1.0 / (math.e**2 - 1.0))
     assert cert.status is SeriesStatus.CONVERGES
     assert abs(log_norm - oracle) < 1e-12
-
-
-def test_disk_projection_keeps_one_atom():
-    spec = gl.ExplicitSpectrum((1 + 0j, 2j, -3 + 0j))
-    f = gl.CoefficientVector.explicit(spec, values=[1.0, 1.0, 1.0])
-    g = gl.project(f, gl.disk(2j, 0.5))
-    assert np.allclose(g.to_complex(np.arange(1, 4)), [0.0, 1.0, 0.0])
-
-
-def test_pairing_measure_atoms():
-    spec = ten_point_spectrum()
-    f = gl.CoefficientVector.explicit(spec, values=[complex(k + 1) for k in range(10)])
-    g = gl.CoefficientVector.explicit(spec, values=[0.5] * 10)
-    pm = gl.PairingMeasure(f, g)
-    atoms = pm.atom_log_mags(KS10)
-    expect = np.log(np.arange(1, 11, dtype=float) * 0.5)
-    assert np.allclose(atoms, expect)
-    cert = pm.total_variation()
-    assert abs(math.exp(cert.log_value) - 0.5 * sum(range(1, 11))) < 1e-12
 
 
 def test_custom_spectrum_without_exponents_refuses_analysis():
