@@ -9,7 +9,6 @@ escape the admissible region.
 
 from .asymptotics import AsymForm, AsymTerm, TailBounds
 from .borel_calculus import (
-    CompositeSymbol,
     DomainCriterion,
     DomainVerdict,
     ExpSymbol,
@@ -17,9 +16,6 @@ from .borel_calculus import (
     PowerNorms,
     PowerSymbol,
     SymbolFunction,
-    apply_symbol,
-    catalog_symbols,
-    compose,
     domain_member_direct,
     domain_member_prop31,
     power_norms,
@@ -54,10 +50,7 @@ from .evolution import (
     Undetermined,
     WitnessFailure,
     check_admissible,
-    derivative,
-    pairing,
     solve,
-    weak_solution_residual,
 )
 from .gevrey_classifier import (
     GevreyFlavor,
@@ -74,7 +67,7 @@ from .gevrey_classifier import (
     vector_class,
     vector_class_beta0,
 )
-from .logdomain import LogPolar, complex_logsum, logsumexp, wrap_phase
+from .logdomain import logsumexp, wrap_phase
 from .series import (
     ConvergenceCertificate,
     SeriesBudget,

@@ -397,24 +397,13 @@ def _rises(deriv: AsymForm) -> bool:
     return lead is not None and lead.coeff > 0
 
 
-def log_tail_bound(form: AsymForm, K: int) -> Optional[float]:
-    """Certified upper bound on log( sum_{k > K} e^{form(k)} ), or None.
-
-    Valid whenever form(k) upper-bounds the log-terms for all k > K.  Uses an
-    integral bound for polynomial tails and left-endpoint block majorization
-    for super-polynomially decaying tails.
-    """
-    return tail_bounder(form)(K)
-
-
-def tail_bounder(form: AsymForm) -> Callable[[int], Optional[float]]:
-    """K -> log_tail_bound(form, K), the one-form case of tail_bounders."""
-    bound = tail_bounders([form])
-    return lambda K: bound(K, [0])[0]
-
-
 def tail_bounders(forms: list) -> Callable[[int, list], list]:
-    """(K, rows) -> [log_tail_bound(forms[r], K) for r in rows].
+    """(K, rows) -> for each r in rows, a certified upper bound on
+    log( sum_{k > K} e^{forms[r](k)} ), or None.
+
+    A bound is valid whenever the form upper-bounds the log-terms for all
+    k > K.  It is an integral bound for polynomial tails and left-endpoint
+    block majorization for super-polynomially decaying tails.
 
     Each form is classified once.  The monotone starts of all forms that
     decay faster than every power come from one mono_decreasing_start call,

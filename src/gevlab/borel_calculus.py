@@ -1,7 +1,7 @@
 """Operational calculus for diagonal operators: F(A) acts coordinatewise.
 
 The symbol catalog covers powers lam^n, exponentials e^{z*lam} and the
-regularity weights e^{s*|lam|^(1/beta)}, plus finite products of these.
+regularity weights e^{s*|lam|^(1/beta)}, one symbol per application.
 Domain membership f in D(F(A)) is decided directly (the image sequence must
 stay in l^p).  The dual reading of the same membership, through the pairing
 measures of f with dual vectors, is refuted by the slowly decaying dual h*
@@ -56,12 +56,6 @@ class SymbolFunction:
         """Envelope of log|F(lam_k)| from the eigenvalue envelopes lam (None: unknown)."""
         raise NotImplementedError
 
-    def factors(self) -> tuple["SymbolFunction", ...]:
-        return (self,)
-
-    def sort_key(self) -> tuple:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class PowerSymbol(SymbolFunction):
@@ -93,9 +87,6 @@ class PowerSymbol(SymbolFunction):
         if self.n == 0:
             return TailBounds.exact(AsymForm.constant(0.0))
         return lam.log_abs().scale(float(self.n)) if lam is not None else None
-
-    def sort_key(self):
-        return (0, self.n)
 
 
 @dataclass(frozen=True)
@@ -137,9 +128,6 @@ class ExpSymbol(SymbolFunction):
             out = TailBounds.exact(AsymForm.constant(0.0))
         return out
 
-    def sort_key(self):
-        return (1, self.z.real, self.z.imag)
-
 
 @dataclass(frozen=True)
 class GevreyExpSymbol(SymbolFunction):
@@ -169,76 +157,6 @@ class GevreyExpSymbol(SymbolFunction):
 
     def growth_bounds_on(self, lam):
         return lam.abs_pow(1.0 / self.beta).scale(self.s) if lam is not None else None
-
-    def sort_key(self):
-        return (2, self.s, self.beta)
-
-
-@dataclass(frozen=True)
-class CompositeSymbol(SymbolFunction):
-    """Finite product of catalog symbols, evaluated as a sum of log factors
-    in a canonical order so regrouped products agree bit for bit."""
-
-    parts: tuple[SymbolFunction, ...]
-
-    def __post_init__(self):
-        flat = []
-        for s in self.parts:
-            flat.extend(s.factors())
-        object.__setattr__(self, "parts", tuple(sorted(flat, key=lambda s: s.sort_key())))
-
-    @property
-    def name(self) -> str:
-        return "*".join(s.name for s in self.parts)
-
-    def log_abs(self, lams):
-        out = np.zeros(len(lams))
-        for s in self.parts:
-            out = out + s.log_abs(lams)
-        return out
-
-    def phase(self, lams):
-        out = np.zeros(len(lams))
-        for s in self.parts:
-            out = out + s.phase(lams)
-        return out
-
-    def growth_bounds_on(self, lam):
-        out = TailBounds.exact(AsymForm.constant(0.0))
-        for s in self.parts:
-            g = s.growth_bounds_on(lam)
-            if g is None:
-                return None
-            out = out + g
-        return out
-
-    def factors(self):
-        return self.parts
-
-    def sort_key(self):
-        return (3,) + tuple(s.sort_key() for s in self.parts)
-
-
-def compose(*symbols: SymbolFunction) -> SymbolFunction:
-    if len(symbols) == 1:
-        return symbols[0]
-    return CompositeSymbol(tuple(symbols))
-
-
-def catalog_symbols() -> list[SymbolFunction]:
-    """Representative symbols used by cross-checks and agreement tests."""
-    return [
-        PowerSymbol(0),
-        PowerSymbol(1),
-        PowerSymbol(2),
-        PowerSymbol(5),
-        ExpSymbol(1.0),
-        ExpSymbol(-0.5),
-        ExpSymbol(0.5j),
-        GevreyExpSymbol(1.0, 1.0),
-        GevreyExpSymbol(0.25, 2.0),
-        CompositeSymbol((PowerSymbol(2), ExpSymbol(0.5))),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -306,18 +224,6 @@ def domain_member_direct(
     return DomainVerdict(
         member, cert, DomainCriterion.DIRECT, detail=f"l^{p:g} image test", log_norm=log_norm
     )
-
-
-def apply_symbol(F: SymbolFunction, f: CoefficientVector) -> CoefficientVector:
-    """Coordinatewise g_k = F(lam_k) f_k; refuses when membership is not certified."""
-    verdict = domain_member_direct(F, f, budget=None)
-    if verdict.member is not True:
-        raise DomainError(
-            f"{F.name} applied outside its certified domain "
-            f"(status {verdict.certificate.status.value})",
-            verdict,
-        )
-    return f._with_symbols((F,))
 
 
 def domain_member_prop31(F: SymbolFunction, f: CoefficientVector) -> DomainVerdict:

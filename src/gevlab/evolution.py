@@ -5,28 +5,23 @@ admissibility statement is decided by closed-form tail rules on supported
 families (real part bounded above, or coefficient decay strictly dominating
 the real-part growth); a deterministic grid of evolution-domain probes is
 kept as a consistency check and any certified contradiction is a hard error.
+The derivatives y^(n)(t) = A^n y(t) are read through their norms: power_norms
+of solve(h, t) certifies every power up to the first one that diverges.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .asymptotics import GrowthKind, classify_form, form_converges, log_tail_bound
-from .borel_calculus import (
-    DomainVerdict,
-    ExpSymbol,
-    PowerSymbol,
-    compose,
-    domain_member_direct,
-)
-from .errors import ConsistencyError, DomainError, VectorError
-from .logdomain import NEG_INF, complex_logsum
+from .asymptotics import GrowthKind, classify_form
+from .borel_calculus import DomainVerdict, ExpSymbol, domain_member_direct
+from .errors import ConsistencyError, VectorError
 from .series import SeriesStatus
-from .spectral_core import CoefficientVector, conjugate_exponent
+from .spectral_core import CoefficientVector
 
 DEFAULT_T_MAX = 100.0
 
@@ -223,91 +218,3 @@ def solve(h: SolutionHandle, t: float) -> CoefficientVector:
     if t < 0:
         raise ValueError("evolution is defined for t >= 0")
     return h.f._with_symbols((ExpSymbol(float(t)),))
-
-
-def derivative(h: SolutionHandle, t: float, n: int) -> CoefficientVector:
-    """y^(n)(t) = A^n y(t); reports the first failing order on rejection."""
-    if t < 0:
-        raise ValueError("evolution is defined for t >= 0")
-    if n < 0:
-        raise ValueError("derivative order must be >= 0")
-    symbol = compose(PowerSymbol(n), ExpSymbol(float(t)))
-    verdict = domain_member_direct(symbol, h.f, budget=None)
-    if verdict.member is not True:
-        first = n
-        for m in range(1, n + 1):
-            v = domain_member_direct(
-                compose(PowerSymbol(m), ExpSymbol(float(t))), h.f, budget=None
-            )
-            if v.member is not True:
-                first = m
-                break
-        raise DomainError(
-            f"y(t) is not n-times differentiable at t={t:g}: first failing order {first}",
-            verdict,
-        )
-    return h.f._with_symbols(symbol.factors())
-
-
-def pairing(v: CoefficientVector, w: CoefficientVector, k_cap: int = 1 << 16) -> complex:
-    """Bilinear pairing <v, w> = sum_k v_k w_k (dual coordinates)."""
-    counts = [n for n in (v.effective_count(), w.effective_count()) if n is not None]
-    tail = None
-    if counts:
-        n = min(counts)
-    else:
-        n = k_cap
-        vb, wb = v.decay_bounds(), w.decay_bounds()
-        if vb is None or wb is None or vb.upper is None or wb.upper is None:
-            raise VectorError("pairing of two infinite vectors needs decay envelopes")
-        prod = vb.upper + wb.upper
-        if not form_converges(prod):
-            raise VectorError("pairing series is not certifiably convergent")
-        tail = log_tail_bound(prod, n) if n >= max(vb.k_min, wb.k_min) else None
-        if tail is None:
-            raise VectorError(f"pairing tail beyond k={n} has no certified bound")
-    ks = np.arange(1, n + 1, dtype=np.int64)
-    vm, vp = v.log_coeffs(ks)
-    wm, wp = w.log_coeffs(ks)
-    total = complex_logsum(vm + wm, vp + wp)
-    if tail is not None and total.log_mag != NEG_INF and tail > total.log_mag + math.log(1e-9):
-        raise VectorError(
-            f"pairing tail beyond k={n} is not negligible (bound exp({tail:.3g}))"
-        )
-    return total.to_complex()
-
-
-def weak_solution_residual(
-    h: SolutionHandle,
-    g: CoefficientVector,
-    t_grid: Sequence[float],
-    eps: float = 1e-5,
-) -> float:
-    """Max over the grid of |d/dt <y(t), g> - <y(t), A* g>| (central differences).
-
-    g must carry the conjugate exponent and lie in the coordinatewise domain
-    of the adjoint, i.e. {lam_k g_k} in l^q.
-    """
-    q = conjugate_exponent(h.f.p_norm)
-    if abs(g.p_norm - q) > 1e-9:
-        raise VectorError(f"dual vector must carry q={q:g}")
-    adj_check = domain_member_direct(PowerSymbol(1), g, budget=None)
-    if adj_check.member is not True:
-        raise VectorError("g is outside the coordinatewise adjoint domain")
-    infinite = h.f.effective_count() is None
-    for t in t_grid:
-        if t < 0 or (infinite and t < eps):
-            raise ValueError(
-                "grid times must be >= 0, and >= eps for infinite spectra "
-                "(the backward difference point must stay admissible)"
-            )
-    a_star_g = g._with_symbols((PowerSymbol(1),))
-    worst = 0.0
-    for t in t_grid:
-        y_plus = h.f._with_symbols((ExpSymbol(float(t + eps)),))
-        y_minus = h.f._with_symbols((ExpSymbol(float(t - eps)),))
-        y_t = solve(h, t)
-        fd = (pairing(y_plus, g) - pairing(y_minus, g)) / (2.0 * eps)
-        rhs = pairing(y_t, a_star_g)
-        worst = max(worst, abs(fd - rhs))
-    return worst

@@ -1,16 +1,15 @@
-"""Log-polar scalars and compensated log-domain summation.
+"""Phase reduction and correctly rounded log-domain summation.
 
 All magnitudes in this package are carried as natural logarithms so that
 quantities such as e^{t*Re(lam)} and (n!)^beta never leave the representable
-range of binary64.  A magnitude of exactly zero is encoded as log_mag = -inf
-with a canonical phase of 0.
+range of binary64.  A complex coordinate is a log-magnitude and a phase in
+(-pi, pi]; a magnitude of exactly zero is encoded as -inf with a canonical
+phase of 0.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,55 +30,6 @@ def wrap_phase(phi):
     phi = np.asarray(phi, dtype=float)
     wrapped = math.pi - np.remainder(math.pi - phi, TWO_PI)
     return np.where((phi > -math.pi) & (phi <= math.pi), phi, wrapped)
-
-
-def wrap_phase_scalar(phi: float) -> float:
-    return float(math.pi - math.remainder(math.pi - phi, TWO_PI)) if not (
-        -math.pi < phi <= math.pi
-    ) else phi
-
-
-@dataclass(frozen=True)
-class LogPolar:
-    """A complex number stored as (log magnitude, phase)."""
-
-    log_mag: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if math.isnan(self.log_mag) or math.isnan(self.phase):
-            raise ValueError("LogPolar components must not be NaN")
-        if self.log_mag == math.inf:
-            raise ValueError("LogPolar magnitude must be finite or zero")
-        if self.log_mag == NEG_INF:
-            object.__setattr__(self, "phase", 0.0)
-        elif not (-math.pi < self.phase <= math.pi):
-            object.__setattr__(self, "phase", wrap_phase_scalar(self.phase))
-
-    @classmethod
-    def zero(cls) -> "LogPolar":
-        return cls(NEG_INF, 0.0)
-
-    @classmethod
-    def from_complex(cls, z: complex) -> "LogPolar":
-        z = complex(z)
-        if z == 0:
-            return cls.zero()
-        return cls(math.log(abs(z)), cmath.phase(z))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log_mag == NEG_INF
-
-    def to_complex(self) -> complex:
-        if self.is_zero:
-            return 0j
-        return cmath.rect(math.exp(self.log_mag), self.phase)
-
-    def __mul__(self, other: "LogPolar") -> "LogPolar":
-        if self.is_zero or other.is_zero:
-            return LogPolar.zero()
-        return LogPolar(self.log_mag + other.log_mag, self.phase + other.phase)
 
 
 def logaddexp(a: float, b: float) -> float:
@@ -162,21 +112,3 @@ def _grid_sum(x: np.ndarray):
     else:
         return None
     return math.ldexp(q + up, e - 96)
-
-
-def complex_logsum(log_mags, phases) -> LogPolar:
-    """Sum of complex numbers given in log-polar coordinates."""
-    mags = np.asarray(log_mags, dtype=float)
-    phis = np.asarray(phases, dtype=float)
-    if mags.size == 0:
-        return LogPolar.zero()
-    m = float(np.max(mags))
-    if m == NEG_INF:
-        return LogPolar.zero()
-    scaled = np.exp(mags - m)
-    re = math.fsum((scaled * np.cos(phis)).tolist())
-    im = math.fsum((scaled * np.sin(phis)).tolist())
-    r = math.hypot(re, im)
-    if r == 0.0:
-        return LogPolar.zero()
-    return LogPolar(m + math.log(r), math.atan2(im, re))

@@ -78,10 +78,6 @@ class ConvergenceCertificate:
     def converged(self) -> bool:
         return self.status is SeriesStatus.CONVERGES
 
-    @property
-    def diverged(self) -> bool:
-        return self.status is SeriesStatus.DIVERGES
-
     def to_dict(self) -> dict:
         return {
             "status": self.status.value,

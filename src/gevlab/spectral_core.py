@@ -6,6 +6,7 @@ given by their coordinates in the eigenbasis, stored in log-polar form.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import numpy as np
 
 from .asymptotics import AsymForm, AsymTerm, TailBounds, form_converges
 from .errors import SpectrumError, VectorError
-from .logdomain import NEG_INF, LogPolar, wrap_phase
+from .logdomain import NEG_INF, wrap_phase
 from .series import (
     DEFAULT_BUDGET,
     ConvergenceCertificate,
@@ -392,7 +393,7 @@ class _CustomCoeffs(_CoeffImpl):
 @dataclass(frozen=True)
 class _MappedCoeffs(_CoeffImpl):
     base: _CoeffImpl
-    symbols: tuple  # SymbolFunction-like objects, canonically sorted
+    symbols: tuple  # SymbolFunction-like objects, in the order applied
 
     def log_coeffs(self, ks, spectrum):
         mags, phases = self.base.log_coeffs(np.asarray(ks, dtype=np.int64), spectrum)
@@ -422,13 +423,6 @@ class _MappedCoeffs(_CoeffImpl):
         return self.base.support_size()
 
 
-def _canonical_symbols(symbols) -> tuple:
-    flat = []
-    for s in symbols:
-        flat.extend(s.factors())
-    return tuple(sorted(flat, key=lambda s: s.sort_key()))
-
-
 @dataclass(frozen=True)
 class CoefficientVector:
     """A vector f given coordinatewise in the eigenbasis of its spectrum."""
@@ -448,19 +442,23 @@ class CoefficientVector:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def explicit(cls, spectrum, values=None, log_polars=None, p: float = 2.0, label: str = "explicit"):
-        if (values is None) == (log_polars is None):
-            raise VectorError("give exactly one of values / log_polars")
-        if values is not None:
-            entries = tuple(LogPolar.from_complex(v) for v in values)
-        else:
-            entries = tuple(log_polars)
-        if spectrum.size is not None and len(entries) > spectrum.size:
+    def explicit(cls, spectrum, values, p: float = 2.0, label: str = "explicit"):
+        """Coordinates f_k = values[k - 1], stored as log|f_k| and a phase in
+        (-pi, pi]; a zero is (-inf, 0.0)."""
+        mags, phases = [], []
+        for v in values:
+            z = complex(v)
+            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                raise VectorError(f"coefficient {len(mags) + 1} is not finite: {z!r}")
+            if z == 0:
+                mags.append(NEG_INF)
+                phases.append(0.0)
+            else:
+                mags.append(math.log(abs(z)))
+                phases.append(cmath.phase(z))
+        if spectrum.size is not None and len(mags) > spectrum.size:
             raise VectorError("more coefficients than eigenvalues in the explicit spectrum")
-        impl = _ExplicitCoeffs(
-            np.array([e.log_mag for e in entries], dtype=float),
-            np.array([e.phase for e in entries], dtype=float),
-        )
+        impl = _ExplicitCoeffs(np.array(mags, dtype=float), wrap_phase(np.array(phases, dtype=float)))
         return cls(spectrum, p, label, impl)
 
     @classmethod
@@ -551,10 +549,9 @@ class CoefficientVector:
         if self.series_view is not None:
             raise VectorError("symbol application on support-view vectors is not implemented")
         if isinstance(self.impl, _MappedCoeffs):
-            merged = _canonical_symbols(self.impl.symbols + tuple(symbols))
-            impl = _MappedCoeffs(self.impl.base, merged)
+            impl = _MappedCoeffs(self.impl.base, self.impl.symbols + tuple(symbols))
         else:
-            impl = _MappedCoeffs(self.impl, _canonical_symbols(symbols))
+            impl = _MappedCoeffs(self.impl, tuple(symbols))
         names = "*".join(getattr(s, "name", "F") for s in symbols)
         return CoefficientVector(self.spectrum, self.p_norm, f"{names}({self.label})", impl)
 

@@ -20,12 +20,11 @@ from gevlab.asymptotics import (
     classify_form,
     form_converges,
     form_diverges,
-    log_tail_bound,
     mono_decreasing_start,
-    tail_bounder,
     tail_bounders,
 )
 from gevlab.logdomain import NEG_INF, logaddexp
+from oracles import log_tail_bound
 
 
 def test_build_merges_and_cancels_exactly():
@@ -288,7 +287,7 @@ def test_batched_tail_bound_matches_the_scalar_loop(terms, const, K):
     form = AsymForm.build(terms, const)
     if classify_form(form)[0] is not GrowthKind.SUPER_DECAY:
         return
-    assert _outcome(lambda: tail_bounder(form)(K)) == _outcome(
+    assert _outcome(lambda: log_tail_bound(form, K)) == _outcome(
         lambda: _scalar_tail_bound(form, _scalar_mono_start(form), K)
     )
 
@@ -317,7 +316,7 @@ _RISING = AsymForm.build((AsymTerm(40.0, 0, -1e-300), AsymTerm(39.9, 0, 1.0)))
 )
 def test_batched_loops_match_the_scalar_loops_on_edge_forms(form, K):
     assert _outcome(mono_decreasing_start, form) == _outcome(_scalar_mono_start, form)
-    assert _outcome(lambda: tail_bounder(form)(K)) == _outcome(
+    assert _outcome(lambda: log_tail_bound(form, K)) == _outcome(
         lambda: _scalar_tail_bound(form, _scalar_mono_start(form), K)
     )
 
@@ -371,7 +370,7 @@ def test_form_rows_evaluate_every_form_as_itself(forms):
 def test_rows_of_starts_and_tail_bounds_are_each_forms_own(forms, K):
     # one call for all rows gives each form the start and bound of its own
     # call, and warns where one of those calls warns
-    each = _outcome(lambda: ([mono_decreasing_start(f) for f in forms], [tail_bounder(f)(K) for f in forms]))
+    each = _outcome(lambda: ([mono_decreasing_start(f) for f in forms], [log_tail_bound(f, K) for f in forms]))
     rows = list(range(len(forms)))
     together = _outcome(lambda: (mono_decreasing_start(FormRows(forms)), tail_bounders(forms)(K, rows)))
     assert together == each

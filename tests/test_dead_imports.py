@@ -1,7 +1,8 @@
 """Every module-level import of a gevlab module is used in that module,
-every module-level private name is read somewhere in the package, and every
+every module-level private name is read somewhere in the package, every
 module-level public function or class is read outside its own definition,
-save a listed few.
+save a listed few, and every public method or property of a package class
+is read somewhere in the sources, the tests or the benchmark.
 
 Parses the sources with `ast`, so it needs no lint tool.  `__init__.py`
 re-exports its imports and is left out of the import check.
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-_SRC = Path(__file__).resolve().parents[1] / "src" / "gevlab"
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = _ROOT / "src" / "gevlab"
 _MODULES = sorted(p for p in _SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -102,9 +104,7 @@ def test_eigenvalue_envelopes_are_one_object():
 
 # Public names that no package module reads, each with the reason it stays.
 _UNREAD_PUBLIC = {
-    "apply_symbol": "test oracle: symbol application on an explicit vector",
-    "catalog_symbols": "test oracle: the symbol catalog the calculus tests iterate",
-    "weak_solution_residual": "test oracle: the weak form of y' = A y on a solution",
+    "PowerSymbol": "reference of the power_bounds tests: term_bounds(PowerSymbol(n))",
     "serialize_jobspec": "round-trip partner of parse_jobspec in the tests",
     "domain_member_prop31": "perfbench wraps it by name to trace the dual-probe layer",
     "builtin_spectra": "public entry point: the catalog of the harness and the acceptance suite",
@@ -129,3 +129,22 @@ def test_every_public_definition_is_read_by_the_package():
     }
     assert not unread - set(_UNREAD_PUBLIC), f"public names no package module reads: {sorted(unread - set(_UNREAD_PUBLIC))}"
     assert not set(_UNREAD_PUBLIC) - unread, f"allow-listed names that are now read: {sorted(set(_UNREAD_PUBLIC) - unread)}"
+
+
+def test_every_public_method_is_read_somewhere():
+    """Every public method or property of a class in `src/gevlab` is read,
+    as a name or an attribute, outside its own definition by some code under
+    `src/`, `tests/` or `perfbench/`."""
+    paths = [p for d in ("src", "tests", "perfbench") for p in sorted((_ROOT / d).rglob("*.py"))]
+    total = sum((_read_counts(ast.parse(p.read_text(), filename=str(p))) for p in paths), Counter())
+    unread = [
+        f"{path.name}:{cls.name}.{node.name}"
+        for path in _MODULES
+        for cls in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and total[node.name] == _read_counts(node)[node.name]
+    ]
+    assert not unread, f"public methods and properties nothing reads: {unread}"

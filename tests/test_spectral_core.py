@@ -97,6 +97,33 @@ def test_explicit_vector_cannot_outrun_explicit_spectrum():
         gl.CoefficientVector.explicit(spec, values=[1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize(
+    "value, stored",
+    [
+        (complex(math.nan, 0.0), gl.VectorError),
+        (complex(1.0, math.nan), gl.VectorError),
+        (complex(math.inf, 0.0), gl.VectorError),
+        (complex(0.0, -math.inf), gl.VectorError),
+        (0.0, (NEG_INF, 0.0)),
+        (complex(-0.0, -0.0), (NEG_INF, 0.0)),
+        (complex(-1.0, -0.0), (0.0, math.pi)),  # phase -pi is stored as +pi
+        (complex(-2.0, 0.0), (math.log(2.0), math.pi)),
+        (2j, (math.log(2.0), math.pi / 2)),
+    ],
+    ids=["nan-re", "nan-im", "inf-re", "inf-im", "zero", "negative-zero", "minus-one", "minus-two", "two-i"],
+)
+def test_explicit_refuses_nonfinite_and_stores_log_and_phase(value, stored):
+    spec = gl.ExplicitSpectrum((1 + 0j, 2 + 0j))
+    values = [1.0, value]
+    if isinstance(stored, type):
+        with pytest.raises(stored) as err:
+            gl.CoefficientVector.explicit(spec, values=values)
+        assert isinstance(err.value, ValueError)  # callers catching ValueError still see it
+        return
+    mags, phases = gl.CoefficientVector.explicit(spec, values=values).log_coeffs(np.array([1, 2]))
+    assert mags.tolist() == [0.0, stored[0]] and phases.tolist() == [0.0, stored[1]]
+
+
 def test_p_norm_range_enforced():
     spec = gl.ExplicitSpectrum((1 + 0j,))
     with pytest.raises(gl.VectorError):
