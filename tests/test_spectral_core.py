@@ -363,3 +363,50 @@ def test_power_law_envelopes_are_pinned():
         count += 1
     assert count == 1620 * 9
     assert digest.hexdigest() == _ENVELOPE_DIGEST
+
+
+def _coefficient_kind_reprs():
+    """Admissibility, both classes at beta 1 and 2, the norm and the first
+    powers of A, on one vector of each coefficient kind: explicit on a finite
+    and on an infinite spectrum, power and polynomial decay, custom with an
+    envelope and with finite support, a weak solution, and a plan's vectors."""
+    budget = gl.SeriesBudget(1 << 13)
+    line = gl.PowerLawSpectrum(-1.0, 1.0, 1.0, 0.5)
+
+    def kk(ks):  # k^-k
+        kf = ks.astype(float)
+        return -kf * np.log(kf), np.zeros(ks.shape)
+
+    def tilted(ks):  # e^{-k} with phase k/3
+        kf = ks.astype(float)
+        return -kf, kf / 3.0
+
+    art = gl.build_counterexample(gl.plan_for_spectrum(gl.builtin_spectra()["mixed-quart"], 2.0))
+    vectors = [
+        gl.CoefficientVector.explicit(ten_point_spectrum(), [complex(k, 1 - k) / 8 for k in range(10)]),
+        gl.CoefficientVector.explicit(line, [0.5, -0.25j, 0.0, 1 + 1j], p=3.0),
+        gl.CoefficientVector.power_decay(line, 1.0, 1.5),
+        gl.CoefficientVector.polynomial_decay(line, 2.0, p=1.5),
+        gl.CoefficientVector.custom(line, kk, gl.TailBounds.exact(gl.AsymForm.power_log(1.0, -1.0))),
+        gl.CoefficientVector.custom(line, tilted, support_size=6),
+        gl.solve(gl.SolutionHandle.admit(gl.CoefficientVector.power_decay(line, 1.0, 2.0)), 0.5),
+        art.f,
+        art.h,
+        art.h_star,
+    ]
+    for f in vectors:
+        yield repr(gl.check_admissible(f))
+        for beta, flavor in itertools.product((1.0, 2.0), gl.GevreyFlavor):
+            yield repr(gl.vector_class(f, beta, flavor))
+        yield repr(f.log_norm(budget))
+        yield repr(gl.power_norms(f, 8, budget))
+
+
+# sha256 of the newline-joined _coefficient_kind_reprs()
+_COEFFICIENT_KIND_DIGEST = "9266469723d98a0562c3b98a442d63388463bfe037f155cf03acf438c63cf605"
+
+
+def test_every_coefficient_kind_is_pinned():
+    reprs = list(_coefficient_kind_reprs())
+    assert len(reprs) == 10 * 7
+    assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == _COEFFICIENT_KIND_DIGEST
