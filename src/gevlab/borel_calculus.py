@@ -207,7 +207,7 @@ def domain_member_direct(
     The tail envelope is the series space's term_bounds(F), the envelope
     of log|f_k| + log|F(lam_k)|, taken to the power p.
     """
-    space = f.series_space()
+    space = f.space
     p = f.p_norm
 
     def term(ks):
@@ -237,7 +237,7 @@ def domain_member_prop31(F: SymbolFunction, f: CoefficientVector) -> DomainVerdi
     gives (i) for every g by Hoelder.  Hoelder also makes the direct series
     diverge wherever the h* pairing does, so every verdict is the direct one.
     """
-    if f.series_view is not None:
+    if f.space.selection is not None:
         raise DomainError(
             "dual-probe criterion pairs against dense duals and is not available "
             "for support-view vectors; the direct criterion is authoritative there"
@@ -297,7 +297,7 @@ def power_norms(
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    space = f.series_space()
+    space = f.space
     p = f.p_norm
     block: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
 

@@ -47,10 +47,11 @@ def builtin_vectors(spectrum: SpectrumFamily, p: float = 2.0) -> list[Coefficien
     Vectors that are not admissible for a given family are skipped by the
     harness; the polynomial one is there precisely to exercise that path.
     """
+    head = min(8, spectrum.size or 8)
     out = [
         CoefficientVector.explicit(
             spectrum,
-            values=[(k + 1.0) ** -2 for k in range(8)],
+            values=[(k + 1.0) ** -2 for k in range(head)],
             p=p,
             label="prefix8",
         ),

@@ -392,7 +392,11 @@ def _region_dict(report, spectrum_label: str) -> dict:
         "unknown": isinstance(status, RegionUnknown),
     }
     if isinstance(status, RegionHolds):
-        out.update(status="holds", b_plus=status.b_plus, exception_radius=status.exception_radius)
+        out.update(
+            status="holds",
+            b_plus=json_float(status.b_plus),
+            exception_radius=json_float(status.exception_radius),
+        )
     elif isinstance(status, RegionViolated):
         out.update(
             status="violated",
@@ -500,7 +504,7 @@ def _evolve(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
             }
             if spectrum.size is not None and spectrum.size <= 64:
                 coords = y.to_complex(np.arange(1, spectrum.size + 1, dtype=np.int64))
-                entry["coords"] = [[z.real, z.imag] for z in coords]
+                entry["coords"] = [[json_float(z.real), json_float(z.imag)] for z in coords]
             report.verdicts.append(entry)
 
 

@@ -30,7 +30,6 @@ from .borel_calculus import ExpSymbol, GevreyExpSymbol
 from .errors import CounterexampleError, PlanError
 from .evolution import AdmissibilityCertificate, check_admissible
 from .gevrey_classifier import GevreyVerdict, GevreyFlavor, short_float, vector_class
-from .logdomain import NEG_INF
 from .series import ConvergenceCertificate, SeriesStatus
 from .spectral_core import (
     CoefficientVector,
@@ -39,7 +38,6 @@ from .spectral_core import (
     PowerLawSpectrum,
     SeriesSpace,
     SpectrumFamily,
-    conjugate_exponent,
     total_variation,
 )
 
@@ -52,6 +50,7 @@ _FLOAT_EXACT = 2.0**50  # float64 estimates below it are within one of T(n)
 _MAX_DENOM = 64  # larger common exponent denominators use interval arithmetic
 _IV_PREC = 80  # bits
 _S_PROBES = (2.0**-10, 1.0, 2.0**10)
+_P_NORM = 2.0  # the proof vectors lie in l^2, their own dual
 
 
 class PlanCase(Enum):
@@ -297,19 +296,6 @@ class Selection:
     def lam(self, ns: np.ndarray) -> np.ndarray:
         return self.spectrum.eigenvalues(self.indices(ns))
 
-    def orders(self, js: np.ndarray) -> np.ndarray:
-        """n with j(n) = j for the given js, 0 where j is not selected.
-
-        The selection is extended by doubling until its last index reaches
-        max(js), so it grows only as far as the js need.
-        """
-        while js.size and (not self._js.size or self._js[-1] < js.max()):
-            self.extend(max(1, 2 * self._js.size))
-        pos = np.searchsorted(self._js, js)
-        hit = pos < self._js.size
-        hit[hit] = self._js[pos[hit]] == js[hit]
-        return np.where(hit, pos + 1, 0)
-
     def identity_certified(self) -> bool:
         """True when j(n) = n provably for every n, not just the first 512."""
         self.extend(512)
@@ -365,8 +351,8 @@ def _meets(lhs, rhs, strict, rule: Optional[_Threshold], js, ns) -> np.ndarray:
     return ok
 
 
-def _verify_plan(plan: ViolatingSpectrumPlan, prefix: int = _VERIFY_PREFIX) -> None:
-    """Check the plan on the eigenvalues of its first prefix picks.
+def _verify_plan(plan: ViolatingSpectrumPlan) -> None:
+    """Check the plan on the eigenvalues of its first _VERIFY_PREFIX picks.
 
     |lam_{j(n)}| >= n, Re lam_{j(n)} < n^-2 |Im lam_{j(n)}|^{1/beta} (non-strict
     at n = 1) and, on plans with unbounded real parts, Re lam_{j(n)} >= n are
@@ -381,7 +367,7 @@ def _verify_plan(plan: ViolatingSpectrumPlan, prefix: int = _VERIFY_PREFIX) -> N
     them, as on every power law, and every pair otherwise.
     """
     sel = plan.selection
-    ns = np.arange(1, prefix + 1, dtype=np.int64)
+    ns = np.arange(1, _VERIFY_PREFIX + 1, dtype=np.int64)
     js = sel.indices(ns)
     if not np.all(np.diff(js) > 0):
         raise PlanError("selected indices are not strictly increasing")
@@ -397,7 +383,7 @@ def _verify_plan(plan: ViolatingSpectrumPlan, prefix: int = _VERIFY_PREFIX) -> N
     if plan.case is PlanCase.BOUNDED_REAL_PARTS:
         if plan.omega is None or not np.all(lams.real <= plan.omega + 1e-12):
             raise PlanError("real parts exceed the declared bound omega")
-    n_eps = min(prefix, 512)
+    n_eps = 512
     eps = plan.epsilons(n_eps)
     if not np.all((eps > 0) & (eps < 1.0 / np.arange(1, n_eps + 1))):
         raise PlanError("disk radii leave (0, 1/n) on the verified prefix")
@@ -488,6 +474,7 @@ class SupportView(SeriesSpace):
 
     plan: ViolatingSpectrumPlan
     decay: Optional[float] = None
+    lam_bounds = None  # built once in __post_init__, in place of the spectrum's
 
     def __post_init__(self):
         terms, sel = self.plan.spectrum.envelope_terms, self.plan.selection
@@ -506,6 +493,10 @@ class SupportView(SeriesSpace):
         upper = (sel.gamma * p_hi, top * sel.env_coeff**p_hi, 1.0)
         lam = LamBounds(re, None, (1.0, 1.0, 1.0), upper, (upper[:2],), 1)
         object.__setattr__(self, "lam_bounds", lam)
+
+    @property
+    def spectrum(self) -> SpectrumFamily:
+        return self.plan.spectrum
 
     @property
     def selection(self) -> Selection:
@@ -566,53 +557,30 @@ class _ProofView(SupportView):
         return TailBounds(lower, bounds.upper, max(k_min, bounds.k_min))
 
 
-def _dense_inverse_fn(view: SupportView):
-    """Dense j-indexed coefficients of a subsequence vector: n^-th coefficient
-    at j = j(n), none elsewhere."""
-
-    selection = view.selection
-
-    def fn(js: np.ndarray):
-        mags = np.full(js.shape, NEG_INF)
-        orders = selection.orders(js)
-        hit = orders > 0
-        if np.any(hit):
-            mags[hit] = view.coeff_log(orders[hit])[0]
-        return mags, np.zeros(js.shape)
-
-    return fn
-
-
-def _view_vector(view: SupportView, p: float, label: str) -> CoefficientVector:
-    return CoefficientVector.custom(
-        view.plan.spectrum, _dense_inverse_fn(view), p=p, label=label, series_view=view
-    )
-
-
-def _bounded_vectors(plan: ViolatingSpectrumPlan, p: float):
-    q = conjugate_exponent(p)
+def _bounded_vectors(plan: ViolatingSpectrumPlan):
+    p = q = _P_NORM
     if plan.selection.identity_certified():
         f = CoefficientVector.polynomial_decay(plan.spectrum, 2.0, p=p, label="ce-f(k^-2)")
         h_star = CoefficientVector.polynomial_decay(plan.spectrum, 2.0, p=q, label="h*(k^-2)")
         return f, None, h_star
     view = SupportView(plan)
-    f = _view_vector(view, p, "ce-f(n^-2 on selection)")
-    h_star = _view_vector(view, q, "h*(n^-2 on selection)")
+    f = CoefficientVector.on_space(view, p, "ce-f(n^-2 on selection)")
+    h_star = CoefficientVector.on_space(view, q, "h*(n^-2 on selection)")
     return f, None, h_star
 
 
-def _unbounded_vectors(plan: ViolatingSpectrumPlan, p: float):
+def _unbounded_vectors(plan: ViolatingSpectrumPlan):
     spec = plan.spectrum
-    q = conjugate_exponent(p)
+    p = q = _P_NORM
     if plan.selection.identity_certified() and spec.envelope_terms.re == (1.0, 1.0, 1.0):
         # Re lam_k = k exactly: the proof's coefficients are e^{-k^2}
         f = CoefficientVector.power_decay(spec, 1.0, 2.0, p=p, label="ce-f(e^-k^2)")
         h = CoefficientVector.power_decay(spec, 0.5, 2.0, p=p, label="ce-h(e^-k^2/2)")
         h_star = CoefficientVector.polynomial_decay(spec, 2.0, p=q, label="h*(k^-2)")
         return f, h, h_star
-    f = _view_vector(_ProofView(plan, 1.0), p, "ce-f(e^{-n Re} on selection)")
-    h = _view_vector(SupportView(plan, 0.5), p, "ce-h(e^{-n Re/2} on selection)")
-    h_star = _view_vector(SupportView(plan), q, "h*(n^-2 on selection)")
+    f = CoefficientVector.on_space(_ProofView(plan, 1.0), p, "ce-f(e^{-n Re} on selection)")
+    h = CoefficientVector.on_space(SupportView(plan, 0.5), p, "ce-h(e^{-n Re/2} on selection)")
+    h_star = CoefficientVector.on_space(SupportView(plan), q, "h*(n^-2 on selection)")
     return f, h, h_star
 
 
@@ -646,8 +614,8 @@ class CounterexampleArtifacts:
     detail: str = ""
 
 
-def build_counterexample(plan: ViolatingSpectrumPlan, p: float = 2.0) -> CounterexampleArtifacts:
-    """Assemble and verify the proof vectors for a violating plan.
+def build_counterexample(plan: ViolatingSpectrumPlan) -> CounterexampleArtifacts:
+    """Assemble and verify the proof vectors for a violating plan, in l^2.
 
     The initial vector must pass the admissibility check and must be
     certified not of Roumieu type at the plan's order; the dual-probe series
@@ -655,9 +623,9 @@ def build_counterexample(plan: ViolatingSpectrumPlan, p: float = 2.0) -> Counter
     a hard failure.
     """
     if plan.case is PlanCase.BOUNDED_REAL_PARTS:
-        f, h, h_star = _bounded_vectors(plan, p)
+        f, h, h_star = _bounded_vectors(plan)
     else:
-        f, h, h_star = _unbounded_vectors(plan, p)
+        f, h, h_star = _unbounded_vectors(plan)
 
     admissibility = check_admissible(f)
     if not admissibility.admissible:

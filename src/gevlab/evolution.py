@@ -94,7 +94,7 @@ def check_admissible(f: CoefficientVector, t_max: float = DEFAULT_T_MAX) -> Admi
         raise ValueError("t_max must be positive")
     grid = [0.0, 1.0, t_max / 2.0, t_max]
 
-    space = f.series_space()
+    space = f.space
     rule: TailRule
 
     if space.count is not None:

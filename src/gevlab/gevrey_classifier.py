@@ -117,7 +117,7 @@ def _closed_forms(
     leading scale.  The ratios are rounded once from the exact coefficients.
     Otherwise tie is None.
     """
-    space = f.series_space()
+    space = f.space
     decay, lam = space.coeff_bounds, space.lam_bounds
     growth = lam.abs_pow(1.0 / beta) if lam is not None else None
     if growth is None or growth.upper is None or decay is None or decay.upper is None:
@@ -204,7 +204,7 @@ def _classify_both(f: CoefficientVector, beta: float) -> tuple[GevreyVerdict, Ge
         b = GevreyVerdict(GevreyFlavor.BEURLING, beurling, s_low, s_high, probes, detail=detail_b)
         return r, b
 
-    if f.effective_count() is not None:
+    if f.space.count is not None:
         probe(1.0)
         detail = "finitely many atoms: every scale converges"
         return verdicts(True, True, math.inf, math.inf, detail, detail)
@@ -287,7 +287,7 @@ def vector_class_beta0(f: CoefficientVector) -> GevreyVerdict:
     |lam| <= alpha; the reported support bound is the largest eigenvalue
     modulus over them.
     """
-    count = f.effective_count()
+    count = f.space.count
     if count is not None:
         ks = np.arange(1, count + 1, dtype=np.int64)
         mags, _ = f.log_coeffs(ks)
@@ -314,7 +314,7 @@ def vector_class_beta0(f: CoefficientVector) -> GevreyVerdict:
             GevreyFlavor.ROUMIEU, True, math.inf, math.inf,
             support_bound=alpha, detail="bounded spectrum",
         )
-    b = f.decay_bounds()
+    b = f.space.coeff_bounds
     if b is not None and b.lower is not None:
         return GevreyVerdict(
             GevreyFlavor.ROUMIEU, False, 0.0, 0.0,
@@ -609,7 +609,7 @@ def estimate_order(
     y = y_ext[1:]
     n_log_n = ns * np.log(ns)
     beta_eff = ns[:-1] * (y_ext[2:] - 2.0 * y_ext[1:-1] + y_ext[:-2])
-    if f.effective_count() is not None:
+    if f.space.count is not None:
         beta_hat = 0.0
     elif (
         len(beta_eff) >= _MIN_EXTRAPOLATED_CURVATURES
@@ -722,8 +722,6 @@ def theorem_equivalence_harness(
         else:
             all_roumieu_true = False
 
-    if region.violated and counterexample is None:
-        problems.append("violated region without a counterexample construction")
     if saw_roumieu and all_roumieu_true and any_certified_not_beurling:
         problems.append(
             "smoothness jump violated: every vector Roumieu-certified while some "

@@ -1,7 +1,9 @@
 """Discrete model of a scalar-type spectral operator on a sequence space.
 
-A spectrum family lists (or generates) the eigenvalues lam_k; vectors are
-given by their coordinates in the eigenbasis, stored in log-polar form.
+A spectrum family lists (or generates) the eigenvalues lam_k.  SeriesSpace is
+every vector's coordinate model, in log-polar form: each coefficient kind is a
+space on the eigenvalue order, and a counterexample plan's view one on the
+selected subsequence.
 """
 
 from __future__ import annotations
@@ -243,7 +245,10 @@ class ExplicitSpectrum(SpectrumFamily):
         return False
 
     def max_abs(self) -> float:
-        return float(max(abs(z) for z in self.points))
+        try:
+            return float(max(abs(z) for z in self.points))
+        except OverflowError:  # some |lam_k| past the float range
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -313,29 +318,73 @@ class CustomSpectrum(SpectrumFamily):
 
 
 # ---------------------------------------------------------------------------
-# Coefficient vectors
+# Series spaces: the coordinates of a vector
 # ---------------------------------------------------------------------------
 
 
-class _CoeffImpl:
-    def log_coeffs(self, ks: np.ndarray, spectrum: SpectrumFamily):
+class SeriesSpace:
+    """Index space n = 1, 2, ... of a vector's coordinates.
+
+    - spectrum: the family the eigenvalues are drawn from.
+    - count: number of indices, None for infinitely many (by default the
+      spectrum's size).
+    - lam(ns), coeff_log(ns): the eigenvalue (by default lam_n itself) and
+      the log-polar coefficient (log-magnitudes, phases) at each index.
+    - coeff_bounds: envelope of the log-magnitudes, None when unknown.
+    - selection: the object the indices are drawn from (None: the
+      eigenvalue order itself); two vectors pair only over one selection.
+    - lam_bounds: the LamBounds of the eigenvalues at the indices (by
+      default the spectrum's), None when unknown; every symbol reads its
+      growth envelope from it.
+    - term_bounds(F): envelope of log|c_n| + log|F(lam_n)|, the one
+      envelope every series over the space reads.  By default it is the
+      sum of the componentwise envelopes; a space whose coefficients are
+      tied to lam (a counterexample plan's vectors) overrides it with the
+      coupled estimate, which no componentwise envelope expresses.  No
+      override concerns a power of A: power_norms works out the envelopes
+      of all powers from coeff_bounds and lam_bounds.log_abs() at once.
+    """
+
+    spectrum: SpectrumFamily
+    coeff_bounds: Optional[TailBounds] = None
+    selection: object = None
+
+    @property
+    def count(self) -> Optional[int]:
+        return self.spectrum.size
+
+    @property
+    def lam_bounds(self) -> Optional[LamBounds]:
+        return self.spectrum.lam_bounds
+
+    def lam(self, ns: np.ndarray) -> np.ndarray:
+        return self.spectrum.eigenvalues(ns)
+
+    def coeff_log(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError
 
-    def decay_bounds(self, spectrum: SpectrumFamily) -> Optional[TailBounds]:
-        return None
-
-    def support_size(self) -> Optional[int]:
-        return None
+    def term_bounds(self, F=None) -> Optional[TailBounds]:
+        """Envelope of log|c_n| + log|F(lam_n)|; of log|c_n| when F is None."""
+        cb = self.coeff_bounds
+        if cb is None or F is None:
+            return cb
+        gb = F.growth_bounds_on(self.lam_bounds)
+        return cb + gb if gb is not None else None
 
 
 @dataclass(frozen=True, eq=False)
-class _ExplicitCoeffs(_CoeffImpl):
+class _ExplicitCoeffs(SeriesSpace):
     """Coordinates 1..len(mags) as log-magnitude and phase arrays; zero beyond."""
 
+    spectrum: SpectrumFamily
     mags: np.ndarray
     phases: np.ndarray
 
-    def log_coeffs(self, ks, spectrum):
+    @property
+    def count(self) -> int:
+        return len(self.mags)
+
+    def coeff_log(self, ks):
         ks = np.asarray(ks, dtype=np.int64)
         mags = np.full(ks.shape, NEG_INF)
         phases = np.zeros(ks.shape)
@@ -344,60 +393,70 @@ class _ExplicitCoeffs(_CoeffImpl):
         phases[inside] = self.phases[ks[inside] - 1]
         return mags, phases
 
-    def support_size(self):
-        return len(self.mags)
-
 
 @dataclass(frozen=True)
-class _PowerDecayCoeffs(_CoeffImpl):
+class _PowerDecayCoeffs(SeriesSpace):
+    spectrum: SpectrumFamily
     c: float
     r: float
 
-    def log_coeffs(self, ks, spectrum):
+    def coeff_log(self, ks):
         kf = np.asarray(ks, dtype=float)
         return -self.c * kf**self.r, np.zeros(kf.shape)
 
-    def decay_bounds(self, spectrum):
+    @property
+    def coeff_bounds(self) -> TailBounds:
         return TailBounds.exact(AsymForm.power(self.r, -self.c))
 
 
 @dataclass(frozen=True)
-class _PolyDecayCoeffs(_CoeffImpl):
+class _PolyDecayCoeffs(SeriesSpace):
+    spectrum: SpectrumFamily
     d: float
 
-    def log_coeffs(self, ks, spectrum):
+    def coeff_log(self, ks):
         kf = np.asarray(ks, dtype=float)
         return -self.d * np.log(kf), np.zeros(kf.shape)
 
-    def decay_bounds(self, spectrum):
+    @property
+    def coeff_bounds(self) -> TailBounds:
         return TailBounds.exact(AsymForm.log_k(-self.d))
 
 
 @dataclass(frozen=True)
-class _CustomCoeffs(_CoeffImpl):
+class _CustomCoeffs(SeriesSpace):
+    spectrum: SpectrumFamily
     fn: Callable[[np.ndarray], tuple]
-    bounds: Optional[TailBounds]
+    coeff_bounds: Optional[TailBounds] = None
     support: Optional[int] = None
 
-    def log_coeffs(self, ks, spectrum):
+    @property
+    def count(self) -> Optional[int]:
+        return min((n for n in (self.spectrum.size, self.support) if n is not None), default=None)
+
+    def coeff_log(self, ks):
         mags, phases = self.fn(np.asarray(ks, dtype=np.int64))
         return np.asarray(mags, dtype=float), np.asarray(phases, dtype=float)
 
-    def decay_bounds(self, spectrum):
-        return self.bounds
-
-    def support_size(self):
-        return self.support
-
 
 @dataclass(frozen=True)
-class _MappedCoeffs(_CoeffImpl):
-    base: _CoeffImpl
+class _MappedCoeffs(SeriesSpace):
+    """The coordinates of base times symbol values F(lam_k)."""
+
+    base: SeriesSpace
     symbols: tuple  # SymbolFunction-like objects, in the order applied
 
-    def log_coeffs(self, ks, spectrum):
-        mags, phases = self.base.log_coeffs(np.asarray(ks, dtype=np.int64), spectrum)
-        lams = spectrum.eigenvalues(ks)
+    @property
+    def spectrum(self) -> SpectrumFamily:
+        return self.base.spectrum
+
+    @property
+    def count(self) -> Optional[int]:
+        return self.base.count
+
+    def coeff_log(self, ks):
+        mags, phases = self.base.coeff_log(ks)
+        lams = self.lam(ks)
         add_mag = np.zeros(len(lams))
         add_phase = np.zeros(len(lams))
         for sym in self.symbols:
@@ -408,30 +467,32 @@ class _MappedCoeffs(_CoeffImpl):
         phases = np.where(mags == NEG_INF, 0.0, phases)
         return mags, phases
 
-    def decay_bounds(self, spectrum):
-        b = self.base.decay_bounds(spectrum)
+    @property
+    def coeff_bounds(self) -> Optional[TailBounds]:
+        b = self.base.coeff_bounds
         if b is None:
             return None
         for sym in self.symbols:
-            g = sym.growth_bounds_on(spectrum.lam_bounds)
+            g = sym.growth_bounds_on(self.lam_bounds)
             if g is None:
                 return None
             b = b + g
         return b
 
-    def support_size(self):
-        return self.base.support_size()
+
+# ---------------------------------------------------------------------------
+# Coefficient vectors
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CoefficientVector:
-    """A vector f given coordinatewise in the eigenbasis of its spectrum."""
+    """A vector f: its l^p exponent, a label and the space of its coordinates,
+    indexed by the eigenvalue order or by a counterexample plan's selection."""
 
-    spectrum: SpectrumFamily
     p_norm: float
     label: str
-    impl: _CoeffImpl
-    series_view: Optional[SeriesSpace] = None  # index space other than the eigenvalue order
+    space: SeriesSpace
 
     def __post_init__(self):
         p = float(self.p_norm)
@@ -444,7 +505,8 @@ class CoefficientVector:
     @classmethod
     def explicit(cls, spectrum, values, p: float = 2.0, label: str = "explicit"):
         """Coordinates f_k = values[k - 1], stored as log|f_k| and a phase in
-        (-pi, pi]; a zero is (-inf, 0.0)."""
+        (-pi, pi]; a zero is (-inf, 0.0).  log|f_k| is stored even where |f_k|
+        itself passes the float range."""
         mags, phases = [], []
         for v in values:
             z = complex(v)
@@ -453,27 +515,31 @@ class CoefficientVector:
             if z == 0:
                 mags.append(NEG_INF)
                 phases.append(0.0)
-            else:
+                continue
+            try:
                 mags.append(math.log(abs(z)))
-                phases.append(cmath.phase(z))
+            except OverflowError:  # |z| passes the float range, log|z| does not
+                s, m = sorted((abs(z.real), abs(z.imag)))
+                mags.append(math.log(m) + 0.5 * math.log1p((s / m) ** 2))
+            phases.append(cmath.phase(z))
         if spectrum.size is not None and len(mags) > spectrum.size:
             raise VectorError("more coefficients than eigenvalues in the explicit spectrum")
-        impl = _ExplicitCoeffs(np.array(mags, dtype=float), wrap_phase(np.array(phases, dtype=float)))
-        return cls(spectrum, p, label, impl)
+        mags, phases = np.array(mags, dtype=float), wrap_phase(np.array(phases, dtype=float))
+        return cls(p, label, _ExplicitCoeffs(spectrum, mags, phases))
 
     @classmethod
     def power_decay(cls, spectrum, c: float, r: float, p: float = 2.0, label: str = ""):
         if not (c > 0 and r > 0):
             raise VectorError("power decay needs c > 0 and r > 0")
         label = label or f"exp(-{c:g}*k^{r:g})"
-        return cls(spectrum, p, label, _PowerDecayCoeffs(float(c), float(r)))
+        return cls(p, label, _PowerDecayCoeffs(spectrum, float(c), float(r)))
 
     @classmethod
     def polynomial_decay(cls, spectrum, d: float, p: float = 2.0, label: str = ""):
         if not d * p > 1.0:
             raise VectorError(f"k^-{d:g} is not in l^{p:g}: need d*p > 1")
         label = label or f"k^-{d:g}"
-        return cls(spectrum, p, label, _PolyDecayCoeffs(float(d)))
+        return cls(p, label, _PolyDecayCoeffs(spectrum, float(d)))
 
     @classmethod
     def custom(
@@ -484,48 +550,52 @@ class CoefficientVector:
         support_size: Optional[int] = None,
         p: float = 2.0,
         label: str = "custom",
-        series_view=None,
     ):
-        vec = cls(spectrum, p, label, _CustomCoeffs(fn, bounds, support_size), series_view)
-        vec._certify_storable()
-        return vec
+        return cls.on_space(_CustomCoeffs(spectrum, fn, bounds, support_size), p, label)
 
-    def _certify_storable(self):
-        """Reject vectors whose l^p membership cannot be certified."""
-        if self.effective_count() is not None:
-            return
-        b = self.series_space().coeff_bounds
-        if b is None or b.upper is None or not form_converges(b.upper.scale(self.p_norm)):
+    @classmethod
+    def on_space(cls, space: SeriesSpace, p: float, label: str) -> "CoefficientVector":
+        """The vector with the coordinates of space; refused where its l^p
+        membership cannot be certified."""
+        vec = cls(p, label, space)
+        b = space.coeff_bounds
+        if space.count is None and (
+            b is None or b.upper is None or not form_converges(b.upper.scale(vec.p_norm))
+        ):
             raise VectorError(
-                f"vector {self.label!r}: l^{self.p_norm:g} summability is not certifiable "
+                f"vector {label!r}: l^{vec.p_norm:g} summability is not certifiable "
                 "(declare a decay envelope or a finite support)"
             )
+        return vec
 
     # -- accessors ----------------------------------------------------------
 
-    def log_coeffs(self, ks: np.ndarray):
-        return self.impl.log_coeffs(np.asarray(ks, dtype=np.int64), self.spectrum)
+    @property
+    def spectrum(self) -> SpectrumFamily:
+        return self.space.spectrum
 
-    def decay_bounds(self) -> Optional[TailBounds]:
-        return self.impl.decay_bounds(self.spectrum)
+    def log_coeffs(self, ns: np.ndarray):
+        """(log|f_n|, phase of f_n) at the indices ns of the vector's space."""
+        return self.space.coeff_log(np.asarray(ns, dtype=np.int64))
 
-    def support_size(self) -> Optional[int]:
-        return self.impl.support_size()
-
-    def effective_count(self) -> Optional[int]:
-        """Number of (possibly) nonzero coordinates, when finite."""
-        candidates = [n for n in (self.spectrum.size, self.support_size()) if n is not None]
-        return min(candidates) if candidates else None
-
-    def to_complex(self, ks: np.ndarray) -> np.ndarray:
-        mags, phases = self.log_coeffs(ks)
-        out = np.where(mags == NEG_INF, 0.0, np.exp(mags)) * np.exp(1j * phases)
+    def to_complex(self, ns: np.ndarray) -> np.ndarray:
+        """f_n at the indices ns; a part of a coordinate past the float range
+        is +-inf, and a zero part stays zero."""
+        mags, phases = self.log_coeffs(ns)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.where(mags == NEG_INF, 0.0, np.exp(mags))
+            unit = np.exp(1j * phases)
+            out = r * unit
+        # inf times a zero part of e^{i phase} is NaN: that part stays zero
+        big = np.isinf(r)
+        out.real[big & (unit.real == 0.0)] = 0.0
+        out.imag[big & (unit.imag == 0.0)] = 0.0
         return out
 
     def log_norm(self, budget: SeriesBudget = DEFAULT_BUDGET) -> tuple[float, ConvergenceCertificate]:
         """log ||f||_p with its certificate."""
         p = self.p_norm
-        space = self.series_space()
+        space = self.space
 
         def term(ks):
             mags, _ = space.coeff_log(ks)
@@ -546,89 +616,13 @@ class CoefficientVector:
 
     def _with_symbols(self, symbols) -> "CoefficientVector":
         """Internal: coordinatewise multiplication by symbol values F(lam_k)."""
-        if self.series_view is not None:
+        space = self.space
+        if space.selection is not None:
             raise VectorError("symbol application on support-view vectors is not implemented")
-        if isinstance(self.impl, _MappedCoeffs):
-            impl = _MappedCoeffs(self.impl.base, self.impl.symbols + tuple(symbols))
-        else:
-            impl = _MappedCoeffs(self.impl, tuple(symbols))
+        base, prior = (space.base, space.symbols) if isinstance(space, _MappedCoeffs) else (space, ())
+        space = _MappedCoeffs(base, prior + tuple(symbols))
         names = "*".join(getattr(s, "name", "F") for s in symbols)
-        return CoefficientVector(self.spectrum, self.p_norm, f"{names}({self.label})", impl)
-
-    def series_space(self) -> SeriesSpace:
-        if self.series_view is not None:
-            return self.series_view
-        return DenseSpace(self)
-
-
-# ---------------------------------------------------------------------------
-# Series spaces
-# ---------------------------------------------------------------------------
-
-
-class SeriesSpace:
-    """Index space n = 1, 2, ... over which the series of a vector run.
-
-    - count: number of indices, None for infinitely many.
-    - lam(ns), coeff_log(ns): the eigenvalue and the log-polar coefficient
-      (log-magnitudes, phases) at each index.
-    - coeff_bounds: envelope of the log-magnitudes, None when unknown.
-    - selection: the object the indices are drawn from (None: the
-      eigenvalue order itself); two vectors pair only over one selection.
-    - lam_bounds: the LamBounds of the eigenvalues at the indices, None
-      when unknown; every symbol reads its growth envelope from it.
-    - term_bounds(F): envelope of log|c_n| + log|F(lam_n)|, the one
-      envelope every series over the space reads.  By default it is the
-      sum of the componentwise envelopes; a space whose coefficients are
-      tied to lam (a counterexample plan's vectors) overrides it with the
-      coupled estimate, which no componentwise envelope expresses.  No
-      override concerns a power of A: power_norms works out the envelopes
-      of all powers from coeff_bounds and lam_bounds.log_abs() at once.
-    """
-
-    count: Optional[int] = None
-    coeff_bounds: Optional[TailBounds] = None
-    lam_bounds: Optional[LamBounds] = None
-    selection: object = None
-
-    def lam(self, ns: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def coeff_log(self, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def term_bounds(self, F=None) -> Optional[TailBounds]:
-        """Envelope of log|c_n| + log|F(lam_n)|; of log|c_n| when F is None."""
-        cb = self.coeff_bounds
-        if cb is None or F is None:
-            return cb
-        gb = F.growth_bounds_on(self.lam_bounds)
-        return cb + gb if gb is not None else None
-
-
-@dataclass(frozen=True)
-class DenseSpace(SeriesSpace):
-    """Series index space of a vector indexed directly by eigenvalue order."""
-
-    vector: CoefficientVector
-
-    @property
-    def count(self) -> Optional[int]:
-        return self.vector.effective_count()
-
-    def lam(self, ks):
-        return self.vector.spectrum.eigenvalues(ks)
-
-    def coeff_log(self, ks):
-        return self.vector.log_coeffs(ks)
-
-    @property
-    def coeff_bounds(self) -> Optional[TailBounds]:
-        return self.vector.decay_bounds()
-
-    @property
-    def lam_bounds(self) -> Optional[LamBounds]:
-        return self.vector.spectrum.lam_bounds
+        return CoefficientVector(self.p_norm, f"{names}({self.label})", space)
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +652,7 @@ def total_variation(
         raise VectorError(
             f"dual vector must carry the conjugate exponent q={q:g}, got {g.p_norm:g}"
         )
-    space, gspace = f.series_space(), g.series_space()
+    space, gspace = f.space, g.space
     if space.selection is not gspace.selection:
         raise VectorError("paired vectors must share the same support selection")
 

@@ -67,13 +67,13 @@ def complex_logsum(log_mags, phases):
 
 def pairing(v, w, k_cap=1 << 16) -> complex:
     """Bilinear pairing <v, w> = sum_k v_k w_k (dual coordinates)."""
-    counts = [n for n in (v.effective_count(), w.effective_count()) if n is not None]
+    counts = [n for n in (v.space.count, w.space.count) if n is not None]
     tail = None
     if counts:
         n = min(counts)
     else:
         n = k_cap
-        vb, wb = v.decay_bounds(), w.decay_bounds()
+        vb, wb = v.space.coeff_bounds, w.space.coeff_bounds
         if vb is None or wb is None or vb.upper is None or wb.upper is None:
             raise gl.VectorError("pairing of two infinite vectors needs decay envelopes")
         prod = vb.upper + wb.upper
@@ -105,7 +105,7 @@ def weak_solution_residual(h, g, t_grid, eps=1e-5) -> float:
     adj_check = gl.domain_member_direct(gl.PowerSymbol(1), g, budget=None)
     if adj_check.member is not True:
         raise gl.VectorError("g is outside the coordinatewise adjoint domain")
-    infinite = h.f.effective_count() is None
+    infinite = h.f.space.count is None
     for t in t_grid:
         if t < 0 or (infinite and t < eps):
             raise ValueError(

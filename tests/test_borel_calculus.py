@@ -294,7 +294,7 @@ def test_power_bounds_are_each_powers_term_bounds(p):
     # constant and k_min the same float, on finite-k_min, cancelling,
     # envelope-free and plan-view spaces
     for f in _bound_spaces():
-        space = f.series_space()
+        space = f.space
         rows = list(power_bounds(space, 12, p))
         want = [space.term_bounds(gl.PowerSymbol(n)) for n in range(13)]
         assert [_bits(b) for b in rows] == [_bits(w.scale(p) if w is not None else None) for w in want]
@@ -303,7 +303,7 @@ def test_power_bounds_are_each_powers_term_bounds(p):
 def _power_norms_one_call_per_power(f, n_max, budget):
     # the reference: one series engine call per power, each with the space's
     # own term_bounds(A^n), stopping at the first power not certified
-    space, p = f.series_space(), f.p_norm
+    space, p = f.space, f.p_norm
 
     def term(ks, n):
         mags = space.coeff_log(ks)[0]

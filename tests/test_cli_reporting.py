@@ -333,6 +333,50 @@ def test_classify_vector_past_the_float_range_is_unknown():
     assert [v["member"] for v in _strict_json(report.to_json())["verdicts"]] == [None, None]
 
 
+def _main_report(tmp_path, capsys, job):
+    """Exit code and strict-JSON report of gsl on one job."""
+    code = cli.main([job["command"], "--job", write_job(tmp_path, json.dumps(job)), "--seed-free"])
+    return code, _strict_json(capsys.readouterr().out)
+
+
+_HUGE_POINTS = {"explicit": {"points": [[1.7e308, 1.7e308], [1, 0]]}}
+
+
+def test_evolve_an_explicit_coefficient_past_the_float_range(tmp_path, capsys):
+    job = {"command": "evolve", "spectrum": {"power_law": {"a_re": -1, "p_re": 1, "a_im": 0, "p_im": 0}},
+           "vectors": [{"label": "big", "explicit": {"values": [[1.7e308, 1.7e308]]}}], "t_grid": [0]}
+    code, report = _main_report(tmp_path, capsys, job)
+    assert (code, report["status"]) == (0, "ok")
+    want = mpmath.log(mpmath.sqrt(2 * mpmath.mpf(1.7e308) ** 2))
+    assert abs(report["verdicts"][1]["log_norm"] - float(want)) <= 2 * math.ulp(float(want))
+
+
+@pytest.mark.parametrize("command", ["classify-spectrum", "harness"])
+def test_explicit_eigenvalues_past_the_float_range_hold(tmp_path, capsys, command):
+    # a finite spectrum is bounded, whatever its largest modulus
+    code, report = _main_report(tmp_path, capsys, {"command": command, "spectrum": _HUGE_POINTS, "beta": 1})
+    assert (code, report["status"]) == (0, "ok")
+    region = report["verdicts"][0]
+    assert (region["status"], region["exception_radius"], region["b_plus"]) == ("holds", "inf", 1.0)
+
+
+def test_harness_on_an_explicit_spectrum_shorter_than_the_catalog_prefix(tmp_path, capsys):
+    job = {"command": "harness", "spectrum": {"explicit": {"points": [[1, 0], [2, 0], [3, 1]]}}, "beta": 1}
+    code, report = _main_report(tmp_path, capsys, job)
+    assert (code, report["status"], report["verdicts"][0]["status"]) == (0, "ok", "holds")
+    rows = [v for v in report["verdicts"] if v["kind"] == "harness-row"]
+    assert len(rows) == 5 and all(r["admissible"] for r in rows)
+    assert all(member is True for r in rows for _, flavor, member in r["verdicts"] if flavor == "beurling")
+
+
+def test_evolve_coordinates_past_the_float_range_are_strict_json(tmp_path, capsys):
+    job = {"command": "evolve", "spectrum": {"explicit": {"points": [[10, 0], [1, 0]]}},
+           "vectors": [{"label": "v", "explicit": {"values": [[1e300, 0], [1, 0]]}}], "t_grid": [100]}
+    code, report = _main_report(tmp_path, capsys, job)
+    assert (code, report["status"]) == (0, "ok")
+    assert report["verdicts"][1]["coords"] == [["inf", 0.0], [math.exp(100.0), 0.0]]
+
+
 def test_run_harness_on_violated_spectrum_includes_counterexample():
     job = cli.parse_jobspec(
         '{"command":"harness","spectrum":{"power_law":{"a_re":0,"p_re":0,"a_im":1,"p_im":2}},"beta":1}'

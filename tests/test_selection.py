@@ -24,14 +24,7 @@ from hypothesis import strategies as st
 
 import gevlab as gl
 import gevlab.cli_reporting as cli
-from gevlab.counterexamples import (
-    Selection,
-    SupportView,
-    _dense_inverse_fn,
-    _Threshold,
-    _verify_plan,
-)
-from gevlab.logdomain import NEG_INF
+from gevlab.counterexamples import Selection, _Threshold, _verify_plan
 
 N_GOLDEN = 1 << 15
 
@@ -500,54 +493,3 @@ def test_power_law_envelopes_declared_on_a_custom_family_plan_alike(a_re, p_re, 
     ns = np.arange(1, 4097)
     assert np.array_equal(got.selection.indices(ns), want.selection.indices(ns))
     assert (got.case, got.omega) == (want.case, want.omega)
-
-
-@pytest.mark.parametrize("decay", [None, 1.0])
-def test_dense_inverse_matches_brute_force(decay):
-    plan = _plan("mixed-quart", 1.5)
-    sel = plan.selection
-    view = SupportView(plan, decay)
-    prefix_top = int(sel.indices(np.asarray([10_000]))[0])
-    # selected and skipped indices, inside and beyond the extended prefix
-    js = np.unique(
-        np.concatenate(
-            [
-                np.arange(1, 200),
-                np.arange(prefix_top - 50, prefix_top + 50),
-                np.arange(80_000, 80_100),
-                sel.indices(np.arange(9_990, 10_010)),
-            ]
-        )
-    ).astype(np.int64)
-    mags, phases = _dense_inverse_fn(view)(js)
-
-    chosen = sel.indices(np.arange(1, int(js.max()) + 1))
-    order = {int(j): n for n, j in enumerate(chosen.tolist(), start=1)}
-    want = np.full(js.shape, NEG_INF)
-    for i, j in enumerate(js.tolist()):
-        if j in order:
-            want[i] = view.coeff_log(np.asarray([order[j]], dtype=np.int64))[0][0]
-    assert np.any(want == NEG_INF) and np.any(want > NEG_INF)
-    assert np.any(js > prefix_top) and np.any(want[js > prefix_top] > NEG_INF)
-    assert np.array_equal(mags, want)
-    assert np.all(phases == 0.0)
-
-    # every j up to 2^20 on a fresh selection at beta = 2, where j(n) = n^2 + 1:
-    # the selection grows only to the order whose index reaches 2^20
-    spec = gl.builtin_spectra()["mixed-quart"]
-    fresh = gl.ViolatingSpectrumPlan(
-        beta=2.0, case=gl.PlanCase.UNBOUNDED_REAL_PARTS, spectrum=spec,
-        selection=Selection(spec, 2.0), omega=None, verified_prefix=0,
-    )
-    view = SupportView(fresh, decay)
-    js = np.arange(1, (1 << 20) + 1, dtype=np.int64)
-    mags, _ = _dense_inverse_fn(view)(js)
-    assert fresh.selection.indices(np.arange(1, 3)).tolist() == [1, 5]
-    assert fresh.selection._js.size <= 2048
-    ns = np.arange(1, 1025)
-    ref = np.asarray(_greedy(_power_law(spec), 2.0, 1024), dtype=np.int64)
-    assert ref[-1] >= js[-1]
-    keep = ref <= js[-1]
-    want = np.full(js.shape, NEG_INF)
-    want[ref[keep] - 1] = view.coeff_log(ns[keep])[0]
-    assert np.array_equal(mags, want)

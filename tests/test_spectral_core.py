@@ -76,7 +76,7 @@ def test_custom_vector_accepts_a_log_square_envelope():
         lambda ks: (-0.5 * np.log(ks.astype(float)) ** 2, np.zeros(len(ks))),
         gl.TailBounds.exact(form),
     )
-    assert f.effective_count() is None
+    assert f.space.count is None
 
 
 def test_custom_vector_refuses_a_vanishing_log_square_envelope():
@@ -122,6 +122,26 @@ def test_explicit_refuses_nonfinite_and_stores_log_and_phase(value, stored):
         return
     mags, phases = gl.CoefficientVector.explicit(spec, values=values).log_coeffs(np.array([1, 2]))
     assert mags.tolist() == [0.0, stored[0]] and phases.tolist() == [0.0, stored[1]]
+
+
+def test_explicit_stores_the_log_of_a_modulus_past_the_float_range():
+    # |z| overflows although log|z| does not; every other entry keeps
+    # math.log(abs(z)) bit for bit
+    import mpmath
+
+    big = [
+        complex(1.7e308, 1.7e308), complex(-1e308, 1.7e308),
+        complex(1.7e308, -1.5e308), complex(-1.3e308, -1.3e308),
+    ]
+    small = [3 - 4j, 1e-300 + 1e-300j, complex(1.7e308, -2.0)]
+    mags, phases = gl.CoefficientVector.explicit(gl.PowerLawSpectrum(1, 1, 0, 0), big + small).log_coeffs(
+        np.arange(1, 8)
+    )
+    for z, got in zip(big, mags[:4]):
+        want = mpmath.log(mpmath.sqrt(mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2))
+        assert abs(got - float(want)) <= 2 * math.ulp(float(want))
+    assert mags[4:].tolist() == [math.log(abs(z)) for z in small]
+    assert phases.tolist() == [math.atan2(z.imag, z.real) for z in big + small]
 
 
 def test_p_norm_range_enforced():
