@@ -25,30 +25,17 @@ import numpy as np
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .counterexamples import (
-    PlanCase,
-    build_counterexample,
-    build_violating_spectrum,
-    plan_for_spectrum,
-)
+# Only what every command uses is imported here; each handler imports the
+# modules its command needs where it runs, so a command loads no module it
+# never calls (region-boundary loads neither spectra nor the classifier).
 from .errors import GevlabError, HarnessError, JobSpecError
-from .evolution import SolutionHandle, check_admissible, solve
-from .gevrey_classifier import (
-    GevreyFlavor,
-    GevreyVerdict,
-    RegionHolds,
-    RegionUnknown,
-    RegionViolated,
-    estimate_order,
-    region_condition,
-    theorem_equivalence_harness,
-    vector_class,
-    vector_class_beta0,
-)
 from .series import SeriesBudget, json_float
-from .spectral_core import CoefficientVector, ExplicitSpectrum, PowerLawSpectrum
+
+if TYPE_CHECKING:
+    from .gevrey_classifier import GevreyVerdict
+    from .spectral_core import CoefficientVector
 
 TOOL_VERSION = "0.1.0"
 FORMAT_VERSION = "1"
@@ -383,6 +370,8 @@ def _verdict_dict(v: GevreyVerdict, vector: str, beta: float, t: Optional[float]
 
 
 def _region_dict(report, spectrum_label: str) -> dict:
+    from .gevrey_classifier import RegionHolds, RegionUnknown, RegionViolated
+
     status = report.status
     out = {
         "kind": "region",
@@ -408,12 +397,16 @@ def _region_dict(report, spectrum_label: str) -> dict:
 
 
 def _flavors(job: JobSpec):
+    from .gevrey_classifier import GevreyFlavor
+
     if job.flavor == "both":
         return (GevreyFlavor.ROUMIEU, GevreyFlavor.BEURLING)
     return (GevreyFlavor.ROUMIEU if job.flavor == "roumieu" else GevreyFlavor.BEURLING,)
 
 
 def _build_spectrum(spec: dict):
+    from .spectral_core import ExplicitSpectrum, PowerLawSpectrum
+
     if "explicit" in spec:
         return ExplicitSpectrum(tuple(complex(re, im) for re, im in spec["explicit"]["points"]))
     pl = spec["power_law"]
@@ -421,6 +414,8 @@ def _build_spectrum(spec: dict):
 
 
 def _build_vector(spec: dict, spectrum, p: float) -> CoefficientVector:
+    from .spectral_core import CoefficientVector
+
     label = spec["label"]
     if "explicit" in spec:
         values = [complex(re, im) for re, im in spec["explicit"]["values"]]
@@ -455,12 +450,16 @@ def run(job: JobSpec, budget: Optional[SeriesBudget] = None, flags: Optional[dic
 
 
 def _classify_spectrum(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
+    from .gevrey_classifier import region_condition
+
     spectrum = _build_spectrum(job.spectrum)
     region = region_condition(spectrum, job.beta)
     report.verdicts.append(_region_dict(region, spectrum.label))
 
 
 def _classify_vector(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
+    from .gevrey_classifier import vector_class, vector_class_beta0
+
     spectrum = _build_spectrum(job.spectrum)
     for vs in job.vectors:
         vec = _build_vector(vs, spectrum, job.p_norm)
@@ -474,6 +473,8 @@ def _classify_vector(job: JobSpec, budget: SeriesBudget, report: RunReport) -> N
 
 
 def _evolve(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
+    from .evolution import SolutionHandle, check_admissible, solve
+
     spectrum = _build_spectrum(job.spectrum)
     for vs in job.vectors:
         vec = _build_vector(vs, spectrum, job.p_norm)
@@ -509,6 +510,8 @@ def _evolve(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
 
 
 def _estimate_order(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
+    from .gevrey_classifier import estimate_order
+
     spectrum = _build_spectrum(job.spectrum)
     for vs in job.vectors:
         vec = _build_vector(vs, spectrum, job.p_norm)
@@ -530,6 +533,8 @@ def _estimate_order(job: JobSpec, budget: SeriesBudget, report: RunReport) -> No
 
 
 def _counterexample(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
+    from .counterexamples import PlanCase, build_counterexample, build_violating_spectrum, plan_for_spectrum
+
     case = PlanCase.BOUNDED_REAL_PARTS if job.case == "bounded" else PlanCase.UNBOUNDED_REAL_PARTS
     if job.spectrum is not None:
         plan = plan_for_spectrum(_build_spectrum(job.spectrum), job.beta, case)
@@ -554,6 +559,8 @@ def _counterexample(job: JobSpec, budget: SeriesBudget, report: RunReport) -> No
 
 
 def _harness(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
+    from .gevrey_classifier import theorem_equivalence_harness
+
     spectrum = _build_spectrum(job.spectrum)
     vecs = None
     if job.vectors:
@@ -776,7 +783,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     t_parse = time.perf_counter()
     try:
         with open(args.job, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise JobSpecError(f"{args.job}: the job file is not UTF-8 text: {exc}") from exc
         job = parse_jobspec(text)
         if job.command != args.command:
             raise JobSpecError(

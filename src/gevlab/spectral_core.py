@@ -586,10 +586,12 @@ class CoefficientVector:
             r = np.where(mags == NEG_INF, 0.0, np.exp(mags))
             unit = np.exp(1j * phases)
             out = r * unit
-        # inf times a zero part of e^{i phase} is NaN: that part stays zero
+        # A part of e^{i phase} below 2^-52 is the rounding residue of an
+        # axis phase (cos fl(pi/2) is 6e-17, sin fl(pi) 1.2e-16), or zero,
+        # where inf times it is NaN: on an infinite modulus that part is 0.
         big = np.isinf(r)
-        out.real[big & (unit.real == 0.0)] = 0.0
-        out.imag[big & (unit.imag == 0.0)] = 0.0
+        out.real[big & (np.abs(unit.real) < 2.0**-52)] = 0.0
+        out.imag[big & (np.abs(unit.imag) < 2.0**-52)] = 0.0
         return out
 
     def log_norm(self, budget: SeriesBudget = DEFAULT_BUDGET) -> tuple[float, ConvergenceCertificate]:

@@ -377,6 +377,16 @@ def test_evolve_coordinates_past_the_float_range_are_strict_json(tmp_path, capsy
     assert report["verdicts"][1]["coords"] == [["inf", 0.0], [math.exp(100.0), 0.0]]
 
 
+def test_evolve_overflowed_coordinates_on_an_axis_keep_their_zero_part(tmp_path, capsys):
+    # the phases -pi/2 and pi round to floats whose cos and sin are 6e-17
+    # and 1.2e-16, not 0: times an infinite modulus that part is still 0
+    job = {"command": "evolve", "spectrum": {"explicit": {"points": [[10, 0], [1, 0]]}},
+           "vectors": [{"label": "v", "explicit": {"values": [[0, -1e300], [-1e300, 0]]}}], "t_grid": [100]}
+    code, report = _main_report(tmp_path, capsys, job)
+    assert (code, report["status"]) == (0, "ok")
+    assert report["verdicts"][1]["coords"] == [[0.0, "-inf"], ["-inf", 0.0]]
+
+
 def test_run_harness_on_violated_spectrum_includes_counterexample():
     job = cli.parse_jobspec(
         '{"command":"harness","spectrum":{"power_law":{"a_re":0,"p_re":0,"a_im":1,"p_im":2}},"beta":1}'
@@ -536,6 +546,18 @@ def test_main_reports_a_threshold_past_the_float_range(tmp_path, capsys):
     assert report["status"] == "error"
     assert report["error"].startswith("selected index leaves int64 at order n=")
     assert json.loads(out.err)["error"] == report["error"]
+
+
+def test_main_reports_a_job_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_bytes(b'\xff\xfe{"command": "region-boundary"}')
+    assert cli.main(["region-boundary", "--job", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1
+    err = json.loads(out.err)
+    assert err["status"] == "error"
+    assert err["error"].startswith(f"{path}: the job file is not UTF-8 text: ")
 
 
 def test_main_unwritable_csv_exits_one(tmp_path):
