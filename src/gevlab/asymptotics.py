@@ -19,7 +19,7 @@ import numpy as np
 from .logdomain import NEG_INF, logaddexp
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(order=True, unsafe_hash=True, slots=True)
 class AsymTerm:
     """c k^power (log k)^log_power, with c = coeff + residual.
 
@@ -27,6 +27,11 @@ class AsymTerm:
     residual, so where c_d + s c_g cancels to within a rounding, coeff still
     has the sign of the real sum; that sign decides between the symbolic
     convergence and divergence routes.
+
+    A term is a value: nothing assigns to its fields once it is made.  The
+    class is not frozen only because a frozen dataclass's __init__ costs
+    about twice as much, and the form arithmetic makes a term for every
+    coefficient it touches.  Equality, order and hash ignore residual.
     """
 
     power: float
@@ -41,40 +46,32 @@ class AsymTerm:
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a float into two halves
 
 
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    """a + b as its float and the exact rounding error (Knuth)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    """a * b as its float and the exact rounding error (Dekker), barring
-    overflow and underflow."""
-    p = a * b
-    t = _SPLIT * a
-    ah = t - (t - a)
-    t = _SPLIT * b
-    bh = t - (t - b)
-    al, bl = a - ah, b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
 def _term(power: float, log_power: int, parts, factor: float = 1.0) -> AsymTerm:
     """The term with coefficient factor * sum(parts), rounded once.
 
-    The sum runs in double-double arithmetic.  Non-finite inputs, and
-    values near the ends of the float range, fall back to float arithmetic.
+    The sum runs in double-double arithmetic: each product factor * x and
+    each partial sum carries its exact rounding error into lo, by Dekker's
+    product (barring overflow and underflow) and Knuth's two-sum, written
+    out in the loop.  Non-finite inputs, and values near the ends of the
+    float range, fall back to float arithmetic.
     """
     hi = lo = 0.0
     for x in parts:
         if x == 0.0:
             continue
         if factor != 1.0:
-            x, e = _two_prod(factor, x)
-            lo += e
-        hi, e = _two_sum(hi, x)
-        lo += e
+            p = factor * x
+            t = _SPLIT * factor
+            ah = t - (t - factor)
+            t = _SPLIT * x
+            bh = t - (t - x)
+            al, bl = factor - ah, x - bh
+            lo += ((ah * bh - p) + ah * bl + al * bh) + al * bl
+            x = p
+        s = hi + x
+        bb = s - hi
+        lo += (hi - (s - bb)) + (x - bb)
+        hi = s
     coeff = hi + lo
     residual = lo - (coeff - hi)
     if not (math.isfinite(coeff) and math.isfinite(residual)):
@@ -84,7 +81,16 @@ def _term(power: float, log_power: int, parts, factor: float = 1.0) -> AsymTerm:
 
 @dataclass(frozen=True)
 class AsymForm:
-    """Finite sum  const + sum_i c_i * k^{q_i} * (log k)^{m_i}  as a function of k >= 1."""
+    """Finite sum  const + sum_i c_i * k^{q_i} * (log k)^{m_i}  as a function of k >= 1.
+
+    Every form is in normal form: its terms are sorted by (power, log_power)
+    descending, one per scale, with no zero coefficient and no term of
+    scale (0, 0), which belongs in the float const.  `build` makes a form of
+    any terms; a form made directly, AsymForm(terms, const), must already be
+    in normal form.  `+`, `scale` and the other constructors keep it without
+    sorting again, and give every coefficient, residual and constant bit for
+    bit as build does from their terms.
+    """
 
     terms: tuple[AsymTerm, ...] = ()
     const: float = 0.0
@@ -111,30 +117,60 @@ class AsymForm:
 
     @classmethod
     def constant(cls, c: float) -> "AsymForm":
-        return cls.build((), c)
+        return cls((), float(c))
 
     @classmethod
     def power(cls, q: float, coeff: float, const: float = 0.0) -> "AsymForm":
-        return cls.build((AsymTerm(q, 0, coeff),), const)
+        if coeff == 0.0:
+            return cls((), float(const))
+        if q == 0.0:
+            return cls((), float(const) + coeff)
+        return cls((AsymTerm(q, 0, coeff),), float(const))
 
     @classmethod
     def log_k(cls, coeff: float, const: float = 0.0) -> "AsymForm":
-        return cls.build((AsymTerm(0.0, 1, coeff),), const)
+        return cls((AsymTerm(0.0, 1, coeff),) if coeff != 0.0 else (), float(const))
 
     @classmethod
     def power_log(cls, q: float, coeff: float) -> "AsymForm":
-        return cls.build((AsymTerm(q, 1, coeff),))
+        return cls((AsymTerm(q, 1, coeff),) if coeff != 0.0 else (), 0.0)
 
     def __add__(self, other: "AsymForm") -> "AsymForm":
-        return AsymForm.build(self.terms + other.terms, self.const + other.const)
+        """The two sorted term tuples merge; the terms of a shared scale go
+        through build's _term call, this form's first."""
+        a, b = self.terms, other.terms
+        const = self.const + other.const
+        if not (a and b):
+            return AsymForm(a or b, const)
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            s, t = a[i], b[j]
+            if s.power == t.power and s.log_power == t.log_power:
+                m = _term(s.power, s.log_power, (s.coeff, s.residual, t.coeff, t.residual))
+                if m.coeff != 0.0:
+                    out.append(m)
+                i += 1
+                j += 1
+            elif (s.power, s.log_power) > (t.power, t.log_power):
+                out.append(s)
+                i += 1
+            else:
+                out.append(t)
+                j += 1
+        return AsymForm((*out, *a[i:], *b[j:]), const)
 
     def scale(self, c: float) -> "AsymForm":
+        """Every coefficient times c through _term; a term that becomes 0 is
+        dropped."""
         if c == 0.0:
-            return AsymForm.constant(0.0)
-        return AsymForm.build(
-            tuple(_term(t.power, t.log_power, (t.coeff, t.residual), c) for t in self.terms),
-            c * self.const,
-        )
+            return AsymForm((), 0.0)
+        terms = []
+        for t in self.terms:
+            u = _term(t.power, t.log_power, (t.coeff, t.residual), c)
+            if u.coeff != 0.0:
+                terms.append(u)
+        return AsymForm(tuple(terms), float(c * self.const))
 
     def evaluate(self, ks) -> np.ndarray:
         ks = np.asarray(ks, dtype=float)
@@ -177,8 +213,8 @@ class AsymForm:
 
 
 def affine_family(base: AsymForm, slope: AsymForm, p: float) -> Callable[[float], AsymForm]:
-    """n -> (base + slope.scale(n)).scale(p), for forms as build makes them
-    and p > 0.
+    """n -> (base + slope.scale(n)).scale(p), for forms in normal form and
+    p > 0.
 
     Each row gets exactly the terms and floats of those AsymForm operations:
     the same `_term` calls, zero terms dropped alike.  Their coefficients

@@ -272,6 +272,8 @@ def parse_jobspec(text: str) -> JobSpec:
         raise JobSpecError(
             f"line {exc.lineno}, column {exc.colno}: invalid JSON: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise JobSpecError("invalid JSON: arrays or objects nested too deeply to parse") from exc
     got = _walk_obj(raw, "$", {"command": _FIELD_PARSERS["command"]},
                     {k: v for k, v in _FIELD_PARSERS.items() if k != "command"})
     command = got["command"]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -115,19 +116,15 @@ def certify_log_series(
     no term evaluated) when neither envelope decides.  With `budget=None`
     only the status is certified: no term is evaluated, and a convergent
     certificate carries no value.
-    This is the one-row case of certify_log_rows.
+    This is the one-row case of certify_log_rows; a decision reads no term,
+    so it passes no term function.
     """
-    return certify_log_rows(
-        lambda ks, rows: (term_fn(ks),),
-        1,
-        count=count,
-        bounds=(bounds,),
-        budget=budget,
-    )[0]
+    term_rows = None if budget is None else lambda ks, rows: (term_fn(ks),)
+    return certify_log_rows(term_rows, 1, count=count, bounds=(bounds,), budget=budget)[0]
 
 
 def certify_log_rows(
-    term_rows: Callable[[np.ndarray, list], Sequence[np.ndarray]],
+    term_rows: Optional[Callable[[np.ndarray, list], Sequence[np.ndarray]]],
     rows: int,
     *,
     count: Optional[int] = None,
@@ -138,7 +135,8 @@ def certify_log_rows(
     row by the rule of certify_log_series.
 
     `term_rows(ks, rs)` maps an int64 index array and a list of rows to the
-    log-terms of those rows, one array (or one row of a 2-D array) each.
+    log-terms of those rows, one array (or one row of a 2-D array) each;
+    with `budget=None` it is never called, and may be None.
     A finite `count` sums every row over k = 1..count and reads no
     envelope.  An
     infinite sum reads `bounds`, one envelope (or None) per row, in order:
@@ -170,43 +168,43 @@ def certify_log_rows(
             for total in totals
         ]
 
-    uppers, k_mins = [], []
-    diverging = undecided = None  # the first row that does not converge
-    for _, b in zip(range(rows), bounds):
+    uppers, k_mins, last = [], [], None  # last: the first row that does not converge
+    for b in islice(bounds, rows):
         if b is not None and b.lower is not None and form_diverges(b.lower):
-            diverging = b
+            last = ConvergenceCertificate(
+                SeriesStatus.DIVERGES,
+                log_value=math.inf,
+                route="symbolic-divergence",
+                detail=f"lower envelope {b.lower.describe()} does not decay (valid k >= {b.k_min})",
+            )
             break
         if b is None or b.upper is None or not form_converges(b.upper):
-            undecided = ConvergenceCertificate(
+            last = ConvergenceCertificate(
                 SeriesStatus.INCONCLUSIVE, route="no-closed-form", detail=_undecided(b)
             )
             break
         uppers.append(b.upper)
         k_mins.append(b.k_min)
 
-    details = [f"upper envelope {u.describe()}" for u in uppers]
     if budget is None:
         certs = [
-            ConvergenceCertificate(SeriesStatus.CONVERGES, route="symbolic-tail", detail=d)
-            for d in details
+            ConvergenceCertificate(
+                SeriesStatus.CONVERGES, route="symbolic-tail", detail=f"upper envelope {u.describe()}"
+            )
+            for u in uppers
         ]
     else:
-        certs = _resolved(term_rows, uppers, k_mins, details, budget) if uppers else []
-    if diverging is not None:
-        undecided = ConvergenceCertificate(
-            SeriesStatus.DIVERGES,
-            log_value=math.inf,
-            route="symbolic-divergence",
-            detail=f"lower envelope {diverging.lower.describe()} does not decay"
-            f" (valid k >= {diverging.k_min})",
-        )
-    return certs if undecided is None else certs + [undecided]
+        certs = _resolved(term_rows, uppers, k_mins, budget) if uppers else []
+    if last is not None:
+        certs.append(last)
+    return certs
 
 
-def _resolved(term_rows, uppers, k_mins, details, budget) -> list[ConvergenceCertificate]:
+def _resolved(term_rows, uppers, k_mins, budget) -> list[ConvergenceCertificate]:
     """Partial sums over k = 1..K, K doubling up to the budget, of the rows
     with summable upper envelopes; a row stops at the first K >= its k_min
     where the tail bound falls below rel_tol times its sum."""
+    details = [f"upper envelope {u.describe()}" for u in uppers]
     tails = tail_bounders(uppers)
     log_tol = math.log(budget.rel_tol)
     running = [NEG_INF] * len(uppers)

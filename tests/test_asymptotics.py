@@ -352,6 +352,155 @@ def test_affine_family_drops_a_cancelled_term():
     assert row(3.0).terms == (AsymTerm(0.0, 1, 4.0),)
 
 
+# The reference arithmetic: every operation normalises its terms through a
+# dict and a sort, and _ref_term calls the two error-free transformations as
+# functions.  build, +, scale and the constructors must give every
+# coefficient, residual and constant as the same float, compared by repr,
+# so that 0.0 and -0.0 differ.
+
+
+def _two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _two_prod(a, b):
+    p = a * b
+    t = 134217729.0 * a
+    ah = t - (t - a)
+    t = 134217729.0 * b
+    bh = t - (t - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _ref_term(power, log_power, parts, factor=1.0):
+    hi = lo = 0.0
+    for x in parts:
+        if x == 0.0:
+            continue
+        if factor != 1.0:
+            x, e = _two_prod(factor, x)
+            lo += e
+        hi, e = _two_sum(hi, x)
+        lo += e
+    coeff = hi + lo
+    residual = lo - (coeff - hi)
+    if not (math.isfinite(coeff) and math.isfinite(residual)):
+        return AsymTerm(power, log_power, factor * sum(parts))
+    return AsymTerm(power, log_power, coeff, residual)
+
+
+def _ref_build(terms, const=0.0):
+    merged = {}
+    c = float(const)
+    for t in terms:
+        if t.coeff == 0.0:
+            continue
+        if t.power == 0.0 and t.log_power == 0:
+            c += t.coeff
+            continue
+        merged.setdefault((t.power, t.log_power), []).append(t)
+    kept = []
+    for (q, m), ts in sorted(merged.items(), reverse=True):
+        t = ts[0] if len(ts) == 1 else _ref_term(q, m, [x for u in ts for x in (u.coeff, u.residual)])
+        if t.coeff != 0.0:
+            kept.append(t)
+    return AsymForm(tuple(kept), c)
+
+
+def _ref_scale(form, c):
+    if c == 0.0:
+        return _ref_build((), 0.0)
+    return _ref_build(
+        tuple(_ref_term(t.power, t.log_power, (t.coeff, t.residual), c) for t in form.terms),
+        c * form.const,
+    )
+
+
+def _reprs(form):
+    return [repr(t) for t in form.terms], repr(form.const)
+
+
+def _assert_normal_form(form):
+    scales = [(t.power, t.log_power) for t in form.terms]
+    assert scales == sorted(set(scales), reverse=True)  # descending, one per scale
+    assert (0.0, 0) not in scales
+    assert all(t.coeff != 0.0 for t in form.terms)
+    assert type(form.const) is float
+
+
+# subnormal, huge and infinite coefficients take _term's float fallback or
+# round a product to 0; a few shared scales make merges frequent
+_EDGE = [5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+         math.inf, -math.inf, 1 / 3, -0.1, 1.0]
+_coeffs = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(_EDGE), st.floats(allow_nan=False))
+_scales = st.sampled_from([(2.0, 0), (1.0, 1), (1.0, 0), (0.5, 0), (0.0, 2), (0.0, 1), (0.0, 0), (-1.0, 0)])
+_raw_terms = st.lists(st.builds(lambda s, c: AsymTerm(*s, c), _scales, _coeffs), max_size=5)
+# a numpy factor gives numpy coefficients, as in build, and a float const
+_factors = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.5, 1 / 3, 0.1, 1e300, -1e-300, 5e-324, math.inf, np.float64(0.75)]),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def _normal_forms(draw):
+    # scaled once, so that coefficients carry residuals as gevlab's do
+    form = _ref_build(draw(_raw_terms), draw(st.one_of(st.floats(-50.0, 50.0), st.sampled_from(_EDGE))))
+    return _ref_scale(form, draw(st.sampled_from([1.0, 1 / 3, -0.7, 0.1])))
+
+
+@settings(max_examples=500, deadline=None)
+@given(terms=_raw_terms, const=st.floats())
+def test_build_is_the_reference_normaliser(terms, const):
+    got = AsymForm.build(terms, const)
+    assert _reprs(got) == _reprs(_ref_build(terms, const))
+    _assert_normal_form(got)
+
+
+@settings(max_examples=500, deadline=None)
+@given(f=_normal_forms(), g=_normal_forms(), c=_factors)
+def test_add_and_scale_are_the_reference_arithmetic(f, g, c):
+    # disjoint and shared scales, and exact cancellation of f against -f
+    for got, want in (
+        (f + g, _ref_build(f.terms + g.terms, f.const + g.const)),
+        (g + f, _ref_build(g.terms + f.terms, g.const + f.const)),
+        (f + f.scale(-1.0), _ref_build(f.terms + _ref_scale(f, -1.0).terms, f.const - f.const)),
+        (f.scale(c), _ref_scale(f, c)),
+        ((f + g).scale(c), _ref_scale(_ref_build(f.terms + g.terms, f.const + g.const), c)),
+    ):
+        assert _reprs(got) == _reprs(want)
+        _assert_normal_form(got)
+    if all(abs(t.coeff) < 1e300 for t in f.terms):  # no overflow in Dekker's product
+        assert (f + f.scale(-1.0)).terms == ()
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    q=st.sampled_from([2.0, 0.5, 0.0, -0.0, -1.0]),
+    coeff=st.one_of(_coeffs, st.sampled_from([0.0, -0.0])),
+    const=st.one_of(st.floats(), st.sampled_from([0.0, -0.0])),
+)
+def test_constructors_are_the_reference_build(q, coeff, const):
+    for got, want in (
+        (AsymForm.constant(const), _ref_build((), const)),
+        (AsymForm.power(q, coeff, const), _ref_build((AsymTerm(q, 0, coeff),), const)),
+        (AsymForm.log_k(coeff, const), _ref_build((AsymTerm(0.0, 1, coeff),), const)),
+        (AsymForm.power_log(q, coeff), _ref_build((AsymTerm(q, 1, coeff),))),
+    ):
+        assert _reprs(got) == _reprs(want)
+        _assert_normal_form(got)
+
+
+def test_terms_compare_and_hash_without_their_residual():
+    a, b = AsymTerm(1.0, 0, 2.0, 1e-17), AsymTerm(power=1.0, log_power=0, coeff=2.0)
+    assert a == b and hash(a) == hash(b) and a.scale() == (1.0, 0)
+    assert repr(a) == "AsymTerm(power=1.0, log_power=0, coeff=2.0, residual=1e-17)"
+    assert AsymTerm(1.0, 0, 1.0) < b < AsymTerm(1.0, 1, -5.0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(forms=st.lists(st.builds(AsymForm.build, _terms, _consts), min_size=1, max_size=5))
 def test_form_rows_evaluate_every_form_as_itself(forms):

@@ -560,6 +560,20 @@ def test_main_reports_a_job_file_that_is_not_utf8(tmp_path, capsys):
     assert err["error"].startswith(f"{path}: the job file is not UTF-8 text: ")
 
 
+def test_main_reports_a_job_file_nested_too_deeply(tmp_path, capsys):
+    # json.loads raises RecursionError on arrays nested past the recursion
+    # limit; a structured error, not a traceback
+    path = write_job(tmp_path, '{"command": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert cli.main(["classify-spectrum", "--job", path]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1
+    assert json.loads(out.err) == {
+        "status": "error",
+        "error": "invalid JSON: arrays or objects nested too deeply to parse",
+    }
+
+
 def test_main_unwritable_csv_exits_one(tmp_path):
     path = write_job(tmp_path, MINIMAL)
     rc = cli.main(
