@@ -113,7 +113,7 @@ class AsymForm:
             t = ts[0] if len(ts) == 1 else _term(q, m, [x for u in ts for x in (u.coeff, u.residual)])
             if t.coeff != 0.0:
                 kept.append(t)
-        return cls(tuple(kept), c)
+        return cls(tuple(kept), float(c))
 
     @classmethod
     def constant(cls, c: float) -> "AsymForm":
@@ -124,7 +124,7 @@ class AsymForm:
         if coeff == 0.0:
             return cls((), float(const))
         if q == 0.0:
-            return cls((), float(const) + coeff)
+            return cls((), float(const) + float(coeff))
         return cls((AsymTerm(q, 0, coeff),), float(const))
 
     @classmethod
@@ -139,7 +139,7 @@ class AsymForm:
         """The two sorted term tuples merge; the terms of a shared scale go
         through build's _term call, this form's first."""
         a, b = self.terms, other.terms
-        const = self.const + other.const
+        const = float(self.const + other.const)
         if not (a and b):
             return AsymForm(a or b, const)
         out = []

@@ -420,7 +420,8 @@ def _ref_scale(form, c):
 
 
 def _reprs(form):
-    return [repr(t) for t in form.terms], repr(form.const)
+    # the old build left a numpy const numpy; its type is checked apart
+    return [repr(t) for t in form.terms], repr(float(form.const))
 
 
 def _assert_normal_form(form):
@@ -432,9 +433,10 @@ def _assert_normal_form(form):
 
 
 # subnormal, huge and infinite coefficients take _term's float fallback or
-# round a product to 0; a few shared scales make merges frequent
+# round a product to 0; a few shared scales make merges frequent; numpy
+# coefficients and constants occur where a numpy factor made them
 _EDGE = [5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
-         math.inf, -math.inf, 1 / 3, -0.1, 1.0]
+         math.inf, -math.inf, 1 / 3, -0.1, 1.0, np.float64(0.75), np.float64(-2.0)]
 _coeffs = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(_EDGE), st.floats(allow_nan=False))
 _scales = st.sampled_from([(2.0, 0), (1.0, 1), (1.0, 0), (0.5, 0), (0.0, 2), (0.0, 1), (0.0, 0), (-1.0, 0)])
 _raw_terms = st.lists(st.builds(lambda s, c: AsymTerm(*s, c), _scales, _coeffs), max_size=5)
@@ -448,39 +450,54 @@ _factors = st.one_of(
 @st.composite
 def _normal_forms(draw):
     # scaled once, so that coefficients carry residuals as gevlab's do
-    form = _ref_build(draw(_raw_terms), draw(st.one_of(st.floats(-50.0, 50.0), st.sampled_from(_EDGE))))
-    return _ref_scale(form, draw(st.sampled_from([1.0, 1 / 3, -0.7, 0.1])))
+    terms, const = draw(_raw_terms), draw(st.one_of(st.floats(-50.0, 50.0), st.sampled_from(_EDGE)))
+    with np.errstate(all="ignore"):
+        form = _ref_scale(_ref_build(terms, const), draw(st.sampled_from([1.0, 1 / 3, -0.7, 0.1])))
+    if draw(st.booleans()):  # a numpy const, as the old power(0.0, numpy coeff) made
+        form = AsymForm(form.terms, np.float64(form.const))
+    return form
 
 
 @settings(max_examples=500, deadline=None)
 @given(terms=_raw_terms, const=st.floats())
 def test_build_is_the_reference_normaliser(terms, const):
-    got = AsymForm.build(terms, const)
-    assert _reprs(got) == _reprs(_ref_build(terms, const))
+    with np.errstate(all="ignore"):
+        got, want = AsymForm.build(terms, const), _ref_build(terms, const)
+    assert _reprs(got) == _reprs(want)
     _assert_normal_form(got)
 
 
 @settings(max_examples=500, deadline=None)
 @given(f=_normal_forms(), g=_normal_forms(), c=_factors)
 def test_add_and_scale_are_the_reference_arithmetic(f, g, c):
-    # disjoint and shared scales, and exact cancellation of f against -f
-    for got, want in (
-        (f + g, _ref_build(f.terms + g.terms, f.const + g.const)),
-        (g + f, _ref_build(g.terms + f.terms, g.const + f.const)),
-        (f + f.scale(-1.0), _ref_build(f.terms + _ref_scale(f, -1.0).terms, f.const - f.const)),
-        (f.scale(c), _ref_scale(f, c)),
-        ((f + g).scale(c), _ref_scale(_ref_build(f.terms + g.terms, f.const + g.const), c)),
-    ):
+    # disjoint and shared scales, and exact cancellation of f against -f;
+    # numpy scalars warn on inf - inf, in both arithmetics alike
+    with np.errstate(all="ignore"):
+        cases = (
+            (f + g, _ref_build(f.terms + g.terms, f.const + g.const)),
+            (g + f, _ref_build(g.terms + f.terms, g.const + f.const)),
+            (f + f.scale(-1.0), _ref_build(f.terms + _ref_scale(f, -1.0).terms, f.const - f.const)),
+            (f.scale(c), _ref_scale(f, c)),
+            ((f + g).scale(c), _ref_scale(_ref_build(f.terms + g.terms, f.const + g.const), c)),
+        )
+    for got, want in cases:
         assert _reprs(got) == _reprs(want)
         _assert_normal_form(got)
     if all(abs(t.coeff) < 1e300 for t in f.terms):  # no overflow in Dekker's product
-        assert (f + f.scale(-1.0)).terms == ()
+        with np.errstate(all="ignore"):
+            assert (f + f.scale(-1.0)).terms == ()
+
+
+@pytest.mark.xfail(strict=True, reason="Dekker's split overflows above about 1.3e300 and the float fallback drops the residual")
+def test_a_huge_coefficient_cancels_against_itself():
+    f = AsymForm((AsymTerm(0.5, 0, 1e308, 1.0),), 0.0)
+    assert (f + f.scale(-1.0)).terms == ()
 
 
 @settings(max_examples=500, deadline=None)
 @given(
     q=st.sampled_from([2.0, 0.5, 0.0, -0.0, -1.0]),
-    coeff=st.one_of(_coeffs, st.sampled_from([0.0, -0.0])),
+    coeff=st.one_of(_coeffs, st.sampled_from([0.0, -0.0, np.float64(0.75), np.float64(-2.0)])),
     const=st.one_of(st.floats(), st.sampled_from([0.0, -0.0])),
 )
 def test_constructors_are_the_reference_build(q, coeff, const):
@@ -526,13 +543,21 @@ def test_rows_of_starts_and_tail_bounds_are_each_forms_own(forms, K):
 
 
 def _counted(monkeypatch):
-    counts = {"build": 0, "evaluate": 0, "rows": 0}
+    counts = {"build": 0, "add": 0, "scale": 0, "evaluate": 0, "rows": 0}
     build, evaluate = AsymForm.__dict__["build"].__func__, AsymForm.evaluate
-    rows_evaluate = FormRows.evaluate
+    add, scale, rows_evaluate = AsymForm.__add__, AsymForm.scale, FormRows.evaluate
 
     def counted_build(cls, *args, **kwargs):
         counts["build"] += 1
         return build(cls, *args, **kwargs)
+
+    def counted_add(self, other):
+        counts["add"] += 1
+        return add(self, other)
+
+    def counted_scale(self, c):
+        counts["scale"] += 1
+        return scale(self, c)
 
     def counted_evaluate(self, ks):
         counts["evaluate"] += 1
@@ -543,6 +568,8 @@ def _counted(monkeypatch):
         return rows_evaluate(self, ks)
 
     monkeypatch.setattr(AsymForm, "build", classmethod(counted_build))
+    monkeypatch.setattr(AsymForm, "__add__", counted_add)
+    monkeypatch.setattr(AsymForm, "scale", counted_scale)
     monkeypatch.setattr(AsymForm, "evaluate", counted_evaluate)
     monkeypatch.setattr(FormRows, "evaluate", counted_rows_evaluate)
     return counts
@@ -551,30 +578,32 @@ def _counted(monkeypatch):
 def _guard_cases():
     lin_diag = gl.builtin_spectra()["lin-diag"]
     return {
-        # (AsymForm.build, AsymForm.evaluate, FormRows.evaluate) calls of
-        # each, as the series engine makes them.  power_norms reads the two
-        # envelopes once, builds one derivative per power for the monotone
-        # starts and evaluates all 17 rows together: twice for the starts,
-        # once for the tail bounds at K = 1,024
+        # (AsymForm.build, AsymForm.__add__, AsymForm.scale,
+        # AsymForm.evaluate, FormRows.evaluate) calls of each, as the series
+        # engine makes them.  power_norms reads the two envelopes once,
+        # builds one derivative per power for the monotone starts and
+        # evaluates all 17 rows together: twice for the starts, once for the
+        # tail bounds at K = 1,024
         "power_norms": (
             lambda: gl.power_norms(
                 gl.CoefficientVector.power_decay(gl.PowerLawSpectrum(-1.0, 1.0, 1.0, 2.0), 0.5, 1.25),
                 n_max=16,
             ),
-            (22, 0, 3),
+            (17, 0, 0, 0, 3),
         ),
         "vector_class": (
             lambda: gl.vector_class(gl.builtin_vectors(lin_diag)[1], 1.0, gl.GevreyFlavor.ROUMIEU),
-            (12, 0, 0),
+            (0, 2, 4, 0, 0),
         ),
-        "harness": (lambda: gl.theorem_equivalence_harness(gl.builtin_spectra()["lin-sqrt"], 1.0), (294, 0, 0)),
+        "harness": (lambda: gl.theorem_equivalence_harness(gl.builtin_spectra()["lin-sqrt"], 1.0), (18, 66, 89, 0, 0)),
     }
 
 
 @pytest.mark.parametrize("case", ["power_norms", "vector_class", "harness"])
 def test_envelope_work_does_not_grow(monkeypatch, case):
     # an exact envelope is one form through + and scale, and the tail
-    # checkpoints are read in batches; duplicated work raises these counts
+    # checkpoints are read in batches; duplicated work, or a scale of both
+    # sides of an exact envelope, raises these counts
     fn, ceiling = _guard_cases()[case]
     counts = _counted(monkeypatch)
     fn()

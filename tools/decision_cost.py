@@ -2,8 +2,7 @@
 
 Run from the root of a gevlab checkout (the directory holding src/):
 
-    python3 tools/decision_cost.py              # 41 rounds of each timing
-    python3 tools/decision_cost.py --rounds 101
+    python3 tools/decision_cost.py
 
 A class verdict probes e^{s|A|^{1/beta}} f at a few scales s, and each probe
 is decided from one symbolic envelope.  For each fixed case (a built-in
@@ -20,8 +19,8 @@ vector on a built-in spectrum at one beta) this times, at s = 1:
 - `classify_both_us`: both class verdicts of the vector at beta, every
   probe included.
 
-Each figure is the median over the rounds of the mean time per call in a
-round; a round repeats the call for about 5 ms.  The rounds of all
+Each figure is the median over ROUNDS = 41 rounds of the mean time per
+call in a round; a round repeats the call for about 5 ms.  The rounds of all
 timings are interleaved, so that a drift of the machine's speed over the
 run touches every figure alike.  It prints one JSON line.  Standard
 library and gevlab only; the checkout's src/ goes first on sys.path.
@@ -29,7 +28,6 @@ library and gevlab only; the checkout's src/ goes first on sys.path.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
@@ -37,6 +35,7 @@ import statistics
 import sys
 import timeit
 
+ROUNDS = 41
 # (vector label, spectrum name, beta), fixed so that runs of two revisions compare
 CASES = (
     ("gauss", "mixed-quart", 2.0),
@@ -45,27 +44,23 @@ CASES = (
 )
 
 
-def _per_call_us(calls: dict, rounds: int) -> dict:
+def _per_call_us(calls: dict) -> dict:
     """The median us per call of each function, over interleaved rounds."""
     timers = {key: timeit.Timer(fn) for key, fn in calls.items()}
     # autorange: calls that take at least 0.2 s; a round takes 1/40 of that
     numbers = {key: max(1, t.autorange()[0] // 40) for key, t in timers.items()}
     times = {key: [] for key in calls}
-    for _ in range(rounds):
+    for _ in range(ROUNDS):
         for key, t in timers.items():
             times[key].append(t.timeit(numbers[key]) / numbers[key])
     return {key: round(statistics.median(ts) * 1e6, 3) for key, ts in times.items()}
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--rounds", type=int, default=41, help="timed rounds of each call (default 41)")
-    args = ap.parse_args()
-    if args.rounds < 1:
-        ap.error("--rounds must be at least 1")
     src = os.path.join(os.getcwd(), "src")
     if not os.path.isfile(os.path.join(src, "gevlab", "asymptotics.py")):
-        ap.error("run from the root of a gevlab checkout")
+        print("decision_cost.py: run from the root of a gevlab checkout", file=sys.stderr)
+        return 2
     sys.path.insert(0, src)
 
     from gevlab.borel_calculus import GevreyExpSymbol, domain_member_direct
@@ -91,13 +86,13 @@ def main() -> int:
             (case, "classify_both_us"): lambda f=f, beta=beta: _classify_both(f, beta),
         })
     out = {}
-    for (case, key), us in _per_call_us(calls, args.rounds).items():
+    for (case, key), us in _per_call_us(calls).items():
         out.setdefault(case, {})[key] = us
     print(json.dumps({
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
-        "rounds": args.rounds,
+        "rounds": ROUNDS,
         "cases": out,
     }, sort_keys=True))
     return 0
