@@ -22,8 +22,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "asymptotics": ("AsymForm", "AsymTerm", "TailBounds"),
     "borel_calculus": (
-        "DomainCriterion",
-        "DomainVerdict",
         "ExpSymbol",
         "GevreyExpSymbol",
         "PowerNorms",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -164,45 +163,17 @@ class GevreyExpSymbol(SymbolFunction):
 # ---------------------------------------------------------------------------
 
 
-class DomainCriterion(Enum):
-    DIRECT = "direct"
-    DUAL_PROP31 = "dual-probes"
-
-
-@dataclass(frozen=True)
-class DomainVerdict:
-    """Outcome of a membership test f in D(F(A)).
-
-    member is True only on a convergence certificate, False only on a
-    divergence certificate, and None (Unknown) otherwise.  log_norm is
-    log ||F(A)f||_p when membership is certified with a budget, NaN
-    otherwise: a decision-only test (budget=None) resolves no value.
-    """
-
-    member: Optional[bool]
-    certificate: ConvergenceCertificate
-    criterion: DomainCriterion
-    detail: str = ""
-    log_norm: float = math.nan
-
-
-def _member_from_status(status: SeriesStatus) -> Optional[bool]:
-    if status is SeriesStatus.CONVERGES:
-        return True
-    if status is SeriesStatus.DIVERGES:
-        return False
-    return None
-
-
 def domain_member_direct(
     F: SymbolFunction,
     f: CoefficientVector,
     budget: Optional[SeriesBudget] = DEFAULT_BUDGET,
-) -> DomainVerdict:
+) -> ConvergenceCertificate:
     """Direct criterion: {F(lam_k) f_k} must lie in l^p.
 
-    With `budget=None` membership is only decided (see certify_log_series)
-    and log_norm stays NaN.
+    The certificate is the engine's for the series sum_k |F(lam_k) f_k|^p:
+    f is in D(F(A)) exactly when it converges, and its log_value is then
+    p log ||F(A)f||_p.  With `budget=None` membership is only decided (see
+    certify_log_series) and no value is resolved.
 
     The tail envelope is the series space's term_bounds(F), the envelope
     of log|f_k| + log|F(lam_k)|, taken to the power p.
@@ -218,24 +189,20 @@ def domain_member_direct(
     bounds = space.term_bounds(F)
     if bounds is not None:
         bounds = bounds.scale(p)
-    cert = certify_log_series(term, count=space.count, bounds=bounds, budget=budget)
-    member = _member_from_status(cert.status)
-    log_norm = cert.log_value / p if member is True else math.nan
-    return DomainVerdict(
-        member, cert, DomainCriterion.DIRECT, detail=f"l^{p:g} image test", log_norm=log_norm
-    )
+    return certify_log_series(term, count=space.count, bounds=bounds, budget=budget)
 
 
-def domain_member_prop31(F: SymbolFunction, f: CoefficientVector) -> DomainVerdict:
+def domain_member_prop31(F: SymbolFunction, f: CoefficientVector) -> ConvergenceCertificate:
     """Dual criterion: (i) int |F| dv(f, g, .) < inf for every dual g, and
     (ii) the cut-off sup_{||g||_q <= 1} int_{|F| > n} |F| dv(f, g, .) -> 0.
 
     The slowly decaying dual h* with coordinates k^-2 refutes (i) where its
-    pairing diverges.  Otherwise the verdict and certificate are the direct
-    criterion's: the supremum in (ii) is ||F(A) P_{|F|>n} f||_p, which tends
-    to 0 exactly when the direct l^p series converges, and that convergence
-    gives (i) for every g by Hoelder.  Hoelder also makes the direct series
-    diverge wherever the h* pairing does, so every verdict is the direct one.
+    pairing diverges, and that divergence is the certificate.  Otherwise the
+    certificate is the direct criterion's, decided with budget=None: the
+    supremum in (ii) is ||F(A) P_{|F|>n} f||_p, which tends to 0 exactly
+    when the direct l^p series converges, and that convergence gives (i)
+    for every g by Hoelder.  Hoelder also makes the direct series diverge
+    wherever the h* pairing does, so every status is the direct one.
     """
     if f.space.selection is not None:
         raise DomainError(
@@ -246,20 +213,8 @@ def domain_member_prop31(F: SymbolFunction, f: CoefficientVector) -> DomainVerdi
     h_star = CoefficientVector.polynomial_decay(f.spectrum, 2.0, p=q, label="h*")
     cert = total_variation(f, h_star, weight=F, budget=None)
     if cert.status is SeriesStatus.DIVERGES:
-        return DomainVerdict(
-            False,
-            cert,
-            DomainCriterion.DUAL_PROP31,
-            detail="condition (i) diverges for probe h*(k^-2)",
-        )
-    direct = domain_member_direct(F, f, budget=None)
-    return DomainVerdict(
-        direct.member,
-        direct.certificate,
-        DomainCriterion.DUAL_PROP31,
-        detail=f"condition (ii) read off the direct l^{f.p_norm:g} series: "
-        f"{direct.certificate.status.value}",
-    )
+        return cert
+    return domain_member_direct(F, f, budget=None)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +230,6 @@ class PowerNorms:
     certificates: tuple[ConvergenceCertificate, ...]
     cutoff: Optional[int] = None
     cutoff_certificate: Optional[ConvergenceCertificate] = None
-
-    @property
-    def n_max(self) -> int:
-        return len(self.log_norms) - 1
 
 
 def power_norms(

@@ -305,12 +305,8 @@ def serialize_jobspec(job: JobSpec) -> str:
 
 
 def _job_id_of(job_dict: dict) -> str:
-    return hashlib.sha256(_canonical_json(job_dict).encode()).hexdigest()[:12]
-
-
-def job_id(job: JobSpec) -> str:
     """First 12 hex digits of the sha256 of the canonical job JSON."""
-    return _job_id_of(job.to_json_dict())
+    return hashlib.sha256(_canonical_json(job_dict).encode()).hexdigest()[:12]
 
 
 # ---------------------------------------------------------------------------

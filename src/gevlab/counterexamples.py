@@ -327,7 +327,6 @@ class ViolatingSpectrumPlan:
     selection: Selection
     omega: Optional[float]  # bounded case: sup of the selected real parts
     verified_prefix: int
-    detail: str = ""
 
     def selected_lams(self, ns) -> np.ndarray:
         return self.selection.lam(np.asarray(ns, dtype=np.int64))
@@ -446,7 +445,6 @@ def plan_for_spectrum(
         selection=Selection(spectrum, beta),
         omega=max(re_hi, 0.0) if case is PlanCase.BOUNDED_REAL_PARTS else None,
         verified_prefix=_VERIFY_PREFIX,
-        detail=f"{case.value} construction on {spectrum.label}",
     )
     _verify_plan(plan)
     return plan
@@ -611,7 +609,6 @@ class CounterexampleArtifacts:
     non_membership: GevreyVerdict
     probe_certificates: dict
     log_l_bound: Optional[float] = None
-    detail: str = ""
 
 
 def build_counterexample(plan: ViolatingSpectrumPlan) -> CounterexampleArtifacts:
@@ -671,5 +668,4 @@ def build_counterexample(plan: ViolatingSpectrumPlan) -> CounterexampleArtifacts
         non_membership=non_membership,
         probe_certificates=probe_certs,
         log_l_bound=log_l_bound,
-        detail=plan.detail,
     )

@@ -14,11 +14,15 @@ class VectorError(GevlabError, ValueError):
 
 
 class DomainError(GevlabError, ValueError):
-    """A symbol was applied to a vector outside the symbol's certified domain."""
+    """A symbol was applied to a vector outside the symbol's certified domain.
 
-    def __init__(self, message: str, verdict=None):
+    `certificate` is the series certificate that failed to converge, when
+    there is one (estimate_order passes the first uncertified power's).
+    """
+
+    def __init__(self, message: str, certificate=None):
         super().__init__(message)
-        self.verdict = verdict
+        self.certificate = certificate
 
 
 class PlanError(GevlabError, ValueError):

@@ -18,9 +18,9 @@ from typing import Optional, Union
 import numpy as np
 
 from .asymptotics import GrowthKind, classify_form
-from .borel_calculus import DomainVerdict, ExpSymbol, domain_member_direct
+from .borel_calculus import ExpSymbol, domain_member_direct
 from .errors import ConsistencyError, VectorError
-from .series import SeriesStatus
+from .series import ConvergenceCertificate, SeriesStatus
 from .spectral_core import CoefficientVector
 
 DEFAULT_T_MAX = 100.0
@@ -120,9 +120,9 @@ def check_admissible(f: CoefficientVector, t_max: float = DEFAULT_T_MAX) -> Admi
 
     probe_status = []
     for t in checked:
-        verdict = domain_member_direct(ExpSymbol(float(t)), f, budget=None)
-        probe_status.append((t, verdict.certificate.status.value))
-        _check_probe_consistency(rule, t, verdict)
+        cert = domain_member_direct(ExpSymbol(float(t)), f, budget=None)
+        probe_status.append((t, cert.status.value))
+        _check_probe_consistency(rule, t, cert)
 
     admissible = isinstance(rule, (ExplicitFinite, ReBoundedAbove, DecayDominates))
     return AdmissibilityCertificate(
@@ -162,16 +162,15 @@ def _growing_re_rule(space, re_b) -> TailRule:
     return WitnessFailure(t_w)
 
 
-def _check_probe_consistency(rule: TailRule, t: float, verdict: DomainVerdict) -> None:
-    status = verdict.certificate.status
+def _check_probe_consistency(rule: TailRule, t: float, cert: ConvergenceCertificate) -> None:
     if isinstance(rule, (ExplicitFinite, ReBoundedAbove, DecayDominates)):
-        if status is SeriesStatus.DIVERGES:
+        if cert.status is SeriesStatus.DIVERGES:
             raise ConsistencyError(
                 f"closed-form rule {rule!r} says admissible but the evolution domain "
-                f"test diverges at t={t:g}: {verdict.certificate.to_dict()!r}"
+                f"test diverges at t={t:g}: {cert.to_dict()!r}"
             )
     if isinstance(rule, WitnessFailure) and t == rule.t:
-        if status is SeriesStatus.CONVERGES:
+        if cert.status is SeriesStatus.CONVERGES:
             raise ConsistencyError(
                 f"witness time t={t:g} was expected to diverge but converged"
             )

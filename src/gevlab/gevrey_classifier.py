@@ -26,16 +26,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .asymptotics import AsymTerm, GrowthKind, classify_form
-from .borel_calculus import (
-    DomainVerdict,
-    GevreyExpSymbol,
-    domain_member_direct,
-    power_norms,
-)
+from .borel_calculus import GevreyExpSymbol, domain_member_direct, power_norms
 from .errors import ConsistencyError, DomainError, HarnessError, PlanError, VectorError
 from .evolution import SolutionHandle, check_admissible, solve
 from .logdomain import NEG_INF
-from .series import DEFAULT_BUDGET, SeriesBudget, SeriesStatus
+from .series import DEFAULT_BUDGET, ConvergenceCertificate, SeriesBudget, SeriesStatus
 from .spectral_core import (
     CoefficientVector,
     ExplicitSpectrum,
@@ -157,7 +152,7 @@ def _ratio(decay: AsymTerm, growth: AsymTerm) -> Optional[float]:
         return None
 
 
-def _probe(f: CoefficientVector, s: float, beta: float) -> DomainVerdict:
+def _probe(f: CoefficientVector, s: float, beta: float) -> ConvergenceCertificate:
     return domain_member_direct(GevreyExpSymbol(s, beta), f, budget=None)
 
 
@@ -194,9 +189,9 @@ def _classify_both(f: CoefficientVector, beta: float) -> tuple[GevreyVerdict, Ge
     certs: list = []  # (s, certificate) of every probe, in order
 
     def probe(s: float) -> Optional[bool]:
-        v = _probe(f, s, beta)
-        certs.append((s, v.certificate))
-        return v.member
+        cert = _probe(f, s, beta)
+        certs.append((s, cert))
+        return None if cert.status is SeriesStatus.INCONCLUSIVE else cert.converged
 
     def verdicts(roumieu, beurling, s_low, s_high, detail_r, detail_b):
         probes = tuple((s, c.status.value) for s, c in certs)

@@ -32,12 +32,11 @@ def catalog_symbols() -> list:
 
 def apply_symbol(F, f):
     """Coordinatewise g_k = F(lam_k) f_k; refuses when membership is not certified."""
-    verdict = gl.domain_member_direct(F, f, budget=None)
-    if verdict.member is not True:
+    cert = gl.domain_member_direct(F, f, budget=None)
+    if not cert.converged:
         raise gl.DomainError(
-            f"{F.name} applied outside its certified domain "
-            f"(status {verdict.certificate.status.value})",
-            verdict,
+            f"{F.name} applied outside its certified domain (status {cert.status.value})",
+            cert,
         )
     return f._with_symbols((F,))
 
@@ -103,7 +102,7 @@ def weak_solution_residual(h, g, t_grid, eps=1e-5) -> float:
     if abs(g.p_norm - q) > 1e-9:
         raise gl.VectorError(f"dual vector must carry q={q:g}")
     adj_check = gl.domain_member_direct(gl.PowerSymbol(1), g, budget=None)
-    if adj_check.member is not True:
+    if not adj_check.converged:
         raise gl.VectorError("g is outside the coordinatewise adjoint domain")
     infinite = h.f.space.count is None
     for t in t_grid:

@@ -73,18 +73,17 @@ def test_direct_membership_with_partial_sum_oracle():
     spec = gl.PowerLawSpectrum(-1, 1, 0, 0)
     f = gl.CoefficientVector.power_decay(spec, 1.0, 1.0)
     v = gl.domain_member_direct(gl.ExpSymbol(5.0), f)
-    assert v.member is True
+    assert v.status is SeriesStatus.CONVERGES
     ks = np.arange(1, 1_000_001, dtype=float)
     oracle = 0.5 * math.log(np.exp(2.0 * (-5.0 * ks - ks)).sum())
-    assert abs(v.log_norm - oracle) < 1e-12
+    assert abs(v.log_value / f.p_norm - oracle) < 1e-12
 
 
 def test_direct_membership_divergence_witness():
     spec = gl.PowerLawSpectrum(1, 1, 0, 0)
     f = gl.CoefficientVector.polynomial_decay(spec, 2.0)
     v = gl.domain_member_direct(gl.ExpSymbol(1.0), f)
-    assert v.member is False
-    assert v.certificate.status is SeriesStatus.DIVERGES
+    assert v.status is SeriesStatus.DIVERGES
 
 
 def test_identity_symbol_keeps_stored_vectors_in_domain():
@@ -94,7 +93,7 @@ def test_identity_symbol_keeps_stored_vectors_in_domain():
             if spec.size is not None
             else gl.CoefficientVector.power_decay(spec, 1.0, 2.0)
         )
-        assert gl.domain_member_direct(gl.PowerSymbol(0), f).member is True
+        assert gl.domain_member_direct(gl.PowerSymbol(0), f).status is SeriesStatus.CONVERGES
 
 
 # -- dual-probe criterion --------------------------------------------------------
@@ -111,35 +110,50 @@ def test_prop31_agrees_with_direct_on_random_explicit_spectra():
         for F in oracles.catalog_symbols():
             d = gl.domain_member_direct(F, f)
             p = gl.domain_member_prop31(F, f)
-            assert d.member == p.member
+            assert d.status is p.status
+
+
+def _h_star_pairing(F, f):
+    """The certificate of condition (i) of the dual criterion for the dual
+    h*_k = k^-2 in l^q."""
+    h_star = gl.CoefficientVector.polynomial_decay(f.spectrum, 2.0, p=gl.conjugate_exponent(f.p_norm))
+    return gl.total_variation(f, h_star, weight=F, budget=None)
 
 
 def test_prop31_divergence_via_slow_dual():
     spec = gl.PowerLawSpectrum(0, 0, 1, 2)
     f = gl.CoefficientVector.polynomial_decay(spec, 2.0)
-    v = gl.domain_member_prop31(gl.GevreyExpSymbol(1.0, 1.0), f)
-    assert v.member is False
-    assert "h*" in v.detail
+    F = gl.GevreyExpSymbol(1.0, 1.0)
+    v = gl.domain_member_prop31(F, f)
+    assert v.status is SeriesStatus.DIVERGES
+    # the refutation is the h* pairing's own certificate
+    assert repr(v) == repr(_h_star_pairing(F, f))
 
 
 def test_prop31_accepts_identity():
     spec = gl.PowerLawSpectrum(1, 1, 1, 1)
     f = gl.CoefficientVector.power_decay(spec, 1.0, 2.0)
     v = gl.domain_member_prop31(gl.PowerSymbol(0), f)
-    assert v.member is True
+    assert v.status is SeriesStatus.CONVERGES
 
 
 def test_prop31_equals_direct_on_the_catalog():
-    cases = 0
+    # the dual criterion's certificate is the h* pairing's where that
+    # diverges and the direct decision's everywhere else, and its status is
+    # always the direct one
+    cases = refuted = 0
     for spec in gl.builtin_spectra().values():
         for f in gl.builtin_vectors(spec):
             for F in oracles.catalog_symbols():
                 direct = gl.domain_member_direct(F, f, budget=None)
+                pairing = _h_star_pairing(F, f)
                 dual = gl.domain_member_prop31(F, f)
-                assert dual.member == direct.member, (spec.label, f.label, F.name)
-                assert dual.criterion is gl.DomainCriterion.DUAL_PROP31
+                want = pairing if pairing.status is SeriesStatus.DIVERGES else direct
+                assert repr(dual) == repr(want), (spec.label, f.label, F.name)
+                assert dual.status is direct.status, (spec.label, f.label, F.name)
+                refuted += pairing.status is SeriesStatus.DIVERGES
                 cases += 1
-    assert cases == 360
+    assert cases == 360 and refuted > 0
 
 
 # -- power norms ----------------------------------------------------------------
@@ -242,7 +256,7 @@ def test_power_norms_match_direct_power_certificates(make, n_max):
     norms = gl.power_norms(f, n_max)
     assert norms.cutoff is None and len(norms.certificates) == n_max + 1
     for n, cert in enumerate(norms.certificates):
-        direct = gl.domain_member_direct(gl.PowerSymbol(n), f).certificate
+        direct = gl.domain_member_direct(gl.PowerSymbol(n), f)
         assert (cert.status, cert.route, cert.terms_used, cert.log_value, cert.log_tail_bound) == (
             direct.status,
             direct.route,
@@ -416,5 +430,5 @@ def test_estimate_cond_i_instance():
     tv = gl.total_variation(f, g, weight=F)
     vf = gl.domain_member_direct(F, f)
     gnorm, _ = g.log_norm()
-    assert tv.status is SeriesStatus.CONVERGES and vf.member is True
-    assert tv.log_value <= math.log(4.0) + vf.log_norm + gnorm + 1e-12
+    assert tv.status is SeriesStatus.CONVERGES and vf.status is SeriesStatus.CONVERGES
+    assert tv.log_value <= math.log(4.0) + vf.log_value / f.p_norm + gnorm + 1e-12

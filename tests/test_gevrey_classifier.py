@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gevlab as gl
+from gevlab.series import SeriesStatus
 
 R, B = gl.GevreyFlavor.ROUMIEU, gl.GevreyFlavor.BEURLING
 
@@ -62,9 +63,9 @@ def _traced_classification(monkeypatch, f, beta):
     probe = gc._probe
 
     def traced(*args):
-        v = probe(*args)
-        routes.append(v.certificate.route)
-        return v
+        cert = probe(*args)
+        routes.append(cert.route)
+        return cert
 
     monkeypatch.setattr(gc, "_probe", traced)
     r, b = gc._classify_both(f, beta)
@@ -392,12 +393,12 @@ def test_membership_is_monotone_in_s_and_the_classes_nest(family, decay, t):
         members[beta] = (r.member, b.member)
         ends = [s for s in (r.s_star_low, r.s_star_high) if 0.0 < s < math.inf]
         for s in _S_GRID + ends:
-            got = gc._probe(f, s, beta).member
+            got = gc._probe(f, s, beta).status
             if s >= r.s_star_high:
-                assert got is not True, (beta, s)
+                assert got is not SeriesStatus.CONVERGES, (beta, s)
             if s <= r.s_star_low:
-                assert got is not False, (beta, s)
-                assert got is True or r.member is not True, (beta, s)
+                assert got is not SeriesStatus.DIVERGES, (beta, s)
+                assert got is SeriesStatus.CONVERGES or r.member is not True, (beta, s)
     # inclusion chain: Beurling(beta) implies Roumieu(beta), and Roumieu(b1)
     # implies Beurling(b2) for b1 < b2 wherever that is decided
     for beta, (roumieu, beurling) in members.items():
