@@ -242,7 +242,9 @@ _FIELD_PARSERS = {
     else _fail(p, "expected a non-empty list of times >= 0"),
     "p_norm": lambda v, p: _real(v, p, minimum=1.0),
     "t_max": lambda v, p: _real(v, p, minimum=0.0, strict_min=True),
-    "n_max": lambda v, p: _integer(v, p, minimum=1),
+    # n_max and samples size the work: each order is one series row, each
+    # sample one boundary point
+    "n_max": lambda v, p: _integer(v, p, minimum=1, maximum=1 << 10),
     "tol": lambda v, p: _real(v, p, minimum=0.0, strict_min=True),
     # a sum read to k_max has a last block of up to k_max/2 indices: 2^22
     # keeps each within the 2^21 terms of logsumexp's grid sum, and a huge
@@ -254,7 +256,7 @@ _FIELD_PARSERS = {
     "b_plus": lambda v, p: _real(v, p, minimum=0.0, strict_min=True),
     # region-boundary samples Im through 2 im_max, which must stay finite
     "im_max": lambda v, p: _real(v, p, minimum=0.0, maximum=sys.float_info.max / 2, strict_min=True),
-    "samples": lambda v, p: _integer(v, p, minimum=2),
+    "samples": lambda v, p: _integer(v, p, minimum=2, maximum=1 << 16),
     "output_path": lambda v, p: v if isinstance(v, str) else _fail(p, "expected a string"),
 }
 

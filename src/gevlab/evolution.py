@@ -56,19 +56,46 @@ class Undetermined:
 
 
 TailRule = Union[ExplicitFinite, ReBoundedAbove, DecayDominates, WitnessFailure, Undetermined]
+_ADMITTING = (ExplicitFinite, ReBoundedAbove, DecayDominates)  # the rules that prove admissibility
 
 
 @dataclass(frozen=True)
 class AdmissibilityCertificate:
-    admissible: bool
+    """Whether f admits e^{tA} f for every t >= 0, stored once as its proof.
+
+    `tail_rule` is the proof, and `admissible`, `unknown` and `detail` follow
+    from it.  `probe_status` holds the evolution-domain probe at each of
+    `checked_times`, a consistency check of the rule.
+    """
+
     checked_times: tuple[float, ...]
     tail_rule: TailRule
     probe_status: tuple[tuple[float, str], ...] = ()
-    detail: str = ""
+
+    @property
+    def admissible(self) -> bool:
+        return isinstance(self.tail_rule, _ADMITTING)
 
     @property
     def unknown(self) -> bool:
         return isinstance(self.tail_rule, Undetermined)
+
+    @property
+    def detail(self) -> str:
+        rule = self.tail_rule
+        if isinstance(rule, ExplicitFinite):
+            return "finitely many atoms"
+        if isinstance(rule, ReBoundedAbove):
+            return f"Re(lam_k) <= {rule.omega:g} for all k"
+        if isinstance(rule, DecayDominates) and rule.p_re is None:
+            return (
+                f"coupled envelope keeps a negative leading term n^{rule.r:g} at t = 0 and {DEFAULT_T_MAX:g}"
+            )
+        if isinstance(rule, DecayDominates):
+            return f"coefficient decay exponent {rule.r:g} > real-part growth exponent {rule.p_re:g}"
+        if isinstance(rule, WitnessFailure):
+            return f"evolution domain fails at t = {rule.t:g}"
+        return rule.reason
 
 
 def _sup_bound(form, lo: int = 1) -> float:
@@ -124,14 +151,7 @@ def check_admissible(f: CoefficientVector, t_max: float = DEFAULT_T_MAX) -> Admi
         probe_status.append((t, cert.status.value))
         _check_probe_consistency(rule, t, cert)
 
-    admissible = isinstance(rule, (ExplicitFinite, ReBoundedAbove, DecayDominates))
-    return AdmissibilityCertificate(
-        admissible=admissible,
-        checked_times=checked,
-        tail_rule=rule,
-        probe_status=tuple(probe_status),
-        detail=_rule_detail(rule),
-    )
+    return AdmissibilityCertificate(checked, rule, tuple(probe_status))
 
 
 def _growing_re_rule(space, re_b) -> TailRule:
@@ -163,7 +183,7 @@ def _growing_re_rule(space, re_b) -> TailRule:
 
 
 def _check_probe_consistency(rule: TailRule, t: float, cert: ConvergenceCertificate) -> None:
-    if isinstance(rule, (ExplicitFinite, ReBoundedAbove, DecayDominates)):
+    if isinstance(rule, _ADMITTING):
         if cert.status is SeriesStatus.DIVERGES:
             raise ConsistencyError(
                 f"closed-form rule {rule!r} says admissible but the evolution domain "
@@ -174,20 +194,6 @@ def _check_probe_consistency(rule: TailRule, t: float, cert: ConvergenceCertific
             raise ConsistencyError(
                 f"witness time t={t:g} was expected to diverge but converged"
             )
-
-
-def _rule_detail(rule: TailRule) -> str:
-    if isinstance(rule, ExplicitFinite):
-        return "finitely many atoms"
-    if isinstance(rule, ReBoundedAbove):
-        return f"Re(lam_k) <= {rule.omega:g} for all k"
-    if isinstance(rule, DecayDominates) and rule.p_re is None:
-        return f"coupled envelope keeps a negative leading term n^{rule.r:g} at t = 0 and {DEFAULT_T_MAX:g}"
-    if isinstance(rule, DecayDominates):
-        return f"coefficient decay exponent {rule.r:g} > real-part growth exponent {rule.p_re:g}"
-    if isinstance(rule, WitnessFailure):
-        return f"evolution domain fails at t = {rule.t:g}"
-    return rule.reason
 
 
 # -- solution handles ---------------------------------------------------------

@@ -30,7 +30,7 @@ from .borel_calculus import GevreyExpSymbol, domain_member_direct, power_norms
 from .errors import ConsistencyError, DomainError, HarnessError, PlanError, VectorError
 from .evolution import SolutionHandle, check_admissible, solve
 from .logdomain import NEG_INF
-from .series import DEFAULT_BUDGET, ConvergenceCertificate, SeriesBudget, SeriesStatus
+from .series import DEFAULT_BUDGET, ConvergenceCertificate, SeriesBudget, SeriesStatus, undecided_side
 from .spectral_core import (
     CoefficientVector,
     ExplicitSpectrum,
@@ -258,8 +258,7 @@ def _classify_both(f: CoefficientVector, beta: float) -> tuple[GevreyVerdict, Ge
         if last.status is SeriesStatus.CONVERGES:
             detail_b = "the top probe converges, but no closed-form rule covers every scale"
         else:
-            # the lower-envelope half of the engine's undecided detail
-            missing = last.detail.rpartition("; ")[2]
+            missing = undecided_side(last.bounds, "lower")
             where = "2^20" if s_last == _S_HI else "2^-20"
             detail_b = f"{missing}: no scale refutes (undecided at s = {where})"
     return verdicts(roumieu, beurling, s_low, s_high, detail_r, detail_b)

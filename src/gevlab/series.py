@@ -53,31 +53,56 @@ _FINITE_STEP = 1 << 16  # a finite sum is added up in blocks of this many indice
 _ROWS_CAP = 1 << 15
 
 
+# The route names the proof, and so fixes the status.
+_ROUTE_STATUS = {
+    "exact-finite": SeriesStatus.CONVERGES,
+    "symbolic-tail": SeriesStatus.CONVERGES,
+    "symbolic-divergence": SeriesStatus.DIVERGES,
+    "no-closed-form": SeriesStatus.INCONCLUSIVE,
+}
+_NO_ENVELOPE = "no tail envelope declared"
+
+
 @dataclass(frozen=True)
 class ConvergenceCertificate:
-    """Auditable outcome of a series decision.
+    """Auditable outcome of a series decision, stored once as its proof.
 
-    `route` names the proof: `exact-finite` (a finite sum added up),
-    `symbolic-tail` (a summable upper envelope), `symbolic-divergence` (a
-    lower envelope whose terms do not decay) or `no-closed-form`
-    (INCONCLUSIVE: `detail` names the missing or undecided envelope).
-    `log_value` is the log of the certified partial sum (CONVERGES) and
-    `log_tail_bound` bounds the log of the truncation error.  A decision
-    certificate, issued without a budget, resolves no value: when it
-    CONVERGES, both are NaN and `terms_used` is 0.  DIVERGES evaluates no
-    term: `detail` names the lower envelope that proves it and its `k_min`.
+    `route` names the proof and fixes `status`: `exact-finite` (a finite
+    sum added up) and `symbolic-tail` (a summable upper envelope) CONVERGE,
+    `symbolic-divergence` (a lower envelope whose terms do not decay)
+    DIVERGES and `no-closed-form` is INCONCLUSIVE.  `bounds` is the envelope
+    the engine read: None for a finite sum or where none was declared.
+    `detail` words the proof from both only when read.  `log_value` is the
+    log of the certified partial sum (CONVERGES) and `log_tail_bound` bounds
+    the log of the truncation error; a decision, issued without a budget,
+    resolves no value (both NaN, `terms_used` 0), and DIVERGES evaluates no
+    term.
     """
 
-    status: SeriesStatus
+    route: str
+    bounds: Optional[TailBounds] = None
     log_value: float = math.nan
     log_tail_bound: float = math.nan
     terms_used: int = 0
-    route: str = ""
-    detail: str = ""
+
+    @property
+    def status(self) -> SeriesStatus:
+        return _ROUTE_STATUS[self.route]
 
     @property
     def converged(self) -> bool:
         return self.status is SeriesStatus.CONVERGES
+
+    @property
+    def detail(self) -> str:
+        b = self.bounds
+        if self.route == "symbolic-tail":
+            return f"upper envelope {b.upper.describe()}"
+        if self.route == "symbolic-divergence":
+            return f"lower envelope {b.lower.describe()} does not decay (valid k >= {b.k_min})"
+        if self.route == "no-closed-form":
+            return _NO_ENVELOPE if b is None else f"{undecided_side(b, 'upper')}; {undecided_side(b, 'lower')}"
+        return ""
 
     def to_dict(self) -> dict:
         return {
@@ -138,8 +163,7 @@ def certify_log_rows(
     log-terms of those rows, one array (or one row of a 2-D array) each;
     with `budget=None` it is never called, and may be None.
     A finite `count` sums every row over k = 1..count and reads no
-    envelope.  An
-    infinite sum reads `bounds`, one envelope (or None) per row, in order:
+    envelope.  An infinite sum reads `bounds`, one envelope (or None) per row, in order:
     the rows are decided up to the first that does not converge, whose
     certificate ends the list, and no later row is read.  The convergent
     rows are summed together, each stopping at its own K: one block of
@@ -151,95 +175,62 @@ def certify_log_rows(
         if count < 0:
             raise ValueError("count must be nonnegative")
         if budget is None:
-            return [ConvergenceCertificate(SeriesStatus.CONVERGES, route="exact-finite")] * rows
+            return [ConvergenceCertificate("exact-finite")] * rows
         totals = [NEG_INF] * rows
         everyone = list(range(rows))
         for start in range(1, count + 1, _FINITE_STEP):
             stop = min(count, start + _FINITE_STEP - 1)
             _add_block(term_rows, np.arange(start, stop + 1, dtype=np.int64), everyone, totals)
         return [
-            ConvergenceCertificate(
-                SeriesStatus.CONVERGES,
-                log_value=total,
-                log_tail_bound=NEG_INF,
-                terms_used=count,
-                route="exact-finite",
-            )
+            ConvergenceCertificate("exact-finite", log_value=total, log_tail_bound=NEG_INF, terms_used=count)
             for total in totals
         ]
 
-    uppers, k_mins, last = [], [], None  # last: the first row that does not converge
+    decided, last = [], None  # last: the first row that does not converge
     for b in islice(bounds, rows):
         if b is not None and b.lower is not None and form_diverges(b.lower):
-            last = ConvergenceCertificate(
-                SeriesStatus.DIVERGES,
-                log_value=math.inf,
-                route="symbolic-divergence",
-                detail=f"lower envelope {b.lower.describe()} does not decay (valid k >= {b.k_min})",
-            )
+            last = ConvergenceCertificate("symbolic-divergence", b, log_value=math.inf)
             break
         if b is None or b.upper is None or not form_converges(b.upper):
-            last = ConvergenceCertificate(
-                SeriesStatus.INCONCLUSIVE, route="no-closed-form", detail=_undecided(b)
-            )
+            last = ConvergenceCertificate("no-closed-form", b)
             break
-        uppers.append(b.upper)
-        k_mins.append(b.k_min)
+        decided.append(b)
 
     if budget is None:
-        certs = [
-            ConvergenceCertificate(
-                SeriesStatus.CONVERGES, route="symbolic-tail", detail=f"upper envelope {u.describe()}"
-            )
-            for u in uppers
-        ]
+        certs = [ConvergenceCertificate("symbolic-tail", b) for b in decided]
     else:
-        certs = _resolved(term_rows, uppers, k_mins, budget) if uppers else []
+        certs = _resolved(term_rows, decided, budget) if decided else []
     if last is not None:
         certs.append(last)
     return certs
 
 
-def _resolved(term_rows, uppers, k_mins, budget) -> list[ConvergenceCertificate]:
+def _resolved(term_rows, bounds, budget) -> list[ConvergenceCertificate]:
     """Partial sums over k = 1..K, K doubling up to the budget, of the rows
     with summable upper envelopes; a row stops at the first K >= its k_min
     where the tail bound falls below rel_tol times its sum."""
-    details = [f"upper envelope {u.describe()}" for u in uppers]
-    tails = tail_bounders(uppers)
+    tails = tail_bounders([b.upper for b in bounds])
     log_tol = math.log(budget.rel_tol)
-    running = [NEG_INF] * len(uppers)
-    certs: list = [None] * len(uppers)
-    live = list(range(len(uppers)))
+    running = [NEG_INF] * len(bounds)
+    certs: list = [None] * len(bounds)
+    live = list(range(len(bounds)))
     prev_end = 0
     while live and prev_end < budget.k_max:
         K = min(budget.k_max, max(_BLOCK_START, prev_end * 2))
         _add_block(term_rows, np.arange(prev_end + 1, K + 1, dtype=np.int64), live, running)
         prev_end = K
-        due = [r for r in live if K >= k_mins[r]]
+        due = [r for r in live if K >= bounds[r].k_min]
         for r, tb in zip(due, tails(K, due)):
             if tb is not None and (tb <= running[r] + log_tol or tb <= LOG_ABS_FLOOR):
-                certs[r] = ConvergenceCertificate(
-                    SeriesStatus.CONVERGES,
-                    log_value=running[r],
-                    log_tail_bound=tb,
-                    terms_used=K,
-                    route="symbolic-tail",
-                    detail=details[r],
-                )
+                certs[r] = ConvergenceCertificate("symbolic-tail", bounds[r], running[r], tb, K)
         live = [r for r in live if certs[r] is None]
 
-    due = [r for r in live if prev_end >= k_mins[r]]
-    tbs = dict(zip(due, tails(prev_end, due))) if due else {}
+    # the budget ends first: the value stands with its looser tail bound
+    due = [r for r in live if prev_end >= bounds[r].k_min]
+    tbs = {r: tb for r, tb in zip(due, tails(prev_end, due) if due else ()) if tb is not None}
     for r in live:
-        tb = tbs.get(r)
-        certs[r] = ConvergenceCertificate(
-            SeriesStatus.CONVERGES,
-            log_value=running[r],
-            log_tail_bound=tb if tb is not None else math.inf,
-            terms_used=prev_end,
-            route="symbolic-tail",
-            detail="convergent by upper envelope; value resolved to budget only",
-        )
+        tb = tbs.get(r, math.inf)
+        certs[r] = ConvergenceCertificate("symbolic-tail", bounds[r], running[r], tb, prev_end)
     return certs
 
 
@@ -253,18 +244,14 @@ def _add_block(term_rows, ks: np.ndarray, rows: list[int], running: list[float])
             running[r] = logaddexp(running[r], logsumexp(vals))
 
 
-def _undecided(bounds: Optional[TailBounds]) -> str:
-    """Which envelope an undecided infinite sum lacks, for its detail."""
+def undecided_side(bounds: Optional[TailBounds], side: str) -> str:
+    """Why one side, "upper" or "lower", of an undecided sum's envelope
+    proves nothing: no envelope, no such side, or a side that decides
+    nothing."""
     if bounds is None:
-        return "no tail envelope declared"
-    upper = (
-        "no upper envelope"
-        if bounds.upper is None
-        else f"upper envelope {bounds.upper.describe()} proves no convergence"
-    )
-    lower = (
-        "no lower envelope"
-        if bounds.lower is None
-        else f"lower envelope {bounds.lower.describe()} proves no divergence"
-    )
-    return f"{upper}; {lower}"
+        return _NO_ENVELOPE
+    form = bounds.upper if side == "upper" else bounds.lower
+    if form is None:
+        return f"no {side} envelope"
+    proves = "convergence" if side == "upper" else "divergence"
+    return f"{side} envelope {form.describe()} proves no {proves}"

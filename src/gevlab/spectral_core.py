@@ -8,7 +8,6 @@ selected subsequence.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -521,7 +520,8 @@ class CoefficientVector:
             except OverflowError:  # |z| passes the float range, log|z| does not
                 s, m = sorted((abs(z.real), abs(z.imag)))
                 mags.append(math.log(m) + 0.5 * math.log1p((s / m) ** 2))
-            phases.append(cmath.phase(z))
+            # math.atan2, not cmath.phase: the latter raises on a subnormal angle
+            phases.append(math.atan2(z.imag, z.real))
         if spectrum.size is not None and len(mags) > spectrum.size:
             raise VectorError("more coefficients than eigenvalues in the explicit spectrum")
         mags, phases = np.array(mags, dtype=float), wrap_phase(np.array(phases, dtype=float))

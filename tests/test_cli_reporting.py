@@ -351,6 +351,16 @@ def test_evolve_an_explicit_coefficient_past_the_float_range(tmp_path, capsys):
     assert abs(report["verdicts"][1]["log_norm"] - float(want)) <= 2 * math.ulp(float(want))
 
 
+def test_explicit_coefficient_with_a_subnormal_phase(tmp_path, capsys):
+    # the phase of 3 + 5e-324i is below the float range: it is stored as 0,
+    # not raised as an OverflowError
+    job = {"command": "classify-vector", "beta": 1, "spectrum": {"explicit": {"points": [[1, 0]]}},
+           "vectors": [{"label": "tiny-phase", "explicit": {"values": [[3, 5e-324]]}}]}
+    code, report = _main_report(tmp_path, capsys, job)
+    assert (code, report["status"]) == (0, "ok")
+    assert [(v["flavor"], v["member"]) for v in report["verdicts"]] == [("roumieu", True), ("beurling", True)]
+
+
 @pytest.mark.parametrize("command", ["classify-spectrum", "harness"])
 def test_explicit_eigenvalues_past_the_float_range_hold(tmp_path, capsys, command):
     # a finite spectrum is bounded, whatever its largest modulus
@@ -661,6 +671,21 @@ def test_main_rejects_bad_overrides_by_name(tmp_path, monkeypatch, capsys, flags
     assert out.out == ""
     err = json.loads(out.err)
     assert err["status"] == "error" and err["error"].startswith(f"{named}: "), err
+
+
+@pytest.mark.parametrize(
+    "field,cap,job",
+    [
+        ("samples", 1 << 16, {"command": "region-boundary", "beta": 1, "b_plus": 0.5}),
+        ("n_max", 1 << 10, json.loads(ROUNDTRIP_JOBS[3])),
+    ],
+)
+def test_fields_that_size_the_work_are_capped(field, cap, job):
+    assert getattr(cli.parse_jobspec(json.dumps({**job, field: cap})), field) == cap
+    for past in (cap + 1, (1 << 53) + 1, 10**400):
+        with pytest.raises(JobSpecError) as err:
+            cli.parse_jobspec(json.dumps({**job, field: past}))
+        assert str(err.value) == f"$.{field}: must be <= {cap}"
 
 
 def test_k_max_is_at_most_2_to_the_22(tmp_path, monkeypatch, capsys):

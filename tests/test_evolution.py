@@ -108,7 +108,7 @@ def _admissibility_reprs():
 
 
 # sha256 of the newline-joined _admissibility_reprs()
-_ADMISSIBILITY_DIGEST = "fab2c81191460f8d465c5767261dbd4ac8f323db3b6e2c7ba416b4ae85d8cfbf"
+_ADMISSIBILITY_DIGEST = "247f966cb4ad21e629a97d290b967e00c421fe9eecab324b5d720d616fb995b5"
 
 
 def test_admissibility_certificates_are_pinned():

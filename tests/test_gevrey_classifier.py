@@ -327,6 +327,24 @@ def test_inclusion_chain_across_orders():
                     assert verdicts[(b2, "b")] is True, (name, v.label, b1, b2)
 
 
+def test_decisions_build_no_text(monkeypatch):
+    # a certificate words its envelope only when its detail is read, so no
+    # admissibility or class decision on the catalog lattice describes a form
+    def refuse(self):
+        raise AssertionError("a decision described an envelope")
+
+    monkeypatch.setattr(gl.AsymForm, "describe", refuse)
+    kept = gl.certify_log_series(None, bounds=gl.TailBounds.exact(gl.AsymForm.power(1.0, -1.0)), budget=None)
+    for spec in gl.builtin_spectra().values():
+        for v in gl.builtin_vectors(spec):
+            if gl.check_admissible(v).admissible:
+                for beta in (1.0, 1.5, 2.0):
+                    gl.vector_class(v, beta, R)
+                    gl.vector_class(v, beta, B)
+    monkeypatch.undo()
+    assert kept.to_dict()["detail"] == "upper envelope -1*k^1"
+
+
 _CATALOG = gl.builtin_spectra()
 _ORDERS = (1.0, 1.25, 1.5, 2.0, 3.0)
 
@@ -715,7 +733,7 @@ def _harness_records():
 
 
 # sha256 of the newline-joined _harness_records()
-_HARNESS_DIGEST = "a96ddf756d144a32dc011880b6eebc0bcbcc2b3bee844cfbfacb23d7579bc88a"
+_HARNESS_DIGEST = "a024f681ee613270384244b9e9c5b4ea00c40326b62c666369a6100dea5a4007"
 
 
 def test_catalog_harness_reports_are_pinned():

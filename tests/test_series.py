@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -96,10 +98,21 @@ _NO_ENVELOPE = "no tail envelope declared"
             TailBounds(None, AsymForm.log_k(-1.0)),
             "upper envelope -1*k^0*log(k) proves no convergence; no lower envelope",
         ),
+        (
+            lambda ks: -np.log(ks.astype(float)),
+            TailBounds(AsymForm.log_k(-2.0), None),
+            "no upper envelope; lower envelope -2*k^0*log(k) proves no divergence",
+        ),
+        (
+            lambda ks: -1.5 * np.log(ks.astype(float)),
+            TailBounds(AsymForm.log_k(-2.0), AsymForm.log_k(-1.0)),
+            "upper envelope -1*k^0*log(k) proves no convergence; "
+            "lower envelope -2*k^0*log(k) proves no divergence",
+        ),
     ],
     ids=[
         "geometric", "inverse-square", "huge-prefix", "flat", "harmonic", "ten-atoms",
-        "harmonic-upper-only",
+        "harmonic-upper-only", "lower-only", "both-sides-undecided",
     ],
 )
 def test_no_closed_form_is_inconclusive_at_once(term, bounds, detail):
@@ -116,6 +129,86 @@ def test_no_closed_form_is_inconclusive_at_once(term, bounds, detail):
     assert cert.route == "no-closed-form"
     assert cert.terms_used == 0 and calls == []
     assert cert.detail == detail
+
+
+_GEOMETRIC = TailBounds.exact(AsymForm.power(1.0, -1.0))
+_INVERSE_SQUARE = TailBounds.exact(AsymForm.log_k(-2.0))
+
+
+def _inverse_square(ks):
+    return -2.0 * np.log(ks.astype(float))
+
+
+@pytest.mark.parametrize(
+    "make,status,detail",
+    [
+        (lambda: certify_log_series(geometric_terms, count=20), SeriesStatus.CONVERGES, ""),
+        (lambda: certify_log_series(None, count=20, budget=None), SeriesStatus.CONVERGES, ""),
+        (
+            lambda: certify_log_series(None, bounds=_GEOMETRIC, budget=None),
+            SeriesStatus.CONVERGES,
+            "upper envelope -1*k^1",
+        ),
+        (
+            lambda: certify_log_series(lambda ks: -ks.astype(float), bounds=_GEOMETRIC),
+            SeriesStatus.CONVERGES,
+            "upper envelope -1*k^1",
+        ),
+        # the budget ends before the tail bound meets rel_tol: the envelope
+        # is still the proof, and log_tail_bound says how loose the value is
+        (
+            lambda: certify_log_series(_inverse_square, bounds=_INVERSE_SQUARE, budget=SeriesBudget(1024)),
+            SeriesStatus.CONVERGES,
+            "upper envelope -2*k^0*log(k)",
+        ),
+        (
+            lambda: certify_log_series(None, bounds=TailBounds.exact(AsymForm.log_k(-1.0), 5), budget=None),
+            SeriesStatus.DIVERGES,
+            "lower envelope -1*k^0*log(k) does not decay (valid k >= 5)",
+        ),
+    ],
+    ids=["exact-finite", "exact-finite-decision", "tail-decided", "tail-resolved", "tail-budget-limited", "divergence"],
+)
+def test_status_and_detail_follow_from_route_and_envelope(make, status, detail):
+    cert = make()
+    assert cert.status is status
+    assert cert.detail == detail
+    assert cert.to_dict()["status"] == status.value and cert.to_dict()["detail"] == detail
+
+
+def test_a_budget_limited_value_keeps_its_looser_tail_bound():
+    cert = certify_log_series(_inverse_square, bounds=_INVERSE_SQUARE, budget=SeriesBudget(1024))
+    assert (cert.route, cert.terms_used, cert.bounds) == ("symbolic-tail", 1024, _INVERSE_SQUARE)
+    # sum_{k > 1024} k^-2 is about 1/1024, far above 1e-10 of the sum
+    assert cert.log_tail_bound > cert.log_value + math.log(1e-10)
+
+
+_STR_METHODS = frozenset(name for name in dir(str) if not name.startswith("_"))
+
+
+def _detail_parses(tree: ast.AST):
+    """Lines that call a string method on, or index into, an attribute
+    named `detail`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in _STR_METHODS:
+            read = node.func.value
+        elif isinstance(node, ast.Subscript):
+            read = node.value
+        else:
+            continue
+        if isinstance(read, ast.Attribute) and read.attr == "detail":
+            yield node.lineno
+
+
+def test_no_module_parses_a_detail_text():
+    # detail is worded from a proof; a reader takes the proof itself (the
+    # route, the envelope, the tail rule), never the words back apart
+    parsed = [
+        f"{path.name}:{line}"
+        for path in sorted(Path(series.__file__).parent.glob("*.py"))
+        for line in _detail_parses(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert parsed == []
 
 
 def test_harmonic_series_diverges_with_exponents():

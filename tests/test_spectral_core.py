@@ -423,7 +423,7 @@ def _coefficient_kind_reprs():
 
 
 # sha256 of the newline-joined _coefficient_kind_reprs()
-_COEFFICIENT_KIND_DIGEST = "9266469723d98a0562c3b98a442d63388463bfe037f155cf03acf438c63cf605"
+_COEFFICIENT_KIND_DIGEST = "b7ed3bc7c8e463908b8347556d198ca57ccf35b9d64140824b7ccb1f7b671d55"
 
 
 def test_every_coefficient_kind_is_pinned():
