@@ -51,9 +51,8 @@ def _term(power: float, log_power: int, parts, factor: float = 1.0) -> AsymTerm:
 
     The sum runs in double-double arithmetic: each product factor * x and
     each partial sum carries its exact rounding error into lo, by Dekker's
-    product (barring overflow and underflow) and Knuth's two-sum, written
-    out in the loop.  Non-finite inputs, and values near the ends of the
-    float range, fall back to float arithmetic.
+    product (barring underflow) and Knuth's two-sum, written out in the
+    loop.  Where that overflows, _exact_term redoes the sum.
     """
     hi = lo = 0.0
     for x in parts:
@@ -75,8 +74,29 @@ def _term(power: float, log_power: int, parts, factor: float = 1.0) -> AsymTerm:
     coeff = hi + lo
     residual = lo - (coeff - hi)
     if not (math.isfinite(coeff) and math.isfinite(residual)):
-        return AsymTerm(power, log_power, factor * sum(parts))
+        return _exact_term(power, log_power, parts, factor)
     return AsymTerm(power, log_power, coeff, residual)
+
+
+def _exact_term(power: float, log_power: int, parts, factor: float) -> AsymTerm:
+    """_term where its double-double sum overflows: Dekker's split of a float
+    above about 1.3e300, or a partial sum past the float range.
+
+    The sum is taken in exact rationals, and coeff and residual are its
+    rounding and the rounding of the rest.  Float arithmetic remains for
+    non-finite inputs and for a coefficient that leaves the float range.
+    """
+    if all(map(math.isfinite, (factor, *parts))):
+        from fractions import Fraction  # rarely needed, and it imports decimal
+
+        exact = Fraction(factor) * sum(map(Fraction, parts))
+        try:
+            coeff = float(exact)
+        except OverflowError:
+            pass
+        else:
+            return AsymTerm(power, log_power, coeff, float(exact - Fraction(coeff)))
+    return AsymTerm(power, log_power, factor * sum(parts))
 
 
 @dataclass(frozen=True)

@@ -142,11 +142,15 @@ def _integer(value, path, minimum=None, maximum=None):
 
 
 _PLAIN_NUMBERS = (int, float)  # exact types: bool is an int subclass
+# an explicit spectrum or vector sizes the work as samples does
+_MAX_PAIRS = 1 << 16
 
 
 def _pair_list(value, path):
     if not isinstance(value, list) or not value:
         _fail(path, "expected a non-empty list of [re, im] pairs")
+    if len(value) > _MAX_PAIRS:
+        _fail(path, f"must hold at most {_MAX_PAIRS} pairs")
     out = []
     for i, item in enumerate(value):
         # plain finite numbers pass without building a path; anything else
@@ -396,14 +400,6 @@ def _region_dict(report, spectrum_label: str) -> dict:
     return out
 
 
-def _flavors(job: JobSpec):
-    from .gevrey_classifier import GevreyFlavor
-
-    if job.flavor == "both":
-        return (GevreyFlavor.ROUMIEU, GevreyFlavor.BEURLING)
-    return (GevreyFlavor.ROUMIEU if job.flavor == "roumieu" else GevreyFlavor.BEURLING,)
-
-
 def _build_spectrum(spec: dict):
     from .spectral_core import ExplicitSpectrum, PowerLawSpectrum
 
@@ -458,7 +454,8 @@ def _classify_spectrum(job: JobSpec, budget: SeriesBudget, report: RunReport) ->
 
 
 def _classify_vector(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
-    from .gevrey_classifier import vector_class, vector_class_beta0
+    # one classification decides both flavors, as in the harness
+    from .gevrey_classifier import _classify_both, vector_class_beta0
 
     spectrum = _build_spectrum(job.spectrum)
     for vs in job.vectors:
@@ -467,9 +464,9 @@ def _classify_vector(job: JobSpec, budget: SeriesBudget, report: RunReport) -> N
             v = vector_class_beta0(vec)
             report.verdicts.append(_verdict_dict(v, vec.label, 0.0))
         else:
-            for flavor in _flavors(job):
-                v = vector_class(vec, job.beta, flavor)
-                report.verdicts.append(_verdict_dict(v, vec.label, job.beta))
+            for v in _classify_both(vec, job.beta):  # Roumieu, then Beurling
+                if job.flavor in ("both", v.flavor.value):
+                    report.verdicts.append(_verdict_dict(v, vec.label, job.beta))
 
 
 def _evolve(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
@@ -525,8 +522,8 @@ def _estimate_order(job: JobSpec, budget: SeriesBudget, report: RunReport) -> No
                 "kind": "order-summary",
                 "vector": vec.label,
                 "beta_hat": est.beta_hat,
-                "alpha_hat": est.alpha_hat,
-                "fit_residual": est.fit_residual,
+                "alpha_hat": json_float(est.alpha_hat),
+                "fit_residual": json_float(est.fit_residual),
                 "n_range": list(est.n_range),
             }
         )
@@ -582,7 +579,7 @@ def _harness(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
         report.verdicts.append(
             {
                 "kind": "counterexample",
-                "spectrum": hr.counterexample.spectrum.label,
+                "spectrum": hr.counterexample.plan.spectrum.label,
                 "beta": job.beta,
                 "case": hr.counterexample.plan.case.value,
                 "admissible": hr.counterexample.admissibility.admissible,
@@ -677,7 +674,7 @@ def _csv_rows(report: RunReport):
                 kind,
                 vector=v["vector"],
                 value=_fmt(v["beta_hat"]),
-                detail=f"alpha_hat={v['alpha_hat']:.6g};residual={v['fit_residual']:.3g}",
+                detail=f"alpha_hat={_fmt_g(v['alpha_hat'], 6)};residual={_fmt_g(v['fit_residual'], 3)}",
                 status="fit",
             )
         elif kind == "counterexample":
@@ -711,6 +708,11 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
+
+
+def _fmt_g(x, digits: int) -> str:
+    """x to `digits` significant digits; json_float's null and strings as _fmt."""
+    return f"{x:.{digits}g}" if isinstance(x, float) else _fmt(x)
 
 
 def _fmt_member(m) -> str:

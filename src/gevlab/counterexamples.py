@@ -296,21 +296,6 @@ class Selection:
     def lam(self, ns: np.ndarray) -> np.ndarray:
         return self.spectrum.eigenvalues(self.indices(ns))
 
-    def identity_certified(self) -> bool:
-        """True when j(n) = n provably for every n, not just the first 512."""
-        self.extend(512)
-        if not np.array_equal(self._js[:512], np.arange(1, 513)):
-            return False
-        for t in self.thresholds:
-            if t.exponent > 1.0:
-                return False
-            if t.exponent == 1.0:
-                if t.strict and t.coeff >= 1.0:
-                    return False
-                if not t.strict and t.coeff > 1.0:
-                    return False
-        return True
-
 
 # ---------------------------------------------------------------------------
 # Plans
@@ -463,16 +448,16 @@ class SupportView(SeriesSpace):
     is None and e^{-decay n Re lam_{j(n)}} otherwise.  lam_bounds is built
     once from the family's envelope_terms and the plan invariants
     (|lam_{j(n)}| >= n, Re >= n when required, j(n) <= env_coeff n^gamma),
-    with no Im envelope.  When decay is set (such vectors live on plans with
-    Re >= n), term_bounds of e^{tA} (ExpSymbol, real t) is the coupled upper
-    envelope -decay n^2 + t n.  On plans with unbounded real parts the
-    refuting vector f is a _ProofView, which also couples the lower envelope
-    of its Gevrey weight.
+    with no Im envelope, and coeff_bounds with it.  When decay is set (such
+    vectors live on plans with Re >= n), term_bounds of e^{tA} (ExpSymbol,
+    real t) is the coupled upper envelope -decay n^2 + t n.  On plans with
+    unbounded real parts the refuting vector f is a _ProofView, which also
+    couples the lower envelope of its Gevrey weight.
     """
 
     plan: ViolatingSpectrumPlan
     decay: Optional[float] = None
-    lam_bounds = None  # built once in __post_init__, in place of the spectrum's
+    lam_bounds = coeff_bounds = None  # built once in __post_init__
 
     def __post_init__(self):
         terms, sel = self.plan.spectrum.envelope_terms, self.plan.selection
@@ -491,6 +476,15 @@ class SupportView(SeriesSpace):
         upper = (sel.gamma * p_hi, top * sel.env_coeff**p_hi, 1.0)
         lam = LamBounds(re, None, (1.0, 1.0, 1.0), upper, (upper[:2],), 1)
         object.__setattr__(self, "lam_bounds", lam)
+        if self.decay is None:
+            coeff = TailBounds.exact(AsymForm.log_k(-2.0))
+        else:
+            coeff = TailBounds(
+                _neg_n_times(lam.re.upper, self.decay),
+                AsymForm.power(2.0, -self.decay),  # -decay * n * Re <= -decay n^2
+                1,
+            )
+        object.__setattr__(self, "coeff_bounds", coeff)
 
     @property
     def spectrum(self) -> SpectrumFamily:
@@ -509,16 +503,6 @@ class SupportView(SeriesSpace):
         if self.decay is None:
             return -2.0 * np.log(nf), np.zeros(ns.shape)
         return -self.decay * nf * self.lam(ns).real, np.zeros(ns.shape)
-
-    @property
-    def coeff_bounds(self) -> TailBounds:
-        if self.decay is None:
-            return TailBounds.exact(AsymForm.log_k(-2.0))
-        return TailBounds(
-            _neg_n_times(self.lam_bounds.re.upper, self.decay),
-            AsymForm.power(2.0, -self.decay),  # -decay * n * Re <= -decay n^2
-            1,
-        )
 
     def term_bounds(self, F=None):
         if self.decay is None or not isinstance(F, ExpSymbol) or F.z.imag != 0.0:
@@ -555,33 +539,6 @@ class _ProofView(SupportView):
         return TailBounds(lower, bounds.upper, max(k_min, bounds.k_min))
 
 
-def _bounded_vectors(plan: ViolatingSpectrumPlan):
-    p = q = _P_NORM
-    if plan.selection.identity_certified():
-        f = CoefficientVector.polynomial_decay(plan.spectrum, 2.0, p=p, label="ce-f(k^-2)")
-        h_star = CoefficientVector.polynomial_decay(plan.spectrum, 2.0, p=q, label="h*(k^-2)")
-        return f, None, h_star
-    view = SupportView(plan)
-    f = CoefficientVector.on_space(view, p, "ce-f(n^-2 on selection)")
-    h_star = CoefficientVector.on_space(view, q, "h*(n^-2 on selection)")
-    return f, None, h_star
-
-
-def _unbounded_vectors(plan: ViolatingSpectrumPlan):
-    spec = plan.spectrum
-    p = q = _P_NORM
-    if plan.selection.identity_certified() and spec.envelope_terms.re == (1.0, 1.0, 1.0):
-        # Re lam_k = k exactly: the proof's coefficients are e^{-k^2}
-        f = CoefficientVector.power_decay(spec, 1.0, 2.0, p=p, label="ce-f(e^-k^2)")
-        h = CoefficientVector.power_decay(spec, 0.5, 2.0, p=p, label="ce-h(e^-k^2/2)")
-        h_star = CoefficientVector.polynomial_decay(spec, 2.0, p=q, label="h*(k^-2)")
-        return f, h, h_star
-    f = CoefficientVector.on_space(_ProofView(plan, 1.0), p, "ce-f(e^{-n Re} on selection)")
-    h = CoefficientVector.on_space(SupportView(plan, 0.5), p, "ce-h(e^{-n Re/2} on selection)")
-    h_star = CoefficientVector.on_space(SupportView(plan), q, "h*(n^-2 on selection)")
-    return f, h, h_star
-
-
 def _neg_n_times(re_upper: AsymForm, scale: float) -> AsymForm:
     """Lower envelope of -scale * n * Re_{j(n)} from the Re upper envelope."""
     bumped = tuple(
@@ -601,7 +558,6 @@ def _neg_n_times(re_upper: AsymForm, scale: float) -> AsymForm:
 @dataclass(frozen=True)
 class CounterexampleArtifacts:
     plan: ViolatingSpectrumPlan
-    spectrum: SpectrumFamily
     f: CoefficientVector
     h: Optional[CoefficientVector]
     h_star: CoefficientVector
@@ -619,10 +575,13 @@ def build_counterexample(plan: ViolatingSpectrumPlan) -> CounterexampleArtifacts
     must be certified divergent at every probed scale.  Any contradiction is
     a hard failure.
     """
+    support, h = SupportView(plan), None
     if plan.case is PlanCase.BOUNDED_REAL_PARTS:
-        f, h, h_star = _bounded_vectors(plan)
+        f = CoefficientVector.on_space(support, _P_NORM, "ce-f(n^-2 on selection)")
     else:
-        f, h, h_star = _unbounded_vectors(plan)
+        f = CoefficientVector.on_space(_ProofView(plan, 1.0), _P_NORM, "ce-f(e^{-n Re} on selection)")
+        h = CoefficientVector.on_space(SupportView(plan, 0.5), _P_NORM, "ce-h(e^{-n Re/2} on selection)")
+    h_star = CoefficientVector.on_space(support, _P_NORM, "h*(n^-2 on selection)")
 
     admissibility = check_admissible(f)
     if not admissibility.admissible:
@@ -647,7 +606,7 @@ def build_counterexample(plan: ViolatingSpectrumPlan) -> CounterexampleArtifacts
             )
 
     log_l_bound = None
-    if plan.case is PlanCase.UNBOUNDED_REAL_PARTS and h is not None:
+    if plan.case is PlanCase.UNBOUNDED_REAL_PARTS:
         # L bounds e^{-(n/2 - t) Re_{j(n)}} on the prefix for each probe t; L
         # itself leaves the float range (e^5000 on the canonical plan), so
         # its log is kept
@@ -660,7 +619,6 @@ def build_counterexample(plan: ViolatingSpectrumPlan) -> CounterexampleArtifacts
 
     return CounterexampleArtifacts(
         plan=plan,
-        spectrum=plan.spectrum,
         f=f,
         h=h,
         h_star=h_star,

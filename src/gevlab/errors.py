@@ -32,10 +32,6 @@ class PlanError(GevlabError, ValueError):
 class CounterexampleError(GevlabError, RuntimeError):
     """Constructed counterexample contradicts the expected verification outcome."""
 
-    def __init__(self, message: str, artifacts=None):
-        super().__init__(message)
-        self.artifacts = artifacts
-
 
 class ConsistencyError(GevlabError, RuntimeError):
     """Two certified decision routes produced contradictory verdicts."""

@@ -218,6 +218,11 @@ def _classify_both(f: CoefficientVector, beta: float) -> tuple[GevreyVerdict, Ge
         roumieu = None
         if bracket is not None:
             roumieu, (s_low, s_high) = True, bracket
+        elif math.nextafter(tie[0], 0.0) == 0.0:
+            detail_r = (
+                f"no float lies below the tie ratio {tie[0]!r}, "
+                "so no probe can certify a scale under it"
+            )
         if s_high < math.inf:
             detail_r = "closed-form tie bracket, certified at both ends"
             detail_b = "closed-form tie bracket: divergence at its top"
@@ -617,10 +622,19 @@ def estimate_order(
     rest = y - beta_hat * n_log_n
     design = np.column_stack([np.ones_like(ns), ns])
     coef, *_ = np.linalg.lstsq(design, rest, rcond=None)
-    resid = float(np.sqrt(np.mean((design @ coef - rest) ** 2)))
+    err = design @ coef - rest
+    with np.errstate(over="ignore"):
+        resid = float(np.sqrt(np.mean(err**2)))
+    if resid == math.inf:  # squares past the float range: scale by the largest error
+        top = float(np.max(np.abs(err)))
+        resid = top * float(np.sqrt(np.mean((err / top) ** 2)))
+    try:
+        alpha_hat = math.exp(coef[1])
+    except OverflowError:
+        alpha_hat = math.inf
     return OrderEstimate(
         beta_hat=beta_hat,
-        alpha_hat=float(math.exp(coef[1])),
+        alpha_hat=alpha_hat,
         log_c_hat=float(coef[0]),
         fit_residual=resid,
         n_range=(n_min, n_max),

@@ -361,6 +361,24 @@ def test_explicit_coefficient_with_a_subnormal_phase(tmp_path, capsys):
     assert [(v["flavor"], v["member"]) for v in report["verdicts"]] == [("roumieu", True), ("beurling", True)]
 
 
+def test_estimate_order_of_norms_near_the_float_range(tmp_path, capsys):
+    # log||A^n f|| is about -1e300 for e^{-1e300 k} on lam_k = k: the fitted
+    # log alpha is past exp's range and the squared fit errors past the float
+    # range, which once raised OverflowError out of run
+    job = {"command": "estimate-order", "spectrum": {"power_law": {"a_re": 1, "p_re": 1, "a_im": 0, "p_im": 0}},
+           "vectors": [{"power_decay": {"c": 1e300, "r": 1}}], "n_max": 16}
+    report = cli.run(cli.parse_jobspec(json.dumps(job)))
+    assert report.status == "ok"
+    summary = report.verdicts[-1]
+    assert summary["alpha_hat"] == "inf" and 0.0 < summary["fit_residual"] < math.inf
+    path = tmp_path / "order.csv"
+    cli.emit_csv(report, str(path))
+    assert path.read_text().splitlines()[-1].endswith(f"alpha_hat=inf;residual={summary['fit_residual']:.3g}")
+    assert cli.main(["estimate-order", "--job", write_job(tmp_path, json.dumps(job)), "--seed-free"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and _strict_json(out)["verdicts"][-1] == summary
+
+
 @pytest.mark.parametrize("command", ["classify-spectrum", "harness"])
 def test_explicit_eigenvalues_past_the_float_range_hold(tmp_path, capsys, command):
     # a finite spectrum is bounded, whatever its largest modulus
@@ -673,19 +691,37 @@ def test_main_rejects_bad_overrides_by_name(tmp_path, monkeypatch, capsys, flags
     assert err["status"] == "error" and err["error"].startswith(f"{named}: "), err
 
 
+def _points_job(n):
+    return {"command": "classify-spectrum", "beta": 1, "spectrum": {"explicit": {"points": [[1, 0]] * n}}}
+
+
+def _values_job(n):
+    return {"command": "classify-vector", "beta": 1, "spectrum": {"explicit": {"points": [[1, 0]]}},
+            "vectors": [{"explicit": {"values": [[1, 0]] * n}}]}
+
+
 @pytest.mark.parametrize(
     "field,cap,job",
     [
         ("samples", 1 << 16, {"command": "region-boundary", "beta": 1, "b_plus": 0.5}),
         ("n_max", 1 << 10, json.loads(ROUNDTRIP_JOBS[3])),
+        # a list field: job(n) is a job with n pairs there
+        ("spectrum.explicit.points", 1 << 16, _points_job),
+        ("vectors[0].explicit.values", 1 << 16, _values_job),
     ],
 )
 def test_fields_that_size_the_work_are_capped(field, cap, job):
-    assert getattr(cli.parse_jobspec(json.dumps({**job, field: cap})), field) == cap
-    for past in (cap + 1, (1 << 53) + 1, 10**400):
+    if callable(job):
+        cli.parse_jobspec(json.dumps(job(cap)))
+        pasts, want = (cap + 1,), f"must hold at most {cap} pairs"
+    else:
+        assert getattr(cli.parse_jobspec(json.dumps({**job, field: cap})), field) == cap
+        pasts, want = (cap + 1, (1 << 53) + 1, 10**400), f"must be <= {cap}"
+        job = lambda n, base=job: {**base, field: n}
+    for past in pasts:
         with pytest.raises(JobSpecError) as err:
-            cli.parse_jobspec(json.dumps({**job, field: past}))
-        assert str(err.value) == f"$.{field}: must be <= {cap}"
+            cli.parse_jobspec(json.dumps(job(past)))
+        assert str(err.value) == f"$.{field}: {want}"
 
 
 def test_k_max_is_at_most_2_to_the_22(tmp_path, monkeypatch, capsys):
@@ -770,7 +806,7 @@ def _traffic_jobs():
 
 
 # sha256 of the 398 seed-free reports of _traffic_jobs(), concatenated in order
-_TRAFFIC_DIGEST = "f4444041af00276e65812a16157a1034d23ff50ae1d82133f10a25639d83e864"
+_TRAFFIC_DIGEST = "1be95ccfcaa33b56653d6e8e283920dd0848b99245da0cb6aadda65b34589c7e"
 
 
 def test_power_law_traffic_has_no_inconclusive_certificate(monkeypatch):

@@ -127,13 +127,13 @@ def test_dual_probe_pairs_exactly_in_log_domain():
 def test_selection_subsequence_for_steep_imaginary_growth():
     spec = gl.builtin_spectra()["mixed-quart"]
     plan = gl.plan_for_spectrum(spec, 2.0)
-    assert not plan.selection.identity_certified()
     ns = np.arange(1, 101, dtype=np.int64)
     js = plan.selection.indices(ns)
     # strict violation needs j > n^2 for n >= 2 (n = 1 sits on the boundary)
     assert np.all(js[1:] > ns[1:].astype(np.int64) ** 2)
     check_plan_invariants(plan, prefix=100)
     art = gl.build_counterexample(plan)
+    assert isinstance(art.f.space, gl.SupportView)
     assert art.admissibility.admissible
     assert art.non_membership.member is False
 
@@ -142,11 +142,11 @@ def test_bounded_case_subsequence_for_slow_modulus_growth():
     # |lam_j| = sqrt(j) forces j(n) = n^2 before the modulus reaches n
     spec = gl.PowerLawSpectrum(0, 0, 1, 0.5, label="i*sqrt(k)")
     plan = gl.plan_for_spectrum(spec, 1.0)
-    assert not plan.selection.identity_certified()
     js = plan.selection.indices(np.arange(1, 7, dtype=np.int64))
     assert js.tolist() == [1, 4, 9, 16, 25, 36]
     check_plan_invariants(plan, prefix=200)
     art = gl.build_counterexample(plan)
+    assert isinstance(art.f.space, gl.SupportView)
     assert art.admissibility.admissible
     assert art.non_membership.member is False
     for cert in art.probe_certificates.values():
@@ -174,6 +174,23 @@ def test_counterexamples_on_all_violated_catalog_entries():
             art = gl.build_counterexample(gl.plan_for_spectrum(spec, beta))
             assert art.admissibility.admissible, (name, beta)
             assert art.non_membership.member is False, (name, beta)
+    # the canonical plans select j(n) = n, and their vectors live on the
+    # plan's views all the same: f and h* with n^-2, and on unbounded plans
+    # f with e^{-n Re} and h with e^{-n Re/2}
+    for beta in (1.0, 2.0):
+        for case in gl.PlanCase:
+            plan = gl.build_violating_spectrum(beta, case)
+            art = gl.build_counterexample(plan)
+            unbounded = case is gl.PlanCase.UNBOUNDED_REAL_PARTS
+            views = {"f": art.f.space, "h*": art.h_star.space}
+            if unbounded:
+                views["h"] = art.h.space
+            assert all(isinstance(v, gl.SupportView) and v.plan is plan for v in views.values())
+            decays = {"f": 1.0, "h": 0.5, "h*": None} if unbounded else {"f": None, "h*": None}
+            assert {k: v.decay for k, v in views.items()} == decays, (beta, case)
+            assert (art.h is None) is not unbounded
+            statuses = [c.status for c in art.probe_certificates.values()]
+            assert statuses == [SeriesStatus.DIVERGES] * 3, (beta, case)
 
 
 # -- order-1 verdicts at t = 0 ------------------------------------------------

@@ -201,6 +201,15 @@ def test_upper_only_tie_below_the_probe_floor_is_roumieu():
     assert 0.0 < r.s_star_low <= 1e-7 <= r.s_star_high
 
 
+def test_a_tie_at_the_smallest_subnormal_says_no_float_lies_below_it():
+    # e^{-5e-324 k} on -k at beta = 1: s* = 5e-324, and nextafter(s*, 0) is
+    # 0, so the tie has no convergent probe under it and Roumieu stays Unknown
+    f = gl.CoefficientVector.power_decay(gl.PowerLawSpectrum(-1, 1, 0, 0), 5e-324, 1.0)
+    r = gl.vector_class(f, 1.0, R)
+    assert r.member is None and r.probes == ((2.0**20, "diverges"),)
+    assert r.detail == "no float lies below the tie ratio 5e-324, so no probe can certify a scale under it"
+
+
 def test_beurling_detail_names_the_refuting_divergence():
     # k^-2 on -k at t = 0 diverges at every scale: 2^-20 refutes Roumieu, so
     # Beurling fails there too and no top probe is made
@@ -733,7 +742,7 @@ def _harness_records():
 
 
 # sha256 of the newline-joined _harness_records()
-_HARNESS_DIGEST = "a024f681ee613270384244b9e9c5b4ea00c40326b62c666369a6100dea5a4007"
+_HARNESS_DIGEST = "233b0f3b6dcbe8ff38466d633e8ec41a5b16d3eb0f67374808f46b6eeee499ca"
 
 
 def test_catalog_harness_reports_are_pinned():
