@@ -538,21 +538,23 @@ def _counterexample(job: JobSpec, budget: SeriesBudget, report: RunReport) -> No
     else:
         plan = build_violating_spectrum(job.beta, case)
     art = build_counterexample(plan)
-    report.verdicts.append(
-        {
-            "kind": "counterexample",
-            "spectrum": plan.spectrum.label,
-            "beta": job.beta,
-            "case": job.case,
-            "admissible": art.admissibility.admissible,
-            "roumieu_member": art.non_membership.member,
-            "probe_certificates": {
-                f"{s:g}": c.to_dict() for s, c in art.probe_certificates.items()
-            },
-            "log_l_bound": json_float(art.log_l_bound),
-            "unknown": False,
-        }
-    )
+    entry = _counterexample_dict(art)
+    entry["probe_certificates"] = {f"{s:g}": c.to_dict() for s, c in art.probe_certificates.items()}
+    entry["log_l_bound"] = json_float(art.log_l_bound)
+    report.verdicts.append(entry)
+
+
+def _counterexample_dict(art) -> dict:
+    """The verdict of a counterexample: its plan and both checks."""
+    return {
+        "kind": "counterexample",
+        "spectrum": art.plan.spectrum.label,
+        "beta": art.plan.beta,
+        "case": art.plan.case.value,
+        "admissible": art.admissibility.admissible,
+        "roumieu_member": art.non_membership.member,
+        "unknown": False,
+    }
 
 
 def _harness(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
@@ -576,17 +578,7 @@ def _harness(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
             }
         )
     if hr.counterexample is not None:
-        report.verdicts.append(
-            {
-                "kind": "counterexample",
-                "spectrum": hr.counterexample.plan.spectrum.label,
-                "beta": job.beta,
-                "case": hr.counterexample.plan.case.value,
-                "admissible": hr.counterexample.admissibility.admissible,
-                "roumieu_member": hr.counterexample.non_membership.member,
-                "unknown": False,
-            }
-        )
+        report.verdicts.append(_counterexample_dict(hr.counterexample))
 
 
 def _region_boundary(job: JobSpec, budget: SeriesBudget, report: RunReport) -> None:
@@ -776,7 +768,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--report", help="JSON report path (default: stdout)")
     parser.add_argument("--seed-free", action="store_true", help="zero timings for byte-stable reports")
     parser.add_argument("--tol", type=float, help="relative tolerance of evolve and estimate-order norms")
-    parser.add_argument("--kmax", type=int, help="most terms summed for a norm (also: GSL_KMAX)")
+    parser.add_argument("--kmax", type=int, help="most terms summed for a norm")
     return parser
 
 
@@ -796,13 +788,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         # the overrides obey the job file's rules for k_max and tol
         k_max, tol = job.k_max, job.tol
-        env_k = os.environ.get("GSL_KMAX")
-        if env_k is not None:
-            try:
-                env_k = int(env_k)
-            except ValueError:
-                _fail("GSL_KMAX", "expected an integer")
-            k_max = _FIELD_PARSERS["k_max"](env_k, "GSL_KMAX")
         if args.kmax is not None:
             k_max = _FIELD_PARSERS["k_max"](args.kmax, "--kmax")
         if args.tol is not None:

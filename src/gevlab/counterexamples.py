@@ -47,7 +47,10 @@ _MAX_INDEX = 2.0**63  # indices are int64
 # compared with, are settled by the exact rule; their own error is a few ulps.
 _NEAR = 2.0**-40
 _FLOAT_EXACT = 2.0**50  # float64 estimates below it are within one of T(n)
-_MAX_DENOM = 64  # larger common exponent denominators use interval arithmetic
+# larger common exponent denominators, or integer exponents E, M, use
+# interval arithmetic: j^E past a few thousand bits is slow or leaves C long
+_MAX_DENOM = 64
+_MAX_INT_POWER = 1024
 _IV_PREC = 80  # bits
 _S_PROBES = (2.0**-10, 1.0, 2.0**10)
 _P_NORM = 2.0  # the proof vectors lie in l^2, their own dual
@@ -119,7 +122,7 @@ class _Threshold:
         den = math.lcm(*(q.denominator for q in (self.e, self.m, *(q for _, q in self.factors))))
         self._iv = None
         self._int = None  # (Q, E, P, M): Q j^E >= P n^M, with K^den = P / Q
-        if den <= _MAX_DENOM:
+        if den <= _MAX_DENOM and max(self.e, self.m) * den <= _MAX_INT_POWER:
             k = math.prod((b ** int(q * den) for b, q in self.factors), start=Fraction(1))
             self._int = (k.denominator, int(self.e * den), k.numerator, int(self.m * den))
 
@@ -139,7 +142,7 @@ class _Threshold:
     def holds(self, js: np.ndarray, ns: np.ndarray) -> np.ndarray:
         """The condition at each (j, n), decided exactly: Q j^E >= P n^M in
         int64 where both sides stay below 2^63 for the whole call, else in
-        Python ints."""
+        Python ints; without that integer form, in interval arithmetic."""
         strict = self.strict & (ns >= 2)
         if self._int is None:
             cases = zip(js.tolist(), ns.tolist(), strict.tolist())
@@ -205,12 +208,14 @@ class _Threshold:
 class Selection:
     """Greedy choice of indices j(1) < j(2) < ... from a family's envelopes.
 
-    For j >= k_min, spectrum.envelope_terms bounds re_lo j^p_re <= Re lam_j
-    <= re_hi j^p_re and Im lam_j alike; b is the smaller of |im_lo|, |im_hi|.
-    j(n) is the least j > j(n-1), with j(0) = k_min - 1, such that
+    For j >= k_min, the signed terms of spectrum.lam_bounds bound
+    re_lo j^p_re <= Re lam_j <= re_hi j^p_re and Im lam_j alike; b is the
+    smaller of |im_lo|, |im_hi|.  j(n) is the least j > j(n-1), with
+    j(0) = k_min - 1, such that
 
-    - |lam_j| >= n, through c j^p >= n at the exponent p of terms.lower, c^2
-      the sum of the squared lower coefficients there: the threshold modulus;
+    - |lam_j| >= n, through c j^p >= n at the exponent p of the lower modulus
+      term, c^2 the sum of the squared lower coefficients there: the
+      threshold modulus;
     - Re lam_j < n^-2 |Im lam_j|^{1/beta}, non-strict at n = 1, where the
       canonical rules sit exactly on the boundary.  For re_hi > 0 this is the
       threshold violation, j^delta > c n^2 with delta = p_im/beta - p_re and
@@ -229,11 +234,11 @@ class Selection:
         self.spectrum = spectrum
         self.beta = beta
         self._js = np.zeros(0, dtype=np.int64)
-        terms = spectrum.envelope_terms
-        (p_re, re_lo, re_hi), (p_im, im_lo, im_hi) = terms.re, terms.im
+        lam = spectrum.lam_bounds
+        (p_re, re_lo, re_hi), (p_im, im_lo, im_hi) = lam.signed
         lo, a, pre, pim = (Fraction(v) for v in (re_lo, re_hi, p_re, p_im))
         b = Fraction(min(abs(im_lo), abs(im_hi)))
-        self.k_min = terms.k_min
+        self.k_min = lam.k_min
         self.violation = self.re_ge_n = None
         if a > 0:
             # positive real parts need |Im| to outrun them: a j^pre < n^-2 |Im_j|^{1/beta}
@@ -250,8 +255,8 @@ class Selection:
             if pre > 0:  # then lo > 0 as well: both Re coefficients share one sign
                 factors = ((lo, Fraction(-1)),)
                 self.re_ge_n = _Threshold("Re lam_{j(n)} >= n", False, pre, Fraction(1), factors)
-        p_lo = terms.lower[0]
-        lows = (min(abs(c_lo), abs(c_hi)) for p, c_lo, c_hi in (terms.re, terms.im) if p == p_lo)
+        p_lo = lam.lower[0]
+        lows = (min(abs(c_lo), abs(c_hi)) for p, c_lo, c_hi in lam.signed if p == p_lo)
         self.modulus = _Threshold(
             "|lam_{j(n)}| >= n", False, Fraction(p_lo), Fraction(1),
             ((sum(Fraction(c) ** 2 for c in lows), Fraction(-1, 2)),),
@@ -406,17 +411,18 @@ def plan_for_spectrum(
 ) -> ViolatingSpectrumPlan:
     """Select a violating subsequence inside a family that declares envelopes.
 
-    Real parts grow when re_lo > 0 and p_re > 0 (envelope_terms.re), and are
-    otherwise at most omega = max(re_hi, 0).  _verify_plan reads the actual
-    eigenvalues, so a loose envelope can cause a rejection, never an unsound plan.
+    Real parts grow when re_lo > 0 and p_re > 0 (the signed Re term of
+    lam_bounds), and are otherwise at most omega = max(re_hi, 0).
+    _verify_plan reads the actual eigenvalues, so a loose envelope can cause
+    a rejection, never an unsound plan.
     """
     if isinstance(spectrum, ExplicitSpectrum):
         raise PlanError("a finite spectrum never violates the region condition")
-    if spectrum.envelope_terms is None:
+    if spectrum.lam_bounds is None:
         raise PlanError("a family without declared envelopes has no violating selection")
     if not (beta >= 1 and math.isfinite(beta)):
         raise PlanError("plans are constructed for beta >= 1")
-    p_re, re_lo, re_hi = spectrum.envelope_terms.re
+    p_re, re_lo, re_hi = spectrum.lam_bounds.signed[0]
     re_unbounded = re_lo > 0 and p_re > 0
     inferred = PlanCase.UNBOUNDED_REAL_PARTS if re_unbounded else PlanCase.BOUNDED_REAL_PARTS
     if case is None:
@@ -446,7 +452,7 @@ class SupportView(SeriesSpace):
 
     Index n stands for lam_{j(n)}; the coefficient there is n^-2 when decay
     is None and e^{-decay n Re lam_{j(n)}} otherwise.  lam_bounds is built
-    once from the family's envelope_terms and the plan invariants
+    once from the family's lam_bounds and the plan invariants
     (|lam_{j(n)}| >= n, Re >= n when required, j(n) <= env_coeff n^gamma),
     with no Im envelope, and coeff_bounds with it.  When decay is set (such
     vectors live on plans with Re >= n), term_bounds of e^{tA} (ExpSymbol,
@@ -460,21 +466,21 @@ class SupportView(SeriesSpace):
     lam_bounds = coeff_bounds = None  # built once in __post_init__
 
     def __post_init__(self):
-        terms, sel = self.plan.spectrum.envelope_terms, self.plan.selection
+        fam, sel = self.plan.spectrum.lam_bounds, self.plan.selection
         if self.plan.case is PlanCase.BOUNDED_REAL_PARTS:
             re = TailBounds(None, AsymForm.constant(self.plan.omega), 1)
         else:
-            p_re, _, re_hi = terms.re
+            p_re, _, re_hi = fam.signed[0]
             re = TailBounds(
                 AsymForm.power(1.0, 1.0),  # Re >= n by selection
                 AsymForm.power(sel.gamma * p_re, re_hi * sel.env_coeff**p_re),
                 1,
             )
         # n <= |lam_{j(n)}| <= |Re| + |Im| <= c n^{gamma p_hi}
-        p_hi = terms.upper[0]
-        top = sum(max(abs(lo), abs(hi)) for _, lo, hi in (terms.re, terms.im))
+        p_hi = fam.upper[0]
+        top = sum(max(abs(lo), abs(hi)) for _, lo, hi in fam.signed)
         upper = (sel.gamma * p_hi, top * sel.env_coeff**p_hi, 1.0)
-        lam = LamBounds(re, None, (1.0, 1.0, 1.0), upper, (upper[:2],), 1)
+        lam = LamBounds(re, None, (1.0, 1.0, 1.0), upper, 1)
         object.__setattr__(self, "lam_bounds", lam)
         if self.decay is None:
             coeff = TailBounds.exact(AsymForm.log_k(-2.0))

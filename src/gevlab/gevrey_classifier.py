@@ -301,17 +301,11 @@ def vector_class_beta0(f: CoefficientVector) -> GevreyVerdict:
             GevreyFlavor.ROUMIEU, True, math.inf, math.inf,
             support_bound=alpha, detail=f"support inside |lam| <= {alpha:g}",
         )
-    unbounded = f.spectrum.unbounded
-    if unbounded is None:
+    # infinitely many indices: a generated family, never an explicit spectrum
+    if f.spectrum.lam_bounds is None:
         return GevreyVerdict(
             GevreyFlavor.ROUMIEU, None, 0.0, math.inf,
             detail="custom family without support bounds",
-        )
-    if not unbounded:
-        alpha = f.spectrum.max_abs()
-        return GevreyVerdict(
-            GevreyFlavor.ROUMIEU, True, math.inf, math.inf,
-            support_bound=alpha, detail="bounded spectrum",
         )
     b = f.space.coeff_bounds
     if b is not None and b.lower is not None:
@@ -346,7 +340,8 @@ class RegionViolated:
     Re lam_{j(n)} < n^-2 |Im lam_{j(n)}|^{1/beta}, each in its worst case over
     the envelopes (on a power law, itself), decided exactly.  The witness
     stops early, possibly empty, where the selected indices would leave int64
-    (a Violated verdict all the same), and the report's detail says so.
+    or an eigenvalue is not finite (a Violated verdict all the same), and the
+    report's detail says so.
     """
 
     witness: tuple[complex, ...]
@@ -386,7 +381,12 @@ def _violated(spectrum: SpectrumFamily, beta: float, detail) -> RegionReport:
         selection.extend(12)
     except PlanError as exc:  # the selection stops before its indices leave int64
         detail += f"; witness cut to {len(selection)} points: {exc}"
-    lams = selection.lam(np.arange(1, len(selection) + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lams = selection.lam(np.arange(1, len(selection) + 1))
+    bad = np.flatnonzero(~np.isfinite(lams))
+    if bad.size:
+        lams = lams[: bad[0]]
+        detail += f"; witness cut to {bad[0]} points: lam_{{j({bad[0] + 1})}} is not finite"
     return RegionReport(beta, RegionViolated(tuple(lams.tolist())), detail)
 
 
@@ -422,10 +422,10 @@ def region_condition(spectrum: SpectrumFamily, beta: float) -> RegionReport:
         status = RegionHolds(1.0, spectrum.max_abs() + 1.0)
         return RegionReport(beta, status, "finite spectrum is bounded")
 
-    terms = spectrum.envelope_terms
-    if terms is None:
+    lam = spectrum.lam_bounds
+    if lam is None:
         return RegionReport(beta, RegionUnknown("custom family without declared envelopes"))
-    (p_re, a, _), (p_im, b_lo, b_hi) = terms.re, terms.im
+    (p_re, a, _), (p_im, b_lo, b_hi) = lam.signed
     b = max(abs(b_lo), abs(b_hi))  # |Im lam_k| <= b k^p_im
 
     # the lower Re and upper |Im| coefficients prove Holds; where it fails,
@@ -492,20 +492,20 @@ def _radius(spectrum: SpectrumFamily, k_star: Optional[int]) -> float:
     past k_min on exact envelopes, so |lam_{k_star}| bounds it there; looser
     envelopes, and every k_star past int64, take the upper modulus envelope.
     """
-    terms = spectrum.envelope_terms
+    lam = spectrum.lam_bounds
     bounds = []
     if k_star is not None:
-        k_star = max(terms.k_min, k_star)
-        if terms.exact and k_star <= _INT64_MAX:
+        k_star = max(lam.k_min, k_star)
+        if lam.exact and k_star <= _INT64_MAX:
             bounds.append(abs(spectrum.eigenvalue(k_star)))
         else:
             with np.errstate(over="ignore"):
-                bounds.append(spectrum.lam_bounds.abs_pow(1.0).upper.at(k_star))
-    if terms.k_min > 1:
-        ks = np.arange(1, terms.k_min, dtype=np.int64)
+                bounds.append(lam.abs_pow(1.0).upper.at(k_star))
+    if lam.k_min > 1:
+        ks = np.arange(1, lam.k_min, dtype=np.int64)
         bounds.append(float(np.max(np.abs(spectrum.eigenvalues(ks)))))
     r = max(bounds, default=0.0)
-    return r + max(1.0, r * (terms.upper[0] + 8.0) * 2.0**-52) if bounds else 0.0
+    return r + max(1.0, r * (lam.upper[0] + 8.0) * 2.0**-52) if bounds else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -91,28 +91,6 @@ def _leading(parts) -> tuple[float, float, float]:
     return p1, a1, max(1.0 + a2 / a1 * _MIXED_K0 ** (-(p1 - p2)), math.nextafter(1.0, 2.0))
 
 
-@dataclass(frozen=True)
-class EnvelopeTerms:
-    """Leading terms of a family's envelopes, valid for k >= k_min.
-
-    re and im are the signed (p, lo, hi) with lo k^p <= Re lam_k <= hi k^p,
-    and the same for Im lam_k.  lower and upper are the modulus terms of
-    the family's LamBounds: the _leading of the smaller and of the larger
-    of |lo|, |hi| of each component.
-    """
-
-    re: tuple[float, float, float]
-    im: tuple[float, float, float]
-    k_min: int
-    lower: tuple[float, float, float]
-    upper: tuple[float, float, float]
-
-    @property
-    def exact(self) -> bool:
-        """Both components equal their leading term, so |lam_k| is nondecreasing."""
-        return self.re[1] == self.re[2] and self.im[1] == self.im[2]
-
-
 def _power_form(p: float, c: float, q: float) -> Optional[AsymForm]:
     """c^q k^p for c > 0, or None where c^q leaves the normal float range:
     an overflow, or an underflow to 0 or to a subnormal, which a probe's
@@ -130,27 +108,33 @@ class LamBounds:
 
     re, im: the TailBounds of Re lam_n and Im lam_n (None: unknown).  lower,
     upper: modulus terms (p, c, slack) with c n^p <= |lam_n| <= c slack n^p,
-    from n = 1,024 where the upper slack is not 1.  parts: the (p_i, c_i)
-    with |lam_n| <= sum_i c_i n^{p_i}.
+    from n = 1,024 where the upper slack is not 1.  signed: on a family, the
+    pair of signed (p, lo, hi) with lo n^p <= Re lam_n <= hi n^p and alike
+    for Im lam_n; None on a plan's view, whose upper slack is 1.
     """
 
     re: Optional[TailBounds]
     im: Optional[TailBounds]
     lower: tuple[float, float, float]
     upper: tuple[float, float, float]
-    parts: tuple[tuple[float, float], ...]
     k_min: int
+    signed: Optional[tuple[tuple[float, float, float], tuple[float, float, float]]] = None
+
+    @property
+    def exact(self) -> bool:
+        """Both components equal their leading term, so |lam_n| is nondecreasing."""
+        return all(lo == hi for _, lo, hi in self.signed)
 
     def abs_pow(self, q: float) -> TailBounds:
         """Envelopes of |lam_n|^q.
 
         The lower envelope is c n^{pq} from the lower modulus term.  With a
-        slack and 0 < q <= 1, the upper envelope is sum_i c_i^q n^{p_i q}
-        over the parts, valid from k_min (subadditivity of x^q), so both
-        envelopes share their leading term.  Otherwise it is the upper
-        modulus term times its slack.  The envelope is exact when both
-        terms agree, as on every power law.  A side whose c^q leaves the
-        float range is None.
+        slack and 0 < q <= 1, the upper envelope is sum_i c_i^q n^{p_i q},
+        c_i the larger of |lo|, |hi| of each signed component, valid from
+        k_min (subadditivity of x^q), so both envelopes share their leading
+        term.  Otherwise it is the upper modulus term times its slack.  The
+        envelope is exact when both terms agree, as on every power law.  A
+        side whose c^q leaves the float range is None.
         """
         if q <= 0:
             raise ValueError("abs_pow expects q > 0")
@@ -159,8 +143,8 @@ class LamBounds:
         if slack == 1.0 and (p_hi, hi) == (p, lo):
             return TailBounds.exact(lower, self.k_min)
         if slack != 1.0 and q <= 1.0:
-            upper = AsymForm.build(tuple(AsymTerm(pc * q, 0, c**q) for pc, c in self.parts))
-            return TailBounds(lower, upper, self.k_min)
+            parts = tuple(AsymTerm(pc * q, 0, max(abs(a), abs(b)) ** q) for pc, a, b in self.signed)
+            return TailBounds(lower, AsymForm.build(parts), self.k_min)
         k_min = self.k_min if slack == 1.0 else max(self.k_min, _MIXED_K0)
         return TailBounds(lower, _power_form(p_hi * q, hi * slack, q), k_min)
 
@@ -177,13 +161,12 @@ class SpectrumFamily:
     """Base class; subclasses provide eigenvalues and tail information.
 
     A family that declares the envelopes of Re lam_k and Im lam_k passes
-    them to _read_envelopes once, at construction, which sets envelope_terms
-    and lam_bounds from them; both are None on every other family.
+    them to _read_envelopes once, at construction, which sets lam_bounds
+    from them; it is None on every other family.
     """
 
     size: Optional[int] = None
     label: str = ""
-    envelope_terms: Optional[EnvelopeTerms] = None
     lam_bounds: Optional[LamBounds] = None
 
     def eigenvalues(self, ks: np.ndarray) -> np.ndarray:
@@ -193,23 +176,14 @@ class SpectrumFamily:
         return complex(self.eigenvalues(np.asarray([k], dtype=np.int64))[0])
 
     def _read_envelopes(self, re_b: TailBounds, im_b: TailBounds) -> None:
-        re, im = _component(re_b, "Re"), _component(im_b, "Im")
-        if not (re[0] > 0.0 or im[0] > 0.0):
+        signed = _component(re_b, "Re"), _component(im_b, "Im")
+        if not any(p > 0.0 for p, _, _ in signed):
             raise SpectrumError("the envelopes declare no growing part (some exponent p > 0)")
-        lows, parts = (
-            tuple((p, pick(abs(lo), abs(hi))) for p, lo, hi in (re, im)) for pick in (min, max)
+        lower, upper = (
+            _leading([(p, pick(abs(lo), abs(hi))) for p, lo, hi in signed]) for pick in (min, max)
         )
-        lower, upper = _leading(lows), _leading(parts)
         k_min = max(re_b.k_min, im_b.k_min)
-        object.__setattr__(self, "envelope_terms", EnvelopeTerms(re, im, k_min, lower, upper))
-        object.__setattr__(self, "lam_bounds", LamBounds(re_b, im_b, lower, upper, parts, k_min))
-
-    @property
-    def unbounded(self) -> Optional[bool]:
-        return True if self.envelope_terms is not None else None
-
-    def max_abs(self) -> Optional[float]:
-        return None
+        object.__setattr__(self, "lam_bounds", LamBounds(re_b, im_b, lower, upper, k_min, signed))
 
 
 @dataclass(frozen=True)
@@ -238,10 +212,6 @@ class ExplicitSpectrum(SpectrumFamily):
         if ks.size and (ks.min() < 1 or ks.max() > len(self.points)):
             raise SpectrumError("index outside the explicit spectrum")
         return self._array[ks - 1]
-
-    @property
-    def unbounded(self) -> bool:
-        return False
 
     def max_abs(self) -> float:
         try:

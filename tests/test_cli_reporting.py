@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 import warnings
 from collections import Counter
 from dataclasses import fields
@@ -379,6 +380,32 @@ def test_estimate_order_of_norms_near_the_float_range(tmp_path, capsys):
     assert out.count("\n") == 1 and _strict_json(out)["verdicts"][-1] == summary
 
 
+@pytest.mark.parametrize(
+    "power_law,beta",
+    [
+        ({"a_re": 1, "p_re": 1, "a_im": 2**53 + 1, "p_im": 1e300}, 1),
+        ({"a_re": 1, "p_re": 0.5, "a_im": 1, "p_im": 1e300}, 1.5),
+        ({"a_re": 0, "p_re": 1, "a_im": 1, "p_im": 2**53 + 1}, 1),
+    ],
+    ids=["p_im-1e300", "p_re-half-p_im-1e300", "p_im-2^53+1"],
+)
+def test_region_witness_with_huge_threshold_exponents(tmp_path, capsys, power_law, beta):
+    # the selection's thresholds have exponents such as 1e300 - 1: the integer
+    # rule Q j^E >= P n^M once raised OverflowError (E past C long) or spent
+    # seconds on j^E, and lam_{j(2)} is past the float range, so the witness
+    # stops before it
+    path = write_job(tmp_path, json.dumps({"command": "classify-spectrum", "spectrum": {"power_law": power_law},
+                                           "beta": beta}))
+    start = time.perf_counter()
+    assert cli.main(["classify-spectrum", "--job", path, "--seed-free"]) == 0
+    assert time.perf_counter() - start < 5.0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    (region,) = _strict_json(out)["verdicts"]
+    assert region["status"] == "violated" and len(region["witness"]) == 1
+    assert region["detail"].endswith("; witness cut to 1 points: lam_{j(2)} is not finite")
+
+
 @pytest.mark.parametrize("command", ["classify-spectrum", "harness"])
 def test_explicit_eigenvalues_past_the_float_range_hold(tmp_path, capsys, command):
     # a finite spectrum is bounded, whatever its largest modulus
@@ -625,18 +652,10 @@ def test_main_unknown_verdict_exits_two(tmp_path, monkeypatch, capsys):
     assert rc == 2
 
 
-def test_main_env_kmax_flows_into_flags(tmp_path, monkeypatch, capsys):
-    path = write_job(tmp_path, MINIMAL)
-    monkeypatch.setenv("GSL_KMAX", "65536")
-    rc = cli.main(["classify-spectrum", "--job", path, "--seed-free"])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["flags"]["kmax"] == 65536
-
-
 def test_main_flag_beats_env(tmp_path, monkeypatch, capsys):
-    path = write_job(tmp_path, MINIMAL)
-    monkeypatch.setenv("GSL_KMAX", "65536")
+    # --kmax overrides the job's k_max, and GSL_KMAX in the environment is not read
+    path = write_job(tmp_path, json.dumps({**json.loads(MINIMAL), "k_max": 65536}))
+    monkeypatch.setenv("GSL_KMAX", "0")
     rc = cli.main(["classify-spectrum", "--job", path, "--kmax", "131072", "--seed-free"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
@@ -652,37 +671,25 @@ _EVOLVE_K2 = json.dumps({
 
 
 @pytest.mark.parametrize(
-    "flags,env,named",
+    "flags,named",
     [
-        (["--kmax", "0"], None, "--kmax"),  # would sum no term: a false zero norm
-        (["--kmax", "-5"], None, "--kmax"),
-        ([], "0", "GSL_KMAX"),
-        ([], "many", "GSL_KMAX"),
-        (["--tol", "0"], None, "--tol"),
-        (["--tol", "nan"], None, "--tol"),
+        (["--kmax", "0"], "--kmax"),  # would sum no term: a false zero norm
+        (["--kmax", "-5"], "--kmax"),
+        (["--tol", "0"], "--tol"),
+        (["--tol", "nan"], "--tol"),
         # a block of about k_max/2 indices: past 2^22 an error, not a MemoryError
-        (["--kmax", str((1 << 22) + 1)], None, "--kmax"),
-        ([], str((1 << 22) + 1), "GSL_KMAX"),
-        ([], "1099511627776", "GSL_KMAX"),
+        (["--kmax", str((1 << 22) + 1)], "--kmax"),
     ],
     ids=[
         "kmax-zero",
         "kmax-negative",
-        "env-zero",
-        "env-not-an-integer",
         "tol-zero",
         "tol-nan",
         "kmax-past-2^22",
-        "env-past-2^22",
-        "env-2^40",
     ],
 )
-def test_main_rejects_bad_overrides_by_name(tmp_path, monkeypatch, capsys, flags, env, named):
+def test_main_rejects_bad_overrides_by_name(tmp_path, capsys, flags, named):
     path = write_job(tmp_path, _EVOLVE_K2)
-    if env is None:
-        monkeypatch.delenv("GSL_KMAX", raising=False)
-    else:
-        monkeypatch.setenv("GSL_KMAX", env)
     rc = cli.main(["evolve", "--job", path, *flags])
     assert rc == 1
     out = capsys.readouterr()
@@ -724,13 +731,12 @@ def test_fields_that_size_the_work_are_capped(field, cap, job):
         assert str(err.value) == f"$.{field}: {want}"
 
 
-def test_k_max_is_at_most_2_to_the_22(tmp_path, monkeypatch, capsys):
+def test_k_max_is_at_most_2_to_the_22(tmp_path, capsys):
     job = json.loads(_EVOLVE_K2)
     assert cli.parse_jobspec(json.dumps({**job, "k_max": 1 << 22})).k_max == 1 << 22
     with pytest.raises(JobSpecError, match=r"^\$\.k_max: must be <= 4194304$"):
         cli.parse_jobspec(json.dumps({**job, "k_max": (1 << 22) + 1}))
     path = write_job(tmp_path, MINIMAL)
-    monkeypatch.setenv("GSL_KMAX", str(1 << 22))
     assert cli.main(["classify-spectrum", "--job", path, "--kmax", str(1 << 22), "--seed-free"]) == 0
     assert json.loads(capsys.readouterr().out)["flags"]["kmax"] == 1 << 22
 

@@ -81,7 +81,7 @@ _POWER_LAW_FIELDS = {"a_re", "p_re", "a_im", "p_im"}
 
 @pytest.mark.parametrize("name", ["counterexamples.py", "gevrey_classifier.py"])
 def test_plans_and_region_read_envelopes_not_power_law_fields(name):
-    """Selections, plans and the region test read a family's envelope_terms
+    """Selections, plans and the region test read a family's lam_bounds
     only, so no attribute of a PowerLawSpectrum is read there, and the
     classifier does not name the class at all."""
     tree = ast.parse((_SRC / name).read_text(), filename=name)
@@ -94,19 +94,25 @@ def test_plans_and_region_read_envelopes_not_power_law_fields(name):
 
 
 _ENVELOPE_METHODS = {"re_bounds", "im_bounds", "abs_pow_bounds", "log_abs_bounds"}
+_ENVELOPE_DUPLICATES = {"EnvelopeTerms"}  # classes that copied LamBounds' terms
+_ENVELOPE_READS = {"envelope_terms", "unbounded"}  # attributes beside lam_bounds
 
 
 def test_eigenvalue_envelopes_are_one_object():
     """Families and index spaces hand on one LamBounds (lam_bounds), whose
     abs_pow and log_abs are the only derivation of the |lam|^q and log|lam|
-    envelopes; no module defines the old per-class envelope methods."""
-    defined = [
-        f"{path.name}:{node.name}"
-        for path in sorted(_SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in _ENVELOPE_METHODS
-    ]
-    assert not defined, f"eigenvalue envelope methods defined outside LamBounds: {defined}"
+    envelopes; no module defines the old per-class envelope methods or a
+    second envelope class, nor reads a second envelope attribute."""
+    found = []
+    for path in sorted(_SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in _ENVELOPE_METHODS:
+                found.append(f"{path.name}: defines {node.name}()")
+            elif isinstance(node, ast.ClassDef) and node.name in _ENVELOPE_DUPLICATES:
+                found.append(f"{path.name}: defines class {node.name}")
+            elif isinstance(node, ast.Attribute) and node.attr in _ENVELOPE_READS:
+                found.append(f"{path.name}: reads .{node.attr}")
+    assert not found, f"eigenvalue envelopes outside LamBounds: {found}"
 
 
 # Public names that no package module reads, each with the reason it stays.

@@ -472,7 +472,7 @@ def test_overlapping_disks_off_a_monotone_selection_are_refused():
     beta=st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0]),
 )
 def test_power_law_envelopes_declared_on_a_custom_family_plan_alike(a_re, p_re, a_im, p_im, beta):
-    # the plan reads only envelope_terms, so the power law's own exact
+    # the plan reads only lam_bounds, so the power law's own exact
     # envelopes, declared on a custom family with the same rule, give the same
     # selection, case and omega, or the same PlanError
     try:

@@ -222,7 +222,6 @@ def test_parametric_vector_norm_closed_form():
 def test_custom_spectrum_without_exponents_refuses_analysis():
     spec = gl.CustomSpectrum(lambda k: complex(k, k))
     assert spec.lam_bounds is None
-    assert spec.unbounded is None
 
 
 def _interval_family():
@@ -237,7 +236,9 @@ def _interval_family():
 
 def test_custom_spectrum_with_exponents_estimates_envelopes():
     spec = _interval_family()
-    assert spec.lam_bounds.re is spec.envelopes[0] and spec.unbounded is True
+    assert spec.lam_bounds.re is spec.envelopes[0]
+    assert spec.lam_bounds.signed == ((1.0, 1.0, 3.0), (2.0, -4.0, -2.0))
+    assert not spec.lam_bounds.exact
     # |lam_k| >= 2 k^2, and |lam_k| <= 3 k + 4 k^2 by the triangle inequality
     env = spec.lam_bounds.abs_pow(1.0)
     assert env.lower == gl.AsymForm.power(2.0, 2.0)
@@ -367,8 +368,8 @@ def _envelope_reprs():
         for q in (1.0, 1 / 1.5, 0.5, 1 / 3, 2.0, 3.0):
             yield repr(spec.lam_bounds.abs_pow(q))
         yield repr(spec.lam_bounds.log_abs())
-        yield repr(spec.unbounded)
-        yield repr(spec.envelope_terms.upper)
+        yield repr(spec.lam_bounds is not None)
+        yield repr(spec.lam_bounds.upper)
 
 
 # sha256 of _envelope_reprs(), one repr per line

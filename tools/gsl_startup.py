@@ -83,7 +83,6 @@ def main() -> int:
         ap.error("run from the root of a gevlab checkout")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env.pop("GSL_KMAX", None)
     py = sys.executable
 
     numpy_s, cli_s = [], []
