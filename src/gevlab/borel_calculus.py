@@ -105,7 +105,8 @@ class ExpSymbol(SymbolFunction):
         return f"exp({self.z.real:g}{self.z.imag:+g}i*A)" if self.z.imag else f"exp({self.z.real:g}*A)"
 
     def log_abs(self, lams):
-        return self.z.real * lams.real - self.z.imag * lams.imag
+        with np.errstate(over="ignore"):  # |e^{z lam}| past the float range: log +-inf
+            return self.z.real * lams.real - self.z.imag * lams.imag
 
     def phase(self, lams):
         return self.z.real * lams.imag + self.z.imag * lams.real

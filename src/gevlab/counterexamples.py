@@ -87,6 +87,17 @@ def _log(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
+def _iroot(x: int, k: int) -> int:
+    """floor(x^(1/k)) for x >= 1, k >= 1, in Python ints: Newton's step from
+    2^ceil(bits/k) >= the root decreases to it and stops there."""
+    if k == 2:
+        return math.isqrt(x)
+    r = 1 << -(-x.bit_length() // k)
+    while (s := ((k - 1) * r + x // r ** (k - 1)) // k) < r:
+        r = s
+    return r
+
+
 @dataclass
 class _Threshold:
     """One condition on the index j at order n: j^e >= K n^m, K = prod b^q.
@@ -122,22 +133,33 @@ class _Threshold:
         den = math.lcm(*(q.denominator for q in (self.e, self.m, *(q for _, q in self.factors))))
         self._iv = None
         self._int = None  # (Q, E, P, M): Q j^E >= P n^M, with K^den = P / Q
+        self._ratio = None  # (a, b, d): T*(n) = (P n^M / Q)^{1/E} = a n^d / b
         if den <= _MAX_DENOM and max(self.e, self.m) * den <= _MAX_INT_POWER:
             k = math.prod((b ** int(q * den) for b, q in self.factors), start=Fraction(1))
-            self._int = (k.denominator, int(self.e * den), k.numerator, int(self.m * den))
+            q, e, p, m = self._int = (k.denominator, int(self.e * den), k.numerator, int(self.m * den))
+            if m % e == 0:  # P / Q in lowest terms has a rational E-th root only as a^E / b^E
+                a, b = _iroot(p, e), _iroot(q, e)
+                if a**e == p and b**e == q:
+                    self._ratio = (a, b, m // e)
 
     def estimate(self, ns: np.ndarray) -> np.ndarray:
         """K^{1/e} n^(m/e): in float64 while that lands within one of T(n),
         past 2^50 in numpy's extended precision (float64 on platforms without
-        one), whose array arithmetic is several times slower.  An estimate
-        past the range of its type is inf, which leaves int64 in extend."""
+        one), whose array arithmetic is several times slower; the factor
+        n^(m/e - exponent) only where float(m/e) is inexact.  An estimate
+        past the range of its type is inf, which leaves int64 in extend.
+        least reads it only where T(n) has no closed form: the threshold's
+        root is irrational, or a n^d leaves int64."""
         try:
             wide = ns.size and self.coeff * float(ns.max()) ** self.exponent >= _FLOAT_EXACT
         except OverflowError:  # n^exponent past the float range
             wide = True
         nf = ns.astype(np.longdouble if wide else float)
         with np.errstate(over="ignore"):
-            return nf.dtype.type(self._coeff_ext) * nf**self.exponent * np.exp(self._exponent_err * np.log(nf))
+            x = nf.dtype.type(self._coeff_ext) * nf**self.exponent
+            if self._exponent_err:
+                x *= np.exp(self._exponent_err * np.log(nf))
+        return x
 
     def holds(self, js: np.ndarray, ns: np.ndarray) -> np.ndarray:
         """The condition at each (j, n), decided exactly: Q j^E >= P n^M in
@@ -174,16 +196,26 @@ class _Threshold:
             return True
         return False if gap.b < 0 else not strict
 
-    def least(self, ns: np.ndarray) -> np.ndarray:
-        """T(n), the least j meeting the condition, at each order n.
+    def least(self, ns: np.ndarray, x: Optional[np.ndarray] = None) -> np.ndarray:
+        """T(n), the least j meeting the condition, at each order n; x is
+        the estimate at ns when the caller already has it.
 
-        ceil(x) of the estimate x where x is clear of an integer.  Elsewhere
-        T(n) lies in x (1 +- _NEAR) +- 1: c = rint(x) is tested exactly, then
-        c - 1 where c meets the condition and c + 1 where it fails, and the
-        window is bisected only where those two leave T(n) open.  An index
-        j <= 0 never meets the condition (K > 0).
+        Where K^{1/e} n^(m/e) = a n^d / b is rational (P = a^E, Q = b^E and E
+        divides M), T(n) is ceil(a n^d / b), or floor(a n^d / b) + 1 where
+        the condition is strict, in int64 while a n^d + 1 and b fit.  Otherwise
+        it is ceil(x) of the estimate x where x is clear of an integer.
+        Elsewhere T(n) lies in x (1 +- _NEAR) +- 1: c = rint(x) is tested
+        exactly, then c - 1 where c meets the condition and c + 1 where it
+        fails, and the window is bisected only where those two leave T(n)
+        open.  An index j <= 0 never meets the condition (K > 0).
         """
-        x = self.estimate(ns)
+        if self._ratio is not None:
+            a, b, d = self._ratio
+            if a * int(ns.max(initial=1)) ** d + 1 < _MAX_INDEX and b < _MAX_INDEX:
+                num = a * ns**d
+                return np.where(self.strict & (ns >= 2), num // b + 1, -(-num // b))
+        if x is None:
+            x = self.estimate(ns)
         out = np.ceil(x).astype(np.int64)
         r = np.rint(x)
         near = np.flatnonzero(_near(x, r))
@@ -279,14 +311,15 @@ class Selection:
         if n_target < n0:
             return
         ns = np.arange(n0, n_target + 1, dtype=np.int64)
-        fits = np.all(
-            [t.estimate(ns) * (1.0 + _NEAR) + 2.0 < _MAX_INDEX for t in self.thresholds], axis=0
-        )
+        xs = [t.estimate(ns) for t in self.thresholds]
+        fits = np.all([x * (1.0 + _NEAR) + 2.0 < _MAX_INDEX for x in xs], axis=0)
         out = np.flatnonzero(~fits)
         n_fit = out[0] if out.size else ns.size
         if n_fit:
             prev = int(self._js[-1]) if self._js.size else self.k_min - 1
-            floor = np.max([t.least(ns[:n_fit]) for t in self.thresholds], axis=0)
+            floor = np.max(
+                [t.least(ns[:n_fit], x[:n_fit]) for t, x in zip(self.thresholds, xs)], axis=0
+            )
             js = ns[:n_fit] + np.maximum.accumulate(np.maximum(floor - ns[:n_fit], prev + 1 - n0))
             self._js = np.concatenate([self._js, js])
         if out.size:

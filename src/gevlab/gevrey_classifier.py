@@ -496,10 +496,10 @@ def _radius(spectrum: SpectrumFamily, k_star: Optional[int]) -> float:
     bounds = []
     if k_star is not None:
         k_star = max(lam.k_min, k_star)
-        if lam.exact and k_star <= _INT64_MAX:
-            bounds.append(abs(spectrum.eigenvalue(k_star)))
-        else:
-            with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # past the float range: inf, an Unknown
+            if lam.exact and k_star <= _INT64_MAX:
+                bounds.append(abs(spectrum.eigenvalue(k_star)))
+            else:
                 bounds.append(lam.abs_pow(1.0).upper.at(k_star))
     if lam.k_min > 1:
         ks = np.arange(1, lam.k_min, dtype=np.int64)

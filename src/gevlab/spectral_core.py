@@ -571,7 +571,8 @@ class CoefficientVector:
 
         def term(ks):
             mags, _ = space.coeff_log(ks)
-            return p * mags
+            with np.errstate(over="ignore"):  # log|f_k|^p past the float range: +-inf
+                return p * mags
 
         bounds = space.coeff_bounds
         cert = certify_log_series(

@@ -245,6 +245,43 @@ def test_classify_spectrum_with_zero_eigenvalue_warns_nothing():
     assert verdict["status"] == "holds"
 
 
+@pytest.mark.parametrize(
+    "job, status, pinned",
+    [
+        # |lam_{k_star}| = k_star^1e16 of the exception radius overflows
+        (
+            {"command": "classify-spectrum", "beta": 1,
+             "spectrum": {"power_law": {"a_re": 1, "p_re": 1e16, "a_im": 1, "p_im": 2}}},
+            "unknown",
+            [("region", "unknown", "exception radius overflows the float range")],
+        ),
+        # t Re lam_k = -1.7e308 k, and twice log|y_k(t)|, leave the float range
+        (
+            {"command": "evolve", "spectrum": {"power_law": {"a_re": -1, "p_re": 1, "a_im": 0, "p_im": 0}},
+             "vectors": [{"power_decay": {"c": 1, "r": 1}}], "t_grid": [0, 1.7e308]},
+            "ok",
+            [("admissibility", True, None), ("evolve", 0.0, "converges"),
+             ("evolve", 1.7e308, "converges")],
+        ),
+    ],
+    ids=["classify-spectrum", "evolve"],
+)
+def test_overflow_past_the_float_range_warns_nothing(job, status, pinned):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = cli.run(cli.parse_jobspec(json.dumps(job)))
+    assert report.status == status and report.error is None
+    got = []
+    for v in report.verdicts:
+        if v["kind"] == "region":
+            got.append((v["kind"], v["status"], v["reason"]))
+        elif v["kind"] == "admissibility":
+            got.append((v["kind"], v["admissible"], None))
+        else:
+            got.append((v["kind"], v["t"], v["certificate"]["status"]))
+    assert got == pinned
+
+
 def test_run_counterexample_bounded():
     job = cli.parse_jobspec('{"command":"counterexample","beta":1,"case":"bounded"}')
     report = cli.run(job)

@@ -273,6 +273,60 @@ def test_exact_threshold_rule_matches_python_ints(pairs):
         assert got == _exact_holds(t, js.tolist(), ns.tolist()), (name, beta, t.name)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    a=st.integers(1, 9),
+    b=st.integers(1, 9),
+    e=st.integers(1, 4),
+    d=st.integers(1, 3),
+    strict=st.booleans(),
+    data=st.data(),
+)
+def test_rational_threshold_least_is_exact(a, b, e, d, strict, data):
+    # j^e >= (a/b)^e n^(e d) is b j >= a n^d: T(n) = ceil(a n^d / b), or
+    # floor(a n^d / b) + 1 where strict.  Orders run past a n^d = 2^63, where
+    # least leaves the closed form for the window search, up to T(n) ~ 2^62
+    t = _Threshold("rational", strict, Fraction(e), Fraction(e * d), ((Fraction(a**e, b**e), Fraction(1)),))
+    g = math.gcd(a, b)
+    assert t._ratio == (a // g, b // g, d)
+    top = int((2.0**62 * b / a) ** (1.0 / d))
+    ns = data.draw(st.lists(st.one_of(st.integers(1, 100), st.integers(1, top)), min_size=1, max_size=8))
+    got = t.least(np.asarray(ns, dtype=np.int64))
+    want = [
+        math.floor(Fraction(a * n**d, b)) + 1 if strict and n >= 2 else math.ceil(Fraction(a * n**d, b))
+        for n in ns
+    ]
+    assert got.tolist() == want
+    ns = np.asarray(ns, dtype=np.int64)
+    assert t.holds(got, ns).all() and not t.holds(got - 1, ns).any()
+    assert all(_exact_holds(t, want, ns.tolist()))
+    assert not any(_exact_holds(t, [j - 1 for j in want], ns.tolist()))
+
+
+def test_rational_catalog_thresholds_decide_without_the_exact_rule(monkeypatch):
+    # T(n) = a n^d / b sits on an integer at every order, so the window search
+    # would test every one of them exactly; the closed form tests none
+    rational = [(name, beta, t) for name, beta, t in _VIOLATING_THRESHOLDS if t._ratio is not None]
+    assert [(name, beta, t.name) for name, beta, t in rational] == [
+        *(("neg-real", beta, "|lam_{j(n)}| >= n") for beta in (1.0, 1.5, 2.0)),
+        *(("mixed-quart", beta, "Re lam_{j(n)} >= n") for beta in (1.0, 1.5)),
+        ("mixed-quart", 2.0, "violation inequality"),
+        ("mixed-quart", 2.0, "Re lam_{j(n)} >= n"),
+    ]
+    evaluations = Counter()
+    holds = _Threshold.holds
+
+    def counted(self, js, ns):
+        evaluations[self.name] += np.asarray(js).size
+        return holds(self, js, ns)
+
+    monkeypatch.setattr(_Threshold, "holds", counted)
+    ns = np.arange(1, 10_001, dtype=np.int64)
+    for _, _, t in rational:
+        assert t.least(ns).tolist() == t.least(ns, t.estimate(ns)).tolist()
+    assert not evaluations
+
+
 @pytest.mark.parametrize(
     "q, p, j, n, strict, want",
     [
