@@ -197,11 +197,12 @@ class AsymForm:
         out = np.full_like(ks, self.const)
         if self.terms:
             lk = np.log(ks)
-            for t in self.terms:
-                piece = t.coeff * ks**t.power
-                if t.log_power:
-                    piece = piece * lk**t.log_power
-                out = out + piece
+            with np.errstate(over="ignore"):  # c k^r past the float range: +-inf
+                for t in self.terms:
+                    piece = t.coeff * ks**t.power
+                    if t.log_power:
+                        piece = piece * lk**t.log_power
+                    out = out + piece
         return out
 
     def at(self, k: float) -> float:

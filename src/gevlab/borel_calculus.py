@@ -109,7 +109,8 @@ class ExpSymbol(SymbolFunction):
             return self.z.real * lams.real - self.z.imag * lams.imag
 
     def phase(self, lams):
-        return self.z.real * lams.imag + self.z.imag * lams.real
+        with np.errstate(over="ignore"):  # past the float range: +-inf, which wraps to NaN
+            return self.z.real * lams.imag + self.z.imag * lams.real
 
     def growth_bounds_on(self, lam):
         out = None

@@ -2,8 +2,9 @@
 
 When the spectral region test fails, an admissible initial vector exists
 whose solution is not of Roumieu type at the given order.  The construction
-selects a violating subsequence lam_{j(1)}, lam_{j(2)}, ... with
-|lam_{j(n)}| >= n and Re lam_{j(n)} below n^-2 |Im lam_{j(n)}|^{1/beta},
+selects a violating subsequence lam_{j(1)}, lam_{j(2)}, ... whose indices
+meet |lam_{j(n)}| >= n and Re lam_{j(n)} below n^-2 |Im lam_{j(n)}|^{1/beta}
+(any increasing indices that meet them serve, not only the least ones),
 surrounds each point by a disk of radius eps_n < 1/n with pairwise-disjoint
 disks, and places the coefficients of the proof on the selected basis
 directions.  Two regimes are handled: real parts bounded above (coefficients
@@ -43,15 +44,9 @@ from .spectral_core import (
 
 _VERIFY_PREFIX = 10_000
 _MAX_INDEX = 2.0**63  # indices are int64
-# Float estimates this close (relative) to an integer, or to the index they are
-# compared with, are settled by the exact rule; their own error is a few ulps.
+# _verify_plan fails a float comparison this close (relative) to its boundary;
+# selected indices clear every threshold by far more (Selection)
 _NEAR = 2.0**-40
-_FLOAT_EXACT = 2.0**50  # float64 estimates below it are within one of T(n)
-# larger common exponent denominators, or integer exponents E, M, use
-# interval arithmetic: j^E past a few thousand bits is slow or leaves C long
-_MAX_DENOM = 64
-_MAX_INT_POWER = 1024
-_IV_PREC = 80  # bits
 _S_PROBES = (2.0**-10, 1.0, 2.0**10)
 _P_NORM = 2.0  # the proof vectors lie in l^2, their own dual
 
@@ -66,175 +61,27 @@ class PlanCase(Enum):
 # ---------------------------------------------------------------------------
 
 
-def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.abs(a - b) <= _NEAR * np.maximum(np.abs(a), np.abs(b))
-
-
-def _extended(x: Fraction) -> np.longdouble:
-    """x in numpy's extended precision: its float plus the float of the rest."""
-    hi = float(x)
-    return np.longdouble(hi) + np.longdouble(float(x - Fraction(hi)))
-
-
-def _log_extended(x: Fraction) -> np.longdouble:
-    """log x in numpy's extended precision, for any positive rational x:
-    x = 2^k r with r in (1/2, 2) keeps the float conversion in range."""
-    k = x.numerator.bit_length() - x.denominator.bit_length()
-    return k * np.log(np.longdouble(2)) + np.log(_extended(x / Fraction(2) ** k))
-
-
-def _log(x: Fraction) -> float:
-    return math.log(x.numerator) - math.log(x.denominator)
-
-
-def _iroot(x: int, k: int) -> int:
-    """floor(x^(1/k)) for x >= 1, k >= 1, in Python ints: Newton's step from
-    2^ceil(bits/k) >= the root decreases to it and stops there."""
-    if k == 2:
-        return math.isqrt(x)
-    r = 1 << -(-x.bit_length() // k)
-    while (s := ((k - 1) * r + x // r ** (k - 1)) // k) < r:
-        r = s
-    return r
-
-
-@dataclass
+@dataclass(frozen=True)
 class _Threshold:
-    """One condition on the index j at order n: j^e >= K n^m, K = prod b^q.
-
-    It is strict (>) when strict is set and n >= 2, and a tie is not strictly
-    greater.  e > 0, m > 0 and the factors (b > 0, q) are exact rationals,
-    float parameters read as dyadic rationals, so the condition holds exactly
-    for j >= T(n).  The float estimate of T(n) is coeff * n^exponent, with
-    exponent = m/e and coeff = K^{1/e} derived here from the exact form.
-    """
+    """One condition on the index j at order n, j^e >= K n^m, as its float
+    estimate x(n) = coeff * n^exponent of the least real solution
+    T*(n) = K^{1/e} n^{m/e}, and the margin mu = max(2^-20, 2^-30/e) by which
+    a selected index passes x(n)."""
 
     name: str
-    strict: bool
-    e: Fraction
-    m: Fraction
-    factors: tuple[tuple[Fraction, Fraction], ...]
+    exponent: float
+    coeff: float
+    mu: float
 
-    def __post_init__(self):
-        try:
-            self.exponent = float(self.m / self.e)
-            self.coeff = math.exp(sum(float(q / self.e) * _log(b) for b, q in self.factors))
-        except OverflowError:  # past the float range: T(n) leaves int64 at once
-            self.exponent = self.coeff = math.inf
-        # float(m/e) is corrected by n^(m/e - exponent): alone, it is 5.0 for
-        # i*k^0.2 at beta = 1, and from about n = 1,000 n^5.0 is off T(n) by
-        # more than one.  _coeff_ext is K^{1/e} in numpy's extended precision.
-        self._exponent_err = 0.0
-        self._coeff_ext = np.longdouble(math.inf)
-        if math.isfinite(self.coeff):
-            self._exponent_err = float(self.m / self.e - Fraction(self.exponent))
-            log_k = sum(_extended(q / self.e) * _log_extended(b) for b, q in self.factors)
-            self._coeff_ext = np.exp(log_k)
-        den = math.lcm(*(q.denominator for q in (self.e, self.m, *(q for _, q in self.factors))))
-        self._iv = None
-        self._int = None  # (Q, E, P, M): Q j^E >= P n^M, with K^den = P / Q
-        self._ratio = None  # (a, b, d): T*(n) = (P n^M / Q)^{1/E} = a n^d / b
-        if den <= _MAX_DENOM and max(self.e, self.m) * den <= _MAX_INT_POWER:
-            k = math.prod((b ** int(q * den) for b, q in self.factors), start=Fraction(1))
-            q, e, p, m = self._int = (k.denominator, int(self.e * den), k.numerator, int(self.m * den))
-            if m % e == 0:  # P / Q in lowest terms has a rational E-th root only as a^E / b^E
-                a, b = _iroot(p, e), _iroot(q, e)
-                if a**e == p and b**e == q:
-                    self._ratio = (a, b, m // e)
 
-    def estimate(self, ns: np.ndarray) -> np.ndarray:
-        """K^{1/e} n^(m/e): in float64 while that lands within one of T(n),
-        past 2^50 in numpy's extended precision (float64 on platforms without
-        one), whose array arithmetic is several times slower; the factor
-        n^(m/e - exponent) only where float(m/e) is inexact.  An estimate
-        past the range of its type is inf, which leaves int64 in extend.
-        least reads it only where T(n) has no closed form: the threshold's
-        root is irrational, or a n^d leaves int64."""
-        try:
-            wide = ns.size and self.coeff * float(ns.max()) ** self.exponent >= _FLOAT_EXACT
-        except OverflowError:  # n^exponent past the float range
-            wide = True
-        nf = ns.astype(np.longdouble if wide else float)
-        with np.errstate(over="ignore"):
-            x = nf.dtype.type(self._coeff_ext) * nf**self.exponent
-            if self._exponent_err:
-                x *= np.exp(self._exponent_err * np.log(nf))
-        return x
-
-    def holds(self, js: np.ndarray, ns: np.ndarray) -> np.ndarray:
-        """The condition at each (j, n), decided exactly: Q j^E >= P n^M in
-        int64 where both sides stay below 2^63 for the whole call, else in
-        Python ints; without that integer form, in interval arithmetic."""
-        strict = self.strict & (ns >= 2)
-        if self._int is None:
-            cases = zip(js.tolist(), ns.tolist(), strict.tolist())
-            return np.asarray([self._holds_iv(*c) for c in cases], dtype=bool)
-        q, e, p, m = self._int
-        top = max(q * int(np.abs(js).max(initial=1)) ** e, p * int(ns.max(initial=1)) ** m)
-        dtype = np.int64 if top < _MAX_INDEX else object
-        lhs, rhs = q * js.astype(dtype) ** e, p * ns.astype(dtype) ** m
-        return np.where(strict, lhs > rhs, lhs >= rhs).astype(bool)
-
-    def _holds_iv(self, j: int, n: int, strict: bool) -> bool:
-        """The sign of e log j - m log n - sum q log b in interval arithmetic;
-        an interval that straddles 0 is a tie."""
-        from mpmath import iv
-
-        def rat(x):  # an int or a Fraction, enclosed exactly
-            return iv.mpf(x.numerator) / x.denominator
-
-        saved, iv.prec = iv.prec, _IV_PREC
-        try:
-            if self._iv is None:  # e, m and sum q log b, enclosed once
-                log_k = sum(rat(q) * iv.log(rat(b)) for b, q in self.factors)
-                self._iv = (rat(self.e), rat(self.m), log_k)
-            e, m, log_k = self._iv
-            gap = e * iv.log(j) - m * iv.log(n) - log_k
-        finally:
-            iv.prec = saved
-        if gap.a > 0:
-            return True
-        return False if gap.b < 0 else not strict
-
-    def least(self, ns: np.ndarray, x: Optional[np.ndarray] = None) -> np.ndarray:
-        """T(n), the least j meeting the condition, at each order n; x is
-        the estimate at ns when the caller already has it.
-
-        Where K^{1/e} n^(m/e) = a n^d / b is rational (P = a^E, Q = b^E and E
-        divides M), T(n) is ceil(a n^d / b), or floor(a n^d / b) + 1 where
-        the condition is strict, in int64 while a n^d + 1 and b fit.  Otherwise
-        it is ceil(x) of the estimate x where x is clear of an integer.
-        Elsewhere T(n) lies in x (1 +- _NEAR) +- 1: c = rint(x) is tested
-        exactly, then c - 1 where c meets the condition and c + 1 where it
-        fails, and the window is bisected only where those two leave T(n)
-        open.  An index j <= 0 never meets the condition (K > 0).
-        """
-        if self._ratio is not None:
-            a, b, d = self._ratio
-            if a * int(ns.max(initial=1)) ** d + 1 < _MAX_INDEX and b < _MAX_INDEX:
-                num = a * ns**d
-                return np.where(self.strict & (ns >= 2), num // b + 1, -(-num // b))
-        if x is None:
-            x = self.estimate(ns)
-        out = np.ceil(x).astype(np.int64)
-        r = np.rint(x)
-        near = np.flatnonzero(_near(x, r))
-        x, ns, c = x[near], ns[near], r[near].astype(np.int64)
-        # lo fails and hi meets the condition
-        lo = np.maximum(np.floor(x * (1.0 - _NEAR)) - 1.0, 0.0).astype(np.int64)
-        hi = np.ceil(x * (1.0 + _NEAR)).astype(np.int64) + 1
-        top = self.holds(c, ns)
-        hi, lo = np.where(top, c, hi), np.where(top, lo, c)
-        side = np.where(top, c - 1, c + 1)
-        ask = np.flatnonzero((lo < side) & (side < hi))
-        ok = self.holds(side[ask], ns[ask])
-        hi[ask[ok]], lo[ask[~ok]] = side[ask[ok]], side[ask[~ok]]
-        while (act := np.flatnonzero(hi - lo > 1)).size:
-            mid = lo[act] + (hi[act] - lo[act]) // 2
-            ok = self.holds(mid, ns[act])
-            hi[act[ok]], lo[act[~ok]] = mid[ok], mid[~ok]
-        out[near] = hi
-        return out
+def _threshold(name: str, e: Fraction, m: int, factors) -> _Threshold:
+    """j^e >= K n^m with K = prod b^q, for float constants b > 0 and exact
+    rationals e > 0, q: exponent and each q/e are rounded once."""
+    try:
+        coeff = math.exp(sum(float(q / e) * math.log(b) for b, q in factors))
+        return _Threshold(name, float(m / e), coeff, max(2.0**-20, float(Fraction(1, 2**30) / e)))
+    except OverflowError:  # past the float range: the index leaves int64 at once
+        return _Threshold(name, math.inf, math.inf, 2.0**-20)
 
 
 class Selection:
@@ -242,24 +89,50 @@ class Selection:
 
     For j >= k_min, the signed terms of spectrum.lam_bounds bound
     re_lo j^p_re <= Re lam_j <= re_hi j^p_re and Im lam_j alike; b is the
-    smaller of |im_lo|, |im_hi|.  j(n) is the least j > j(n-1), with
-    j(0) = k_min - 1, such that
+    smaller of |im_lo|, |im_hi|.  Each j(n) > j(n-1), with j(0) = k_min - 1,
+    meets
 
     - |lam_j| >= n, through c j^p >= n at the exponent p of the lower modulus
-      term, c^2 the sum of the squared lower coefficients there: the
-      threshold modulus;
-    - Re lam_j < n^-2 |Im lam_j|^{1/beta}, non-strict at n = 1, where the
-      canonical rules sit exactly on the boundary.  For re_hi > 0 this is the
+      term, c its coefficient (the hypot of the lower coefficients there):
+      the threshold modulus;
+    - Re lam_j < n^-2 |Im lam_j|^{1/beta}.  For re_hi > 0 this is the
       threshold violation, j^delta > c n^2 with delta = p_im/beta - p_re and
       c = re_hi/b^{1/beta}; for re_hi <= 0 every j meets it;
     - Re lam_j >= n when real parts grow (re_lo > 0, p_re > 0): the threshold
       re_ge_n, j^p_re >= n / re_lo.
 
     Each threshold is the worst case of its inequality over the envelopes,
-    on a power law (lo = hi) the inequality itself.  Every condition is a
-    monotone threshold in j: j(n) = max(j(n-1) + 1, T_1(n), ..., T_k(n)),
-    which extend computes as j(n) - n = cummax(T(n) - n) for all new orders
-    at once, with no eigenvalue.  _Threshold makes each T_i exact.
+    on a power law (lo = hi) the inequality itself, and reads j^e >= K n^m
+    with K = prod b^q over those float constants.  Every j past its least
+    real solution T*(n) = K^{1/e} n^{m/e} meets it, so the construction needs
+    no least index:
+
+        j(n) = max(j(n-1) + 1, ceil((1 + mu_i) x_i(n)) over the thresholds i),
+
+    x_i(n) = coeff_i n^exponent_i the float64 estimate of T*_i(n) and
+    mu_i = max(2^-20, 2^-30/e_i); extend computes j(n) - n = cummax(...) for
+    all new orders at once, with no eigenvalue.
+
+    The estimate's error.  Let u = 2^-53, y = n^exponent as computed and
+    A = sum |q log b| / e.  exponent and each q/e are rounded once, log, exp
+    and pow err by under one ulp, and the sum and x = coeff y round once, so
+    where coeff is a normal float
+
+        |log x(n) - log T*(n)| <= u (6 A + log y + 8) <= u (6 A + 718),
+
+    since y is finite; that is a few hundred ulps while A is a few dozen, as
+    on every catalog threshold.  (A subnormal coeff errs by under 2^-1074
+    absolutely, so x by under 2^-50 <= 16 u x where x >= 1/2, and below that
+    j(n) >= 1 clears T*(n) by a factor 2.)  With the two roundings of
+    (1 + mu) x, e log(j(n) / T*(n)) >= e log1p(mu) (1 - 2^-29) - u (6 sum
+    |q log b| + 2 m log n): as mu >= 2^-20, the factor takes the 10 u of
+    the roundings that do not grow with b or n.  Here |log b| <= 745, sum |q| <= 1 + 1/beta <= 2,
+    m log n < 88 while j(n) fits int64, and e log1p(mu) >= 2^-30 log 2 for
+    e >= 2^-30.  On the envelopes each inequality's two sides stand in the
+    ratio (j / T*)^e, so at j(n) every one holds with a relative gap of
+    2^-31 or more, far outside _verify_plan's 2^-40 band.  And where A < 2^29
+    the error is below mu/2, so j(n) <= (1 + 2 mu) T(n) + 1 against the least
+    greedy choice T(n), mu the largest mu_i.
     """
 
     def __init__(self, spectrum: SpectrumFamily, beta: float):
@@ -268,35 +141,31 @@ class Selection:
         self._js = np.zeros(0, dtype=np.int64)
         lam = spectrum.lam_bounds
         (p_re, re_lo, re_hi), (p_im, im_lo, im_hi) = lam.signed
-        lo, a, pre, pim = (Fraction(v) for v in (re_lo, re_hi, p_re, p_im))
-        b = Fraction(min(abs(im_lo), abs(im_hi)))
+        pre = Fraction(p_re)
         self.k_min = lam.k_min
         self.violation = self.re_ge_n = None
-        if a > 0:
+        if re_hi > 0:
             # positive real parts need |Im| to outrun them: a j^pre < n^-2 |Im_j|^{1/beta}
             # (delta > 0 needs pim > 0, and then b > 0)
-            delta = pim / Fraction(beta) - pre
+            delta = Fraction(p_im) / Fraction(beta) - pre
             if delta <= 0:
                 raise PlanError(
                     f"real-part exponent {short_float(p_re)} >= |Im| exponent "
                     f"{short_float(p_im)}/beta: "
                     "the region condition holds beyond a bounded set"
                 )
-            factors = ((a, Fraction(1)), (b, -1 / Fraction(beta)))
-            self.violation = _Threshold("violation inequality", True, delta, Fraction(2), factors)
-            if pre > 0:  # then lo > 0 as well: both Re coefficients share one sign
-                factors = ((lo, Fraction(-1)),)
-                self.re_ge_n = _Threshold("Re lam_{j(n)} >= n", False, pre, Fraction(1), factors)
-        p_lo = lam.lower[0]
-        lows = (min(abs(c_lo), abs(c_hi)) for p, c_lo, c_hi in lam.signed if p == p_lo)
-        self.modulus = _Threshold(
-            "|lam_{j(n)}| >= n", False, Fraction(p_lo), Fraction(1),
-            ((sum(Fraction(c) ** 2 for c in lows), Fraction(-1, 2)),),
-        )
+            factors = ((re_hi, Fraction(1)), (min(abs(im_lo), abs(im_hi)), -1 / Fraction(beta)))
+            self.violation = _threshold("violation inequality", delta, 2, factors)
+            if pre > 0:  # then re_lo > 0 as well: both Re coefficients share one sign
+                self.re_ge_n = _threshold("Re lam_{j(n)} >= n", pre, 1, ((re_lo, Fraction(-1)),))
+        p_lo, c_lo, _ = lam.lower
+        self.modulus = _threshold("|lam_{j(n)}| >= n", Fraction(p_lo), 1, ((c_lo, Fraction(-1)),))
         self.thresholds = [t for t in (self.violation, self.re_ge_n, self.modulus) if t is not None]
         self.gamma = max(1.0, max(t.exponent for t in self.thresholds))
-        # j(n) <= n + k_min - 1 + max_i coeff_i n^{exponent_i} <= env_coeff n^gamma
-        self.env_coeff = sum(t.coeff for t in self.thresholds) + self.k_min
+        # ceil((1 + mu_i) x_i(n)) <= (1 + 2 mu) coeff_i n^{exponent_i} + 1, so
+        # j(n) <= n + k_min + (1 + 2 mu) max_i coeff_i n^{exponent_i} <= env_coeff n^gamma
+        mu = max(t.mu for t in self.thresholds)
+        self.env_coeff = (1.0 + 2.0 * mu) * sum(t.coeff for t in self.thresholds) + self.k_min + 1
 
     def __len__(self) -> int:
         return self._js.size
@@ -304,24 +173,24 @@ class Selection:
     def extend(self, n_target: int) -> None:
         """Select the orders up to n_target.
 
-        An order whose index would leave int64 is not selected: the selection
-        stops before the first such order and raises PlanError.
+        An order whose index would leave int64 (or whose estimate is not a
+        number) is not selected: the selection stops before the first such
+        order and raises PlanError.
         """
         n0 = self._js.size + 1
         if n_target < n0:
             return
         ns = np.arange(n0, n_target + 1, dtype=np.int64)
-        xs = [t.estimate(ns) for t in self.thresholds]
-        fits = np.all([x * (1.0 + _NEAR) + 2.0 < _MAX_INDEX for x in xs], axis=0)
-        out = np.flatnonzero(~fits)
+        with np.errstate(over="ignore", invalid="ignore"):
+            floor = np.max(
+                [np.ceil((1.0 + t.mu) * (t.coeff * ns**t.exponent)) for t in self.thresholds], axis=0
+            )
+        out = np.flatnonzero(~(floor < _MAX_INDEX))
         n_fit = out[0] if out.size else ns.size
         if n_fit:
             prev = int(self._js[-1]) if self._js.size else self.k_min - 1
-            floor = np.max(
-                [t.least(ns[:n_fit], x[:n_fit]) for t, x in zip(self.thresholds, xs)], axis=0
-            )
-            js = ns[:n_fit] + np.maximum.accumulate(np.maximum(floor - ns[:n_fit], prev + 1 - n0))
-            self._js = np.concatenate([self._js, js])
+            step = np.maximum(floor[:n_fit].astype(np.int64) - ns[:n_fit], prev + 1 - n0)
+            self._js = np.concatenate([self._js, ns[:n_fit] + np.maximum.accumulate(step)])
         if out.size:
             raise PlanError(f"selected index leaves int64 at order n={ns[n_fit]}")
 
@@ -363,30 +232,27 @@ class ViolatingSpectrumPlan:
         return np.minimum(1.0 / (2.0 * ns[:-1]), gap / 2.0)
 
 
-def _meets(lhs, rhs, strict, rule: Optional[_Threshold], js, ns) -> np.ndarray:
-    """lhs >= rhs (lhs > rhs where strict) in floats.  Entries within _NEAR of
-    the boundary are decided by rule, the exact threshold form of the same
-    inequality; without a rule they fail."""
-    ok = np.where(strict, lhs > rhs, lhs >= rhs)
-    near = np.flatnonzero(_near(lhs, rhs))
-    ok[near] = rule.holds(js[near], ns[near]) if rule is not None else False
-    return ok
+def _meets(lhs, rhs) -> np.ndarray:
+    """lhs > rhs in floats, by more than _NEAR relative to the larger of the
+    two: an entry inside that band fails, a tie among them, so a strict and a
+    non-strict inequality read alike."""
+    return lhs - rhs > _NEAR * np.maximum(np.abs(lhs), np.abs(rhs))
 
 
 def _verify_plan(plan: ViolatingSpectrumPlan) -> None:
     """Check the plan on the eigenvalues of its first _VERIFY_PREFIX picks.
 
-    |lam_{j(n)}| >= n, Re lam_{j(n)} < n^-2 |Im lam_{j(n)}|^{1/beta} (non-strict
-    at n = 1) and, on plans with unbounded real parts, Re lam_{j(n)} >= n are
-    evaluated in floats on the eigenvalues themselves, not on the thresholds
-    that selected them, so a wrongly derived threshold fails here.  Only an
-    entry within _NEAR of its boundary is decided by the selection's exact
-    rule for that inequality (for the modulus, the leading-term bound, which
-    implies it), so a tie fails a strict inequality.  Indices increase
-    strictly (on a power law, moduli too).  Real parts stay below omega on
-    bounded plans; the disks have radii in (0, 1/n) and are pairwise disjoint
-    on the first 512 orders: neighbours where Re and Im are monotone along
-    them, as on every power law, and every pair otherwise.
+    |lam_{j(n)}| >= n, Re lam_{j(n)} < n^-2 |Im lam_{j(n)}|^{1/beta} and, on
+    plans with unbounded real parts, Re lam_{j(n)} >= n are evaluated in
+    floats on the eigenvalues themselves, not on the thresholds that
+    selected them, so a wrongly derived threshold fails here.  An entry
+    within _NEAR of its boundary fails too: the selection clears each
+    inequality by a relative 2^-31 or more, so such an entry means a
+    rejection, never an unsound plan.  Indices increase strictly (on a power
+    law, moduli too).  Real parts stay below omega on bounded plans; the
+    disks have radii in (0, 1/n) and are pairwise disjoint on the first 512
+    orders: neighbours where Re and Im are monotone along them, as on every
+    power law, and every pair otherwise.
     """
     sel = plan.selection
     ns = np.arange(1, _VERIFY_PREFIX + 1, dtype=np.int64)
@@ -395,12 +261,12 @@ def _verify_plan(plan: ViolatingSpectrumPlan) -> None:
         raise PlanError("selected indices are not strictly increasing")
     lams, nf = plan.spectrum.eigenvalues(js), ns.astype(float)
     rhs = np.abs(lams.imag) ** (1.0 / plan.beta) / nf**2
-    if not np.all(_meets(np.abs(lams), nf, False, sel.modulus, js, ns)):
+    if not np.all(_meets(np.abs(lams), nf)):
         raise PlanError("|lam_{j(n)}| >= n fails on the verified prefix")
-    if not np.all(_meets(rhs, lams.real, ns >= 2, sel.violation, js, ns)):
+    if not np.all(_meets(rhs, lams.real)):
         raise PlanError("violation inequality fails on the verified prefix")
     if plan.case is PlanCase.UNBOUNDED_REAL_PARTS:
-        if not np.all(_meets(lams.real, nf, False, sel.re_ge_n, js, ns)):
+        if not np.all(_meets(lams.real, nf)):
             raise PlanError("Re lam_{j(n)} >= n fails on the verified prefix")
     if plan.case is PlanCase.BOUNDED_REAL_PARTS:
         if plan.omega is None or not np.all(lams.real <= plan.omega + 1e-12):

@@ -337,8 +337,8 @@ class RegionViolated:
     The witness is lam_{j(1)}, ..., lam_{j(12)} of the violating selection
     that plan_for_spectrum uses (counterexamples.Selection), read from the
     same declared envelopes as the verdict: |lam_{j(n)}| >= n and
-    Re lam_{j(n)} < n^-2 |Im lam_{j(n)}|^{1/beta}, each in its worst case over
-    the envelopes (on a power law, itself), decided exactly.  The witness
+    Re lam_{j(n)} < n^-2 |Im lam_{j(n)}|^{1/beta}, each met in its worst case
+    over the envelopes (on a power law, itself).  The witness
     stops early, possibly empty, where the selected indices would leave int64
     or an eigenvalue is not finite (a Violated verdict all the same), and the
     report's detail says so.

@@ -28,7 +28,8 @@ def wrap_phase(phi):
     interval, which keeps no-op symbol applications exact.
     """
     phi = np.asarray(phi, dtype=float)
-    wrapped = math.pi - np.remainder(math.pi - phi, TWO_PI)
+    with np.errstate(invalid="ignore"):  # +-inf has no angle: NaN
+        wrapped = math.pi - np.remainder(math.pi - phi, TWO_PI)
     return np.where((phi > -math.pi) & (phi <= math.pi), phi, wrapped)
 
 

@@ -371,7 +371,8 @@ class _PowerDecayCoeffs(SeriesSpace):
 
     def coeff_log(self, ks):
         kf = np.asarray(ks, dtype=float)
-        return -self.c * kf**self.r, np.zeros(kf.shape)
+        with np.errstate(over="ignore"):  # c k^r past the float range: log 0 = -inf
+            return -self.c * kf**self.r, np.zeros(kf.shape)
 
     @property
     def coeff_bounds(self) -> TailBounds:

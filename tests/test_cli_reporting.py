@@ -263,8 +263,23 @@ def test_classify_spectrum_with_zero_eigenvalue_warns_nothing():
             [("admissibility", True, None), ("evolve", 0.0, "converges"),
              ("evolve", 1.7e308, "converges")],
         ),
+        # the coefficient bound -c k^r of r = 1e16 is -inf from k = 2 on
+        (
+            {"command": "evolve", "spectrum": {"power_law": {"a_re": 1, "p_re": 1, "a_im": 0, "p_im": 0}},
+             "vectors": [{"power_decay": {"c": 1, "r": 1e16}}], "t_grid": [0, 1]},
+            "ok",
+            [("admissibility", True, None), ("evolve", 0.0, "converges"), ("evolve", 1.0, "converges")],
+        ),
+        # the phase t Im lam = 1.7e308 * 2 is +inf, which has no angle: the
+        # coordinates are null, the modulus |y_k| = 1 is kept
+        (
+            {"command": "evolve", "spectrum": {"explicit": {"points": [[0, 2], [0, 3]]}},
+             "vectors": [{"explicit": {"values": [[1, 0], [1, 0]]}}], "t_grid": [1.7e308]},
+            "ok",
+            [("admissibility", True, None), ("evolve", 1.7e308, "converges")],
+        ),
     ],
-    ids=["classify-spectrum", "evolve"],
+    ids=["classify-spectrum", "evolve", "evolve-power-decay-r-1e16", "evolve-phase-past-the-float-range"],
 )
 def test_overflow_past_the_float_range_warns_nothing(job, status, pinned):
     with warnings.catch_warnings():
@@ -427,10 +442,10 @@ def test_estimate_order_of_norms_near_the_float_range(tmp_path, capsys):
     ids=["p_im-1e300", "p_re-half-p_im-1e300", "p_im-2^53+1"],
 )
 def test_region_witness_with_huge_threshold_exponents(tmp_path, capsys, power_law, beta):
-    # the selection's thresholds have exponents such as 1e300 - 1: the integer
-    # rule Q j^E >= P n^M once raised OverflowError (E past C long) or spent
-    # seconds on j^E, and lam_{j(2)} is past the float range, so the witness
-    # stops before it
+    # the selection's thresholds have exponents such as 1e300 - 1, which an
+    # exact rule Q j^E >= P n^M once raised OverflowError on (E past C long) or
+    # spent seconds on; the estimate of T*(1) is 1, the margin selects
+    # j(1) = 2, and lam_2 is past the float range, so the witness is empty
     path = write_job(tmp_path, json.dumps({"command": "classify-spectrum", "spectrum": {"power_law": power_law},
                                            "beta": beta}))
     start = time.perf_counter()
@@ -439,8 +454,8 @@ def test_region_witness_with_huge_threshold_exponents(tmp_path, capsys, power_la
     out = capsys.readouterr().out
     assert out.count("\n") == 1
     (region,) = _strict_json(out)["verdicts"]
-    assert region["status"] == "violated" and len(region["witness"]) == 1
-    assert region["detail"].endswith("; witness cut to 1 points: lam_{j(2)} is not finite")
+    assert region["status"] == "violated" and region["witness"] == []
+    assert region["detail"].endswith("; witness cut to 0 points: lam_{j(1)} is not finite")
 
 
 @pytest.mark.parametrize("command", ["classify-spectrum", "harness"])
@@ -849,7 +864,7 @@ def _traffic_jobs():
 
 
 # sha256 of the 398 seed-free reports of _traffic_jobs(), concatenated in order
-_TRAFFIC_DIGEST = "1be95ccfcaa33b56653d6e8e283920dd0848b99245da0cb6aadda65b34589c7e"
+_TRAFFIC_DIGEST = "089cdbbb8bc4fe8ae64eac15056fbc9a12385f5db6f5e69caf71e57829bc5d1c"
 
 
 def test_power_law_traffic_has_no_inconclusive_certificate(monkeypatch):

@@ -82,13 +82,15 @@ def test_unbounded_counterexample_matches_proof_coefficients():
     art = gl.build_counterexample(plan)
     ks = np.arange(1, 65, dtype=np.int64)
     mags, _ = art.f.log_coeffs(ks)
-    # coefficients e^{-n Re lam_n} with Re lam_n = n
-    assert np.allclose(mags, -(ks.astype(float) ** 2), rtol=0, atol=0)
+    # coefficients e^{-n Re lam_{j(n)}} with Re lam_{j(n)} = j(n) = n + 1: the
+    # selection passes the modulus threshold T*(n) = n by its margin
+    assert plan.selection.indices(ks).tolist() == (ks + 1).tolist()
+    assert np.allclose(mags, -(ks * (ks + 1.0)), rtol=0, atol=0)
     hm, _ = art.h.log_coeffs(ks)
-    assert np.allclose(hm, -0.5 * ks.astype(float) ** 2, rtol=0, atol=0)
-    # log L = max over t in {0, 1, 50, 100} and n <= 512 of -(n/2 - t) n, at
-    # t = 100 and n = 100; L = e^5000 is past the float range
-    assert art.log_l_bound == 5000.0
+    assert np.allclose(hm, -0.5 * ks * (ks + 1.0), rtol=0, atol=0)
+    # log L = max over t in {0, 1, 50, 100} and n <= 512 of -(n/2 - t)(n + 1),
+    # at t = 100 and n = 99 or 100; L = e^5050 is past the float range
+    assert art.log_l_bound == 5050.0
 
 
 def test_auxiliary_bound_log_matches_a_scalar_loop():
@@ -129,8 +131,8 @@ def test_selection_subsequence_for_steep_imaginary_growth():
     plan = gl.plan_for_spectrum(spec, 2.0)
     ns = np.arange(1, 101, dtype=np.int64)
     js = plan.selection.indices(ns)
-    # strict violation needs j > n^2 for n >= 2 (n = 1 sits on the boundary)
-    assert np.all(js[1:] > ns[1:].astype(np.int64) ** 2)
+    # the strict violation inequality needs j > n^2
+    assert np.all(js > ns**2)
     check_plan_invariants(plan, prefix=100)
     art = gl.build_counterexample(plan)
     assert isinstance(art.f.space, gl.SupportView)
@@ -139,11 +141,12 @@ def test_selection_subsequence_for_steep_imaginary_growth():
 
 
 def test_bounded_case_subsequence_for_slow_modulus_growth():
-    # |lam_j| = sqrt(j) forces j(n) = n^2 before the modulus reaches n
+    # |lam_j| = sqrt(j) forces j(n) past n^2 before the modulus reaches n:
+    # j(n) = ceil((1 + 2^-20) n^2) = n^2 + 1 on these orders
     spec = gl.PowerLawSpectrum(0, 0, 1, 0.5, label="i*sqrt(k)")
     plan = gl.plan_for_spectrum(spec, 1.0)
     js = plan.selection.indices(np.arange(1, 7, dtype=np.int64))
-    assert js.tolist() == [1, 4, 9, 16, 25, 36]
+    assert js.tolist() == [2, 5, 10, 17, 26, 37]
     check_plan_invariants(plan, prefix=200)
     art = gl.build_counterexample(plan)
     assert isinstance(art.f.space, gl.SupportView)

@@ -1,8 +1,8 @@
-"""Every module-level import of a gevlab module is used in that module,
-every module-level private name is read somewhere in the package, every
-module-level public function or class is read outside its own definition,
-save a listed few, and every public method or property of a package class
-is read somewhere in the sources, the tests or the benchmark.
+"""Every module-level import of a gevlab module is used in that module, no
+module imports mpmath, every module-level private name is read somewhere in
+the package, every module-level public function or class is read outside its
+own definition, save a listed few, and every public method or property of a
+package class is read somewhere in the sources, the tests or the benchmark.
 
 Parses the sources with `ast`, so it needs no lint tool.  `__init__.py`
 re-exports its imports and is left out of the import check.
@@ -74,6 +74,22 @@ def test_no_unreferenced_private_names():
         f"{name}:{n}" for name, tree in trees.items() for n in _private_definitions(tree) if n not in read
     ]
     assert not unread, f"private names defined but never read: {unread}"
+
+
+def test_no_module_imports_mpmath():
+    """mpmath is a test oracle only: no module in `src/gevlab` imports it,
+    at module level or inside a function."""
+    found = []
+    for path in sorted(_SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}: {m}" for m in modules if m.split(".")[0] == "mpmath"]
+    assert not found, f"runtime imports of mpmath: {found}"
 
 
 _POWER_LAW_FIELDS = {"a_re", "p_re", "a_im", "p_im"}

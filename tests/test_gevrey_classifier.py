@@ -742,7 +742,7 @@ def _harness_records():
 
 
 # sha256 of the newline-joined _harness_records()
-_HARNESS_DIGEST = "233b0f3b6dcbe8ff38466d633e8ec41a5b16d3eb0f67374808f46b6eeee499ca"
+_HARNESS_DIGEST = "ebe65c70afbf63c55aa5fdd8471681b09eb94e3b909e20209e280ecee5d0d40c"
 
 
 def test_catalog_harness_reports_are_pinned():

@@ -424,7 +424,7 @@ def _coefficient_kind_reprs():
 
 
 # sha256 of the newline-joined _coefficient_kind_reprs()
-_COEFFICIENT_KIND_DIGEST = "b7ed3bc7c8e463908b8347556d198ca57ccf35b9d64140824b7ccb1f7b671d55"
+_COEFFICIENT_KIND_DIGEST = "2b865cfe3de88ed0bd164099948ee4364824023d783f5e32e474e41dc41e0417"
 
 
 def test_every_coefficient_kind_is_pinned():
