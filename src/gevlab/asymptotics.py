@@ -408,10 +408,10 @@ def _warn_as_read(form: AsymForm, ks: np.ndarray, vals: list, read) -> None:
         form.evaluate(ks[bad])
 
 
-def mono_decreasing_start(form: "AsymForm | FormRows", start: int = 4):
+def mono_decreasing_start(form: "AsymForm | FormRows"):
     """Smallest power-of-two index beyond which `form` is decreasing.
 
-    The first checkpoint k = max(4, start) 2^i <= 2^40 where the symbolic
+    The first checkpoint k = 4 * 2^i <= 2^40 where the symbolic
     derivative is negative at k, 2k, 4k and 8k and form(2k) <= form(k).
     Both forms are evaluated once, over every checkpoint.  Only meaningful
     for forms classified SUPER_DECAY or decaying POLY.  Given a FormRows,
@@ -419,17 +419,17 @@ def mono_decreasing_start(form: "AsymForm | FormRows", start: int = 4):
     and so are their derivatives.
     """
     if isinstance(form, AsymForm):
-        return _mono_starts(FormRows([form]), start)[0]
-    return _mono_starts(form, start)
+        return _mono_starts(FormRows([form]))[0]
+    return _mono_starts(form)
 
 
-def _mono_starts(rows: FormRows, start: int) -> list[Optional[int]]:
+def _mono_starts(rows: FormRows) -> list[Optional[int]]:
     out: list[Optional[int]] = [None] * len(rows)
     derivs = [form.derivative() for form in rows.forms]
     live = [r for r, d in enumerate(derivs) if not _rises(d)]
-    k = max(4, start)
+    k = 4
     n = ((1 << 40) // k).bit_length()  # checkpoints k 2^i <= 2^40, i < n
-    if not n or not live:
+    if not live:
         return out
     ks = k * 2.0 ** np.arange(n + 3)
     dvals = _batched(FormRows(derivs[r] for r in live), ks)

@@ -17,8 +17,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .asymptotics import AsymForm, TailBounds, affine_family
-from .errors import DomainError
-from .logdomain import NEG_INF
+from .logdomain import log_product
 from .series import (
     DEFAULT_BUDGET,
     ConvergenceCertificate,
@@ -151,7 +150,8 @@ class GevreyExpSymbol(SymbolFunction):
         return f"gexp(s={self.s:g},beta={self.beta:g})"
 
     def log_abs(self, lams):
-        return self.s * np.abs(lams) ** (1.0 / self.beta)
+        with np.errstate(over="ignore"):  # past the float range: log +inf
+            return self.s * np.abs(lams) ** (1.0 / self.beta)
 
     def phase(self, lams):
         return np.zeros(len(lams))
@@ -185,8 +185,7 @@ def domain_member_direct(
 
     def term(ks):
         mags, _ = space.coeff_log(ks)
-        add = F.log_abs(space.lam(ks))
-        return p * np.where(mags == NEG_INF, NEG_INF, mags + add)
+        return p * log_product(mags, F.log_abs(space.lam(ks)))
 
     bounds = space.term_bounds(F)
     if bounds is not None:
@@ -206,11 +205,6 @@ def domain_member_prop31(F: SymbolFunction, f: CoefficientVector) -> Convergence
     for every g by Hoelder.  Hoelder also makes the direct series diverge
     wherever the h* pairing does, so every status is the direct one.
     """
-    if f.space.selection is not None:
-        raise DomainError(
-            "dual-probe criterion pairs against dense duals and is not available "
-            "for support-view vectors; the direct criterion is authoritative there"
-        )
     q = conjugate_exponent(f.p_norm)
     h_star = CoefficientVector.polynomial_decay(f.spectrum, 2.0, p=q, label="h*")
     cert = total_variation(f, h_star, weight=F, budget=None)
@@ -320,5 +314,5 @@ def _power_terms(mags: np.ndarray, logabs: np.ndarray, p: float, ns: np.ndarray)
     zero = ns == 0
     out[zero] = p * mags
     if not zero.all():
-        out[~zero] = p * np.where(mags == NEG_INF, NEG_INF, mags + ns[~zero, None] * logabs)
+        out[~zero] = p * log_product(mags, ns[~zero, None] * logabs)
     return out

@@ -7,9 +7,11 @@ meet |lam_{j(n)}| >= n and Re lam_{j(n)} below n^-2 |Im lam_{j(n)}|^{1/beta}
 (any increasing indices that meet them serve, not only the least ones),
 surrounds each point by a disk of radius eps_n < 1/n with pairwise-disjoint
 disks, and places the coefficients of the proof on the selected basis
-directions.  Two regimes are handled: real parts bounded above (coefficients
-n^-2) and unbounded above (coefficients e^{-n Re lam_{j(n)}} along a
-subsequence with Re >= n).
+directions.  As in the proof, the selected eigenvalues are one more discrete
+spectrum (the plan's subsequence), and every proof vector is a vector on
+it.  Two regimes are handled: real parts bounded above (coefficients n^-2)
+and unbounded above (coefficients e^{-n Re lam_{j(n)}} along a subsequence
+with Re >= n).
 
 In the coordinate model every selected eigenvalue owns its basis direction,
 so the distance constants collapse to d_n = 1 and the dual probe pairs to
@@ -19,7 +21,7 @@ exactly n^-2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from enum import Enum
 from typing import Optional
@@ -209,9 +211,29 @@ class Selection:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class _Subsequence(SpectrumFamily):
+    """The selected eigenvalues lam_{j(1)}, lam_{j(2)}, ... as a family of
+    their own, on which every proof vector lives: index n stands for
+    lam_{j(n)}.
+
+    The plan builds its lam_bounds from the family's lam_bounds and the plan
+    invariants (|lam_{j(n)}| >= n, Re >= n when real parts grow, Re <= omega
+    otherwise, j(n) <= env_coeff n^gamma), with no Im envelope and no signed
+    terms.
+    """
+
+    selection: Selection
+    lam_bounds: LamBounds
+
+    def eigenvalues(self, ns):
+        return self.selection.lam(ns)
+
+
 @dataclass(frozen=True)
 class ViolatingSpectrumPlan:
-    """A violating subsequence with disk radii, ready for vector assembly."""
+    """A violating subsequence with disk radii, ready for vector assembly;
+    subsequence is the selected eigenvalues as a family, built once."""
 
     beta: float
     case: PlanCase
@@ -219,14 +241,30 @@ class ViolatingSpectrumPlan:
     selection: Selection
     omega: Optional[float]  # bounded case: sup of the selected real parts
     verified_prefix: int
+    subsequence: _Subsequence = field(init=False, repr=False, compare=False)
 
-    def selected_lams(self, ns) -> np.ndarray:
-        return self.selection.lam(np.asarray(ns, dtype=np.int64))
+    def __post_init__(self):
+        fam, sel = self.spectrum.lam_bounds, self.selection
+        if self.case is PlanCase.BOUNDED_REAL_PARTS:
+            re = TailBounds(None, AsymForm.constant(self.omega), 1)
+        else:
+            p_re, _, re_hi = fam.signed[0]
+            re = TailBounds(
+                AsymForm.power(1.0, 1.0),  # Re >= n by selection
+                AsymForm.power(sel.gamma * p_re, re_hi * sel.env_coeff**p_re),
+                1,
+            )
+        # n <= |lam_{j(n)}| <= |Re| + |Im| <= c n^{gamma p_hi}
+        p_hi = fam.upper[0]
+        top = sum(max(abs(lo), abs(hi)) for _, lo, hi in fam.signed)
+        upper = (sel.gamma * p_hi, top * sel.env_coeff**p_hi, 1.0)
+        lam = LamBounds(re, None, (1.0, 1.0, 1.0), upper, 1)
+        object.__setattr__(self, "subsequence", _Subsequence(sel, lam))
 
     def epsilons(self, n_top: int) -> np.ndarray:
         """Disk radii eps_n = min(1/(2n), half the gap to the neighbors)."""
         ns = np.arange(1, n_top + 2, dtype=np.int64)
-        gaps = np.abs(np.diff(self.selected_lams(ns)))
+        gaps = np.abs(np.diff(self.subsequence.eigenvalues(ns)))
         # eps_1 has a neighbor above only
         gap = np.minimum(gaps, np.concatenate(([np.inf], gaps[:-1])))
         return np.minimum(1.0 / (2.0 * ns[:-1]), gap / 2.0)
@@ -275,7 +313,7 @@ def _verify_plan(plan: ViolatingSpectrumPlan) -> None:
     eps = plan.epsilons(n_eps)
     if not np.all((eps > 0) & (eps < 1.0 / np.arange(1, n_eps + 1))):
         raise PlanError("disk radii leave (0, 1/n) on the verified prefix")
-    centers = plan.selected_lams(np.arange(1, n_eps + 1, dtype=np.int64))
+    centers = plan.subsequence.eigenvalues(np.arange(1, n_eps + 1, dtype=np.int64))
     if _monotone(centers.real) and _monotone(centers.imag):
         # steps of one sign per component only lengthen a chord, so
         # disjoint neighbours make every pair disjoint
@@ -347,70 +385,35 @@ def plan_for_spectrum(
 
 @dataclass(frozen=True)
 class SupportView(SeriesSpace):
-    """SeriesSpace of a vector supported on a plan's selected subsequence.
+    """Coefficients e^{-decay n Re lam_{j(n)}} on a plan's subsequence.
 
-    Index n stands for lam_{j(n)}; the coefficient there is n^-2 when decay
-    is None and e^{-decay n Re lam_{j(n)}} otherwise.  lam_bounds is built
-    once from the family's lam_bounds and the plan invariants
-    (|lam_{j(n)}| >= n, Re >= n when required, j(n) <= env_coeff n^gamma),
-    with no Im envelope, and coeff_bounds with it.  When decay is set (such
-    vectors live on plans with Re >= n), term_bounds of e^{tA} (ExpSymbol,
-    real t) is the coupled upper envelope -decay n^2 + t n.  On plans with
-    unbounded real parts the refuting vector f is a _ProofView, which also
-    couples the lower envelope of its Gevrey weight.
+    They are tied to lam, so coeff_bounds couples them with the Re envelope
+    of the subsequence, built once, and term_bounds of e^{tA} (ExpSymbol,
+    real t) is the coupled upper envelope -decay n^2 + t n; both need
+    Re >= n, so these vectors live on plans with unbounded real parts.
+    There the refuting vector f is a _ProofView, which also couples the
+    lower envelope of its Gevrey weight.  The n^-2 vectors of the proof are
+    plain polynomial_decay vectors on the subsequence.
     """
 
-    plan: ViolatingSpectrumPlan
-    decay: Optional[float] = None
-    lam_bounds = coeff_bounds = None  # built once in __post_init__
+    spectrum: _Subsequence
+    decay: float
+    coeff_bounds = None  # built once in __post_init__
 
     def __post_init__(self):
-        fam, sel = self.plan.spectrum.lam_bounds, self.plan.selection
-        if self.plan.case is PlanCase.BOUNDED_REAL_PARTS:
-            re = TailBounds(None, AsymForm.constant(self.plan.omega), 1)
-        else:
-            p_re, _, re_hi = fam.signed[0]
-            re = TailBounds(
-                AsymForm.power(1.0, 1.0),  # Re >= n by selection
-                AsymForm.power(sel.gamma * p_re, re_hi * sel.env_coeff**p_re),
-                1,
-            )
-        # n <= |lam_{j(n)}| <= |Re| + |Im| <= c n^{gamma p_hi}
-        p_hi = fam.upper[0]
-        top = sum(max(abs(lo), abs(hi)) for _, lo, hi in fam.signed)
-        upper = (sel.gamma * p_hi, top * sel.env_coeff**p_hi, 1.0)
-        lam = LamBounds(re, None, (1.0, 1.0, 1.0), upper, 1)
-        object.__setattr__(self, "lam_bounds", lam)
-        if self.decay is None:
-            coeff = TailBounds.exact(AsymForm.log_k(-2.0))
-        else:
-            coeff = TailBounds(
-                _neg_n_times(lam.re.upper, self.decay),
-                AsymForm.power(2.0, -self.decay),  # -decay * n * Re <= -decay n^2
-                1,
-            )
+        coeff = TailBounds(
+            _neg_n_times(self.lam_bounds.re.upper, self.decay),
+            AsymForm.power(2.0, -self.decay),  # -decay * n * Re <= -decay n^2
+            1,
+        )
         object.__setattr__(self, "coeff_bounds", coeff)
-
-    @property
-    def spectrum(self) -> SpectrumFamily:
-        return self.plan.spectrum
-
-    @property
-    def selection(self) -> Selection:
-        return self.plan.selection
-
-    def lam(self, ns):
-        return self.plan.selection.lam(ns)
 
     def coeff_log(self, ns):
         ns = np.asarray(ns, dtype=np.int64)
-        nf = ns.astype(float)
-        if self.decay is None:
-            return -2.0 * np.log(nf), np.zeros(ns.shape)
-        return -self.decay * nf * self.lam(ns).real, np.zeros(ns.shape)
+        return -self.decay * ns.astype(float) * self.lam(ns).real, np.zeros(ns.shape)
 
     def term_bounds(self, F=None):
-        if self.decay is None or not isinstance(F, ExpSymbol) or F.z.imag != 0.0:
+        if not isinstance(F, ExpSymbol) or F.z.imag != 0.0:
             return super().term_bounds(F)
         t = F.z.real
         # (t - decay n) Re_{j(n)} <= -(decay n - t) n  for n > t / decay
@@ -428,15 +431,15 @@ class _ProofView(SupportView):
     Its term_bounds of the weight e^{s|lam|^{1/beta}} at the plan's order
     has the proof's coupled lower envelope s n^3 - n^2, which no
     componentwise envelope expresses; pairing with h* = n^-2 adds that
-    space's -2 log n.  Plans with bounded real parts need none: there the
+    vector's -2 log n.  Plans with bounded real parts need none: there the
     componentwise envelopes already give the proof's forms (|lam_{j(n)}| >= n
     and the n^-2 coefficients), so their refuting vector is a plain
-    SupportView.
+    polynomial_decay vector on the subsequence.
     """
 
     def term_bounds(self, F=None):
         bounds = super().term_bounds(F)
-        if not isinstance(F, GevreyExpSymbol) or F.beta != self.plan.beta:
+        if not isinstance(F, GevreyExpSymbol) or F.beta != self.spectrum.selection.beta:
             return bounds
         # |lam|^{1/beta} >= n^2 Re and Re >= n give s n^3 - n^2 beyond n >= 1/s
         lower = AsymForm.power(3.0, F.s) + AsymForm.power(2.0, -1.0)
@@ -480,13 +483,13 @@ def build_counterexample(plan: ViolatingSpectrumPlan) -> CounterexampleArtifacts
     must be certified divergent at every probed scale.  Any contradiction is
     a hard failure.
     """
-    support, h = SupportView(plan), None
+    sub, h = plan.subsequence, None
     if plan.case is PlanCase.BOUNDED_REAL_PARTS:
-        f = CoefficientVector.on_space(support, _P_NORM, "ce-f(n^-2 on selection)")
+        f = CoefficientVector.polynomial_decay(sub, 2.0, _P_NORM, "ce-f(n^-2 on selection)")
     else:
-        f = CoefficientVector.on_space(_ProofView(plan, 1.0), _P_NORM, "ce-f(e^{-n Re} on selection)")
-        h = CoefficientVector.on_space(SupportView(plan, 0.5), _P_NORM, "ce-h(e^{-n Re/2} on selection)")
-    h_star = CoefficientVector.on_space(support, _P_NORM, "h*(n^-2 on selection)")
+        f = CoefficientVector.on_space(_ProofView(sub, 1.0), _P_NORM, "ce-f(e^{-n Re} on selection)")
+        h = CoefficientVector.on_space(SupportView(sub, 0.5), _P_NORM, "ce-h(e^{-n Re/2} on selection)")
+    h_star = CoefficientVector.polynomial_decay(sub, 2.0, _P_NORM, "h*(n^-2 on selection)")
 
     admissibility = check_admissible(f)
     if not admissibility.admissible:
@@ -516,7 +519,7 @@ def build_counterexample(plan: ViolatingSpectrumPlan) -> CounterexampleArtifacts
         # itself leaves the float range (e^5000 on the canonical plan), so
         # its log is kept
         ns = np.arange(1, 513, dtype=np.int64)
-        re = plan.selected_lams(ns).real
+        re = plan.subsequence.eigenvalues(ns).real
         ts = np.array([0.0, 1.0, 50.0, 100.0])[:, None]
         log_l_bound = float(np.max(-(ns / 2.0 - ts) * re))
         if not math.isfinite(log_l_bound):

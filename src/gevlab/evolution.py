@@ -42,7 +42,7 @@ class ReBoundedAbove:
 @dataclass(frozen=True)
 class DecayDominates:
     r: float
-    p_re: Optional[float]  # None on a plan's view, whose coupled envelope has no Re exponent
+    p_re: Optional[float]  # None on a plan's subsequence, whose coupled envelope has no Re exponent
 
 
 @dataclass(frozen=True)
@@ -157,9 +157,11 @@ def check_admissible(f: CoefficientVector, t_max: float = DEFAULT_T_MAX) -> Admi
 def _growing_re_rule(space, re_b) -> TailRule:
     """Real parts grow.  Decay dominates when the upper envelope of
     log|f_k| + t Re lam_k has one negative leading term, residual included,
-    at t = 0 and at DEFAULT_T_MAX: on a dense space the decay scale then
-    exceeds the growth scale, and a plan's view (space.selection set) reads
-    its own coupled envelope.  Otherwise look for a certified failure time."""
+    at t = 0 and at DEFAULT_T_MAX: on a family's eigenvalue order the decay
+    scale then exceeds the growth scale, and on a plan's subsequence (the
+    one spectrum whose lam_bounds has no signed terms) the space's coupled
+    envelope gives that term, with no Re exponent to report.  Otherwise look
+    for a certified failure time."""
     ups = [space.term_bounds(ExpSymbol(t)) for t in (0.0, DEFAULT_T_MAX)]
     if any(b is None or b.upper is None for b in ups):
         return Undetermined("no decay envelope for the coefficients")
@@ -167,7 +169,7 @@ def _growing_re_rule(space, re_b) -> TailRule:
     gr_up = re_b.upper.leading()
     same = lead0 is not None and (lead0, lead0.residual) == (lead_top, lead_top.residual)
     if same and lead0.coeff < 0:
-        return DecayDominates(lead0.power, gr_up.power if space.selection is None else None)
+        return DecayDominates(lead0.power, gr_up.power if space.lam_bounds.signed is not None else None)
 
     # decay does not dominate: look for a certified failure time
     cb = space.term_bounds()

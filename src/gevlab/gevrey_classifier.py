@@ -541,7 +541,6 @@ _MIN_EXTRAPOLATED_CURVATURES = 24
 def estimate_order(
     f: CoefficientVector,
     n_max: int = 40,
-    n_min: Optional[int] = None,
     budget: SeriesBudget = DEFAULT_BUDGET,
 ) -> OrderEstimate:
     """Estimate the growth order of ||A^n f|| from the power norms on [n_min, n_max].
@@ -570,9 +569,8 @@ def estimate_order(
     log c + n log alpha + beta n log n over [n_min, n_max].  The fallback
     covers three cases the extrapolation misreads:
 
-    - short windows (fewer than 24 curvatures, so n_max < 32 with the
-      default n_min), where O(1/n) corrections to beta_eff make the
-      extrapolation overshoot;
+    - short windows (fewer than 24 curvatures, so n_max < 32), where O(1/n)
+      corrections to beta_eff make the extrapolation overshoot;
     - maximisers k*(n) that hop between a few small indices, where
       beta_eff oscillates or climbs steeply toward the next hop;
     - bounded spectra of infinite support (order 0), whose curvature rises
@@ -585,15 +583,12 @@ def estimate_order(
     y itself).  power_norms is called once: one series engine pass
     certifies ||A^n f|| for every n = 0..n_max, each power a row.
 
-    Early orders are dominated by the constants, so n_min defaults to
-    max(4, n_max/4).
+    Early orders are dominated by the constants, so the window starts at
+    n_min = max(4, n_max // 4), and n_max must be >= 5.
     """
-    if n_min is None:
-        n_min = max(4, n_max // 4)
-    if n_min < 4:
-        raise ValueError("n_min must be >= 4")
-    if n_min >= n_max:
-        raise ValueError("need n_min < n_max")
+    if n_max < 5:
+        raise ValueError("n_max must be >= 5")
+    n_min = max(4, n_max // 4)
     norms = power_norms(f, n_max, budget)
     if norms.cutoff is not None:
         raise DomainError(

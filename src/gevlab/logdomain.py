@@ -33,6 +33,13 @@ def wrap_phase(phi):
     return np.where((phi > -math.pi) & (phi <= math.pi), phi, wrapped)
 
 
+def log_product(log_c: np.ndarray, log_f: np.ndarray) -> np.ndarray:
+    """log|c F| = log|c| + log|F| elementwise (broadcast).  A zero c, log|c|
+    = -inf, stays -inf whatever log|F| is, +inf included: no NaN, no warning."""
+    out = np.full(np.broadcast(log_c, log_f).shape, NEG_INF)
+    return np.add(log_c, log_f, out=out, where=log_c != NEG_INF)
+
+
 def logaddexp(a: float, b: float) -> float:
     """log(e^a + e^b) without overflow; handles -inf identities exactly."""
     if a == NEG_INF:

@@ -2,8 +2,8 @@
 
 A spectrum family lists (or generates) the eigenvalues lam_k.  SeriesSpace is
 every vector's coordinate model, in log-polar form: each coefficient kind is a
-space on the eigenvalue order, and a counterexample plan's view one on the
-selected subsequence.
+space on the eigenvalue order of its spectrum (a counterexample plan's
+selected subsequence is one more spectrum).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .asymptotics import AsymForm, AsymTerm, TailBounds, form_converges
 from .errors import SpectrumError, VectorError
-from .logdomain import NEG_INF, wrap_phase
+from .logdomain import NEG_INF, log_product, wrap_phase
 from .series import (
     DEFAULT_BUDGET,
     ConvergenceCertificate,
@@ -108,9 +108,11 @@ class LamBounds:
 
     re, im: the TailBounds of Re lam_n and Im lam_n (None: unknown).  lower,
     upper: modulus terms (p, c, slack) with c n^p <= |lam_n| <= c slack n^p,
-    from n = 1,024 where the upper slack is not 1.  signed: on a family, the
-    pair of signed (p, lo, hi) with lo n^p <= Re lam_n <= hi n^p and alike
-    for Im lam_n; None on a plan's view, whose upper slack is 1.
+    from n = 1,024 where the upper slack is not 1.  signed: on a family that
+    declares envelopes, the pair of signed (p, lo, hi) with
+    lo n^p <= Re lam_n <= hi n^p and alike for Im lam_n; None on a plan's
+    subsequence, whose bounds follow from the plan invariants and whose
+    upper slack is 1.  A subsequence is the only holder of None.
     """
 
     re: Optional[TailBounds]
@@ -162,7 +164,8 @@ class SpectrumFamily:
 
     A family that declares the envelopes of Re lam_k and Im lam_k passes
     them to _read_envelopes once, at construction, which sets lam_bounds
-    from them; it is None on every other family.
+    from them; a counterexample plan's subsequence holds the lam_bounds its
+    plan builds, and it is None on every other family.
     """
 
     size: Optional[int] = None
@@ -297,26 +300,23 @@ class SeriesSpace:
     - spectrum: the family the eigenvalues are drawn from.
     - count: number of indices, None for infinitely many (by default the
       spectrum's size).
-    - lam(ns), coeff_log(ns): the eigenvalue (by default lam_n itself) and
-      the log-polar coefficient (log-magnitudes, phases) at each index.
+    - lam(ns), coeff_log(ns): the eigenvalue lam_n of the spectrum and the
+      log-polar coefficient (log-magnitudes, phases) at each index.
     - coeff_bounds: envelope of the log-magnitudes, None when unknown.
-    - selection: the object the indices are drawn from (None: the
-      eigenvalue order itself); two vectors pair only over one selection.
-    - lam_bounds: the LamBounds of the eigenvalues at the indices (by
-      default the spectrum's), None when unknown; every symbol reads its
-      growth envelope from it.
+    - lam_bounds: the spectrum's LamBounds, None when unknown; every symbol
+      reads its growth envelope from it.
     - term_bounds(F): envelope of log|c_n| + log|F(lam_n)|, the one
       envelope every series over the space reads.  By default it is the
       sum of the componentwise envelopes; a space whose coefficients are
-      tied to lam (a counterexample plan's vectors) overrides it with the
-      coupled estimate, which no componentwise envelope expresses.  No
-      override concerns a power of A: power_norms works out the envelopes
-      of all powers from coeff_bounds and lam_bounds.log_abs() at once.
+      tied to lam (a counterexample plan's e^{-decay n Re} vectors)
+      overrides it with the coupled estimate, which no componentwise
+      envelope expresses.  No override concerns a power of A: power_norms
+      works out the envelopes of all powers from coeff_bounds and
+      lam_bounds.log_abs() at once.
     """
 
     spectrum: SpectrumFamily
     coeff_bounds: Optional[TailBounds] = None
-    selection: object = None
 
     @property
     def count(self) -> Optional[int]:
@@ -432,19 +432,20 @@ class _MappedCoeffs(SeriesSpace):
         for sym in self.symbols:
             add_mag = add_mag + sym.log_abs(lams)
             add_phase = add_phase + sym.phase(lams)
-        mags = np.where(mags == NEG_INF, NEG_INF, mags + add_mag)
+        mags = log_product(mags, add_mag)
         phases = np.asarray(wrap_phase(phases + add_phase), dtype=float)
         phases = np.where(mags == NEG_INF, 0.0, phases)
         return mags, phases
 
     @property
     def coeff_bounds(self) -> Optional[TailBounds]:
-        b = self.base.coeff_bounds
-        if b is None:
-            return None
-        for sym in self.symbols:
+        """The base's term_bounds of the first symbol, so a space that
+        couples its coefficients with lam keeps its coupled envelope, plus
+        the growth envelope of each further symbol."""
+        b = self.base.term_bounds(self.symbols[0])
+        for sym in self.symbols[1:]:
             g = sym.growth_bounds_on(self.lam_bounds)
-            if g is None:
+            if b is None or g is None:
                 return None
             b = b + g
         return b
@@ -458,7 +459,7 @@ class _MappedCoeffs(SeriesSpace):
 @dataclass(frozen=True)
 class CoefficientVector:
     """A vector f: its l^p exponent, a label and the space of its coordinates,
-    indexed by the eigenvalue order or by a counterexample plan's selection."""
+    indexed by the eigenvalue order of its spectrum."""
 
     p_norm: float
     label: str
@@ -591,8 +592,6 @@ class CoefficientVector:
     def _with_symbols(self, symbols) -> "CoefficientVector":
         """Internal: coordinatewise multiplication by symbol values F(lam_k)."""
         space = self.space
-        if space.selection is not None:
-            raise VectorError("symbol application on support-view vectors is not implemented")
         base, prior = (space.base, space.symbols) if isinstance(space, _MappedCoeffs) else (space, ())
         space = _MappedCoeffs(base, prior + tuple(symbols))
         names = "*".join(getattr(s, "name", "F") for s in symbols)
@@ -613,7 +612,7 @@ def total_variation(
     """Certify the sum over all k of weight(lam_k)*|f_k g_k|.
 
     The sum runs over the series spaces of f and g, which must share one
-    selection.  `weight` is a symbol-like object exposing log_abs(lams) and
+    spectrum.  `weight` is a symbol-like object exposing log_abs(lams) and
     growth_bounds_on(lam_bounds); None means the constant weight 1.  With
     weight 1 this is the total variation of the pairing of f and g, bounded
     by ||f||_p ||g||_q.  `budget=None` only decides the status (see
@@ -627,15 +626,13 @@ def total_variation(
             f"dual vector must carry the conjugate exponent q={q:g}, got {g.p_norm:g}"
         )
     space, gspace = f.space, g.space
-    if space.selection is not gspace.selection:
-        raise VectorError("paired vectors must share the same support selection")
 
     def term(ns):
         fm, _ = space.coeff_log(ns)
         gm, _ = gspace.coeff_log(ns)
         tot = fm + gm
         if weight is not None:
-            tot = tot + weight.log_abs(space.lam(ns))
+            tot = log_product(tot, weight.log_abs(space.lam(ns)))
         return tot
 
     counts = [n for n in (space.count, gspace.count) if n is not None]

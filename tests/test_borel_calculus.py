@@ -79,6 +79,15 @@ def test_direct_membership_with_partial_sum_oracle():
     assert abs(v.log_value / f.p_norm - oracle) < 1e-12
 
 
+def test_direct_membership_weight_past_the_float_range_on_a_zero_coordinate():
+    # log|F(lam_2)| = 2^20 * 1.7e308 is +inf, meant so, and f_2 = 0 keeps
+    # the term zero
+    spec = gl.ExplicitSpectrum((1, 1.7e308))
+    f = gl.CoefficientVector.explicit(spec, values=[1, 0])
+    v = gl.domain_member_direct(gl.GevreyExpSymbol(2**20, 1), f)
+    assert (v.route, v.log_value) == ("exact-finite", 2.0 * 2**20)
+
+
 def test_direct_membership_divergence_witness():
     spec = gl.PowerLawSpectrum(1, 1, 0, 0)
     f = gl.CoefficientVector.polynomial_decay(spec, 2.0)

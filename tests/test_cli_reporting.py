@@ -278,8 +278,18 @@ def test_classify_spectrum_with_zero_eigenvalue_warns_nothing():
             "ok",
             [("admissibility", True, None), ("evolve", 1.7e308, "converges")],
         ),
+        # t Re lam_1 = 2e308 is +inf on the zero coordinate y_1, which stays zero
+        (
+            {"command": "evolve", "spectrum": {"explicit": {"points": [[1e308, 0], [1, 0]]}},
+             "vectors": [{"explicit": {"values": [[0, 0], [1, 0]]}}], "t_grid": [2]},
+            "ok",
+            [("admissibility", True, None), ("evolve", 2.0, "converges")],
+        ),
     ],
-    ids=["classify-spectrum", "evolve", "evolve-power-decay-r-1e16", "evolve-phase-past-the-float-range"],
+    ids=[
+        "classify-spectrum", "evolve", "evolve-power-decay-r-1e16", "evolve-phase-past-the-float-range",
+        "evolve-zero-coordinate-past-the-float-range",
+    ],
 )
 def test_overflow_past_the_float_range_warns_nothing(job, status, pinned):
     with warnings.catch_warnings():

@@ -10,7 +10,7 @@ from gevlab.series import SeriesStatus
 
 def check_plan_invariants(plan, prefix=2000):
     ns = np.arange(1, prefix + 1, dtype=np.int64)
-    lams = plan.selected_lams(ns)
+    lams = plan.subsequence.eigenvalues(ns)
     mods = np.abs(lams)
     assert np.all(mods >= ns)
     assert np.all(np.diff(mods) > 0)
@@ -35,7 +35,7 @@ def test_unbounded_plan_uses_mixed_power_rule():
     assert (spec.a_re, spec.p_re, spec.a_im, spec.p_im) == (1.0, 1.0, 1.0, 4.0)
     check_plan_invariants(plan)
     ns = np.arange(1, 2001, dtype=np.int64)
-    assert np.all(plan.selected_lams(ns).real >= ns)  # Re >= n subsequence
+    assert np.all(plan.subsequence.eigenvalues(ns).real >= ns)  # Re >= n subsequence
 
 
 def test_disk_radii_small_and_disjoint():
@@ -44,7 +44,7 @@ def test_disk_radii_small_and_disjoint():
     eps = plan.epsilons(n_top)
     ns = np.arange(1, n_top + 1)
     assert np.all(eps > 0) and np.all(eps < 1.0 / ns)
-    lams = plan.selected_lams(np.arange(1, n_top + 1, dtype=np.int64))
+    lams = plan.subsequence.eigenvalues(np.arange(1, n_top + 1, dtype=np.int64))
     gaps = np.abs(np.diff(lams))
     assert np.all(gaps >= eps[:-1] + eps[1:])
 
@@ -98,7 +98,7 @@ def test_auxiliary_bound_log_matches_a_scalar_loop():
     # 1.7e10, far past the e^700 at which L once was clipped
     plan = gl.plan_for_spectrum(gl.PowerLawSpectrum(1e6, 1, 1, 5), 1.0, gl.PlanCase.UNBOUNDED_REAL_PARTS)
     art = gl.build_counterexample(plan)
-    re = plan.selected_lams(np.arange(1, 513, dtype=np.int64)).real
+    re = plan.subsequence.eigenvalues(np.arange(1, 513, dtype=np.int64)).real
     expected = max(-(n / 2.0 - t) * float(r) for n, r in enumerate(re, 1) for t in (0.0, 1.0, 50.0, 100.0))
     assert art.log_l_bound == expected and 1e10 < expected < 1e11
 
@@ -149,7 +149,7 @@ def test_bounded_case_subsequence_for_slow_modulus_growth():
     assert js.tolist() == [2, 5, 10, 17, 26, 37]
     check_plan_invariants(plan, prefix=200)
     art = gl.build_counterexample(plan)
-    assert isinstance(art.f.space, gl.SupportView)
+    assert art.f.spectrum is plan.subsequence
     assert art.admissibility.admissible
     assert art.non_membership.member is False
     for cert in art.probe_certificates.values():
@@ -163,7 +163,7 @@ def test_bounded_case_with_constant_positive_real_part():
     assert plan.omega == 5.0
     ns = np.arange(1, 9, dtype=np.int64)
     js = plan.selection.indices(ns)
-    lams = plan.selected_lams(ns)
+    lams = plan.subsequence.eigenvalues(ns)
     assert np.all(lams.real[1:] < (np.abs(lams.imag) / ns.astype(float) ** 2)[1:])
     assert js[0] >= 3  # j^2 > 5 already needed at n = 1
     art = gl.build_counterexample(plan)
@@ -178,8 +178,8 @@ def test_counterexamples_on_all_violated_catalog_entries():
             assert art.admissibility.admissible, (name, beta)
             assert art.non_membership.member is False, (name, beta)
     # the canonical plans select j(n) = n, and their vectors live on the
-    # plan's views all the same: f and h* with n^-2, and on unbounded plans
-    # f with e^{-n Re} and h with e^{-n Re/2}
+    # plan's subsequence all the same: f and h* with n^-2, and on unbounded
+    # plans f with e^{-n Re} and h with e^{-n Re/2}
     for beta in (1.0, 2.0):
         for case in gl.PlanCase:
             plan = gl.build_violating_spectrum(beta, case)
@@ -188,12 +188,31 @@ def test_counterexamples_on_all_violated_catalog_entries():
             views = {"f": art.f.space, "h*": art.h_star.space}
             if unbounded:
                 views["h"] = art.h.space
-            assert all(isinstance(v, gl.SupportView) and v.plan is plan for v in views.values())
+            assert all(v.spectrum is plan.subsequence for v in views.values())
             decays = {"f": 1.0, "h": 0.5, "h*": None} if unbounded else {"f": None, "h*": None}
-            assert {k: v.decay for k, v in views.items()} == decays, (beta, case)
+            assert {k: getattr(v, "decay", None) for k, v in views.items()} == decays, (beta, case)
             assert (art.h is None) is not unbounded
             statuses = [c.status for c in art.probe_certificates.values()]
             assert statuses == [SeriesStatus.DIVERGES] * 3, (beta, case)
+
+
+@pytest.mark.parametrize("case", list(gl.PlanCase))
+def test_dual_probe_criterion_on_a_plan_vector_is_the_probe_certificate(case):
+    # h* = n^-2 on f's own spectrum, the plan's subsequence, is the proof's dual
+    art = gl.build_counterexample(gl.build_violating_spectrum(1.0, case))
+    for s, cert in art.probe_certificates.items():
+        assert repr(gl.domain_member_prop31(gl.GevreyExpSymbol(s, 1.0), art.f)) == repr(cert)
+
+
+def test_solution_of_a_plan_vector_reads_the_coupled_envelope():
+    # e^{tA} f keeps the plan view's coupled envelope, so its norm sums as
+    # the direct test of e^{tA} on f does
+    art = gl.build_counterexample(gl.build_violating_spectrum(1.0, gl.PlanCase.UNBOUNDED_REAL_PARTS))
+    handle = gl.SolutionHandle(art.f, art.admissibility)
+    for t in (0.0, 1.0, 50.0):
+        norm, cert = gl.solve(handle, t).log_norm()
+        assert cert.status is SeriesStatus.CONVERGES
+        assert norm == gl.domain_member_direct(gl.ExpSymbol(t), art.f).log_value / 2
 
 
 # -- order-1 verdicts at t = 0 ------------------------------------------------

@@ -131,6 +131,31 @@ def test_eigenvalue_envelopes_are_one_object():
     assert not found, f"eigenvalue envelopes outside LamBounds: {found}"
 
 
+def test_plan_subsequence_is_a_spectrum_not_an_index_space():
+    """A plan's selected subsequence is a spectrum family: SeriesSpace
+    defines no selection, and no module but counterexamples.py reads an
+    attribute named selection."""
+    found = []
+    for path in sorted(_SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "selection" and path.name != "counterexamples.py":
+                found.append(f"{path.name}: reads .selection")
+            elif isinstance(node, ast.ClassDef) and node.name == "SeriesSpace":
+                defined = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+                defined |= {
+                    n.id
+                    for item in node.body
+                    if isinstance(item, (ast.Assign, ast.AnnAssign))
+                    for t in (item.targets if isinstance(item, ast.Assign) else [item.target])
+                    for n in ast.walk(t)
+                    if isinstance(n, ast.Name)
+                }
+                if "selection" in defined:
+                    found.append(f"{path.name}: SeriesSpace defines selection")
+    assert not found, f"the plan's subsequence as an index space: {found}"
+
+
 # Public names that no package module reads, each with the reason it stays.
 _UNREAD_PUBLIC = {
     "PowerSymbol": "reference of the power_bounds tests: term_bounds(PowerSymbol(n))",

@@ -665,12 +665,13 @@ def test_estimate_order_propagates_power_norm_cutoff():
 
 
 def test_estimate_order_window_validation():
+    # the window [max(4, n_max // 4), n_max] needs n_max >= 5, the one
+    # field a job sets
     spec = gl.ExplicitSpectrum((2 + 0j,))
     f = gl.CoefficientVector.explicit(spec, values=[1.0])
-    with pytest.raises(ValueError):
-        gl.estimate_order(f, n_max=40, n_min=3)
-    with pytest.raises(ValueError):
-        gl.estimate_order(f, n_max=5, n_min=10)
+    with pytest.raises(ValueError, match=r"^n_max must be >= 5$"):
+        gl.estimate_order(f, n_max=4)
+    assert gl.estimate_order(f, n_max=5).n_range == (4, 5)
 
 
 # -- harness -------------------------------------------------------------------

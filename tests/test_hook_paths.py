@@ -1,10 +1,11 @@
 """Golden certificates for the support-view envelope paths.
 
-Every counterexample vector is built on its plan's views, which override
+Every counterexample vector lives on its plan's subsequence.  The vectors
+with decay e^{-decay n Re} are the plan's views, which override
 SeriesSpace.term_bounds with coupled envelopes (the lower envelope of the
 Gevrey weight on the refuting vector, the upper envelope of e^{tA} on
 vectors with decay) that no componentwise envelope can express.  The
-views run on every plan the catalog harness builds; these tests pin every
+subsequence runs on every plan the catalog harness builds; these tests pin every
 series certificate that build_counterexample makes on three plans whose
 selection is not the identity, in call order, so any change to how those
 overrides reach the series engine shows up as a byte difference.
@@ -80,7 +81,7 @@ def series_calls(monkeypatch):
 def test_counterexample_certificates_match_golden(series_calls, name, beta):
     art = gl.build_counterexample(gl.plan_for_spectrum(SPECTRA[name], beta))
     want = GOLDEN[(name, beta)]
-    assert isinstance(art.f.space, gl.SupportView)  # the support view is in use
+    assert art.f.spectrum is art.plan.subsequence  # f lives on the plan's subsequence
     assert repr(art.admissibility.probe_status) == want["probe_status"]
     assert repr(art.admissibility.tail_rule) == want["tail_rule"]
     assert repr(art.non_membership.probes) == want["class_probes"]

@@ -160,7 +160,7 @@ def _greedy(env, beta: float, n_top: int) -> list[int]:
 
 def _epsilons_loop(plan, n_top: int) -> np.ndarray:
     """Reference: eps_n = min(1/(2n), half the smaller neighboring gap)."""
-    gaps = np.abs(np.diff(plan.selected_lams(np.arange(1, n_top + 2, dtype=np.int64))))
+    gaps = np.abs(np.diff(plan.subsequence.eigenvalues(np.arange(1, n_top + 2, dtype=np.int64))))
     eps = np.empty(n_top)
     for i in range(n_top):
         gap = gaps[i] if i == 0 else min(gaps[i - 1], gaps[i])
@@ -293,7 +293,7 @@ def test_region_witness_is_the_plan_selection(name, beta):
     spec = gl.builtin_spectra()[name]
     rep = gl.region_condition(spec, beta)
     assert rep.violated
-    want = gl.plan_for_spectrum(spec, beta).selected_lams(np.arange(1, 13))
+    want = gl.plan_for_spectrum(spec, beta).subsequence.eigenvalues(np.arange(1, 13))
     assert rep.status.witness == tuple(want.tolist())
 
 
@@ -368,7 +368,7 @@ def test_custom_family_witness_is_the_plan_selection():
     assert rep.violated and len(rep.status.witness) == 12
     plan = gl.plan_for_spectrum(spec, 1.0)
     assert plan.case is gl.PlanCase.UNBOUNDED_REAL_PARTS
-    assert rep.status.witness == tuple(plan.selected_lams(np.arange(1, 13)).tolist())
+    assert rep.status.witness == tuple(plan.subsequence.eigenvalues(np.arange(1, 13)).tolist())
 
 
 def test_custom_family_harness_certifies_its_counterexample():

@@ -185,6 +185,16 @@ def test_total_variation_gevrey_weight_diverges():
         assert cert.status is SeriesStatus.DIVERGES
 
 
+def test_total_variation_weight_past_the_float_range_on_a_zero_term():
+    # e^{2^20 |lam_2|} is past the float range where f_2 = 0: the term stays
+    # zero, not -inf + inf
+    spec = gl.ExplicitSpectrum((1, 1.7e308))
+    f = gl.CoefficientVector.explicit(spec, values=[1, 0])
+    g = gl.CoefficientVector.explicit(spec, values=[1, 1])
+    cert = gl.total_variation(f, g, weight=gl.GevreyExpSymbol(2**20, 1))
+    assert (cert.route, cert.log_value) == ("exact-finite", 1048576.0)
+
+
 def test_holder_bound_on_weightless_total_variation():
     rng = np.random.default_rng(11)
     spec = ten_point_spectrum()
@@ -313,7 +323,7 @@ def test_region_reads_declared_intervals():
     # Re >= |Im|^{1/2} / 2, the lower Re over the upper |Im| coefficient
     spec = _interval_family()
     violated = gl.region_condition(spec, 1.0)
-    want = gl.plan_for_spectrum(spec, 1.0).selected_lams(np.arange(1, 13))
+    want = gl.plan_for_spectrum(spec, 1.0).subsequence.eigenvalues(np.arange(1, 13))
     assert violated.violated and violated.status.witness == tuple(want.tolist())
     holds = gl.region_condition(spec, 2.0)
     b_plus = 0.5
